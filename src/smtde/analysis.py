@@ -30,7 +30,7 @@ from .errors import (DegenerateExperimentError, DomainError, EnsembleError,
 from .mlmatrix import MLParams, QTable, ml_nonperm_grid
 from .solvers import (BrownianDriver, InitialState, PathEnsemble, ProblemSpec,
                       _simulate_with_tables, constant_ensemble, coupled_pair,
-                      em_kernel_tables, mild_kernel_tables, picard_apply)
+                      kernel_tables, mild_kernel_tables, picard_apply)
 from .specfun import gamma_fn, ml_scalar_log
 
 FIT_WINDOW_START = 1.0
@@ -319,8 +319,9 @@ def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState
     p_hat, kappa_hat = _fit_decay_exponent(t_win, d2[window])
 
     mask = _joint_valid(e1, e2)
-    sq = np.sum((e1.paths[mask][:, window, :] - e2.paths[mask][:, window, :]) ** 2,
-                axis=2)
+    # C order, so each bootstrap row gather reads contiguous rows
+    sq = np.ascontiguousarray(np.sum(
+        (e1.paths[mask][:, window, :] - e2.paths[mask][:, window, :]) ** 2, axis=2))
     rng = np.random.Generator(np.random.Philox(key=[drv.seed, 0xB007]))
     n_valid = sq.shape[0]
     boot = np.empty(n_boot)
@@ -380,13 +381,7 @@ def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
             raise ValidationError("direction must be a nonzero vector of problem dim")
         u = u / norm
 
-    if scheme == "em":
-        tables = em_kernel_tables(p, drv.n_steps)
-    elif scheme == "mild":
-        tables = mild_kernel_tables(p, drv.n_steps)
-    else:
-        raise ValidationError(f"unknown scheme {scheme!r}")
-
+    tables = kernel_tables(p, drv.n_steps, scheme)
     base = _simulate_with_tables(p, eta, drv, n_paths, tables, threads=threads)
     rows: list[ContinuityPoint] = []
     for off in offsets:

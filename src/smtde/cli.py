@@ -9,8 +9,8 @@ A run writes three files into the output directory:
 * ``report.json``  - scalar constants and fit results (null where not computed)
 * ``meta.json``    - effective config echo, seed, package/library versions
 
-Identical config and seed produce byte-identical ``results.csv`` regardless of
-the thread count: paths are simulated in fixed-size chunks with per-path RNG
+Identical config and seed produce byte-identical ``results.csv`` for any
+``--threads`` value: paths are simulated in fixed-size chunks with per-path RNG
 streams and statistics are reduced in a fixed order.
 
 Exit codes: 0 success, 2 config parse/validation error, 3 runtime/numerical
@@ -36,8 +36,7 @@ from .errors import (NonConvergenceError, SmtdeError, TruncationBoundError,
                      ValidationError)
 from .linalg import commutator, mat_norm
 from .mlmatrix import MLParams, QTable, ml_nonperm_info, ml_perm
-from .solvers import (BrownianDriver, InitialState, ProblemSpec, simulate_em,
-                      simulate_mild)
+from .solvers import BrownianDriver, InitialState, ProblemSpec, simulate
 from .specfun import SampledFunction, caputo_identity_residual, gamma_fn
 
 EXPERIMENTS = ("ml-eval", "simulate", "picard", "separation", "continuity",
@@ -231,17 +230,10 @@ def _eta_state(cfg: RunConfig) -> InitialState:
     return InitialState.deterministic(vec)
 
 
-def _scheme_of(cfg: RunConfig) -> str:
-    scheme = cfg.params.get("scheme", "em")
-    if scheme not in ("em", "mild"):
-        raise ValidationError(f"unknown scheme '{scheme}' (choices: ['em', 'mild'])")
-    return scheme
-
-
 def _run_simulate(cfg: RunConfig, threads: int):
     drv = BrownianDriver(cfg.seed, cfg.n_steps)
-    simulate = simulate_em if _scheme_of(cfg) == "em" else simulate_mild
-    ens = simulate(cfg.problem, _eta_state(cfg), drv, cfg.n_paths, threads=threads)
+    ens = simulate(cfg.problem, _eta_state(cfg), drv, cfg.n_paths,
+                   scheme=cfg.params.get("scheme", "em"), threads=threads)
     rows = []
     for i, t in enumerate(ens.grid):
         est, se = ms_norm(ens, i)
@@ -275,7 +267,8 @@ def _run_separation(cfg: RunConfig, threads: int):
         _as_vector(cfg.params["gamma"], "params.gamma", cfg.problem.dim))
     lam = _as_number(cfg.params["lambda"], "params.lambda")
     report = separation_experiment(cfg.problem, _eta_state(cfg), gamma, drv,
-                                   lam, cfg.n_paths, scheme=_scheme_of(cfg),
+                                   lam, cfg.n_paths,
+                                   scheme=cfg.params.get("scheme", "em"),
                                    threads=threads)
     rows = []
     for t, d2, se, sc in zip(report.times, report.ms_distance,
@@ -303,7 +296,8 @@ def _run_continuity(cfg: RunConfig, threads: int):
         direction = _as_vector(direction, "params.direction", cfg.problem.dim)
     points = continuity_experiment(cfg.problem, _eta_state(cfg), offsets, drv,
                                    cfg.n_paths, direction=direction,
-                                   scheme=_scheme_of(cfg), threads=threads)
+                                   scheme=cfg.params.get("scheme", "em"),
+                                   threads=threads)
     rows = []
     for pt in points:
         rows.append(("continuity", pt.offset, "sup_ms_distance",

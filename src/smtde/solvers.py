@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EnsembleError, ValidationError
 from .linalg import as_matrix
@@ -53,6 +54,9 @@ from .specfun import reciprocal_gamma
 # Paths are simulated in fixed-size chunks regardless of thread count so that
 # results are independent of the parallel partition.
 CHUNK_PATHS = 2048
+# Output steps per far-field GEMM in the stepping core; a block re-reads the
+# path history once instead of once per step.
+HISTORY_BLOCK = 32
 FLAGGED_FRACTION_LIMIT = 0.10
 
 
@@ -287,62 +291,57 @@ def mild_kernel_tables(p: ProblemSpec, n_steps: int,
     return KernelTables(init_mats=init_mats, kbig=kbig, scheme="mild")
 
 
-def _advance_chunk(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
-                   x0: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """Explicit time stepping for one chunk of paths.
+def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
+                x0: np.ndarray, dw: np.ndarray,
+                known: np.ndarray | None = None) -> np.ndarray:
+    """Explicit time-blocked stepping for one chunk of paths.
 
     x0 has shape (dim, n_paths); dw has shape (n_paths, n_steps). Returns
-    paths of shape (n_steps + 1, dim, n_paths). The lag sums are evaluated as
-    one (dim, n*3*dim) x (n*3*dim, n_paths) product per step over a combined
-    [X; b; sigma*dW] history.
+    paths of shape (n_steps + 1, dim, n_paths). The lag sums run over a
+    combined [X; b; sigma*dW] history, in blocks of HISTORY_BLOCK output
+    steps: at a block start one GEMM applies the far-field slab of lag weights
+    to all history already known; inside the block each step adds only its
+    in-block (near-field) lags. This regroups the direct sum, exact up to
+    rounding. With ``known`` (shape (n_steps + 1, dim, n_paths)) the history
+    comes from those paths, not the output: the operator without feedback.
     """
     nd = p.dim
+    d3 = 3 * nd
     n_steps = times.size - 1
     n_chunk = x0.shape[1]
     x = np.empty((n_steps + 1, nd, n_chunk))
     x[0] = x0
-    hist = np.zeros((n_steps, 3 * nd, n_chunk))
-    init_vecs = tables.init_mats @ x0  # (n+1, nd, n_chunk)
-    kbig = tables.kbig
+    src = x if known is None else known
+    hist = np.empty((n_steps, d3, n_chunk))
+    flat_hist = hist.reshape(n_steps * d3, n_chunk)
+    # krow[:, c*d3:(c+1)*d3] holds the lag-(n_steps - c) weights, so the weights
+    # of step n against history j < n sit at columns from (n_steps - n)*d3 on.
+    krow = tables.kbig[::-1].transpose(1, 0, 2).reshape(nd, (n_steps + 1) * d3)
+
+    def record(j: int) -> None:
+        xj = src[j]
+        hist[j, :nd] = xj
+        hist[j, nd:2 * nd] = p.drift(times[j], xj)
+        hist[j, 2 * nd:] = p.diffusion(times[j], xj) * dw[:, j]
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_steps + 1):
-            j = n - 1
-            xj = x[j]
-            hist[j, :nd] = xj
-            hist[j, nd:2 * nd] = p.drift(times[j], xj)
-            hist[j, 2 * nd:] = p.diffusion(times[j], xj) * dw[:, j]
-            krev = kbig[1:n + 1][::-1]
-            a2 = np.ascontiguousarray(krev.transpose(1, 0, 2)).reshape(nd, n * 3 * nd)
-            x[n] = init_vecs[n] + a2 @ hist[:n].reshape(n * 3 * nd, n_chunk)
+        record(0)
+        for n0 in range(1, n_steps + 1, HISTORY_BLOCK):
+            n1 = min(n0 + HISTORY_BLOCK, n_steps + 1)
+            # far-slab rows for steps n0..n1-1: windows of krow starting d3 apart
+            windows = sliding_window_view(krow, n0 * d3, axis=1)
+            slab = windows[:, (n_steps - n1 + 1) * d3:(n_steps - n0) * d3 + 1:d3][:, ::-1]
+            acc = (slab.transpose(1, 0, 2).reshape((n1 - n0) * nd, n0 * d3)
+                   @ flat_hist[:n0 * d3]).reshape(n1 - n0, nd, n_chunk)
+            acc += tables.init_mats[n0:n1] @ x0
+            for k, n in enumerate(range(n0, n1)):
+                if k:
+                    acc[k] += krow[:, (n_steps - k) * d3:n_steps * d3] \
+                        @ flat_hist[n0 * d3:n * d3]
+                x[n] = acc[k]
+                if n < n_steps:
+                    record(n)
     return x
-
-
-def _apply_chunk(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
-                 y: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """One application of the mild-form operator to known paths (no feedback).
-
-    y has shape (n_steps + 1, dim, n_paths); the history is built from y
-    instead of the evolving output, everything else matches _advance_chunk.
-    """
-    nd = p.dim
-    n_steps = times.size - 1
-    n_chunk = y.shape[2]
-    out = np.empty_like(y)
-    hist = np.zeros((n_steps, 3 * nd, n_chunk))
-    init_vecs = tables.init_mats @ y[0]
-    out[0] = init_vecs[0]
-    kbig = tables.kbig
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_steps):
-            yj = y[j]
-            hist[j, :nd] = yj
-            hist[j, nd:2 * nd] = p.drift(times[j], yj)
-            hist[j, 2 * nd:] = p.diffusion(times[j], yj) * dw[:, j]
-        for n in range(1, n_steps + 1):
-            krev = kbig[1:n + 1][::-1]
-            a2 = np.ascontiguousarray(krev.transpose(1, 0, 2)).reshape(nd, n * 3 * nd)
-            out[n] = init_vecs[n] + a2 @ hist[:n].reshape(n * 3 * nd, n_chunk)
-    return out
 
 
 def _chunk_spans(n_paths: int):
@@ -386,7 +385,7 @@ def _simulate_with_tables(p: ProblemSpec, init: InitialState, drv: BrownianDrive
         ids = range(lo, hi)
         dw = drv.increments_block(ids, h)
         x0 = init.sample_block(drv, ids)
-        x = _advance_chunk(tables, p, grid, x0, dw)
+        x = _step_paths(tables, p, grid, x0, dw)
         paths[lo:hi] = x.transpose(2, 0, 1)
         increments[lo:hi] = dw
 
@@ -395,18 +394,32 @@ def _simulate_with_tables(p: ProblemSpec, init: InitialState, drv: BrownianDrive
     return _finalize_ensemble(grid, paths, increments, meta)
 
 
+def kernel_tables(p: ProblemSpec, n_steps: int, scheme: str) -> KernelTables:
+    """Kernel tables of the named scheme: ``em`` (Volterra form) or ``mild``."""
+    if scheme == "em":
+        return em_kernel_tables(p, n_steps)
+    if scheme == "mild":
+        return mild_kernel_tables(p, n_steps)
+    raise ValidationError(f"unknown scheme '{scheme}' (choices: ['em', 'mild'])")
+
+
+def simulate(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
+             n_paths: int, scheme: str = "em", threads: int = 1) -> PathEnsemble:
+    """Path ensemble of the named scheme (see ``kernel_tables``)."""
+    tables = kernel_tables(p, drv.n_steps, scheme)
+    return _simulate_with_tables(p, init, drv, n_paths, tables, threads=threads)
+
+
 def simulate_em(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
                 n_paths: int, threads: int = 1) -> PathEnsemble:
     """Explicit Euler-Maruyama scheme on the Volterra integral form."""
-    tables = em_kernel_tables(p, drv.n_steps)
-    return _simulate_with_tables(p, init, drv, n_paths, tables, threads=threads)
+    return simulate(p, init, drv, n_paths, "em", threads=threads)
 
 
 def simulate_mild(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
                   n_paths: int, threads: int = 1) -> PathEnsemble:
     """Explicit scheme on the mild (matrix Mittag-Leffler kernel) form."""
-    tables = mild_kernel_tables(p, drv.n_steps)
-    return _simulate_with_tables(p, init, drv, n_paths, tables, threads=threads)
+    return simulate(p, init, drv, n_paths, "mild", threads=threads)
 
 
 def constant_ensemble(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
@@ -468,7 +481,7 @@ def picard_apply(p: ProblemSpec, init: InitialState, y: PathEnsemble,
 
     def worker(lo: int, hi: int) -> None:
         yc = np.ascontiguousarray(y.paths[lo:hi].transpose(1, 2, 0))
-        res = _apply_chunk(tables, p, y.grid, yc, y.increments[lo:hi])
+        res = _step_paths(tables, p, y.grid, yc[0], y.increments[lo:hi], known=yc)
         out[lo:hi] = res.transpose(2, 0, 1)
 
     _run_chunked(y.n_paths, threads, worker)
@@ -487,12 +500,7 @@ def coupled_pair(p: ProblemSpec, eta: InitialState, gamma: InitialState,
     effect. The default scheme is the Volterra-form integrator, which has no
     series cutoff limiting the horizon.
     """
-    if scheme == "em":
-        tables = em_kernel_tables(p, drv.n_steps)
-    elif scheme == "mild":
-        tables = mild_kernel_tables(p, drv.n_steps)
-    else:
-        raise ValidationError(f"unknown scheme {scheme!r}")
+    tables = kernel_tables(p, drv.n_steps, scheme)
     e1 = _simulate_with_tables(p, eta, drv, n_paths, tables, threads=threads)
     e2 = _simulate_with_tables(p, gamma, drv, n_paths, tables, threads=threads)
     return e1, e2
