@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import platform
 import sys
@@ -106,6 +107,8 @@ class RunConfig:
 
 
 def _require_keys(section: dict, name: str, required, optional=()):
+    if not isinstance(section, dict):
+        raise ValidationError(f"{name} must be a JSON object")
     for key in required:
         if key not in section:
             raise ValidationError(f"missing field '{key}' in {name}")
@@ -118,7 +121,10 @@ def _require_keys(section: dict, name: str, required, optional=()):
 def _as_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite")
+    return value
 
 
 def _as_int(value, name: str) -> int:
@@ -174,11 +180,11 @@ def load_config(raw: dict) -> RunConfig:
     if dim < 1:
         raise ValidationError("problem.dim must be >= 1")
     drift_name = prob["drift"]
-    if drift_name not in DRIFT_REGISTRY:
+    if not isinstance(drift_name, str) or drift_name not in DRIFT_REGISTRY:
         raise ValidationError(
             f"unknown drift '{drift_name}' (choices: {sorted(DRIFT_REGISTRY)})")
     diffusion_name = prob["diffusion"]
-    if diffusion_name not in DIFFUSION_REGISTRY:
+    if not isinstance(diffusion_name, str) or diffusion_name not in DIFFUSION_REGISTRY:
         raise ValidationError(
             f"unknown diffusion '{diffusion_name}' "
             f"(choices: {sorted(DIFFUSION_REGISTRY)})")
@@ -205,12 +211,10 @@ def load_config(raw: dict) -> RunConfig:
         raise ValidationError("monte_carlo.seed must be nonnegative")
 
     experiment = raw["experiment"]
-    if experiment not in EXPERIMENTS:
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         raise ValidationError(
             f"unknown experiment '{experiment}' (choices: {list(EXPERIMENTS)})")
     params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ValidationError("params must be a JSON object")
     required, optional = _PARAM_FIELDS[experiment]
     _require_keys(params, "params", tuple(required), tuple(optional))
 
@@ -359,7 +363,7 @@ def _run_check_lemma(cfg: RunConfig, threads: int):
 
 def _run_check_identity(cfg: RunConfig, threads: int):
     name = cfg.params["function"]
-    if name not in IDENTITY_REGISTRY:
+    if not isinstance(name, str) or name not in IDENTITY_REGISTRY:
         raise ValidationError(
             f"unknown function '{name}' (choices: {sorted(IDENTITY_REGISTRY)})")
     prob = cfg.problem

@@ -4,20 +4,23 @@ Two evaluation routes are provided:
 
 * ``ml_nonperm`` sums the double series
       sum_{k,m} Q_{k,m} * t^(k*rho + m*sigma) / Gamma(k*rho + m*sigma + delta)
-  where the coefficient matrices Q_{k,m} follow the non-permutable recursion
+  where Q_{k,m} is the sum over all orderings of k copies of A and m copies
+  of B (the non-permutable coefficients). The paper defines them by
       Q_{k,0} = A^k,  Q_{0,m} = B^m,
       Q_{k,m} = sum_{l=0}^{k} A^(k-l) B Q_{l,m-1}      (k, m >= 1),
-  i.e. Q_{k,m} is the sum over all orderings of k copies of A and m copies
-  of B.
+  which splits each ordering at its first B. ``QTable`` splits it by its
+  last factor instead, which gives the same matrices from two terms:
+      Q_{k,m} = Q_{k-1,m} A + Q_{k,m-1} B,
+  with out-of-range entries taken as zero and Q_{0,0} = I.
 
 * ``ml_perm`` uses the binomial closed form binom(k+m, m) A^k B^m, valid
   only when A and B commute (then both routes agree).
 
-Summation runs over anti-diagonals k + m = d so that terms sharing the same
-total order, and hence the same t-power scale, are grouped; the series stops
-once four consecutive anti-diagonals are negligible relative to the partial
-sum. Terms whose Gamma argument hits a pole contribute zero (reciprocal-gamma
-convention).
+Both routes share one summation loop. It runs over anti-diagonals k + m = d
+so that terms sharing the same total order, and hence the same t-power
+scale, are grouped; the series stops once four consecutive anti-diagonals
+are negligible relative to the partial sum. Terms whose Gamma argument hits
+a pole contribute zero (reciprocal-gamma convention).
 """
 
 from __future__ import annotations
@@ -67,10 +70,12 @@ class MLParams:
 class QTable:
     """Memoized table of the coefficient matrices Q_{k,m}.
 
-    Entries are filled lazily up to k + m <= max_total; beyond that the table
-    raises rather than truncate silently, because the coefficient norms can
-    grow combinatorially. Fills are lock-protected so a table may be shared
-    across threads; values behave as pure functions of (A, B, k, m).
+    Anti-diagonal d is stored as one (d+1, dim, dim) array whose entry m is
+    Q_{d-m,m}; each one is built from the previous one with the two-term
+    recurrence. Entries are filled lazily up to k + m <= max_total; beyond that
+    the table raises rather than truncate silently, because the coefficient
+    norms can grow combinatorially. Fills are lock-protected so a table may be
+    shared across threads; values behave as pure functions of (A, B, k, m).
     """
 
     def __init__(self, a, b, max_total: int = DEFAULT_MAX_DIAGONALS):
@@ -82,15 +87,8 @@ class QTable:
         self.b = b.copy()
         self.max_total = int(max_total)
         self.dim = a.shape[0]
-        self._a_powers = [np.eye(self.dim)]
-        self._table: dict[tuple[int, int], np.ndarray] = {}
-        self._lock = threading.RLock()
-
-    def a_power(self, k: int) -> np.ndarray:
-        with self._lock:
-            while len(self._a_powers) <= k:
-                self._a_powers.append(self._a_powers[-1] @ self.a)
-            return self._a_powers[k]
+        self._diagonals = [np.eye(self.dim)[None]]
+        self._lock = threading.Lock()
 
     def coeff(self, k: int, m: int) -> np.ndarray:
         if int(k) != k or int(m) != m or k < 0 or m < 0:
@@ -100,24 +98,15 @@ class QTable:
             raise TruncationBoundError(
                 f"Q coefficient ({k}, {m}) beyond configured bound k+m <= {self.max_total}")
         with self._lock:
-            return self._coeff_locked(k, m)
-
-    def _coeff_locked(self, k: int, m: int) -> np.ndarray:
-        if m == 0:
-            return self.a_power(k)
-        got = self._table.get((k, m))
-        if got is not None:
-            return got
-        # fill column-by-column in m so every recursion input already exists
-        for mm in range(1, m + 1):
-            for kk in range(0, k + 1):
-                if (kk, mm) in self._table:
-                    continue
-                acc = np.zeros((self.dim, self.dim))
-                for l in range(kk + 1):
-                    acc = acc + (self.a_power(kk - l) @ self.b) @ self._coeff_locked(l, mm - 1)
-                self._table[(kk, mm)] = acc
-        return self._table[(k, m)]
+            while len(self._diagonals) <= k + m:
+                # prev[j] = Q_{d-1-j,j}; right factors keep Q_{k,0} equal to A^k
+                prev = self._diagonals[-1]
+                d = len(prev)
+                diag = np.zeros((d + 1, self.dim, self.dim))
+                diag[:d] = prev @ self.a
+                diag[1:] += prev @ self.b
+                self._diagonals.append(diag)
+            return self._diagonals[k + m][m]
 
 
 def q_coeff(q: QTable, k: int, m: int) -> np.ndarray:
@@ -148,14 +137,17 @@ def _tpow(t: float, exponent: float) -> float:
         return math.inf
 
 
-def ml_nonperm_info(q: QTable, p: MLParams, t: float,
-                    tol: float = ML_MATRIX_TOL,
-                    max_diagonals: int = DEFAULT_MAX_DIAGONALS):
-    """Evaluate the non-permutable series at t >= 0; returns (value, info)."""
+def _sum_series(term, dim: int, p: MLParams, t: float, tol: float,
+                max_diagonals: int):
+    """Sum term(k, m) t^(k*rho + m*sigma) / Gamma(k*rho + m*sigma + delta)
+    over k, m >= 0 by anti-diagonals; returns (value, info).
+
+    ``term(k, m)`` gives the (dim, dim) coefficient matrix; it is only called
+    for terms whose scalar factor is nonzero.
+    """
     t = float(t)
     if t < 0 or not math.isfinite(t):
         raise DomainError(f"t must be finite and nonnegative, got {t!r}")
-    dim = q.dim
     total = np.zeros((dim, dim))
     recent: list[float] = []
     run = 0
@@ -166,7 +158,7 @@ def ml_nonperm_info(q: QTable, p: MLParams, t: float,
             exponent = k * p.rho + m * p.sigma_exp
             coeff = _tpow(t, exponent) * reciprocal_gamma(exponent + p.delta)
             if coeff != 0.0:
-                diag = diag + coeff * q.coeff(k, m)
+                diag = diag + coeff * term(k, m)
         total = total + diag
         diag_norm = _row_sum_norm(diag)
         total_norm = _row_sum_norm(total)
@@ -183,6 +175,13 @@ def ml_nonperm_info(q: QTable, p: MLParams, t: float,
             run = 0
     raise NonConvergenceError(
         f"matrix ml series not converged after {max_diagonals} anti-diagonals (t={t})")
+
+
+def ml_nonperm_info(q: QTable, p: MLParams, t: float,
+                    tol: float = ML_MATRIX_TOL,
+                    max_diagonals: int = DEFAULT_MAX_DIAGONALS):
+    """Evaluate the non-permutable series at t >= 0; returns (value, info)."""
+    return _sum_series(q.coeff, q.dim, p, t, tol, max_diagonals)
 
 
 def ml_nonperm(q: QTable, p: MLParams, t: float,
@@ -242,7 +241,7 @@ def ml_perm(a, b, p: MLParams, t: float,
     """Binomial-form bivariate matrix Mittag-Leffler for commuting matrices.
 
     Sums binom(k+m, m) a^k b^m t^(k*rho + m*sigma) / Gamma(k*rho + m*sigma + delta)
-    with the same anti-diagonal truncation rule as ``ml_nonperm``. The leading
+    with the same anti-diagonal summation loop as ``ml_nonperm``. The leading
     t^(delta-1) prefactor of the usual kernel form is left to callers. Raises
     if the inputs do not commute.
     """
@@ -253,38 +252,15 @@ def ml_perm(a, b, p: MLParams, t: float,
     comm_tol = 1e-12 * mat_norm(a) * mat_norm(b)
     if mat_norm(commutator(a, b)) > comm_tol:
         raise DomainError("ml_perm requires commuting matrices")
-    t = float(t)
-    if t < 0 or not math.isfinite(t):
-        raise DomainError(f"t must be finite and nonnegative, got {t!r}")
-
     dim = a.shape[0]
-    a_pows = [np.eye(dim)]
-    b_pows = [np.eye(dim)]
-    total = np.zeros((dim, dim))
-    run = 0
-    for d in range(0, max_diagonals + 1):
-        while len(a_pows) <= d:
+    a_pows, b_pows = [np.eye(dim)], [np.eye(dim)]
+
+    def term(k, m):
+        while len(a_pows) <= k:
             a_pows.append(a_pows[-1] @ a)
-        while len(b_pows) <= d:
+        while len(b_pows) <= m:
             b_pows.append(b_pows[-1] @ b)
-        diag = np.zeros((dim, dim))
-        for m in range(0, d + 1):
-            k = d - m
-            exponent = k * p.rho + m * p.sigma_exp
-            coeff = _tpow(t, exponent) * reciprocal_gamma(exponent + p.delta)
-            if coeff != 0.0:
-                diag = diag + (math.comb(d, m) * coeff) * (a_pows[k] @ b_pows[m])
-        total = total + diag
-        diag_norm = _row_sum_norm(diag)
-        total_norm = _row_sum_norm(total)
-        if not (math.isfinite(diag_norm) and math.isfinite(total_norm)):
-            raise NonConvergenceError(
-                f"matrix ml series overflowed at anti-diagonal {d} (t={t})")
-        if diag_norm <= tol * total_norm:
-            run += 1
-            if run == _CONVERGED_RUN:
-                return total
-        else:
-            run = 0
-    raise NonConvergenceError(
-        f"matrix ml series not converged after {max_diagonals} anti-diagonals (t={t})")
+        return math.comb(k + m, m) * (a_pows[k] @ b_pows[m])
+
+    value, _ = _sum_series(term, dim, p, t, tol, max_diagonals)
+    return value

@@ -48,7 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EnsembleError, ValidationError
 from .linalg import as_matrix
-from .mlmatrix import DEFAULT_MAX_DIAGONALS, MLParams, QTable, ml_nonperm_grid
+from .mlmatrix import MLParams, QTable, ml_nonperm_grid
 from .specfun import reciprocal_gamma
 
 # Paths are simulated in fixed-size chunks regardless of thread count so that
@@ -265,20 +265,18 @@ def em_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
     return KernelTables(init_mats=init_mats, kbig=kbig, scheme="em")
 
 
-def mild_kernel_tables(p: ProblemSpec, n_steps: int,
-                       max_diagonals: int | None = None) -> KernelTables:
+def mild_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
     """Matrix Mittag-Leffler kernel tables for the mild-form scheme."""
     nd = p.dim
     h = p.horizon / n_steps
     s = h * np.arange(n_steps + 1)
     eye = np.eye(nd)
 
-    depth = DEFAULT_MAX_DIAGONALS if max_diagonals is None else int(max_diagonals)
-    q = QTable(p.a_mat, p.b_mat, max_total=depth)
+    q = QTable(p.a_mat, p.b_mat)
     kern = MLParams(rho=p.alpha - p.beta, sigma_exp=p.alpha, delta=p.alpha)
     kern_int = MLParams(rho=p.alpha - p.beta, sigma_exp=p.alpha, delta=p.alpha + 1.0)
-    e_a, _ = ml_nonperm_grid(q, kern, s, max_diagonals=depth)      # (n+1, nd, nd)
-    e_a1, _ = ml_nonperm_grid(q, kern_int, s, max_diagonals=depth)
+    e_a, _ = ml_nonperm_grid(q, kern, s)      # (n+1, nd, nd)
+    e_a1, _ = ml_nonperm_grid(q, kern_int, s)
 
     f_ml = s[:, None, None] ** p.alpha * e_a1               # exact cell cumulative
     kb = _difference_weights(f_ml)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,27 @@ class TestValidation:
 
     def test_missing_file(self, tmp_path):
         assert run(str(tmp_path / "nope.json"), str(tmp_path / "out")) == 2
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        (None, "grid", 5, "grid must be a JSON object"),
+        (None, "monte_carlo", [200, 7], "monte_carlo must be a JSON object"),
+        (None, "params", "eta", "params must be a JSON object"),
+        (None, "experiment", ["simulate"], "unknown experiment"),
+        ("problem", "drift", ["x"], "unknown drift"),
+        ("problem", "diffusion", {"name": "one"}, "unknown diffusion"),
+        ("problem", "lip_b", math.nan, "problem.lip_b must be finite"),
+        ("grid", "horizon", math.inf, "grid.horizon must be finite"),
+        ("problem", "a_mat", [[0.1, -math.inf], [0.3, 0.4]],
+         "problem.a_mat row entry must be finite"),
+    ])
+    def test_malformed_values_rejected(self, tmp_path, capsys, section, key,
+                                       value, message):
+        cfg = base_config()
+        (cfg if section is None else cfg[section])[key] = value
+        status = run(str(write_config(tmp_path, cfg)), str(tmp_path / "out"))
+        assert status == 2
+        assert f"validation failed: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_load_config_direct(self):
         cfg = load_config(base_config())

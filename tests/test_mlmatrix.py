@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,14 +41,60 @@ class TestQTable:
         assert np.allclose(q_coeff(q, 1, 1), expected, atol=1e-15)
 
     def test_recursion_residual_is_exactly_zero(self):
-        # re-derive every cached entry from the recursion definition
+        # every entry with k+m <= 8 is the two-term recurrence, bit for bit
         q = QTable(SEC6_A, SEC6_B)
-        for k in range(5):
-            for m in range(1, 5):
-                acc = np.zeros((2, 2))
-                for l in range(k + 1):
-                    acc = acc + (q.a_power(k - l) @ q.b) @ q_coeff(q, l, m - 1)
-                assert np.array_equal(q_coeff(q, k, m), acc)
+        for d in range(1, 9):
+            for m in range(0, d + 1):
+                k = d - m
+                expected = np.zeros((2, 2))
+                if k > 0:
+                    expected = q_coeff(q, k - 1, m) @ q.a
+                if m > 0:
+                    expected = expected + q_coeff(q, k, m - 1) @ q.b
+                assert np.array_equal(q_coeff(q, k, m), expected)
+
+    @pytest.mark.parametrize("pair", ["sec6", "random"])
+    def test_matches_exact_l_sum_definition(self, pair):
+        # the paper's definition Q_{k,m} = sum_l A^(k-l) B Q_{l,m-1}, evaluated
+        # in exact rational arithmetic from the same float inputs
+        if pair == "sec6":
+            a, b = SEC6_A, SEC6_B
+        else:
+            a, b = random_pair(np.random.default_rng(3))
+            assert np.any(a < 0) and np.any(b < 0)
+            assert mat_norm(a @ b - b @ a) > 1e-3
+        depth = 20
+        q = QTable(a, b)
+        scale_a, scale_b = mat_norm(a), mat_norm(b)
+        for (k, m), exact in exact_q_table(a, b, depth).items():
+            err = exact_row_sum_error(q_coeff(q, k, m), exact)
+            scale = math.comb(k + m, m) * scale_a ** k * scale_b ** m
+            assert err <= 1e-14 * scale, (k, m, err, scale)
+
+    def test_shared_fill_across_threads(self):
+        # two threads race to fill fresh tables; a short switch interval makes
+        # them interleave inside the fill, where a lost update would show
+        depth = 60
+        entries = [(d - m, m) for d in range(depth + 1) for m in range(d + 1)]
+        reference = QTable(SEC6_A, SEC6_B)
+        expected = np.array([q_coeff(reference, k, m) for k, m in entries])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(100):
+                shared = QTable(SEC6_A, SEC6_B)
+                start = threading.Barrier(2, timeout=60)
+
+                def fill(_):
+                    start.wait()
+                    return np.array([q_coeff(shared, k, m) for k, m in entries])
+
+                with ThreadPoolExecutor(max_workers=2) as pool:
+                    results = list(pool.map(fill, range(2), timeout=60))
+                for got in results:
+                    assert np.array_equal(got, expected)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_commuting_pair_binomial_closed_form(self):
         rng = np.random.default_rng(11)
@@ -138,6 +188,44 @@ def t_pow(t, e):
     if t == 0.0:
         return 1.0 if e == 0.0 else 0.0
     return t ** e
+
+
+def exact_q_table(a, b, depth):
+    """Q_{k,m} for k+m <= depth from the l-sum definition, in exact arithmetic.
+
+    Float entries are dyadic, so A = IA / s and B = IB / s with s a power of
+    two and IA, IB integer; then Q_{k,m} = Z_{k,m} / s^(k+m), with Z_{k,m}
+    the l-sum over IA and IB in Python integers.
+    """
+    n = a.shape[0]
+    s = max(Fraction(float(v)).denominator for v in np.concatenate([a, b]).flat)
+    ia = [[int(Fraction(float(v)) * s) for v in row] for row in a]
+    ib = [[int(Fraction(float(v)) * s) for v in row] for row in b]
+
+    def mul(x, y):
+        return [[sum(x[i][l] * y[l][j] for l in range(n)) for j in range(n)]
+                for i in range(n)]
+
+    a_pows = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for _ in range(depth):
+        a_pows.append(mul(a_pows[-1], ia))
+    a_pow_b = [mul(p, ib) for p in a_pows]
+    table = {(k, 0): a_pows[k] for k in range(depth + 1)}
+    for m in range(1, depth + 1):
+        for k in range(0, depth - m + 1):
+            acc = [[0] * n for _ in range(n)]
+            for l in range(k + 1):
+                term = mul(a_pow_b[k - l], table[(l, m - 1)])
+                acc = [[x + y for x, y in zip(r, t)] for r, t in zip(acc, term)]
+            table[(k, m)] = acc
+    return {(k, m): [[Fraction(v, s ** (k + m)) for v in row] for row in z]
+            for (k, m), z in table.items()}
+
+
+def exact_row_sum_error(got, exact):
+    """Max row-sum norm of got - exact, with the difference taken exactly."""
+    return max(float(sum(abs(Fraction(float(g)) - e) for g, e in zip(grow, erow)))
+               for grow, erow in zip(got, exact))
 
 
 class TestMlPerm:
