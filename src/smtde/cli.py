@@ -37,7 +37,8 @@ from .errors import (NonConvergenceError, SmtdeError, TruncationBoundError,
                      ValidationError)
 from .linalg import commutator, mat_norm
 from .mlmatrix import MLParams, QTable, ml_nonperm_info, ml_perm
-from .solvers import BrownianDriver, InitialState, ProblemSpec, simulate
+from .solvers import (_SCHEMES, BrownianDriver, InitialState, ProblemSpec,
+                      simulate)
 from .specfun import SampledFunction, caputo_identity_residual, gamma_fn
 
 EXPERIMENTS = ("ml-eval", "simulate", "picard", "separation", "continuity",
@@ -148,6 +149,33 @@ def _as_square(value, name: str, dim: int) -> list[list[float]]:
     return [_as_vector(row, f"{name} row", dim) for row in value]
 
 
+def _as_choice(value, name: str, choices) -> str:
+    if not isinstance(value, str) or value not in choices:
+        raise ValidationError(
+            f"unknown {name} '{value}' (choices: {sorted(choices)})")
+    return value
+
+
+def _as_param(key: str, value, dim: int):
+    """One params entry, checked and converted; the runners read the result."""
+    name = f"params.{key}"
+    if key == "scheme":
+        return _as_choice(value, key, _SCHEMES)
+    if key == "function":
+        return _as_choice(value, key, IDENTITY_REGISTRY)
+    if key in ("omega", "direction") and value is None:
+        return None
+    if key in ("n_iter", "n_quad"):
+        return _as_int(value, name)
+    if key in ("lambda", "omega", "delta"):
+        return _as_number(value, name)
+    # the rest are vectors; initial states and directions live in R^dim
+    vec = _as_vector(value, name, dim if key in ("eta", "gamma", "direction") else None)
+    if key == "t_grid" and any(t < 0 for t in vec):
+        raise ValidationError("params.t_grid values must be nonnegative")
+    return vec
+
+
 _PARAM_FIELDS = {
     "simulate": ({"eta"}, {"scheme"}),
     "picard": ({"eta"}, {"n_iter", "omega"}),
@@ -179,15 +207,8 @@ def load_config(raw: dict) -> RunConfig:
     dim = _as_int(prob["dim"], "problem.dim")
     if dim < 1:
         raise ValidationError("problem.dim must be >= 1")
-    drift_name = prob["drift"]
-    if not isinstance(drift_name, str) or drift_name not in DRIFT_REGISTRY:
-        raise ValidationError(
-            f"unknown drift '{drift_name}' (choices: {sorted(DRIFT_REGISTRY)})")
-    diffusion_name = prob["diffusion"]
-    if not isinstance(diffusion_name, str) or diffusion_name not in DIFFUSION_REGISTRY:
-        raise ValidationError(
-            f"unknown diffusion '{diffusion_name}' "
-            f"(choices: {sorted(DIFFUSION_REGISTRY)})")
+    drift_name = _as_choice(prob["drift"], "drift", DRIFT_REGISTRY)
+    diffusion_name = _as_choice(prob["diffusion"], "diffusion", DIFFUSION_REGISTRY)
     problem = ProblemSpec(
         alpha=_as_number(prob["alpha"], "problem.alpha"),
         beta=_as_number(prob["beta"], "problem.beta"),
@@ -210,13 +231,11 @@ def load_config(raw: dict) -> RunConfig:
     if seed < 0:
         raise ValidationError("monte_carlo.seed must be nonnegative")
 
-    experiment = raw["experiment"]
-    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
-        raise ValidationError(
-            f"unknown experiment '{experiment}' (choices: {list(EXPERIMENTS)})")
+    experiment = _as_choice(raw["experiment"], "experiment", EXPERIMENTS)
     params = raw.get("params", {})
     required, optional = _PARAM_FIELDS[experiment]
     _require_keys(params, "params", tuple(required), tuple(optional))
+    params = {key: _as_param(key, value, dim) for key, value in params.items()}
 
     return RunConfig(problem=problem, n_steps=n_steps, n_paths=n_paths,
                      seed=seed, experiment=experiment, params=params, echo=raw)
@@ -230,8 +249,7 @@ def _null_report() -> dict:
 
 
 def _eta_state(cfg: RunConfig) -> InitialState:
-    vec = _as_vector(cfg.params["eta"], "params.eta", cfg.problem.dim)
-    return InitialState.deterministic(vec)
+    return InitialState.deterministic(cfg.params["eta"])
 
 
 def _run_simulate(cfg: RunConfig, threads: int):
@@ -247,13 +265,9 @@ def _run_simulate(cfg: RunConfig, threads: int):
 
 def _run_picard(cfg: RunConfig, threads: int):
     drv = BrownianDriver(cfg.seed, cfg.n_steps)
-    n_iter = cfg.params.get("n_iter", 4)
-    n_iter = _as_int(n_iter, "params.n_iter")
-    omega = cfg.params.get("omega")
-    if omega is not None:
-        omega = _as_number(omega, "params.omega")
-    report = contraction_report(cfg.problem, _eta_state(cfg), drv, n_iter,
-                                cfg.n_paths, omega=omega, threads=threads)
+    report = contraction_report(cfg.problem, _eta_state(cfg), drv,
+                                cfg.params.get("n_iter", 4), cfg.n_paths,
+                                omega=cfg.params.get("omega"), threads=threads)
     rows = []
     for k, diff in enumerate(report.log_weighted_diffs, start=1):
         rows.append(("picard", float(k), "log_weighted_diff_sq", diff, None))
@@ -267,11 +281,9 @@ def _run_picard(cfg: RunConfig, threads: int):
 
 def _run_separation(cfg: RunConfig, threads: int):
     drv = BrownianDriver(cfg.seed, cfg.n_steps)
-    gamma = InitialState.deterministic(
-        _as_vector(cfg.params["gamma"], "params.gamma", cfg.problem.dim))
-    lam = _as_number(cfg.params["lambda"], "params.lambda")
+    gamma = InitialState.deterministic(cfg.params["gamma"])
     report = separation_experiment(cfg.problem, _eta_state(cfg), gamma, drv,
-                                   lam, cfg.n_paths,
+                                   cfg.params["lambda"], cfg.n_paths,
                                    scheme=cfg.params.get("scheme", "em"),
                                    threads=threads)
     rows = []
@@ -294,12 +306,9 @@ def _run_separation(cfg: RunConfig, threads: int):
 
 def _run_continuity(cfg: RunConfig, threads: int):
     drv = BrownianDriver(cfg.seed, cfg.n_steps)
-    offsets = _as_vector(cfg.params["offsets"], "params.offsets")
-    direction = cfg.params.get("direction")
-    if direction is not None:
-        direction = _as_vector(direction, "params.direction", cfg.problem.dim)
-    points = continuity_experiment(cfg.problem, _eta_state(cfg), offsets, drv,
-                                   cfg.n_paths, direction=direction,
+    points = continuity_experiment(cfg.problem, _eta_state(cfg),
+                                   cfg.params["offsets"], drv, cfg.n_paths,
+                                   direction=cfg.params.get("direction"),
                                    scheme=cfg.params.get("scheme", "em"),
                                    threads=threads)
     rows = []
@@ -312,17 +321,13 @@ def _run_continuity(cfg: RunConfig, threads: int):
 
 def _run_ml_eval(cfg: RunConfig, threads: int):
     prob = cfg.problem
-    t_grid = _as_vector(cfg.params["t_grid"], "params.t_grid")
-    if any(t < 0 for t in t_grid):
-        raise ValidationError("params.t_grid values must be nonnegative")
     delta = cfg.params.get("delta", prob.alpha)
-    delta = _as_number(delta, "params.delta")
     params = MLParams(rho=prob.alpha - prob.beta, sigma_exp=prob.alpha, delta=delta)
     q = QTable(prob.a_mat, prob.b_mat)
     commuting = mat_norm(commutator(prob.a_mat, prob.b_mat)) <= \
         1e-12 * mat_norm(prob.a_mat) * mat_norm(prob.b_mat)
     rows = []
-    for t in t_grid:
+    for t in cfg.params["t_grid"]:
         try:
             value, info = ml_nonperm_info(q, params, t)
         except (NonConvergenceError, TruncationBoundError):
@@ -344,15 +349,12 @@ def _run_ml_eval(cfg: RunConfig, threads: int):
 
 
 def _run_check_lemma(cfg: RunConfig, threads: int):
-    omegas = _as_vector(cfg.params["omegas"], "params.omegas")
-    alphas = _as_vector(cfg.params["alphas"], "params.alphas")
-    times = _as_vector(cfg.params["times"], "params.times")
-    n_quad = _as_int(cfg.params["n_quad"], "params.n_quad")
+    params = cfg.params
     rows = []
-    for omega in omegas:
-        for alpha in alphas:
-            for t in times:
-                check = convolution_bound_check(alpha, omega, t, n_quad)
+    for omega in params["omegas"]:
+        for alpha in params["alphas"]:
+            for t in params["times"]:
+                check = convolution_bound_check(alpha, omega, t, params["n_quad"])
                 tag = f"(omega={omega:g},alpha={alpha:g})"
                 rows.append(("check-lemma", t, f"lhs{tag}", check.lhs, None))
                 rows.append(("check-lemma", t, f"rhs{tag}", check.rhs, None))
@@ -362,13 +364,9 @@ def _run_check_lemma(cfg: RunConfig, threads: int):
 
 
 def _run_check_identity(cfg: RunConfig, threads: int):
-    name = cfg.params["function"]
-    if not isinstance(name, str) or name not in IDENTITY_REGISTRY:
-        raise ValidationError(
-            f"unknown function '{name}' (choices: {sorted(IDENTITY_REGISTRY)})")
     prob = cfg.problem
     grid = prob.horizon / cfg.n_steps * np.arange(cfg.n_steps + 1)
-    f_vals, df_vals = IDENTITY_REGISTRY[name](prob.alpha, grid)
+    f_vals, df_vals = IDENTITY_REGISTRY[cfg.params["function"]](prob.alpha, grid)
     f = SampledFunction(grid, f_vals)
     df = SampledFunction(grid, df_vals)
     residual = caputo_identity_residual(prob.alpha, f, df)

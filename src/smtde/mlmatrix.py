@@ -16,11 +16,14 @@ Two evaluation routes are provided:
 * ``ml_perm`` uses the binomial closed form binom(k+m, m) A^k B^m, valid
   only when A and B commute (then both routes agree).
 
-Both routes share one summation loop. It runs over anti-diagonals k + m = d
-so that terms sharing the same total order, and hence the same t-power
-scale, are grouped; the series stops once four consecutive anti-diagonals
-are negligible relative to the partial sum. Terms whose Gamma argument hits
-a pole contribute zero (reciprocal-gamma convention).
+Both routes, and ``ml_nonperm_grid`` on a batch of times, share one
+single-pass summation loop. It runs over anti-diagonals k + m = d so that
+terms sharing the same total order, and hence the same t-power scale, are
+grouped; each coefficient is fetched once and added at every time. The
+series stops once four consecutive anti-diagonals are negligible relative to
+the partial sum at the largest time, so that time sets the depth for the
+whole batch. Terms whose scalar weight is zero (a reciprocal-gamma pole, or
+t = 0 with a positive exponent) contribute exactly zero.
 """
 
 from __future__ import annotations
@@ -126,47 +129,49 @@ class MLEvalInfo:
     tail_estimate: float
 
 
-def _tpow(t: float, exponent: float) -> float:
-    # explicit split so t = 0 yields 0^0 = 1 for the leading term, 0 otherwise
-    if t == 0.0:
-        return 1.0 if exponent == 0.0 else 0.0
-    try:
-        return t ** exponent
-    except OverflowError:
-        # let the series guard report non-convergence instead of crashing
-        return math.inf
-
-
-def _sum_series(term, dim: int, p: MLParams, t: float, tol: float,
-                max_diagonals: int):
+def _sum_series(term, dim: int, p: MLParams, ts, max_diagonals: int):
     """Sum term(k, m) t^(k*rho + m*sigma) / Gamma(k*rho + m*sigma + delta)
-    over k, m >= 0 by anti-diagonals; returns (value, info).
+    over k, m >= 0 by anti-diagonals at every time of the 1-d array ``ts``;
+    returns (values of shape (len(ts), dim, dim), info).
 
-    ``term(k, m)`` gives the (dim, dim) coefficient matrix; it is only called
-    for terms whose scalar factor is nonzero.
+    The stopping rule reads the row of the largest time, so that time sets
+    the truncation depth. All series exponents are nonnegative, so every
+    term's magnitude at a smaller time is bounded by its magnitude at t_max,
+    and the t_max tail bounds all tails in absolute terms. ``term(k, m)``
+    gives the (dim, dim) coefficient matrix; it is called once per term, and
+    only for terms whose scalar weight is nonzero at some time.
     """
-    t = float(t)
-    if t < 0 or not math.isfinite(t):
-        raise DomainError(f"t must be finite and nonnegative, got {t!r}")
-    total = np.zeros((dim, dim))
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError("ts must be a non-empty 1-d array of times")
+    bad = ~(np.isfinite(ts) & (ts >= 0))
+    if bad.any():
+        raise DomainError(
+            f"t must be finite and nonnegative, got {float(ts[bad][0])!r}")
+    top = int(np.argmax(ts))
+    total = np.zeros((ts.size, dim, dim))
     recent: list[float] = []
     run = 0
     for d in range(0, max_diagonals + 1):
-        diag = np.zeros((dim, dim))
-        for m in range(0, d + 1):
-            k = d - m
-            exponent = k * p.rho + m * p.sigma_exp
-            coeff = _tpow(t, exponent) * reciprocal_gamma(exponent + p.delta)
-            if coeff != 0.0:
-                diag = diag + coeff * term(k, m)
-        total = total + diag
-        diag_norm = _row_sum_norm(diag)
-        total_norm = _row_sum_norm(total)
+        ms = np.arange(d + 1)
+        exps = (d - ms) * p.rho + ms * p.sigma_exp   # entry m is term (d-m, m)
+        rgs = [reciprocal_gamma(e + p.delta) for e in exps]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # an overflowing power is left to the non-convergence guard
+            weights = ts[:, None] ** exps * rgs
+            live = np.flatnonzero(np.any(weights != 0.0, axis=0))
+            diag = np.zeros_like(total)
+            if live.size:
+                coeffs = np.array([term(d - m, m) for m in live])
+                diag = np.einsum("tm,mjk->tjk", weights[:, live], coeffs)
+            total += diag
+        diag_norm = _row_sum_norm(diag[top])
+        total_norm = _row_sum_norm(total[top])
         if not (math.isfinite(diag_norm) and math.isfinite(total_norm)):
             raise NonConvergenceError(
-                f"matrix ml series overflowed at anti-diagonal {d} (t={t})")
+                f"matrix ml series overflowed at anti-diagonal {d} (t={ts[top]})")
         recent.append(diag_norm)
-        if diag_norm <= tol * total_norm:
+        if diag_norm <= ML_MATRIX_TOL * total_norm:
             run += 1
             if run == _CONVERGED_RUN:
                 tail = 2.0 * sum(recent[-_CONVERGED_RUN:])
@@ -174,69 +179,34 @@ def _sum_series(term, dim: int, p: MLParams, t: float, tol: float,
         else:
             run = 0
     raise NonConvergenceError(
-        f"matrix ml series not converged after {max_diagonals} anti-diagonals (t={t})")
+        f"matrix ml series not converged after {max_diagonals} anti-diagonals "
+        f"(t={ts[top]})")
 
 
 def ml_nonperm_info(q: QTable, p: MLParams, t: float,
-                    tol: float = ML_MATRIX_TOL,
                     max_diagonals: int = DEFAULT_MAX_DIAGONALS):
     """Evaluate the non-permutable series at t >= 0; returns (value, info)."""
-    return _sum_series(q.coeff, q.dim, p, t, tol, max_diagonals)
+    values, info = _sum_series(q.coeff, q.dim, p, [t], max_diagonals)
+    return values[0], info
 
 
 def ml_nonperm(q: QTable, p: MLParams, t: float,
-               tol: float = ML_MATRIX_TOL,
                max_diagonals: int = DEFAULT_MAX_DIAGONALS) -> np.ndarray:
     """Non-permutable bivariate matrix Mittag-Leffler value at t."""
-    value, _ = ml_nonperm_info(q, p, t, tol=tol, max_diagonals=max_diagonals)
+    value, _ = ml_nonperm_info(q, p, t, max_diagonals=max_diagonals)
     return value
 
 
 def ml_nonperm_grid(q: QTable, p: MLParams, ts,
-                    tol: float = ML_MATRIX_TOL,
                     max_diagonals: int = DEFAULT_MAX_DIAGONALS):
-    """Evaluate the series on a batch of nonnegative times; returns (values, info).
+    """Evaluate the series at a 1-d batch of times t >= 0; returns (values, info).
 
-    The truncation depth is fixed by the largest time in the batch. All series
-    exponents are nonnegative, so every term's magnitude at a smaller time is
-    bounded by its magnitude at t_max, and the t_max tail bounds all tails in
-    absolute terms.
+    One pass serves every time; the largest one sets the truncation depth.
     """
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1:
-        raise ValueError("ts must be a 1-d array of times")
-    if np.any(ts < 0) or not np.all(np.isfinite(ts)):
-        raise DomainError("grid times must be finite and nonnegative")
-    t_max = float(ts.max()) if ts.size else 0.0
-    _, info = ml_nonperm_info(q, p, t_max, tol=tol, max_diagonals=max_diagonals)
-    depth = info.diagonals_used
-
-    exps = []
-    coeffs = []
-    for d in range(0, depth + 1):
-        for m in range(0, d + 1):
-            k = d - m
-            exponent = k * p.rho + m * p.sigma_exp
-            rg = reciprocal_gamma(exponent + p.delta)
-            if rg == 0.0:
-                continue
-            exps.append(exponent)
-            coeffs.append(rg * q.coeff(k, m))
-    exps = np.asarray(exps)
-    stack = np.asarray(coeffs)  # (n_terms, dim, dim)
-
-    pows = np.empty((ts.size, exps.size))
-    pos = ts > 0
-    with np.errstate(divide="ignore"):
-        pows[pos] = np.power(ts[pos, None], exps[None, :])
-    if (~pos).any():
-        pows[~pos] = np.where(exps[None, :] == 0.0, 1.0, 0.0)
-    values = np.einsum("ti,ijk->tjk", pows, stack)
-    return values, info
+    return _sum_series(q.coeff, q.dim, p, ts, max_diagonals)
 
 
 def ml_perm(a, b, p: MLParams, t: float,
-            tol: float = ML_MATRIX_TOL,
             max_diagonals: int = DEFAULT_MAX_DIAGONALS) -> np.ndarray:
     """Binomial-form bivariate matrix Mittag-Leffler for commuting matrices.
 
@@ -262,5 +232,5 @@ def ml_perm(a, b, p: MLParams, t: float,
             b_pows.append(b_pows[-1] @ b)
         return math.comb(k + m, m) * (a_pows[k] @ b_pows[m])
 
-    value, _ = _sum_series(term, dim, p, t, tol, max_diagonals)
-    return value
+    values, _ = _sum_series(term, dim, p, [t], max_diagonals)
+    return values[0]

@@ -58,6 +58,8 @@ CHUNK_PATHS = 2048
 # path history once instead of once per step.
 HISTORY_BLOCK = 32
 FLAGGED_FRACTION_LIMIT = 0.10
+# Scheme names accepted by ``kernel_tables`` (and by the CLI config check).
+_SCHEMES = ("em", "mild")
 
 
 @dataclass(frozen=True)
@@ -398,7 +400,7 @@ def kernel_tables(p: ProblemSpec, n_steps: int, scheme: str) -> KernelTables:
         return em_kernel_tables(p, n_steps)
     if scheme == "mild":
         return mild_kernel_tables(p, n_steps)
-    raise ValidationError(f"unknown scheme '{scheme}' (choices: ['em', 'mild'])")
+    raise ValidationError(f"unknown scheme '{scheme}' (choices: {list(_SCHEMES)})")
 
 
 def simulate(p: ProblemSpec, init: InitialState, drv: BrownianDriver,

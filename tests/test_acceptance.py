@@ -7,6 +7,7 @@ minutes; seeds are pinned so every run is reproducible bit-for-bit.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import smtde
 from smtde.analysis import (contraction_report, continuity_experiment,
                             convolution_bound_check, separation_experiment)
 from smtde.linalg import mat_norm, mat_pow
@@ -203,13 +205,17 @@ def test_c09_continuity_ratio_band():
 def test_c10_cli_determinism(tmp_path):
     start = time.perf_counter()
     config = Path(__file__).resolve().parent.parent / "configs" / "example_sec6.json"
+    # the child imports the same smtde as this process, installed or not
+    package_root = str(Path(smtde.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
 
     def run_cli(out_name, threads):
         out = tmp_path / out_name
         proc = subprocess.run(
             [sys.executable, "-m", "smtde", "run", "--config", str(config),
              "--out", str(out), "--threads", str(threads)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         return (out / "results.csv").read_bytes()
 

@@ -87,11 +87,36 @@ class TestValidation:
         ("grid", "horizon", math.inf, "grid.horizon must be finite"),
         ("problem", "a_mat", [[0.1, -math.inf], [0.3, 0.4]],
          "problem.a_mat row entry must be finite"),
+        ("params", "scheme", "rk4", "unknown scheme 'rk4'"),
+        ("params", "eta", [1.0], "params.eta must have 2 entries"),
     ])
     def test_malformed_values_rejected(self, tmp_path, capsys, section, key,
                                        value, message):
         cfg = base_config()
         (cfg if section is None else cfg[section])[key] = value
+        status = run(str(write_config(tmp_path, cfg)), str(tmp_path / "out"))
+        assert status == 2
+        assert f"validation failed: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment, params, message", [
+        ("separation", {"eta": [3.0, 5.0], "gamma": [3.5], "lambda": 0.75},
+         "params.gamma must have 2 entries"),
+        ("separation", {"eta": [3.0, 5.0], "gamma": [3.5, 5.5], "lambda": 0.75,
+                        "scheme": None}, "unknown scheme 'None'"),
+        ("continuity", {"eta": [3.0, 5.0], "offsets": [0.1], "scheme": "rk4"},
+         "unknown scheme 'rk4'"),
+        ("check-identity", {"function": "cubic"}, "unknown function 'cubic'"),
+        ("check-identity", {"function": ["t_squared"]}, "unknown function"),
+        ("picard", {"eta": [3.0, 5.0], "n_iter": 3.5},
+         "params.n_iter must be an integer"),
+        ("ml-eval", {"t_grid": [0.5, -1.0]},
+         "params.t_grid values must be nonnegative"),
+    ])
+    def test_malformed_params_rejected(self, tmp_path, capsys, experiment,
+                                       params, message):
+        # experiment parameters are checked with the config, before any run
+        cfg = base_config(experiment=experiment, params=params)
         status = run(str(write_config(tmp_path, cfg)), str(tmp_path / "out"))
         assert status == 2
         assert f"validation failed: {message}" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -182,6 +183,58 @@ class TestMlNonperm:
         q = QTable(SEC6_A, SEC6_B)
         with pytest.raises(DomainError):
             ml_nonperm(q, KERNEL_PARAMS, -0.1)
+
+    def test_grid_rejects_malformed_times(self):
+        q = QTable(SEC6_A, SEC6_B)
+        for ts in ([], [[0.5, 1.0]]):
+            with pytest.raises(ValueError, match="non-empty 1-d array"):
+                ml_nonperm_grid(q, KERNEL_PARAMS, ts)
+        for ts in ([0.5, -0.1], [0.5, math.nan], [math.inf]):
+            with pytest.raises(DomainError):
+                ml_nonperm_grid(q, KERNEL_PARAMS, ts)
+
+    def test_grid_reads_each_coefficient_once(self):
+        # one pass over the series: the depth is not learned by a first sum
+        q = QTable(SEC6_A, SEC6_B)
+        calls = count_coeff_calls(q)
+        _, info = ml_nonperm_grid(q, KERNEL_PARAMS, np.linspace(0.0, 20.0, 201))
+        d = info.diagonals_used
+        assert len(calls) == (d + 1) * (d + 2) // 2
+        assert max(calls.values()) == 1
+
+    def test_unsorted_grid_depth_set_by_largest_time(self):
+        q = QTable(SEC6_A, SEC6_B)
+        ts = np.array([3.0, 20.0, 0.0, 7.5])
+        vals, info = ml_nonperm_grid(q, KERNEL_PARAMS, ts)
+        value, expected = ml_nonperm_info(q, KERNEL_PARAMS, 20.0)
+        assert info == expected
+        assert mat_norm(vals[1] - value) <= 1e-12 * mat_norm(value)
+
+    def test_zero_weight_terms_contribute_exact_zero(self):
+        # delta = 0 puts the leading term on the reciprocal-gamma pole, and
+        # t = 0 zeroes every other term: the value is an exact zero matrix
+        q = QTable(SEC6_A, SEC6_B)
+        p = MLParams(rho=0.5, sigma_exp=0.75, delta=0.0)
+        calls = count_coeff_calls(q)
+        assert np.array_equal(ml_nonperm(q, p, 0.0), np.zeros((2, 2)))
+        assert not calls
+        vals, _ = ml_nonperm_grid(q, p, [0.0, 1.0])
+        assert np.array_equal(vals[0], np.zeros((2, 2)))
+        assert (0, 0) not in calls
+        assert mat_norm(vals[1] - ml_nonperm(q, p, 1.0)) < 1e-12
+
+
+def count_coeff_calls(q):
+    """Route q.coeff through a per-(k, m) call counter; returns the counter."""
+    calls = Counter()
+    coeff = q.coeff
+
+    def counted(k, m):
+        calls[(k, m)] += 1
+        return coeff(k, m)
+
+    q.coeff = counted
+    return calls
 
 
 def t_pow(t, e):
