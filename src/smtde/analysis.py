@@ -29,7 +29,7 @@ from .errors import (DegenerateExperimentError, DomainError, EnsembleError,
                      ValidationError)
 from .mlmatrix import MLParams, QTable, ml_nonperm_grid
 from .solvers import (BrownianDriver, InitialState, PathEnsemble, ProblemSpec,
-                      _simulate_with_tables, constant_ensemble, coupled_pair,
+                      _draw, _run_ensemble, constant_ensemble, coupled_pair,
                       kernel_tables, mild_kernel_tables, picard_apply)
 from .specfun import gamma_fn, ml_scalar_log
 
@@ -382,12 +382,13 @@ def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
         u = u / norm
 
     tables = kernel_tables(p, drv.n_steps, scheme)
-    base = _simulate_with_tables(p, eta, drv, n_paths, tables, threads=threads)
+    gammas = [InitialState.deterministic(eta.eta + off * u) for off in offsets]
+    grid, dw, x0, *shifted_x0 = _draw(p, drv, n_paths, eta, *gammas)
+    meta = {"seed": drv.seed, "scheme": scheme, "n_steps": drv.n_steps}
+    base = _run_ensemble(p, tables, grid, x0, dw, meta, threads)
     rows: list[ContinuityPoint] = []
-    for off in offsets:
-        gamma = InitialState.deterministic(eta.eta + off * u)
-        shifted = _simulate_with_tables(p, gamma, drv, n_paths, tables,
-                                        threads=threads)
+    for off, x0 in zip(offsets, shifted_x0):
+        shifted = _run_ensemble(p, tables, grid, x0, dw, dict(meta), threads)
         d2, _ = ms_distance_series(base, shifted)
         sup_d2 = float(np.max(d2))
         rows.append(ContinuityPoint(offset=off, sup_ms_distance=sup_d2,

@@ -13,8 +13,9 @@ Identical config and seed produce byte-identical ``results.csv`` for any
 ``--threads`` value: paths are simulated in fixed-size chunks with per-path RNG
 streams and statistics are reduced in a fixed order.
 
-Exit codes: 0 success, 2 config parse/validation error, 3 runtime/numerical
-error (partial outputs are removed).
+Exit codes: 0 success, 2 config parse/validation error (also for values only
+an experiment checks, e.g. ``n_iter < 3``), 3 runtime/numerical error (outputs
+of an earlier run are removed); ``--out`` is created only after a success.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 from . import __version__
 from .analysis import (contraction_report, continuity_experiment,
                        convolution_bound_check, ms_norm, separation_experiment)
-from .errors import (NonConvergenceError, SmtdeError, TruncationBoundError,
-                     ValidationError)
+from .errors import (DomainError, NonConvergenceError, SmtdeError,
+                     TruncationBoundError, ValidationError)
 from .linalg import commutator, mat_norm
 from .mlmatrix import MLParams, QTable, ml_nonperm_info, ml_perm
 from .solvers import (_SCHEMES, BrownianDriver, InitialState, ProblemSpec,
@@ -244,10 +245,6 @@ def load_config(raw: dict) -> RunConfig:
 # ---------------------------------------------------------------------------
 # experiment dispatch: each returns (rows, report-overrides)
 
-def _null_report() -> dict:
-    return {key: None for key in REPORT_KEYS}
-
-
 def _eta_state(cfg: RunConfig) -> InitialState:
     return InitialState.deterministic(cfg.params["eta"])
 
@@ -431,31 +428,32 @@ def run(config_path: str, out_dir: str, threads: int = 1,
         print(f"validation failed: {exc}", file=sys.stderr)
         return 2
 
-    os.makedirs(out_dir, exist_ok=True)
     outputs = [os.path.join(out_dir, name)
                for name in ("results.csv", "report.json", "meta.json")]
     try:
         rows, overrides = _DISPATCH[cfg.experiment](cfg, max(1, int(threads)))
-        report = _null_report()
-        report.update(overrides)
-        meta = {
-            "config": cfg.echo,
-            "seed": cfg.seed,
-            "versions": {
-                "smtde": __version__,
-                "numpy": np.__version__,
-                "python": platform.python_version(),
-            },
-        }
-        _write_results(outputs[0], rows)
-        _write_json(outputs[1], report)
-        _write_json(outputs[2], meta)
+    except (ValidationError, DomainError) as exc:
+        print(f"validation failed: {exc}", file=sys.stderr)
+        return 2
     except SmtdeError as exc:
-        for path in outputs:
-            if os.path.exists(path):
-                os.remove(path)
+        for path in filter(os.path.exists, outputs):
+            os.remove(path)
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
+    report = {**dict.fromkeys(REPORT_KEYS), **overrides}
+    meta = {
+        "config": cfg.echo,
+        "seed": cfg.seed,
+        "versions": {
+            "smtde": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        },
+    }
+    os.makedirs(out_dir, exist_ok=True)
+    _write_results(outputs[0], rows)
+    _write_json(outputs[1], report)
+    _write_json(outputs[2], meta)
     return 0
 
 

@@ -344,12 +344,9 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
     return x
 
 
-def _chunk_spans(n_paths: int):
-    return [(lo, min(lo + CHUNK_PATHS, n_paths)) for lo in range(0, n_paths, CHUNK_PATHS)]
-
-
 def _run_chunked(n_paths: int, threads: int, worker) -> None:
-    spans = _chunk_spans(n_paths)
+    spans = [(lo, min(lo + CHUNK_PATHS, n_paths))
+             for lo in range(0, n_paths, CHUNK_PATHS)]
     if threads <= 1 or len(spans) == 1:
         for lo, hi in spans:
             worker(lo, hi)
@@ -358,40 +355,54 @@ def _run_chunked(n_paths: int, threads: int, worker) -> None:
             list(pool.map(lambda span: worker(*span), spans))
 
 
-def _finalize_ensemble(grid, paths, increments, meta) -> PathEnsemble:
+def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
+          *inits: InitialState) -> tuple[np.ndarray, ...]:
+    """The noise of one experiment, drawn once for all of its ensembles.
+
+    Returns the grid, the increments of paths 0..n_paths-1 (shape
+    (n_paths, n_steps)) and then, per initial state, their initial values
+    (shape (dim, n_paths)).
+    """
+    for init in inits:
+        if init.dim != p.dim:
+            raise ValidationError(
+                f"initial state dim {init.dim} != problem dim {p.dim}")
+    if n_paths < 1:
+        raise ValidationError("n_paths must be >= 1")
+    h = p.horizon / drv.n_steps
+    ids = range(n_paths)
+    return (h * np.arange(drv.n_steps + 1), drv.increments_block(ids, h),
+            *(init.sample_block(drv, ids) for init in inits))
+
+
+def _run_ensemble(p: ProblemSpec, tables: KernelTables, grid: np.ndarray,
+                  x0: np.ndarray, dw: np.ndarray, meta: dict, threads: int = 1,
+                  known: np.ndarray | None = None) -> PathEnsemble:
+    """Step the initial values x0 (dim, n_paths) over the increments dw.
+
+    Paths are stepped in fixed chunks of CHUNK_PATHS, so the result does not
+    depend on ``threads``. With ``known`` (an ensemble's paths) the history
+    comes from those paths: the operator without feedback. The returned
+    ensemble holds dw itself, not a copy.
+    """
+    n_paths = dw.shape[0]
+    paths = np.empty((n_paths, grid.size, p.dim))
+
+    def worker(lo: int, hi: int) -> None:
+        hist = None if known is None else \
+            np.ascontiguousarray(known[lo:hi].transpose(1, 2, 0))
+        x = _step_paths(tables, p, grid, np.ascontiguousarray(x0[:, lo:hi]),
+                        dw[lo:hi], known=hist)
+        paths[lo:hi] = x.transpose(2, 0, 1)
+
+    _run_chunked(n_paths, threads, worker)
     flags = ~np.isfinite(paths).all(axis=(1, 2))
     frac = float(flags.mean()) if flags.size else 0.0
     if frac > FLAGGED_FRACTION_LIMIT:
         raise EnsembleError(
             f"{frac:.1%} of paths blew up (limit {FLAGGED_FRACTION_LIMIT:.0%})")
-    return PathEnsemble(grid=grid, paths=paths, increments=increments,
-                        flags=flags, meta=meta)
-
-
-def _simulate_with_tables(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
-                          n_paths: int, tables: KernelTables,
-                          threads: int = 1) -> PathEnsemble:
-    if init.dim != p.dim:
-        raise ValidationError(f"initial state dim {init.dim} != problem dim {p.dim}")
-    if n_paths < 1:
-        raise ValidationError("n_paths must be >= 1")
-    n_steps = drv.n_steps
-    h = p.horizon / n_steps
-    grid = h * np.arange(n_steps + 1)
-    paths = np.empty((n_paths, n_steps + 1, p.dim))
-    increments = np.empty((n_paths, n_steps))
-
-    def worker(lo: int, hi: int) -> None:
-        ids = range(lo, hi)
-        dw = drv.increments_block(ids, h)
-        x0 = init.sample_block(drv, ids)
-        x = _step_paths(tables, p, grid, x0, dw)
-        paths[lo:hi] = x.transpose(2, 0, 1)
-        increments[lo:hi] = dw
-
-    _run_chunked(n_paths, threads, worker)
-    meta = {"seed": drv.seed, "scheme": tables.scheme, "n_steps": n_steps}
-    return _finalize_ensemble(grid, paths, increments, meta)
+    return PathEnsemble(grid=grid, paths=paths, increments=dw, flags=flags,
+                        meta=meta)
 
 
 def kernel_tables(p: ProblemSpec, n_steps: int, scheme: str) -> KernelTables:
@@ -407,7 +418,9 @@ def simulate(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
              n_paths: int, scheme: str = "em", threads: int = 1) -> PathEnsemble:
     """Path ensemble of the named scheme (see ``kernel_tables``)."""
     tables = kernel_tables(p, drv.n_steps, scheme)
-    return _simulate_with_tables(p, init, drv, n_paths, tables, threads=threads)
+    grid, dw, x0 = _draw(p, drv, n_paths, init)
+    meta = {"seed": drv.seed, "scheme": scheme, "n_steps": drv.n_steps}
+    return _run_ensemble(p, tables, grid, x0, dw, meta, threads)
 
 
 def simulate_em(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
@@ -426,23 +439,15 @@ def constant_ensemble(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
                       n_paths: int) -> PathEnsemble:
     """Paths frozen at the initial value, with driver increments attached.
 
-    Serves as the Y_0 iterate for Picard iteration: the stochastic term of the
-    operator reuses the stored increments.
+    Serves as the Y_0 iterate for Picard iteration: the increments are drawn
+    once here, and every iterate's stochastic term reuses them.
     """
-    if init.dim != p.dim:
-        raise ValidationError(f"initial state dim {init.dim} != problem dim {p.dim}")
-    n_steps = drv.n_steps
-    h = p.horizon / n_steps
-    grid = h * np.arange(n_steps + 1)
-    paths = np.empty((n_paths, n_steps + 1, p.dim))
-    increments = np.empty((n_paths, n_steps))
-    for lo, hi in _chunk_spans(n_paths):
-        ids = range(lo, hi)
-        increments[lo:hi] = drv.increments_block(ids, h)
-        x0 = init.sample_block(drv, ids)  # (dim, n)
-        paths[lo:hi] = x0.T[:, None, :]
-    meta = {"seed": drv.seed, "scheme": "constant", "n_steps": n_steps}
-    return _finalize_ensemble(grid, paths, increments, meta)
+    grid, dw, x0 = _draw(p, drv, n_paths, init)
+    # nothing is stepped, and InitialState data are finite: no path is flagged
+    return PathEnsemble(
+        grid=grid, paths=np.repeat(x0.T[:, None, :], grid.size, axis=1),
+        increments=dw, flags=np.zeros(n_paths, dtype=bool),
+        meta={"seed": drv.seed, "scheme": "constant", "n_steps": drv.n_steps})
 
 
 def picard_apply(p: ProblemSpec, init: InitialState, y: PathEnsemble,
@@ -476,18 +481,9 @@ def picard_apply(p: ProblemSpec, init: InitialState, y: PathEnsemble,
             raise ValidationError("ensemble initial values differ from init")
     if tables is None:
         tables = mild_kernel_tables(p, n_steps)
-
-    out = np.empty_like(y.paths)
-
-    def worker(lo: int, hi: int) -> None:
-        yc = np.ascontiguousarray(y.paths[lo:hi].transpose(1, 2, 0))
-        res = _step_paths(tables, p, y.grid, yc[0], y.increments[lo:hi], known=yc)
-        out[lo:hi] = res.transpose(2, 0, 1)
-
-    _run_chunked(y.n_paths, threads, worker)
-    meta = dict(y.meta)
-    meta["scheme"] = "picard"
-    return _finalize_ensemble(y.grid.copy(), out, y.increments, meta)
+    return _run_ensemble(p, tables, y.grid.copy(), y.paths[:, 0, :].T,
+                         y.increments, dict(y.meta, scheme="picard"), threads,
+                         known=y.paths)
 
 
 def coupled_pair(p: ProblemSpec, eta: InitialState, gamma: InitialState,
@@ -495,12 +491,15 @@ def coupled_pair(p: ProblemSpec, eta: InitialState, gamma: InitialState,
                  threads: int = 1) -> tuple[PathEnsemble, PathEnsemble]:
     """Two ensembles from distinct initial data driven by identical noise.
 
-    Synchronous coupling: path i of both ensembles consumes the same Brownian
-    increments, so the per-path difference isolates the initial-condition
-    effect. The default scheme is the Volterra-form integrator, which has no
-    series cutoff limiting the horizon.
+    Synchronous coupling: the increments are drawn once and both ensembles
+    step over (and hold) the same array, so the per-path difference isolates
+    the initial-condition effect. The default scheme is the Volterra-form
+    integrator, which has no series cutoff limiting the horizon.
     """
     tables = kernel_tables(p, drv.n_steps, scheme)
-    e1 = _simulate_with_tables(p, eta, drv, n_paths, tables, threads=threads)
-    e2 = _simulate_with_tables(p, gamma, drv, n_paths, tables, threads=threads)
-    return e1, e2
+    grid, dw, *x0s = _draw(p, drv, n_paths, eta, gamma)
+    return tuple(
+        _run_ensemble(p, tables, grid, x0, dw,
+                      {"seed": drv.seed, "scheme": scheme, "n_steps": drv.n_steps},
+                      threads)
+        for x0 in x0s)

@@ -58,3 +58,15 @@ class PresetDriver(BrownianDriver):
     def increments_block(self, path_ids, h):
         out = np.array([self._normals[pid] for pid in path_ids])
         return out * np.sqrt(h)
+
+
+class CountingDriver(BrownianDriver):
+    """Driver that counts the paths whose increments it draws."""
+
+    def __init__(self, seed, n_steps):
+        super().__init__(seed=seed, n_steps=n_steps)
+        self.paths_drawn = 0
+
+    def increments_block(self, path_ids, h):
+        self.paths_drawn += len(path_ids)
+        return super().increments_block(path_ids, h)

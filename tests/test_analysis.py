@@ -13,7 +13,7 @@ from smtde.errors import (DegenerateExperimentError, DomainError, EnsembleError,
 from smtde.solvers import (BrownianDriver, InitialState, PathEnsemble,
                            coupled_pair, simulate_em)
 
-from conftest import make_problem, zero_fn
+from conftest import CountingDriver, make_problem, zero_fn
 
 ZERO2 = np.zeros((2, 2))
 
@@ -230,6 +230,11 @@ class TestContractionReport:
         with pytest.raises(ValidationError):
             contraction_report(sec6_problem, eta_state, drv, n_iter=2, n_paths=5)
 
+    def test_zero_paths_rejected(self, sec6_problem, eta_state):
+        drv = BrownianDriver(seed=3, n_steps=10)
+        with pytest.raises(ValidationError, match="n_paths must be >= 1"):
+            contraction_report(sec6_problem, eta_state, drv, n_iter=3, n_paths=0)
+
 
 class TestSeparation:
     def make_long_problem(self, **kw):
@@ -298,6 +303,11 @@ class TestContinuity:
                                      [1e-1, 1e-2, 1e-3], drv, 400)
         ratios = [row.ratio for row in rows]
         assert max(ratios) / min(ratios) <= 3.0
+
+    def test_noise_drawn_once(self, sec6_problem, eta_state):
+        drv = CountingDriver(seed=5, n_steps=20)
+        continuity_experiment(sec6_problem, eta_state, [1e-1, 1e-2, 1e-3], drv, 7)
+        assert drv.paths_drawn == 7
 
     def test_offsets_must_decrease(self, sec6_problem, eta_state):
         drv = BrownianDriver(seed=5, n_steps=10)

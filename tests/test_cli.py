@@ -122,6 +122,30 @@ class TestValidation:
         assert f"validation failed: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("experiment, params, overrides, message", [
+        ("picard", {"eta": [3.0, 5.0], "n_iter": 2}, {}, "n_iter must be >= 3"),
+        ("continuity", {"eta": [3.0, 5.0], "offsets": [0.01, 0.1]}, {},
+         "offsets must be strictly decreasing"),
+        ("check-lemma", {"omegas": [1.0], "alphas": [0.4], "times": [1.0],
+                         "n_quad": 10}, {}, "alpha must be in (1/2, 1)"),
+        ("check-lemma", {"omegas": [1.0], "alphas": [0.75], "times": [1.0],
+                         "n_quad": 0}, {}, "n_quad must be >= 1"),
+        ("simulate", {"eta": [3.0, 5.0]},
+         {"monte_carlo": {"n_paths": 1, "seed": 7}}, "at least 2 paths"),
+        ("separation", {"eta": [3.0, 5.0], "gamma": [3.5, 5.5], "lambda": 1.0},
+         {"grid": {"horizon": 1.0, "n_steps": 50}}, "horizon >= 4"),
+    ])
+    def test_values_checked_by_experiment_rejected(self, tmp_path, capsys,
+                                                   experiment, params,
+                                                   overrides, message):
+        # the experiment runs before the output directory is made
+        cfg = base_config(experiment=experiment, params=params, **overrides)
+        status = run(str(write_config(tmp_path, cfg)), str(tmp_path / "out"))
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation failed: ") and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_load_config_direct(self):
         cfg = load_config(base_config())
         assert cfg.problem.alpha == 0.75

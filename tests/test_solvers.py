@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from smtde import solvers
 from smtde.errors import EnsembleError, ValidationError
 from smtde.solvers import (BrownianDriver, InitialState, ProblemSpec,
                            constant_ensemble, coupled_pair, picard_apply,
                            simulate_em, simulate_mild)
 from smtde.specfun import gamma_fn, ml_scalar
 
-from conftest import PresetDriver, make_problem, one_fn, zero_fn
+from conftest import (CountingDriver, PresetDriver, make_problem, one_fn,
+                      zero_fn)
 
 ZERO2 = np.zeros((2, 2))
 
@@ -135,11 +137,35 @@ class TestSimulateEm:
         large = simulate_em(sec6_problem, eta_state, drv, 9)
         assert np.array_equal(small.paths, large.paths[:5])
 
-    def test_threads_do_not_change_results(self, sec6_problem, eta_state):
+    def test_threads_do_not_change_results(self, sec6_problem, eta_state,
+                                           monkeypatch):
+        # chunks of 12 paths: 40 paths make four chunks, so the pool runs
+        monkeypatch.setattr(solvers, "CHUNK_PATHS", 12)
+        pools = []
+
+        class CountingPool(solvers.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(solvers, "ThreadPoolExecutor", CountingPool)
         drv = BrownianDriver(seed=10, n_steps=25)
-        serial = simulate_em(sec6_problem, eta_state, drv, 40)
-        threaded = simulate_em(sec6_problem, eta_state, drv, 40, threads=4)
-        assert np.array_equal(serial.paths, threaded.paths)
+        gamma = InitialState.deterministic([3.5, 5.5])
+
+        def ensembles(threads):
+            mild = simulate_mild(sec6_problem, eta_state, drv, 40, threads=threads)
+            return [simulate_em(sec6_problem, eta_state, drv, 40, threads=threads),
+                    mild,
+                    *coupled_pair(sec6_problem, eta_state, gamma, drv, 40,
+                                  threads=threads),
+                    picard_apply(sec6_problem, eta_state, mild, threads=threads)]
+
+        serial = ensembles(1)
+        assert pools == []
+        threaded = ensembles(3)
+        assert pools == [3] * 5
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a.paths, b.paths)
 
     def test_blowup_flags_and_ensemble_error(self, eta_state):
         def explosive(t, x):
@@ -231,6 +257,21 @@ class TestPicard:
             picard_apply(sec6_problem, InitialState.deterministic([0.0, 0.0]), y)
 
 
+class TestConstantEnsemble:
+    def test_frozen_paths_carry_driver_increments(self, sec6_problem, eta_state):
+        drv = BrownianDriver(seed=2, n_steps=10)
+        y = constant_ensemble(sec6_problem, eta_state, drv, 3)
+        assert np.all(y.paths == eta_state.eta)
+        assert np.array_equal(y.increments,
+                              drv.increments_block(range(3), sec6_problem.horizon / 10))
+        assert not y.flags.any()
+
+    def test_zero_paths_rejected(self, sec6_problem, eta_state):
+        drv = BrownianDriver(seed=2, n_steps=10)
+        with pytest.raises(ValidationError, match="n_paths must be >= 1"):
+            constant_ensemble(sec6_problem, eta_state, drv, 0)
+
+
 class TestCoupledPair:
     def test_equal_initial_data_bit_identical(self, sec6_problem, eta_state):
         drv = BrownianDriver(seed=21, n_steps=50)
@@ -256,6 +297,13 @@ class TestCoupledPair:
         mean = sq.mean(axis=0)
         se = sq.std(axis=0, ddof=1) / math.sqrt(sq.shape[0])
         assert np.all(mean[1:] - 3.0 * se[1:] > 0)
+
+    def test_noise_drawn_once_and_shared(self, sec6_problem, eta_state):
+        drv = CountingDriver(seed=21, n_steps=20)
+        gamma = InitialState.deterministic([3.5, 5.5])
+        e1, e2 = coupled_pair(sec6_problem, eta_state, gamma, drv, 6)
+        assert drv.paths_drawn == 6
+        assert np.shares_memory(e1.increments, e2.increments)
 
     def test_unknown_scheme(self, sec6_problem, eta_state):
         drv = BrownianDriver(seed=21, n_steps=10)
