@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from smtde import analysis
 from smtde.analysis import (WeightedNormParams,
                             contraction_report, continuity_experiment,
                             init_term_sup_sq, convolution_bound_check, ml_sup_norm,
@@ -69,6 +70,17 @@ class TestMsNorm:
         ens = manual_ensemble(grid, paths)
         est, _ = ms_norm(ens, 1)
         assert est == 1.0
+
+    def test_flagged_paths_excluded_from_distance(self):
+        grid = np.array([0.0, 1.0])
+        e1 = manual_ensemble(grid, [[[1.0], [2.0]], [[1.0], [np.inf]],
+                                    [[0.0], [np.nan]]])
+        e2 = manual_ensemble(grid, [[[0.0], [0.0]], [[0.0], [np.inf]],
+                                    [[0.0], [0.0]]])
+        with np.errstate(all="raise"):
+            d2, se = ms_distance_series(e1, e2)
+        assert np.array_equal(d2, [1.0, 4.0])
+        assert np.array_equal(se, [0.0, 0.0])
 
     def test_all_flagged_is_error(self):
         grid = np.array([0.0, 1.0])
@@ -224,6 +236,29 @@ class TestContractionReport:
                                      n_paths=200, omega=2.0 * base.omega_min)
         assert doubled.zeta == pytest.approx(base.zeta / 2.0, rel=1e-12)
         assert max(doubled.iterate_ratios) <= doubled.zeta + 0.1
+
+    def test_denominators_computed_once(self, sec6_problem, eta_state,
+                                        monkeypatch):
+        calls = []
+        original = analysis.ml_scalar_log
+
+        def counting(alpha, z):
+            calls.append(np.shape(z))
+            return original(alpha, z)
+
+        monkeypatch.setattr(analysis, "ml_scalar_log", counting)
+        drv = BrownianDriver(seed=3, n_steps=10)
+        contraction_report(sec6_problem, eta_state, drv, n_iter=4, n_paths=20)
+        assert calls == [(11,)]
+
+    def test_alpha_near_half(self, eta_state):
+        # order 2a - 1 = 0.2: the denominators need the asymptotic route
+        p = make_problem(alpha=0.6)
+        drv = BrownianDriver(seed=3, n_steps=50)
+        report = contraction_report(p, eta_state, drv, n_iter=4, n_paths=200)
+        assert all(math.isfinite(v) for v in report.log_weighted_diffs)
+        assert report.iterate_ratios
+        assert max(report.iterate_ratios) <= report.zeta + 0.1
 
     def test_requires_three_iterations(self, sec6_problem, eta_state):
         drv = BrownianDriver(seed=3, n_steps=10)

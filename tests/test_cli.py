@@ -285,6 +285,16 @@ class TestExperiments:
                   if r["quantity"] == "weighted_ratio"]
         assert ratios and max(ratios) <= 0.85
 
+    def test_picard_config_near_half_order(self, tmp_path):
+        # alpha = 0.6 puts the weight order 2 alpha - 1 at 0.2
+        cfg = json.loads((CONFIG_DIR / "picard_sec6.json").read_text())
+        cfg["problem"]["alpha"] = 0.6
+        out = tmp_path / "out"
+        assert run(str(write_config(tmp_path, cfg)), str(out)) == 0
+        logs = [float(r["value"]) for r in read_rows(out)
+                if r["quantity"] == "log_weighted_diff_sq"]
+        assert len(logs) == 4 and all(math.isfinite(v) for v in logs)
+
     def test_continuity_experiment(self, tmp_path):
         cfg = base_config(experiment="continuity",
                           params={"eta": [3.0, 5.0], "offsets": [0.1, 0.01]})

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from smtde import specfun
 from smtde.errors import DomainError, NonConvergenceError
-from smtde.specfun import (SampledFunction, caputo_identity_residual, gamma_fn,
+from smtde.specfun import (ML_ASYMPTOTIC_U0, ML_MAX_TERMS, ML_SERIES_TOL,
+                           SampledFunction, caputo_identity_residual, gamma_fn,
                            ml_scalar, ml_scalar_log, reciprocal_gamma,
                            rl_integral, rl_integral_all)
 
@@ -59,14 +61,85 @@ class TestMlScalar:
         assert np.isinf(ml_scalar(0.2, 5.74))
 
     def test_divergence_guard(self):
+        with pytest.raises(NonConvergenceError, match="within 10 terms"):
+            ml_scalar(0.5, -3.0, max_terms=10)
+
+    def test_log_of_tiny_order_is_asymptotic_scale(self):
+        # E_0.05(50) ~ exp(50^20) / 0.05: beyond any series, exact in the log
+        assert ml_scalar_log(0.05, 50.0) == pytest.approx(
+            50.0 ** 20 - math.log(0.05), rel=1e-15)
+
+    def test_negative_argument_matches_erfc_closed_form(self):
+        # E_{1/2}(-x) = exp(x^2) erfc(x)
+        for x in (0.5, 2.0):
+            assert ml_scalar(0.5, -x) == pytest.approx(
+                math.exp(x * x) * math.erfc(x), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [5.0, 8.0])
+    def test_negative_argument_cancellation_raises(self, x):
+        # at x = 5 about 11 digits cancel; at x = 8 Gamma(k/2 + 1) overflows
         with pytest.raises(NonConvergenceError):
-            ml_scalar(0.05, 50.0, max_terms=5000)
+            ml_scalar(0.5, -x)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             ml_scalar(0.0, 1.0)
         with pytest.raises(DomainError):
             ml_scalar(-1.0, 1.0)
+
+
+class TestMlScalarLogRoutes:
+    def test_threshold(self):
+        assert ML_ASYMPTOTIC_U0 == 20.0
+
+    def test_route_chosen_by_series_scale(self, monkeypatch):
+        seen = []
+        expansion = specfun._ml_log_expansion
+
+        def spy(alpha, z, u, tol):
+            seen.append(u.copy())
+            return expansion(alpha, z, u, tol)
+
+        monkeypatch.setattr(specfun, "_ml_log_expansion", spy)
+        us = np.array([0.0, 19.9, 20.0, 45.0, 5.0])
+        got = ml_scalar_log(0.5, np.sqrt(us))
+        assert len(seen) == 1
+        np.testing.assert_allclose(seen[0], [20.0, 45.0], rtol=1e-15)
+        assert got[0] == 0.0
+        # orders >= 1 always take the series
+        ml_scalar_log(1.0, np.array([25.0, 300.0]))
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8, 0.98])
+    def test_routes_agree_on_overlap_band(self, alpha):
+        u = np.linspace(ML_ASYMPTOTIC_U0, 4.0 * ML_ASYMPTOTIC_U0, 61)
+        z = u ** alpha
+        series = specfun._ml_log_series(alpha, z, ML_SERIES_TOL, ML_MAX_TERMS)
+        expansion = specfun._ml_log_expansion(alpha, z, z ** (1.0 / alpha),
+                                              ML_SERIES_TOL)
+        assert np.max(np.abs(expansion - series) / series) <= 1e-14
+
+    def test_expansion_matches_closed_forms(self):
+        # log E_{1/2}(z) = z^2 + log erfc(-z); every z here has u = z^2 >= U0
+        for z in (4.5, 10.0, 30.0, 100.0):
+            assert ml_scalar_log(0.5, z) == pytest.approx(
+                z * z + math.log(math.erfc(-z)), rel=1e-15)
+        # log E_1(z) = z: every 1/Gamma(1 - k) vanishes, so S = 0 exactly
+        z = np.array([20.0, 50.0, 300.0])
+        assert np.array_equal(
+            specfun._ml_log_expansion(1.0, z, z, ML_SERIES_TOL), z)
+
+    def test_expansion_stops_at_smallest_term(self):
+        # a tolerance no term can meet: the divergent sum must stop at the
+        # smallest term of its envelope, where the expansion is most accurate
+        z = 5.0
+        assert ml_scalar_log(0.5, z, tol=1e-300) == pytest.approx(
+            z * z + math.log(math.erfc(-z)), rel=1e-15)
+
+    def test_series_for_large_order_one_arguments(self):
+        # the series route keeps every term in log space: no in-block overflow
+        got = ml_scalar_log(1.0, np.array([300.0, 1000.0]))
+        np.testing.assert_allclose(got, [300.0, 1000.0], rtol=1e-15)
 
 
 class TestSampledFunction:
