@@ -276,7 +276,11 @@ def contraction_report(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
 
 @dataclass
 class SeparationReport:
-    """Time-resolved coupled distance and its fitted decay exponent."""
+    """Time-resolved coupled distance and its fitted decay exponent.
+
+    ``n_dropped`` of the ``n_paths`` coupled paths were flagged in either
+    ensemble and left out of every statistic.
+    """
 
     times: np.ndarray
     ms_distance: np.ndarray
@@ -291,6 +295,8 @@ class SeparationReport:
     lambda_gt_alpha: bool
     lambda_gt_alpha_over_1_minus_alpha: bool
     positive_3se_from_fit_start: bool
+    n_paths: int
+    n_dropped: int
 
 
 def _fit_decay_exponent(times: np.ndarray, d2: np.ndarray) -> tuple[float, float]:
@@ -298,6 +304,24 @@ def _fit_decay_exponent(times: np.ndarray, d2: np.ndarray) -> tuple[float, float
     d = np.sqrt(d2)
     slope, intercept = np.polyfit(np.log(times), np.log(d), 1)
     return float(-slope), float(math.exp(intercept))
+
+
+def _bootstrap_exponents(times: np.ndarray, sq: np.ndarray,
+                         rng: np.random.Generator, n_boot: int) -> np.ndarray:
+    """Fitted exponents of n_boot path resamples of sq (n_valid, n_t).
+
+    A resample's mean is its row counts times sq over n_valid, so every
+    resampled mean comes from one (n_boot, n_valid) @ (n_valid, n_t) product,
+    and every exponent from one least-squares fit.
+    """
+    n_valid = sq.shape[0]
+    counts = np.empty((n_boot, n_valid))
+    for i in range(n_boot):
+        counts[i] = np.bincount(rng.integers(0, n_valid, n_valid),
+                                minlength=n_valid)
+    means = (counts @ sq) / n_valid
+    slopes, _ = np.polyfit(np.log(times), np.log(np.sqrt(means.T)), 1)
+    return -slopes
 
 
 def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState,
@@ -333,14 +357,8 @@ def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState
     t_win = e1.grid[window]
     p_hat, kappa_hat = _fit_decay_exponent(t_win, d2[window])
 
-    # C order, so each bootstrap row gather reads contiguous rows
-    sq_win = np.ascontiguousarray(sq[:, window])
     rng = np.random.Generator(np.random.Philox(key=[drv.seed, 0xB007]))
-    n_valid = sq_win.shape[0]
-    boot = np.empty(n_boot)
-    for i in range(n_boot):
-        idx = rng.integers(0, n_valid, n_valid)
-        boot[i], _ = _fit_decay_exponent(t_win, sq_win[idx].mean(axis=0))
+    boot = _bootstrap_exponents(t_win, sq[:, window], rng, n_boot)
     ci = (float(np.quantile(boot, 0.025)), float(np.quantile(boot, 0.975)))
 
     with np.errstate(invalid="ignore"):
@@ -356,6 +374,7 @@ def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState
         lambda_gt_alpha_over_1_minus_alpha=bool(
             scaling_exponent > p.alpha / (1.0 - p.alpha)),
         positive_3se_from_fit_start=positive,
+        n_paths=n_paths, n_dropped=n_paths - sq.shape[0],
     )
 
 

@@ -7,11 +7,14 @@ A run writes three files into the output directory:
 
 * ``results.csv``  - long format, columns experiment,time,quantity,value,std_error
 * ``report.json``  - scalar constants and fit results (null where not computed)
-* ``meta.json``    - effective config echo, seed, package/library versions
+* ``meta.json``    - effective config echo, seed, package/library versions,
+  the BLAS thread pin, and run counters (paths and dropped paths of a
+  separation run)
 
 Identical config and seed produce byte-identical ``results.csv`` for any
-``--threads`` value: paths are simulated in fixed-size chunks with per-path RNG
-streams and statistics are reduced in a fixed order.
+``--threads`` value and any BLAS thread environment: paths are simulated in
+fixed-size chunks with per-path RNG streams, numpy's bundled OpenBLAS is
+pinned to one thread for the run, and statistics are reduced in a fixed order.
 
 Exit codes: 0 success, 2 config parse/validation error (also for values only
 an experiment checks, e.g. ``n_iter < 3``), 3 runtime/numerical error (outputs
@@ -21,7 +24,10 @@ of an earlier run are removed); ``--out`` is created only after a success.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
+import glob
 import json
 import math
 import os
@@ -243,7 +249,7 @@ def load_config(raw: dict) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# experiment dispatch: each returns (rows, report-overrides)
+# experiment dispatch: each returns (rows, report overrides, meta counters)
 
 def _eta_state(cfg: RunConfig) -> InitialState:
     return InitialState.deterministic(cfg.params["eta"])
@@ -257,7 +263,7 @@ def _run_simulate(cfg: RunConfig, threads: int):
     for i, t in enumerate(ens.grid):
         est, se = ms_norm(ens, i)
         rows.append(("simulate", t, "ms_norm", est, se))
-    return rows, {}
+    return rows, {}, {}
 
 
 def _run_picard(cfg: RunConfig, threads: int):
@@ -273,7 +279,7 @@ def _run_picard(cfg: RunConfig, threads: int):
     rows.append(("picard", 0.0, "immediate_convergence",
                  1.0 if report.immediate_convergence else 0.0, None))
     return rows, {"m_sup": report.m_sup, "omega": report.omega_used,
-                  "zeta": report.zeta, "c_const": report.c_const}
+                  "zeta": report.zeta, "c_const": report.c_const}, {}
 
 
 def _run_separation(cfg: RunConfig, threads: int):
@@ -295,10 +301,11 @@ def _run_separation(cfg: RunConfig, threads: int):
                  1.0 if report.lambda_gt_alpha_over_1_minus_alpha else 0.0, None))
     rows.append(("separation", t_end, "exponent_consistent",
                  1.0 if report.consistent_with_lower_bound else 0.0, None))
+    counters = {"n_paths": report.n_paths, "dropped_paths": report.n_dropped}
     return rows, {"fitted_exponent": report.fitted_exponent,
                   "fitted_ci_low": report.fitted_ci[0],
                   "fitted_ci_high": report.fitted_ci[1],
-                  "kappa_hat": report.kappa_hat}
+                  "kappa_hat": report.kappa_hat}, counters
 
 
 def _run_continuity(cfg: RunConfig, threads: int):
@@ -313,7 +320,7 @@ def _run_continuity(cfg: RunConfig, threads: int):
         rows.append(("continuity", pt.offset, "sup_ms_distance",
                      pt.sup_ms_distance, None))
         rows.append(("continuity", pt.offset, "distance_ratio", pt.ratio, None))
-    return rows, {}
+    return rows, {}, {}
 
 
 def _run_ml_eval(cfg: RunConfig, threads: int):
@@ -342,7 +349,7 @@ def _run_ml_eval(cfg: RunConfig, threads: int):
             for i in range(prob.dim):
                 for j in range(prob.dim):
                     rows.append(("ml-eval", t, f"perm_{i}{j}", pvalue[i, j], None))
-    return rows, {}
+    return rows, {}, {}
 
 
 def _run_check_lemma(cfg: RunConfig, threads: int):
@@ -357,7 +364,7 @@ def _run_check_lemma(cfg: RunConfig, threads: int):
                 rows.append(("check-lemma", t, f"rhs{tag}", check.rhs, None))
                 rows.append(("check-lemma", t, f"holds{tag}",
                              1.0 if check.holds else 0.0, None))
-    return rows, {}
+    return rows, {}, {}
 
 
 def _run_check_identity(cfg: RunConfig, threads: int):
@@ -368,7 +375,7 @@ def _run_check_identity(cfg: RunConfig, threads: int):
     df = SampledFunction(grid, df_vals)
     residual = caputo_identity_residual(prob.alpha, f, df)
     rows = [("check-identity", prob.horizon, "residual", residual, None)]
-    return rows, {}
+    return rows, {}, {}
 
 
 _DISPATCH = {
@@ -405,6 +412,40 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+@contextlib.contextmanager
+def _single_thread_blas():
+    """Pin numpy's bundled OpenBLAS pool to one thread for the block.
+
+    A multithreaded BLAS may split a matrix product differently by pool size,
+    which moves the last bits of the paths; with one thread the bytes do not
+    depend on the BLAS environment. Yields the record written to meta.json.
+    The old pool size is restored on exit. A numpy build without the bundled
+    library runs unpinned, and the record says so.
+    """
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                           "numpy.libs", "libscipy_openblas64_*.so")
+    for path in sorted(glob.glob(pattern)):
+        try:
+            lib = ctypes.CDLL(path)
+            setter = lib.scipy_openblas_set_num_threads64_
+            getter = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        previous = getter()
+        setter(1)
+        try:
+            yield {"threads_pinned": True, "threads": 1,
+                   "previous_threads": previous,
+                   "library": os.path.basename(path)}
+        finally:
+            setter(previous)
+        return
+    yield {"threads_pinned": False,
+           "reason": "scipy_openblas_set_num_threads64_ not found"}
+
+
 def run(config_path: str, out_dir: str, threads: int = 1,
         seed: int | None = None) -> int:
     """Execute one experiment config; returns the process exit status."""
@@ -431,7 +472,9 @@ def run(config_path: str, out_dir: str, threads: int = 1,
     outputs = [os.path.join(out_dir, name)
                for name in ("results.csv", "report.json", "meta.json")]
     try:
-        rows, overrides = _DISPATCH[cfg.experiment](cfg, max(1, int(threads)))
+        with _single_thread_blas() as blas:
+            rows, overrides, counters = _DISPATCH[cfg.experiment](
+                cfg, max(1, int(threads)))
     except (ValidationError, DomainError) as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 2
@@ -449,6 +492,8 @@ def run(config_path: str, out_dir: str, threads: int = 1,
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
+        "blas": blas,
+        "counters": counters,
     }
     os.makedirs(out_dir, exist_ok=True)
     _write_results(outputs[0], rows)

@@ -32,8 +32,10 @@ provided, both on uniform grids:
   integrals of the kernel; the diffusion term keeps the non-anticipating
   left-point kernel value.
 
-Both schemes share one stepping core, so with A = B = 0 they perform
-identical floating-point work and produce bit-identical paths.
+Both schemes share one stepping core. Each scheme's kernel tables carry
+only the weights it uses (scalar far-field weights for ``em``, no X-memory
+block for ``mild``), so with A = B = 0 the two schemes sum the same terms in
+different groupings and agree to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -229,13 +231,24 @@ class PathEnsemble:
 class KernelTables:
     """Lag-indexed kernel tables consumed by the shared stepping core.
 
-    ``init_mats[n]`` multiplies eta in the step-n initial term; ``kbig[k]``
-    stacks the lag-k weights for the X-memory, drift, and diffusion sums as
-    one (dim, 3*dim) block. Lag 0 is never used (explicit scheme) and is zero.
+    The core records, for every history time t_j, ``n_chan`` channels of
+    shape (dim, n_paths): ``x_map @ x_j`` split into its ``dim``-row blocks,
+    the drift added to the last of them, then sigma dW_j. Without ``x_map``
+    the channels are just [b; sigma dW]. Lag 0 is never used (explicit
+    scheme) and is zero.
+
+    * ``init_mats[n]`` multiplies eta in the step-n initial term.
+    * ``kfar[k]`` (r, n_chan * r) holds the lag-k weights in the narrowest
+      form the scheme allows: r = 1 when every channel's weight is a scalar
+      times I, r = dim otherwise. The far-field product reads it.
+    * ``knear[k]`` (dim, n_chan * dim) holds the same weights as dense
+      blocks for the lags below HISTORY_BLOCK, which the near field reads.
     """
 
-    init_mats: np.ndarray  # (n_steps+1, dim, dim)
-    kbig: np.ndarray       # (n_steps+1, dim, 3*dim)
+    init_mats: np.ndarray         # (n_steps+1, dim, dim)
+    kfar: np.ndarray              # (n_steps+1, r, n_chan*r)
+    knear: np.ndarray             # (min(HISTORY_BLOCK, n_steps+1), dim, n_chan*dim)
+    x_map: np.ndarray | None      # ((n_chan-1)*dim, dim) or None
     scheme: str
 
 
@@ -246,33 +259,37 @@ def _difference_weights(cumulative: np.ndarray) -> np.ndarray:
 
 
 def em_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
-    """Exact-kernel product weights for the Volterra-form scheme."""
+    """Exact-kernel product weights for the Volterra-form scheme.
+
+    Every lag kernel is a scalar sequence times a fixed matrix, so the
+    channels are [A x; B x + b; sigma dW] with scalar weights
+    (w_ab, w_a, ks): the far field multiplies no matrix per lag.
+    """
     nd = p.dim
     h = p.horizon / n_steps
     s = h * np.arange(n_steps + 1)
-    eye = np.eye(nd)
 
     f_ab = s ** (p.alpha - p.beta) * reciprocal_gamma(p.alpha - p.beta + 1.0)
     f_a = s ** p.alpha * reciprocal_gamma(p.alpha + 1.0)
-    w_ab = _difference_weights(f_ab)
-    w_a = _difference_weights(f_a)
+    kfar = np.zeros((n_steps + 1, 1, 3))
+    kfar[:, 0, 0] = _difference_weights(f_ab)
+    kfar[:, 0, 1] = _difference_weights(f_a)
+    kfar[1:, 0, 2] = s[1:] ** (p.alpha - 1.0) * reciprocal_gamma(p.alpha)
 
-    kx = w_ab[:, None, None] * p.a_mat + w_a[:, None, None] * p.b_mat
-    kb = w_a[:, None, None] * eye
-    ks = np.zeros((n_steps + 1, nd, nd))
-    ks[1:] = (s[1:] ** (p.alpha - 1.0) * reciprocal_gamma(p.alpha))[:, None, None] * eye
-
-    init_mats = eye - f_ab[:, None, None] * p.a_mat
-    kbig = np.concatenate([kx, kb, ks], axis=2)
-    return KernelTables(init_mats=init_mats, kbig=kbig, scheme="em")
+    knear = np.kron(kfar[:HISTORY_BLOCK], np.eye(nd))
+    init_mats = np.eye(nd) - f_ab[:, None, None] * p.a_mat
+    return KernelTables(init_mats=init_mats, kfar=kfar, knear=knear,
+                        x_map=np.concatenate([p.a_mat, p.b_mat]), scheme="em")
 
 
 def mild_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
-    """Matrix Mittag-Leffler kernel tables for the mild-form scheme."""
-    nd = p.dim
+    """Matrix Mittag-Leffler kernel tables for the mild-form scheme.
+
+    The mild form has no X-memory term: the channels are [b; sigma dW],
+    weighted by dense (dim, dim) blocks.
+    """
     h = p.horizon / n_steps
     s = h * np.arange(n_steps + 1)
-    eye = np.eye(nd)
 
     q = QTable(p.a_mat, p.b_mat)
     kern = MLParams(rho=p.alpha - p.beta, sigma_exp=p.alpha, delta=p.alpha)
@@ -282,13 +299,19 @@ def mild_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
 
     f_ml = s[:, None, None] ** p.alpha * e_a1               # exact cell cumulative
     kb = _difference_weights(f_ml)
-    kx = np.zeros_like(kb)
     ks = np.zeros_like(kb)
     ks[1:] = (s[1:] ** (p.alpha - 1.0))[:, None, None] * e_a[1:]
 
-    init_mats = eye + s[:, None, None] ** p.alpha * (e_a1 @ p.b_mat)
-    kbig = np.concatenate([kx, kb, ks], axis=2)
-    return KernelTables(init_mats=init_mats, kbig=kbig, scheme="mild")
+    init_mats = np.eye(p.dim) + s[:, None, None] ** p.alpha * (e_a1 @ p.b_mat)
+    kfar = np.concatenate([kb, ks], axis=2)
+    return KernelTables(init_mats=init_mats, kfar=kfar,
+                        knear=kfar[:HISTORY_BLOCK], x_map=None, scheme="mild")
+
+
+def _lag_rows(k: np.ndarray) -> np.ndarray:
+    """Lag tables (L, r, c) as one row strip (r, L*c), highest lag first:
+    columns [i*c, (i+1)*c) hold lag L-1-i."""
+    return k[::-1].transpose(1, 0, 2).reshape(k.shape[1], -1)
 
 
 def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
@@ -297,47 +320,55 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
     """Explicit time-blocked stepping for one chunk of paths.
 
     x0 has shape (dim, n_paths); dw has shape (n_paths, n_steps). Returns
-    paths of shape (n_steps + 1, dim, n_paths). The lag sums run over a
-    combined [X; b; sigma*dW] history, in blocks of HISTORY_BLOCK output
-    steps: at a block start one GEMM applies the far-field slab of lag weights
+    paths of shape (n_steps + 1, dim, n_paths). The lag sums run over the
+    history channels of ``tables``, in blocks of HISTORY_BLOCK output steps:
+    at a block start one GEMM applies the far-field slab of ``kfar`` weights
     to all history already known; inside the block each step adds only its
-    in-block (near-field) lags. This regroups the direct sum, exact up to
-    rounding. With ``known`` (shape (n_steps + 1, dim, n_paths)) the history
-    comes from those paths, not the output: the operator without feedback.
+    in-block (near-field) lags with the dense ``knear`` weights. This
+    regroups the direct sum, exact up to rounding. With ``known`` (shape
+    (n_steps + 1, dim, n_paths)) the history comes from those paths, not the
+    output: the operator without feedback.
     """
     nd = p.dim
-    d3 = 3 * nd
+    _, r, cf = tables.kfar.shape        # far lag blocks (r, cf), cf = n_chan * r
+    n_near, _, cn = tables.knear.shape  # near lag blocks (dim, cn), cn = n_chan * dim
+    n_chan = cn // nd
     n_steps = times.size - 1
     n_chunk = x0.shape[1]
     x = np.empty((n_steps + 1, nd, n_chunk))
     x[0] = x0
     src = x if known is None else known
-    hist = np.empty((n_steps, d3, n_chunk))
-    flat_hist = hist.reshape(n_steps * d3, n_chunk)
-    # krow[:, c*d3:(c+1)*d3] holds the lag-(n_steps - c) weights, so the weights
-    # of step n against history j < n sit at columns from (n_steps - n)*d3 on.
-    krow = tables.kbig[::-1].transpose(1, 0, 2).reshape(nd, (n_steps + 1) * d3)
+    # one history, read as (steps*cf, dim*paths/r) by the far field and as
+    # (steps*cn, paths) by the near field
+    hist = np.empty((n_steps, n_chan, nd, n_chunk))
+    far_hist = hist.reshape(n_steps * cf, -1)
+    near_hist = hist.reshape(n_steps * cn, n_chunk)
+    far_row = _lag_rows(tables.kfar)
+    near_row = _lag_rows(tables.knear)
 
     def record(j: int) -> None:
         xj = src[j]
-        hist[j, :nd] = xj
-        hist[j, nd:2 * nd] = p.drift(times[j], xj)
-        hist[j, 2 * nd:] = p.diffusion(times[j], xj) * dw[:, j]
+        if tables.x_map is None:
+            hist[j, 0] = p.drift(times[j], xj)
+        else:
+            hist[j, :-1] = (tables.x_map @ xj).reshape(n_chan - 1, nd, n_chunk)
+            hist[j, -2] += p.drift(times[j], xj)
+        hist[j, -1] = p.diffusion(times[j], xj) * dw[:, j]
 
     with np.errstate(over="ignore", invalid="ignore"):
         record(0)
         for n0 in range(1, n_steps + 1, HISTORY_BLOCK):
             n1 = min(n0 + HISTORY_BLOCK, n_steps + 1)
-            # far-slab rows for steps n0..n1-1: windows of krow starting d3 apart
-            windows = sliding_window_view(krow, n0 * d3, axis=1)
-            slab = windows[:, (n_steps - n1 + 1) * d3:(n_steps - n0) * d3 + 1:d3][:, ::-1]
-            acc = (slab.transpose(1, 0, 2).reshape((n1 - n0) * nd, n0 * d3)
-                   @ flat_hist[:n0 * d3]).reshape(n1 - n0, nd, n_chunk)
+            # far-slab rows for steps n0..n1-1: windows of far_row starting cf apart
+            windows = sliding_window_view(far_row, n0 * cf, axis=1)
+            slab = windows[:, (n_steps - n1 + 1) * cf:(n_steps - n0) * cf + 1:cf][:, ::-1]
+            acc = (slab.transpose(1, 0, 2).reshape((n1 - n0) * r, n0 * cf)
+                   @ far_hist[:n0 * cf]).reshape(n1 - n0, nd, n_chunk)
             acc += tables.init_mats[n0:n1] @ x0
             for k, n in enumerate(range(n0, n1)):
                 if k:
-                    acc[k] += krow[:, (n_steps - k) * d3:n_steps * d3] \
-                        @ flat_hist[n0 * d3:n * d3]
+                    acc[k] += near_row[:, (n_near - 1 - k) * cn:(n_near - 1) * cn] \
+                        @ near_hist[n0 * cn:n * cn]
                 x[n] = acc[k]
                 if n < n_steps:
                     record(n)

@@ -14,7 +14,7 @@ from smtde.errors import (DegenerateExperimentError, DomainError, EnsembleError,
 from smtde.solvers import (BrownianDriver, InitialState, PathEnsemble,
                            coupled_pair, simulate_em)
 
-from conftest import CountingDriver, make_problem, zero_fn
+from conftest import CountingDriver, make_problem, one_fn, zero_fn
 
 ZERO2 = np.zeros((2, 2))
 
@@ -319,6 +319,75 @@ class TestSeparation:
         r2 = separation_experiment(p, eta_state, gamma, drv, 1.0, 800)
         width = (r1.fitted_ci[1] - r1.fitted_ci[0]) + (r2.fitted_ci[1] - r2.fitted_ci[0])
         assert abs(r1.fitted_exponent - r2.fitted_exponent) <= max(width, 0.2)
+
+
+BOOT_REL_TOL = 1e-12
+
+
+def gather_bootstrap(times, sq, seed, n_boot):
+    """Reference bootstrap: one row gather and one fit per resample, with the
+    draws of ``separation_experiment``."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0xB007]))
+    n_valid = sq.shape[0]
+    boot = np.empty(n_boot)
+    for i in range(n_boot):
+        idx = rng.integers(0, n_valid, n_valid)
+        boot[i], _ = analysis._fit_decay_exponent(times, sq[idx].mean(axis=0))
+    return boot
+
+
+def flaky_drift(t, x):
+    # non-finite once a coordinate leaves [-10, 10]: a few paths blow up
+    return np.where(np.abs(x) > 10.0, np.inf, 0.0)
+
+
+class TestSeparationBootstrap:
+    def test_product_matches_gather_loop(self):
+        rng = np.random.default_rng(3)
+        times = np.linspace(1.0, 5.0, 120)
+        sq = np.exp(rng.normal(size=(300, 1))) * times ** -1.5 \
+            * np.exp(0.3 * rng.normal(size=(300, 120)))
+        ref = gather_bootstrap(times, sq, 11, 200)
+        got = analysis._bootstrap_exponents(
+            times, sq, np.random.Generator(np.random.Philox(key=[11, 0xB007])), 200)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= BOOT_REL_TOL * np.abs(ref))
+
+    def test_ci_matches_gather_loop(self, eta_state):
+        p = make_problem(horizon=5.0)
+        gamma = InitialState.deterministic([3.5, 5.5])
+        drv = BrownianDriver(seed=4, n_steps=100)
+        report = separation_experiment(p, eta_state, gamma, drv, 1.0, 300)
+        e1, e2 = coupled_pair(p, eta_state, gamma, drv, 300)
+        window = e1.grid >= analysis.FIT_WINDOW_START
+        sq = analysis._sq_distances(e1, e2)[:, window]
+        ref = gather_bootstrap(e1.grid[window], sq, drv.seed,
+                               analysis.BOOTSTRAP_RESAMPLES)
+        ci = np.quantile(ref, [0.025, 0.975])
+        assert np.all(np.abs(np.array(report.fitted_ci) - ci)
+                      <= BOOT_REL_TOL * np.abs(ci))
+
+    def test_dropped_paths_reported(self, eta_state):
+        p = make_problem(a_mat=ZERO2, b_mat=ZERO2, drift=flaky_drift,
+                         diffusion=one_fn, horizon=5.0)
+        # the two ensembles leave [-10, 10] on opposite sides, so different
+        # paths are flagged in each, and a path flagged in either is dropped
+        gamma = InitialState.deterministic([-5.0, -3.0])
+        drv = BrownianDriver(seed=7, n_steps=100)
+        e1, e2 = coupled_pair(p, eta_state, gamma, drv, 200)
+        dropped = int((e1.flags | e2.flags).sum())
+        assert dropped > max(e1.flags.sum(), e2.flags.sum()) > 0
+        report = separation_experiment(p, eta_state, gamma, drv, 1.0, 200)
+        assert report.n_paths == 200
+        assert report.n_dropped == dropped
+        assert np.all(np.isfinite(report.ms_distance))
+
+    def test_no_dropped_paths(self, eta_state):
+        p = make_problem(horizon=5.0)
+        drv = BrownianDriver(seed=4, n_steps=60)
+        report = separation_experiment(
+            p, eta_state, InitialState.deterministic([3.5, 5.5]), drv, 1.0, 50)
+        assert (report.n_paths, report.n_dropped) == (50, 0)
 
 
 class TestContinuity:

@@ -1,11 +1,17 @@
+import ctypes
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smtde
+from smtde import cli
 from smtde.cli import REPORT_KEYS, load_config, run
 from smtde.errors import ValidationError
 
@@ -196,6 +202,71 @@ class TestRunOutputs:
         meta = json.loads((tmp_path / "b" / "meta.json").read_text())
         assert meta["seed"] == 99
         assert meta["config"]["monte_carlo"]["seed"] == 99
+
+    def test_meta_records_blas_pin(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(str(write_config(tmp_path, base_config())), str(out)) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        blas = meta["blas"]
+        if blas["threads_pinned"]:
+            assert blas["threads"] == 1
+            assert blas["previous_threads"] >= 1
+        else:
+            assert "not found" in blas["reason"]
+        assert meta["counters"] == {}
+
+    def test_blas_pin_restores_pool_size(self):
+        with cli._single_thread_blas() as blas:
+            if not blas["threads_pinned"]:
+                pytest.skip("numpy build without a bundled OpenBLAS")
+            lib = ctypes.CDLL(os.path.join(os.path.dirname(np.__file__),
+                                           os.pardir, "numpy.libs",
+                                           blas["library"]))
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            assert get_threads() == 1
+        assert get_threads() == blas["previous_threads"]
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # a 2-thread OpenBLAS pool splits the stepping core's products
+        # differently; the pin in run() keeps results.csv byte-identical
+        cfg = json.loads((CONFIG_DIR / "separation_sec6.json").read_text())
+        cfg["monte_carlo"]["n_paths"] = 64
+        config = write_config(tmp_path, cfg)
+        package_root = str(Path(smtde.__file__).resolve().parent.parent)
+
+        def run_cli(blas_threads):
+            out = tmp_path / f"blas{blas_threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+                       PYTHONPATH=os.pathsep.join(filter(
+                           None, [package_root, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "smtde", "run", "--config", str(config),
+                 "--out", str(out)], capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            return (out / "results.csv").read_bytes()
+
+        assert run_cli(1) == run_cli(2)
+
+    def test_separation_counts_dropped_paths(self, tmp_path, monkeypatch):
+        # the drift is non-finite outside [-10, 10], so a few paths blow up
+        monkeypatch.setitem(cli.DRIFT_REGISTRY, "flaky",
+                            lambda t, x: np.where(np.abs(x) > 10.0, np.inf, 0.0))
+        cfg = base_config(experiment="separation",
+                          params={"eta": [3.0, 5.0], "gamma": [-5.0, -3.0],
+                                  "lambda": 1.0})
+        cfg["problem"].update(a_mat=[[0.0, 0.0], [0.0, 0.0]],
+                              b_mat=[[0.0, 0.0], [0.0, 0.0]],
+                              drift="flaky", diffusion="one")
+        cfg["grid"] = {"horizon": 5.0, "n_steps": 100}
+        cfg["monte_carlo"] = {"n_paths": 200, "seed": 7}
+        out = tmp_path / "out"
+        assert run(str(write_config(tmp_path, cfg)), str(out)) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["counters"] == {"n_paths": 200, "dropped_paths": 3}
+        rows = read_rows(out)
+        assert all(math.isfinite(float(r["value"])) for r in rows
+                   if r["quantity"] == "ms_distance")
 
     def test_runtime_error_removes_outputs(self, tmp_path, capsys):
         cfg = base_config(experiment="separation",

@@ -179,12 +179,17 @@ class TestSimulateEm:
 
 
 class TestSimulateMild:
-    def test_bit_identical_to_em_when_matrices_vanish(self, eta_state):
+    def test_matches_em_when_matrices_vanish(self, eta_state):
+        # with A = B = 0 both schemes have the same lag weights; em applies
+        # them as scalars and mild as dense blocks, so the sums agree to the
+        # stepping core's per-step bound 1e-12 * max|x_n|, not bit for bit
         p = make_problem(a_mat=ZERO2, b_mat=ZERO2)
         drv = BrownianDriver(seed=8, n_steps=60)
         em = simulate_em(p, eta_state, drv, 30)
         mild = simulate_mild(p, eta_state, drv, 30)
-        assert np.array_equal(em.paths, mild.paths)
+        scale = np.abs(mild.paths).max(axis=(0, 2))
+        err = np.abs(em.paths - mild.paths).max(axis=(0, 2))
+        assert np.all(err <= 1e-12 * scale), (err / scale).max()
 
     def test_deterministic_multi_term_cross_check(self, eta_state):
         # B = 0 removes the undifferentiated linear term; the remaining
