@@ -29,8 +29,8 @@ from .errors import (DegenerateExperimentError, DomainError, EnsembleError,
                      ValidationError)
 from .mlmatrix import MLParams, QTable, ml_nonperm_grid
 from .solvers import (BrownianDriver, InitialState, PathEnsemble, ProblemSpec,
-                      _draw, _run_ensemble, constant_ensemble, coupled_pair,
-                      kernel_tables, mild_kernel_tables, picard_apply)
+                      _ensembles, constant_ensemble, coupled_pair,
+                      mild_kernel_tables, picard_apply)
 from .specfun import gamma_fn, ml_scalar_log
 
 FIT_WINDOW_START = 1.0
@@ -147,14 +147,15 @@ def zeta_const(p: ProblemSpec, m_sup: float, omega: float) -> float:
     return 3.0 * gamma_fn(2.0 * p.alpha - 1.0) * m_sup ** 2 * factor / omega
 
 
-def ml_sup_norm(p: ProblemSpec, n_grid: int = SUP_GRID_POINTS) -> tuple[float, float]:
+def ml_sup_norm(p: ProblemSpec) -> tuple[float, float]:
     """Grid maximum of the kernel norm over [0, T], with a 2x refinement gap.
 
-    Returns (sup at 2*n_grid resolution, relative gap against n_grid).
+    Returns (sup at 2*SUP_GRID_POINTS resolution, relative gap against
+    SUP_GRID_POINTS).
     """
     q = QTable(p.a_mat, p.b_mat)
     params = MLParams(rho=p.alpha - p.beta, sigma_exp=p.alpha, delta=p.alpha)
-    ts = np.linspace(0.0, p.horizon, 2 * n_grid + 1)
+    ts = np.linspace(0.0, p.horizon, 2 * SUP_GRID_POINTS + 1)
     values, _ = ml_nonperm_grid(q, params, ts)
     norms = np.abs(values).sum(axis=2).max(axis=1)
     fine = float(norms.max())
@@ -163,11 +164,11 @@ def ml_sup_norm(p: ProblemSpec, n_grid: int = SUP_GRID_POINTS) -> tuple[float, f
     return fine, gap
 
 
-def init_term_sup_sq(p: ProblemSpec, n_grid: int = SUP_GRID_POINTS) -> float:
+def init_term_sup_sq(p: ProblemSpec) -> float:
     """sup_t of |I + t^alpha E_{a+1}(t) B|^2 over [0, T] (scalar bound)."""
     q = QTable(p.a_mat, p.b_mat)
     params = MLParams(rho=p.alpha - p.beta, sigma_exp=p.alpha, delta=p.alpha + 1.0)
-    ts = np.linspace(0.0, p.horizon, 2 * n_grid + 1)
+    ts = np.linspace(0.0, p.horizon, 2 * SUP_GRID_POINTS + 1)
     values, _ = ml_nonperm_grid(q, params, ts)
     mats = np.eye(p.dim) + ts[:, None, None] ** p.alpha * (values @ p.b_mat)
     norms = np.abs(mats).sum(axis=2).max(axis=1)
@@ -224,7 +225,8 @@ class ContractionReport:
 
     ``log_weighted_diffs`` holds log |Y_{k+1} - Y_k|_w^2 per iterate (-inf for
     an exact fixed point); the ratios are formed from the logs so they stay
-    meaningful when the norms themselves underflow.
+    meaningful when the norms themselves underflow. ``n_dropped`` is the most
+    paths that one of those norms left out (flagged in either iterate).
     """
 
     m_sup: float
@@ -235,6 +237,7 @@ class ContractionReport:
     iterate_ratios: list[float] = field(default_factory=list)
     log_weighted_diffs: list[float] = field(default_factory=list)
     immediate_convergence: bool = False
+    n_dropped: int = 0
 
 
 def contraction_report(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
@@ -256,14 +259,16 @@ def contraction_report(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
     current = constant_ensemble(p, init, drv, n_paths)
     log_denom = _log_weight_denominators(w, current.grid)  # same for every iterate
     log_diffs: list[float] = []
+    n_dropped = 0
     for _ in range(n_iter):
         nxt = picard_apply(p, init, current, threads=threads, tables=tables)
         log_diffs.append(_log_weighted_sup(nxt, current, log_denom))
+        n_dropped = max(n_dropped, int((nxt.flags | current.flags).sum()))
         current = nxt
 
     report = ContractionReport(m_sup=m_sup, omega_min=omega_min,
                                omega_used=omega_used, zeta=zeta, c_const=c_const,
-                               log_weighted_diffs=log_diffs)
+                               log_weighted_diffs=log_diffs, n_dropped=n_dropped)
     if log_diffs[0] == -math.inf:
         report.immediate_convergence = True
         return report
@@ -326,8 +331,8 @@ def _bootstrap_exponents(times: np.ndarray, sq: np.ndarray,
 
 def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState,
                           drv: BrownianDriver, scaling_exponent: float,
-                          n_paths: int, scheme: str = "em", threads: int = 1,
-                          n_boot: int = BOOTSTRAP_RESAMPLES) -> SeparationReport:
+                          n_paths: int, scheme: str = "em",
+                          threads: int = 1) -> SeparationReport:
     """Coupled two-initial-value run with a log-log decay-rate fit.
 
     The fit window starts at t = 1 to skip small-t transients; the confidence
@@ -358,7 +363,7 @@ def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState
     p_hat, kappa_hat = _fit_decay_exponent(t_win, d2[window])
 
     rng = np.random.Generator(np.random.Philox(key=[drv.seed, 0xB007]))
-    boot = _bootstrap_exponents(t_win, sq[:, window], rng, n_boot)
+    boot = _bootstrap_exponents(t_win, sq[:, window], rng, BOOTSTRAP_RESAMPLES)
     ci = (float(np.quantile(boot, 0.025)), float(np.quantile(boot, 0.975)))
 
     with np.errstate(invalid="ignore"):
@@ -380,9 +385,12 @@ def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState
 
 @dataclass(frozen=True)
 class ContinuityPoint:
+    """One offset's sup-t distance, which left out ``n_dropped`` flagged paths."""
+
     offset: float
     sup_ms_distance: float
     ratio: float
+    n_dropped: int
 
 
 def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
@@ -413,16 +421,16 @@ def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
             raise ValidationError("direction must be a nonzero vector of problem dim")
         u = u / norm
 
-    tables = kernel_tables(p, drv.n_steps, scheme)
     gammas = [InitialState.deterministic(eta.eta + off * u) for off in offsets]
-    grid, dw, x0, *shifted_x0 = _draw(p, drv, n_paths, eta, *gammas)
-    meta = {"seed": drv.seed, "scheme": scheme, "n_steps": drv.n_steps}
-    base = _run_ensemble(p, tables, grid, x0, dw, meta, threads)
+    # each shifted ensemble is stepped when the loop reaches it, so the memory
+    # held does not grow with the number of offsets
+    ensembles = _ensembles(p, drv, n_paths, [eta, *gammas], scheme, threads)
+    base = next(ensembles)
     rows: list[ContinuityPoint] = []
-    for off, x0 in zip(offsets, shifted_x0):
-        shifted = _run_ensemble(p, tables, grid, x0, dw, dict(meta), threads)
+    for off, shifted in zip(offsets, ensembles):
         d2, _ = ms_distance_series(base, shifted)
         sup_d2 = float(np.max(d2))
-        rows.append(ContinuityPoint(offset=off, sup_ms_distance=sup_d2,
-                                    ratio=sup_d2 / off ** 2))
+        rows.append(ContinuityPoint(
+            offset=off, sup_ms_distance=sup_d2, ratio=sup_d2 / off ** 2,
+            n_dropped=int((base.flags | shifted.flags).sum())))
     return rows

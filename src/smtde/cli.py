@@ -8,8 +8,8 @@ A run writes three files into the output directory:
 * ``results.csv``  - long format, columns experiment,time,quantity,value,std_error
 * ``report.json``  - scalar constants and fit results (null where not computed)
 * ``meta.json``    - effective config echo, seed, package/library versions,
-  the BLAS thread pin, and run counters (paths and dropped paths of a
-  separation run)
+  the BLAS thread pin, and run counters (paths and dropped paths of an
+  ensemble experiment)
 
 Identical config and seed produce byte-identical ``results.csv`` for any
 ``--threads`` value and any BLAS thread environment: paths are simulated in
@@ -17,8 +17,9 @@ fixed-size chunks with per-path RNG streams, numpy's bundled OpenBLAS is
 pinned to one thread for the run, and statistics are reduced in a fixed order.
 
 Exit codes: 0 success, 2 config parse/validation error (also for values only
-an experiment checks, e.g. ``n_iter < 3``), 3 runtime/numerical error (outputs
-of an earlier run are removed); ``--out`` is created only after a success.
+an experiment checks, e.g. ``n_iter < 3``, and for ``--threads`` below 1),
+3 runtime/numerical error (outputs of an earlier run are removed); ``--out``
+is created only after a success.
 """
 
 from __future__ import annotations
@@ -263,7 +264,7 @@ def _run_simulate(cfg: RunConfig, threads: int):
     for i, t in enumerate(ens.grid):
         est, se = ms_norm(ens, i)
         rows.append(("simulate", t, "ms_norm", est, se))
-    return rows, {}, {}
+    return rows, {}, {"n_paths": ens.n_paths, "dropped_paths": int(ens.flags.sum())}
 
 
 def _run_picard(cfg: RunConfig, threads: int):
@@ -278,8 +279,9 @@ def _run_picard(cfg: RunConfig, threads: int):
         rows.append(("picard", float(k), "weighted_ratio", ratio, None))
     rows.append(("picard", 0.0, "immediate_convergence",
                  1.0 if report.immediate_convergence else 0.0, None))
+    counters = {"n_paths": cfg.n_paths, "dropped_paths": report.n_dropped}
     return rows, {"m_sup": report.m_sup, "omega": report.omega_used,
-                  "zeta": report.zeta, "c_const": report.c_const}, {}
+                  "zeta": report.zeta, "c_const": report.c_const}, counters
 
 
 def _run_separation(cfg: RunConfig, threads: int):
@@ -320,7 +322,8 @@ def _run_continuity(cfg: RunConfig, threads: int):
         rows.append(("continuity", pt.offset, "sup_ms_distance",
                      pt.sup_ms_distance, None))
         rows.append(("continuity", pt.offset, "distance_ratio", pt.ratio, None))
-    return rows, {}, {}
+    dropped = max(pt.n_dropped for pt in points)
+    return rows, {}, {"n_paths": cfg.n_paths, "dropped_paths": dropped}
 
 
 def _run_ml_eval(cfg: RunConfig, threads: int):
@@ -449,6 +452,9 @@ def _single_thread_blas():
 def run(config_path: str, out_dir: str, threads: int = 1,
         seed: int | None = None) -> int:
     """Execute one experiment config; returns the process exit status."""
+    if threads < 1:
+        print(f"validation failed: threads must be >= 1, got {threads}", file=sys.stderr)
+        return 2
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -473,8 +479,7 @@ def run(config_path: str, out_dir: str, threads: int = 1,
                for name in ("results.csv", "report.json", "meta.json")]
     try:
         with _single_thread_blas() as blas:
-            rows, overrides, counters = _DISPATCH[cfg.experiment](
-                cfg, max(1, int(threads)))
+            rows, overrides, counters = _DISPATCH[cfg.experiment](cfg, threads)
     except (ValidationError, DomainError) as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 2

@@ -187,21 +187,16 @@ def ml_scalar(alpha: float, z, tol: float = ML_SERIES_TOL,
     zs = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(zs)):
         raise DomainError("ml_scalar requires finite arguments")
-    if zs.ndim == 0:
-        zf = float(zs)
-        if zf < 0:
-            return _ml_scalar_direct(alpha, zf, tol, max_terms)
-        with np.errstate(over="ignore"):
-            return float(np.exp(ml_scalar_log(alpha, zf, tol, max_terms)))
-    out = np.empty_like(zs)
-    neg = zs < 0
+    flat = np.atleast_1d(zs).ravel()
+    out = np.empty_like(flat)
+    neg = flat < 0
     if neg.any():
         out[neg] = [_ml_scalar_direct(alpha, float(v), tol, max_terms)
-                    for v in zs[neg]]
+                    for v in flat[neg]]
     if (~neg).any():
         with np.errstate(over="ignore"):
-            out[~neg] = np.exp(ml_scalar_log(alpha, zs[~neg], tol, max_terms))
-    return out
+            out[~neg] = np.exp(ml_scalar_log(alpha, flat[~neg], tol, max_terms))
+    return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
 @dataclass(frozen=True)

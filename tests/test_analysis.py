@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from smtde.analysis import (WeightedNormParams,
 from smtde.errors import (DegenerateExperimentError, DomainError, EnsembleError,
                           ValidationError)
 from smtde.solvers import (BrownianDriver, InitialState, PathEnsemble,
-                           coupled_pair, simulate_em)
+                           constant_ensemble, coupled_pair, picard_apply,
+                           simulate_em)
 
 from conftest import CountingDriver, make_problem, one_fn, zero_fn
 
@@ -260,6 +262,20 @@ class TestContractionReport:
         assert report.iterate_ratios
         assert max(report.iterate_ratios) <= report.zeta + 0.1
 
+    def test_dropped_paths_reported(self, eta_state):
+        # iterate 2 reads iterate 1's paths, some of which leave [-10, 10]
+        p = make_problem(a_mat=ZERO2, b_mat=ZERO2, drift=flaky_drift,
+                         diffusion=one_fn, horizon=5.0)
+        drv = BrownianDriver(seed=7, n_steps=100)
+        report = contraction_report(p, eta_state, drv, n_iter=3, n_paths=200)
+        current = constant_ensemble(p, eta_state, drv, 200)
+        dropped = []
+        for _ in range(3):
+            nxt = picard_apply(p, eta_state, current)
+            dropped.append(int((nxt.flags | current.flags).sum()))
+            current = nxt
+        assert report.n_dropped == max(dropped) > 0
+
     def test_requires_three_iterations(self, sec6_problem, eta_state):
         drv = BrownianDriver(seed=3, n_steps=10)
         with pytest.raises(ValidationError):
@@ -412,6 +428,34 @@ class TestContinuity:
         drv = CountingDriver(seed=5, n_steps=20)
         continuity_experiment(sec6_problem, eta_state, [1e-1, 1e-2, 1e-3], drv, 7)
         assert drv.paths_drawn == 7
+
+    def test_dropped_paths_per_offset(self, eta_state):
+        p = make_problem(a_mat=ZERO2, b_mat=ZERO2, drift=flaky_drift,
+                         diffusion=one_fn, horizon=5.0)
+        drv = BrownianDriver(seed=7, n_steps=100)
+        offsets = [2.0, 1.0]
+        rows = continuity_experiment(p, eta_state, offsets, drv, 200)
+        u = np.ones(2) / math.sqrt(2.0)
+        for off, row in zip(offsets, rows):
+            gamma = InitialState.deterministic(eta_state.eta + off * u)
+            e1, e2 = coupled_pair(p, eta_state, gamma, drv, 200)
+            assert row.n_dropped == int((e1.flags | e2.flags).sum())
+        assert max(row.n_dropped for row in rows) > 0
+
+    def test_memory_holds_one_shifted_ensemble(self, sec6_problem, eta_state):
+        # the shifted ensembles are stepped one at a time, so the peak does
+        # not grow with the number of offsets (one ensemble here is ~0.8 MB)
+        def peak(n_offsets):
+            drv = BrownianDriver(seed=5, n_steps=100)
+            offsets = [10.0 ** -k for k in range(1, n_offsets + 1)]
+            tracemalloc.start()
+            try:
+                continuity_experiment(sec6_problem, eta_state, offsets, drv, 500)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(6) <= 1.1 * peak(2)
 
     def test_offsets_must_decrease(self, sec6_problem, eta_state):
         drv = BrownianDriver(seed=5, n_steps=10)

@@ -152,12 +152,37 @@ class TestValidation:
         assert err.startswith("validation failed: ") and message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        config = str(write_config(tmp_path, base_config()))
+        out = str(tmp_path / "out")
+        assert run(config, out, threads=threads) == 2
+        assert "validation failed: threads must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "--config", config, "--out", out,
+                      "--threads", str(threads)])
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_load_config_direct(self):
         cfg = load_config(base_config())
         assert cfg.problem.alpha == 0.75
         assert cfg.experiment == "simulate"
         with pytest.raises(ValidationError):
             load_config(base_config(experiment="mystery"))
+
+
+# experiment -> (params, a statistic that must not read nan or +inf, dropped
+# paths) on the flaky-drift problem of test_counts_dropped_paths;
+# dropped_paths is the most paths that any one reported statistic left out
+DROPPING_RUNS = {
+    "simulate": ({"eta": [3.0, 5.0]}, "ms_norm", 2),
+    "picard": ({"eta": [3.0, 5.0]}, "log_weighted_diff_sq", 2),
+    "separation": ({"eta": [3.0, 5.0], "gamma": [-5.0, -3.0], "lambda": 1.0},
+                   "ms_distance", 3),
+    "continuity": ({"eta": [3.0, 5.0], "offsets": [2.0, 1.0]},
+                   "sup_ms_distance", 15),
+}
 
 
 class TestRunOutputs:
@@ -213,7 +238,7 @@ class TestRunOutputs:
             assert blas["previous_threads"] >= 1
         else:
             assert "not found" in blas["reason"]
-        assert meta["counters"] == {}
+        assert meta["counters"] == {"n_paths": 200, "dropped_paths": 0}
 
     def test_blas_pin_restores_pool_size(self):
         with cli._single_thread_blas() as blas:
@@ -248,13 +273,13 @@ class TestRunOutputs:
 
         assert run_cli(1) == run_cli(2)
 
-    def test_separation_counts_dropped_paths(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("experiment", sorted(DROPPING_RUNS))
+    def test_counts_dropped_paths(self, tmp_path, monkeypatch, experiment):
         # the drift is non-finite outside [-10, 10], so a few paths blow up
         monkeypatch.setitem(cli.DRIFT_REGISTRY, "flaky",
                             lambda t, x: np.where(np.abs(x) > 10.0, np.inf, 0.0))
-        cfg = base_config(experiment="separation",
-                          params={"eta": [3.0, 5.0], "gamma": [-5.0, -3.0],
-                                  "lambda": 1.0})
+        params, quantity, dropped = DROPPING_RUNS[experiment]
+        cfg = base_config(experiment=experiment, params=params)
         cfg["problem"].update(a_mat=[[0.0, 0.0], [0.0, 0.0]],
                               b_mat=[[0.0, 0.0], [0.0, 0.0]],
                               drift="flaky", diffusion="one")
@@ -263,10 +288,11 @@ class TestRunOutputs:
         out = tmp_path / "out"
         assert run(str(write_config(tmp_path, cfg)), str(out)) == 0
         meta = json.loads((out / "meta.json").read_text())
-        assert meta["counters"] == {"n_paths": 200, "dropped_paths": 3}
-        rows = read_rows(out)
-        assert all(math.isfinite(float(r["value"])) for r in rows
-                   if r["quantity"] == "ms_distance")
+        assert meta["counters"] == {"n_paths": 200, "dropped_paths": dropped}
+        values = [float(r["value"]) for r in read_rows(out)
+                  if r["quantity"] == quantity]
+        # an exact fixed point logs -inf; a flagged path would give nan or inf
+        assert values and all(v < math.inf for v in values)
 
     def test_runtime_error_removes_outputs(self, tmp_path, capsys):
         cfg = base_config(experiment="separation",

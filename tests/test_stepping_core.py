@@ -184,18 +184,13 @@ def test_mild_memory_grows_by_history_and_paths_only(sec6_problem):
 
 def test_kernel_tables_dispatch(sec6_problem):
     em = kernel_tables(sec6_problem, 8, "em")
-    assert em.scheme == "em"
-    assert np.array_equal(em.kfar, em_kernel_tables(sec6_problem, 8).kfar)
-    # em: scalar far weights over three channels, dense near blocks of them
-    assert em.kfar.shape == (9, 1, 3)
-    assert em.knear.shape == (9, 2, 6)
-    assert np.array_equal(em.knear, np.kron(em.kfar, np.eye(2)))
+    assert np.array_equal(em.weights, em_kernel_tables(sec6_problem, 8).weights)
+    # em: scalar weights over three channels
+    assert em.weights.shape == (9, 1, 3)
     assert em.x_map.shape == (4, 2)
     mild = kernel_tables(sec6_problem, 8, "mild")
-    assert mild.scheme == "mild"
     # mild: no x-memory channel, dense (dim, 2*dim) blocks
-    assert mild.kfar.shape == (9, 2, 4)
-    assert np.array_equal(mild.knear, mild.kfar)
+    assert mild.weights.shape == (9, 2, 4)
     assert mild.x_map is None
     with pytest.raises(ValidationError, match=r"unknown scheme 'magic' \(choices"):
         kernel_tables(sec6_problem, 8, "magic")
@@ -205,5 +200,4 @@ def test_near_tables_stop_below_history_block(sec6_problem):
     n_steps = 3 * HISTORY_BLOCK
     for scheme in TABLES:
         tables = kernel_tables(sec6_problem, n_steps, scheme)
-        assert tables.kfar.shape[0] == n_steps + 1
-        assert tables.knear.shape[0] == HISTORY_BLOCK
+        assert tables.weights.shape[0] == n_steps + 1
