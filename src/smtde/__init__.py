@@ -22,9 +22,9 @@ from .analysis import (ContractionReport, ContinuityPoint, LemmaCheck,
                        SeparationReport, WeightedNormParams,
                        contraction_report, continuity_experiment,
                        init_term_sup_sq, convolution_bound_check, log_weighted_norm,
-                       ml_sup_norm,
-                       ms_distance_series, ms_norm, omega_threshold,
-                       separation_experiment, weighted_norm, zeta_const)
+                       ml_sup_norm, ms_distance_series, ms_norm, ms_norm_series,
+                       omega_threshold, separation_experiment, weighted_norm,
+                       zeta_const)
 
 __all__ = [
     "BrownianDriver", "ContractionReport", "ContinuityPoint",
@@ -37,8 +37,8 @@ __all__ = [
     "continuity_experiment", "coupled_pair", "gamma_fn", "init_term_sup_sq",
     "convolution_bound_check", "log_weighted_norm", "mat_norm", "mat_pow", "ml_nonperm", "ml_nonperm_grid",
     "ml_nonperm_info", "ml_perm", "ml_scalar", "ml_scalar_log", "ml_sup_norm",
-    "ms_distance_series", "ms_norm", "omega_threshold", "picard_apply",
-    "q_coeff", "reciprocal_gamma", "rl_integral", "rl_integral_all",
+    "ms_distance_series", "ms_norm", "ms_norm_series", "omega_threshold",
+    "picard_apply", "q_coeff", "reciprocal_gamma", "rl_integral", "rl_integral_all",
     "separation_experiment", "simulate_em", "simulate_mild", "weighted_norm",
     "zeta_const",
 ]

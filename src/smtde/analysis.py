@@ -27,10 +27,9 @@ import numpy as np
 
 from .errors import (DegenerateExperimentError, DomainError, EnsembleError,
                      ValidationError)
-from .mlmatrix import MLParams, QTable, ml_nonperm_grid
 from .solvers import (BrownianDriver, InitialState, PathEnsemble, ProblemSpec,
                       _ensembles, constant_ensemble, coupled_pair,
-                      mild_kernel_tables, picard_apply)
+                      mild_init_term, mild_kernel_tables, mild_ml, picard_apply)
 from .specfun import gamma_fn, ml_scalar_log
 
 FIT_WINDOW_START = 1.0
@@ -60,22 +59,19 @@ def _joint_valid(*ensembles: PathEnsemble) -> np.ndarray:
     return mask
 
 
-def ms_norm(e: PathEnsemble, t_index: int) -> tuple[float, float]:
-    """Sample mean of |X(t)|^2 across paths and its standard error."""
+def _sq_norms(e: PathEnsemble, times=slice(None)) -> np.ndarray:
+    """|X(t)|^2 per time in ``times`` and valid path, shape (n_t, n_valid)."""
     if e.n_paths < 2:
         raise ValidationError("ms_norm needs an ensemble with at least 2 paths")
-    n = int(t_index)
-    if n < 0 or n > e.n_steps:
-        raise ValueError(f"t_index {t_index} outside grid")
     mask = _joint_valid(e)
-    sq = np.sum(e.paths[mask, n, :] ** 2, axis=1)
-    est = float(np.mean(sq))
-    se = float(np.std(sq, ddof=1) / math.sqrt(sq.size)) if sq.size > 1 else 0.0
-    return est, se
+    # flagged paths may hold inf/nan; they are dropped after the reduction
+    with np.errstate(invalid="ignore", over="ignore"):
+        sq = np.square(e.paths[:, times])
+        return np.sum(sq, axis=2).T.compress(mask, axis=1)
 
 
 def _sq_distances(e: PathEnsemble, e2: PathEnsemble) -> np.ndarray:
-    """|X(t) - Y(t)|^2 per jointly valid path and time, shape (n_valid, n_t)."""
+    """|X(t) - Y(t)|^2 per time and jointly valid path, shape (n_t, n_valid)."""
     if e.paths.shape != e2.paths.shape or not np.array_equal(e.grid, e2.grid):
         raise ValidationError("ensembles must share the same grid and shape")
     mask = _joint_valid(e, e2)
@@ -83,17 +79,33 @@ def _sq_distances(e: PathEnsemble, e2: PathEnsemble) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):
         diff = e.paths - e2.paths
         np.square(diff, out=diff)
-        return np.sum(diff, axis=2)[mask]
+        return np.sum(diff, axis=2).T.compress(mask, axis=1)
 
 
 def _mean_and_se(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    est = sq.mean(axis=0)
-    n_valid = sq.shape[0]
+    """Per-time mean and standard error of a C-ordered (n_t, n_valid) array:
+    each time's sum over paths is numpy's pairwise sum."""
+    est = sq.mean(axis=-1)
+    n_valid = sq.shape[-1]
     if n_valid > 1:
-        se = sq.std(axis=0, ddof=1) / math.sqrt(n_valid)
+        se = sq.std(axis=-1, ddof=1) / math.sqrt(n_valid)
     else:
         se = np.zeros_like(est)
     return est, se
+
+
+def ms_norm(e: PathEnsemble, t_index: int) -> tuple[float, float]:
+    """Sample mean of |X(t)|^2 across paths and its standard error."""
+    n = int(t_index)
+    if n < 0 or n > e.n_steps:
+        raise ValueError(f"t_index {t_index} outside grid")
+    est, se = _mean_and_se(_sq_norms(e, slice(n, n + 1)))
+    return float(est[0]), float(se[0])
+
+
+def ms_norm_series(e: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """Per-time mean of |X(t)|^2 with standard errors."""
+    return _mean_and_se(_sq_norms(e))
 
 
 def ms_distance_series(e: PathEnsemble, e2: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
@@ -153,11 +165,8 @@ def ml_sup_norm(p: ProblemSpec) -> tuple[float, float]:
     Returns (sup at 2*SUP_GRID_POINTS resolution, relative gap against
     SUP_GRID_POINTS).
     """
-    q = QTable(p.a_mat, p.b_mat)
-    params = MLParams(rho=p.alpha - p.beta, sigma_exp=p.alpha, delta=p.alpha)
     ts = np.linspace(0.0, p.horizon, 2 * SUP_GRID_POINTS + 1)
-    values, _ = ml_nonperm_grid(q, params, ts)
-    norms = np.abs(values).sum(axis=2).max(axis=1)
+    norms = np.abs(mild_ml(p, p.alpha, ts)).sum(axis=2).max(axis=1)
     fine = float(norms.max())
     coarse = float(norms[::2].max())
     gap = abs(fine - coarse) / fine if fine > 0 else 0.0
@@ -166,11 +175,8 @@ def ml_sup_norm(p: ProblemSpec) -> tuple[float, float]:
 
 def init_term_sup_sq(p: ProblemSpec) -> float:
     """sup_t of |I + t^alpha E_{a+1}(t) B|^2 over [0, T] (scalar bound)."""
-    q = QTable(p.a_mat, p.b_mat)
-    params = MLParams(rho=p.alpha - p.beta, sigma_exp=p.alpha, delta=p.alpha + 1.0)
     ts = np.linspace(0.0, p.horizon, 2 * SUP_GRID_POINTS + 1)
-    values, _ = ml_nonperm_grid(q, params, ts)
-    mats = np.eye(p.dim) + ts[:, None, None] ** p.alpha * (values @ p.b_mat)
+    mats = mild_init_term(p, ts, mild_ml(p, p.alpha + 1.0, ts))
     norms = np.abs(mats).sum(axis=2).max(axis=1)
     return float(norms.max()) ** 2
 
@@ -363,7 +369,7 @@ def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState
     p_hat, kappa_hat = _fit_decay_exponent(t_win, d2[window])
 
     rng = np.random.Generator(np.random.Philox(key=[drv.seed, 0xB007]))
-    boot = _bootstrap_exponents(t_win, sq[:, window], rng, BOOTSTRAP_RESAMPLES)
+    boot = _bootstrap_exponents(t_win, sq[window].T, rng, BOOTSTRAP_RESAMPLES)
     ci = (float(np.quantile(boot, 0.025)), float(np.quantile(boot, 0.975)))
 
     with np.errstate(invalid="ignore"):
@@ -379,7 +385,7 @@ def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState
         lambda_gt_alpha_over_1_minus_alpha=bool(
             scaling_exponent > p.alpha / (1.0 - p.alpha)),
         positive_3se_from_fit_start=positive,
-        n_paths=n_paths, n_dropped=n_paths - sq.shape[0],
+        n_paths=n_paths, n_dropped=n_paths - sq.shape[1],
     )
 
 

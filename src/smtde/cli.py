@@ -17,9 +17,10 @@ fixed-size chunks with per-path RNG streams, numpy's bundled OpenBLAS is
 pinned to one thread for the run, and statistics are reduced in a fixed order.
 
 Exit codes: 0 success, 2 config parse/validation error (also for values only
-an experiment checks, e.g. ``n_iter < 3``, and for ``--threads`` below 1),
-3 runtime/numerical error (outputs of an earlier run are removed); ``--out``
-is created only after a success.
+an experiment checks, e.g. ``n_iter < 3``, for ``--threads`` below 1, and for
+an ``--out`` that exists and is not a directory), 3 runtime/numerical error or
+an error creating or writing the outputs (outputs of an earlier run are
+removed); ``--out`` is created only after a success.
 """
 
 from __future__ import annotations
@@ -40,17 +41,14 @@ import numpy as np
 
 from . import __version__
 from .analysis import (contraction_report, continuity_experiment,
-                       convolution_bound_check, ms_norm, separation_experiment)
+                       convolution_bound_check, ms_norm_series,
+                       separation_experiment)
 from .errors import (DomainError, NonConvergenceError, SmtdeError,
                      TruncationBoundError, ValidationError)
-from .linalg import commutator, mat_norm
 from .mlmatrix import MLParams, QTable, ml_nonperm_info, ml_perm
 from .solvers import (_SCHEMES, BrownianDriver, InitialState, ProblemSpec,
                       simulate)
 from .specfun import SampledFunction, caputo_identity_residual, gamma_fn
-
-EXPERIMENTS = ("ml-eval", "simulate", "picard", "separation", "continuity",
-               "check-lemma", "check-identity")
 
 REPORT_KEYS = ("m_sup", "omega", "zeta", "c_const", "fitted_exponent",
                "fitted_ci_low", "fitted_ci_high", "kappa_hat")
@@ -184,17 +182,6 @@ def _as_param(key: str, value, dim: int):
     return vec
 
 
-_PARAM_FIELDS = {
-    "simulate": ({"eta"}, {"scheme"}),
-    "picard": ({"eta"}, {"n_iter", "omega"}),
-    "separation": ({"eta", "gamma", "lambda"}, {"scheme"}),
-    "continuity": ({"eta", "offsets"}, {"direction", "scheme"}),
-    "ml-eval": ({"t_grid"}, {"delta"}),
-    "check-lemma": ({"omegas", "alphas", "times", "n_quad"}, set()),
-    "check-identity": ({"function"}, set()),
-}
-
-
 def load_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ValidationError("config root must be a JSON object")
@@ -239,10 +226,10 @@ def load_config(raw: dict) -> RunConfig:
     if seed < 0:
         raise ValidationError("monte_carlo.seed must be nonnegative")
 
-    experiment = _as_choice(raw["experiment"], "experiment", EXPERIMENTS)
+    experiment = _as_choice(raw["experiment"], "experiment", _EXPERIMENTS)
     params = raw.get("params", {})
-    required, optional = _PARAM_FIELDS[experiment]
-    _require_keys(params, "params", tuple(required), tuple(optional))
+    _, required, optional = _EXPERIMENTS[experiment]
+    _require_keys(params, "params", required, optional)
     params = {key: _as_param(key, value, dim) for key, value in params.items()}
 
     return RunConfig(problem=problem, n_steps=n_steps, n_paths=n_paths,
@@ -250,80 +237,79 @@ def load_config(raw: dict) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# experiment dispatch: each returns (rows, report overrides, meta counters)
+# experiments: runners return ((time, quantity, value, std_error) rows,
+# report overrides, meta counters)
 
-def _eta_state(cfg: RunConfig) -> InitialState:
-    return InitialState.deterministic(cfg.params["eta"])
+def _ensemble_inputs(cfg: RunConfig):
+    """Driver, initial state and scheme of an ensemble experiment."""
+    return (BrownianDriver(cfg.seed, cfg.n_steps),
+            InitialState.deterministic(cfg.params["eta"]),
+            cfg.params.get("scheme", "em"))
+
+
+def _path_counters(cfg: RunConfig, dropped: int) -> dict:
+    return {"n_paths": cfg.n_paths, "dropped_paths": dropped}
 
 
 def _run_simulate(cfg: RunConfig, threads: int):
-    drv = BrownianDriver(cfg.seed, cfg.n_steps)
-    ens = simulate(cfg.problem, _eta_state(cfg), drv, cfg.n_paths,
-                   scheme=cfg.params.get("scheme", "em"), threads=threads)
-    rows = []
-    for i, t in enumerate(ens.grid):
-        est, se = ms_norm(ens, i)
-        rows.append(("simulate", t, "ms_norm", est, se))
-    return rows, {}, {"n_paths": ens.n_paths, "dropped_paths": int(ens.flags.sum())}
+    drv, eta, scheme = _ensemble_inputs(cfg)
+    ens = simulate(cfg.problem, eta, drv, cfg.n_paths, scheme=scheme,
+                   threads=threads)
+    est, se = ms_norm_series(ens)
+    rows = [(t, "ms_norm", m, e) for t, m, e in zip(ens.grid, est, se)]
+    return rows, {}, _path_counters(cfg, int(ens.flags.sum()))
 
 
 def _run_picard(cfg: RunConfig, threads: int):
-    drv = BrownianDriver(cfg.seed, cfg.n_steps)
-    report = contraction_report(cfg.problem, _eta_state(cfg), drv,
+    drv, eta, _ = _ensemble_inputs(cfg)
+    report = contraction_report(cfg.problem, eta, drv,
                                 cfg.params.get("n_iter", 4), cfg.n_paths,
                                 omega=cfg.params.get("omega"), threads=threads)
-    rows = []
-    for k, diff in enumerate(report.log_weighted_diffs, start=1):
-        rows.append(("picard", float(k), "log_weighted_diff_sq", diff, None))
-    for k, ratio in enumerate(report.iterate_ratios, start=2):
-        rows.append(("picard", float(k), "weighted_ratio", ratio, None))
-    rows.append(("picard", 0.0, "immediate_convergence",
-                 1.0 if report.immediate_convergence else 0.0, None))
-    counters = {"n_paths": cfg.n_paths, "dropped_paths": report.n_dropped}
-    return rows, {"m_sup": report.m_sup, "omega": report.omega_used,
-                  "zeta": report.zeta, "c_const": report.c_const}, counters
+    rows = [(k, "log_weighted_diff_sq", diff, None)
+            for k, diff in enumerate(report.log_weighted_diffs, start=1)]
+    rows += [(k, "weighted_ratio", ratio, None)
+             for k, ratio in enumerate(report.iterate_ratios, start=2)]
+    rows.append((0, "immediate_convergence", report.immediate_convergence, None))
+    overrides = {"m_sup": report.m_sup, "omega": report.omega_used,
+                 "zeta": report.zeta, "c_const": report.c_const}
+    return rows, overrides, _path_counters(cfg, report.n_dropped)
 
 
 def _run_separation(cfg: RunConfig, threads: int):
-    drv = BrownianDriver(cfg.seed, cfg.n_steps)
+    drv, eta, scheme = _ensemble_inputs(cfg)
     gamma = InitialState.deterministic(cfg.params["gamma"])
-    report = separation_experiment(cfg.problem, _eta_state(cfg), gamma, drv,
+    report = separation_experiment(cfg.problem, eta, gamma, drv,
                                    cfg.params["lambda"], cfg.n_paths,
-                                   scheme=cfg.params.get("scheme", "em"),
-                                   threads=threads)
+                                   scheme=scheme, threads=threads)
     rows = []
     for t, d2, se, sc in zip(report.times, report.ms_distance,
                              report.std_errors, report.scaled):
-        rows.append(("separation", t, "ms_distance", d2, se))
-        rows.append(("separation", t, "scaled_distance", sc, None))
+        rows.append((t, "ms_distance", d2, se))
+        rows.append((t, "scaled_distance", sc, None))
     t_end = report.times[-1]
-    rows.append(("separation", t_end, "lambda_gt_alpha",
-                 1.0 if report.lambda_gt_alpha else 0.0, None))
-    rows.append(("separation", t_end, "lambda_gt_alpha_over_1_minus_alpha",
-                 1.0 if report.lambda_gt_alpha_over_1_minus_alpha else 0.0, None))
-    rows.append(("separation", t_end, "exponent_consistent",
-                 1.0 if report.consistent_with_lower_bound else 0.0, None))
-    counters = {"n_paths": report.n_paths, "dropped_paths": report.n_dropped}
-    return rows, {"fitted_exponent": report.fitted_exponent,
-                  "fitted_ci_low": report.fitted_ci[0],
-                  "fitted_ci_high": report.fitted_ci[1],
-                  "kappa_hat": report.kappa_hat}, counters
+    rows.append((t_end, "lambda_gt_alpha", report.lambda_gt_alpha, None))
+    rows.append((t_end, "lambda_gt_alpha_over_1_minus_alpha",
+                 report.lambda_gt_alpha_over_1_minus_alpha, None))
+    rows.append((t_end, "exponent_consistent",
+                 report.consistent_with_lower_bound, None))
+    overrides = {"fitted_exponent": report.fitted_exponent,
+                 "fitted_ci_low": report.fitted_ci[0],
+                 "fitted_ci_high": report.fitted_ci[1],
+                 "kappa_hat": report.kappa_hat}
+    return rows, overrides, _path_counters(cfg, report.n_dropped)
 
 
 def _run_continuity(cfg: RunConfig, threads: int):
-    drv = BrownianDriver(cfg.seed, cfg.n_steps)
-    points = continuity_experiment(cfg.problem, _eta_state(cfg),
-                                   cfg.params["offsets"], drv, cfg.n_paths,
+    drv, eta, scheme = _ensemble_inputs(cfg)
+    points = continuity_experiment(cfg.problem, eta, cfg.params["offsets"], drv,
+                                   cfg.n_paths,
                                    direction=cfg.params.get("direction"),
-                                   scheme=cfg.params.get("scheme", "em"),
-                                   threads=threads)
+                                   scheme=scheme, threads=threads)
     rows = []
     for pt in points:
-        rows.append(("continuity", pt.offset, "sup_ms_distance",
-                     pt.sup_ms_distance, None))
-        rows.append(("continuity", pt.offset, "distance_ratio", pt.ratio, None))
-    dropped = max(pt.n_dropped for pt in points)
-    return rows, {}, {"n_paths": cfg.n_paths, "dropped_paths": dropped}
+        rows.append((pt.offset, "sup_ms_distance", pt.sup_ms_distance, None))
+        rows.append((pt.offset, "distance_ratio", pt.ratio, None))
+    return rows, {}, _path_counters(cfg, max(pt.n_dropped for pt in points))
 
 
 def _run_ml_eval(cfg: RunConfig, threads: int):
@@ -331,27 +317,22 @@ def _run_ml_eval(cfg: RunConfig, threads: int):
     delta = cfg.params.get("delta", prob.alpha)
     params = MLParams(rho=prob.alpha - prob.beta, sigma_exp=prob.alpha, delta=delta)
     q = QTable(prob.a_mat, prob.b_mat)
-    commuting = mat_norm(commutator(prob.a_mat, prob.b_mat)) <= \
-        1e-12 * mat_norm(prob.a_mat) * mat_norm(prob.b_mat)
     rows = []
     for t in cfg.params["t_grid"]:
         try:
             value, info = ml_nonperm_info(q, params, t)
         except (NonConvergenceError, TruncationBoundError):
-            rows.append(("ml-eval", t, "converged", 0.0, None))
+            rows.append((t, "converged", False, None))
             continue
-        rows.append(("ml-eval", t, "converged", 1.0, None))
-        for i in range(prob.dim):
-            for j in range(prob.dim):
-                rows.append(("ml-eval", t, f"nonperm_{i}{j}", value[i, j], None))
-        rows.append(("ml-eval", t, "truncation_order",
-                     float(info.diagonals_used), None))
-        rows.append(("ml-eval", t, "tail_estimate", info.tail_estimate, None))
-        if commuting:
+        rows.append((t, "converged", True, None))
+        rows += [(t, f"nonperm_{i}{j}", value[i, j], None)
+                 for i, j in np.ndindex(value.shape)]
+        rows.append((t, "truncation_order", info.diagonals_used, None))
+        rows.append((t, "tail_estimate", info.tail_estimate, None))
+        with contextlib.suppress(DomainError):  # A and B do not commute
             pvalue = ml_perm(prob.a_mat, prob.b_mat, params, t)
-            for i in range(prob.dim):
-                for j in range(prob.dim):
-                    rows.append(("ml-eval", t, f"perm_{i}{j}", pvalue[i, j], None))
+            rows += [(t, f"perm_{i}{j}", pvalue[i, j], None)
+                     for i, j in np.ndindex(pvalue.shape)]
     return rows, {}, {}
 
 
@@ -363,10 +344,9 @@ def _run_check_lemma(cfg: RunConfig, threads: int):
             for t in params["times"]:
                 check = convolution_bound_check(alpha, omega, t, params["n_quad"])
                 tag = f"(omega={omega:g},alpha={alpha:g})"
-                rows.append(("check-lemma", t, f"lhs{tag}", check.lhs, None))
-                rows.append(("check-lemma", t, f"rhs{tag}", check.rhs, None))
-                rows.append(("check-lemma", t, f"holds{tag}",
-                             1.0 if check.holds else 0.0, None))
+                rows.append((t, f"lhs{tag}", check.lhs, None))
+                rows.append((t, f"rhs{tag}", check.rhs, None))
+                rows.append((t, f"holds{tag}", check.holds, None))
     return rows, {}, {}
 
 
@@ -377,42 +357,46 @@ def _run_check_identity(cfg: RunConfig, threads: int):
     f = SampledFunction(grid, f_vals)
     df = SampledFunction(grid, df_vals)
     residual = caputo_identity_residual(prob.alpha, f, df)
-    rows = [("check-identity", prob.horizon, "residual", residual, None)]
-    return rows, {}, {}
+    return [(prob.horizon, "residual", residual, None)], {}, {}
 
 
-_DISPATCH = {
-    "simulate": _run_simulate,
-    "picard": _run_picard,
-    "separation": _run_separation,
-    "continuity": _run_continuity,
-    "ml-eval": _run_ml_eval,
-    "check-lemma": _run_check_lemma,
-    "check-identity": _run_check_identity,
+# experiment name -> (runner, required params, optional params)
+_EXPERIMENTS = {
+    "simulate": (_run_simulate, ("eta",), ("scheme",)),
+    "picard": (_run_picard, ("eta",), ("n_iter", "omega")),
+    "separation": (_run_separation, ("eta", "gamma", "lambda"), ("scheme",)),
+    "continuity": (_run_continuity, ("eta", "offsets"), ("direction", "scheme")),
+    "ml-eval": (_run_ml_eval, ("t_grid",), ("delta",)),
+    "check-lemma": (_run_check_lemma, ("omegas", "alphas", "times", "n_quad"), ()),
+    "check-identity": (_run_check_identity, ("function",), ()),
 }
 
 
 # ---------------------------------------------------------------------------
 # output files
 
-def _format_value(v) -> str:
-    return repr(float(v))
-
-
-def _write_results(path: str, rows) -> None:
+def _write_results(path: str, experiment: str, rows) -> None:
+    # numbers, booleans and ints are all written as repr(float(v))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["experiment", "time", "quantity", "value", "std_error"])
-        for experiment, t, quantity, value, se in rows:
-            writer.writerow([experiment, _format_value(t), quantity,
-                             _format_value(value),
-                             "" if se is None else _format_value(se)])
+        for t, quantity, value, se in rows:
+            writer.writerow([experiment, repr(float(t)), quantity,
+                             repr(float(value)),
+                             "" if se is None else repr(float(se))])
 
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _remove(paths) -> None:
+    """Remove the files that exist of ``paths``, as far as the system lets us."""
+    for path in paths:
+        with contextlib.suppress(OSError):
+            os.remove(path)
 
 
 @contextlib.contextmanager
@@ -455,6 +439,10 @@ def run(config_path: str, out_dir: str, threads: int = 1,
     if threads < 1:
         print(f"validation failed: threads must be >= 1, got {threads}", file=sys.stderr)
         return 2
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        print(f"validation failed: output path '{out_dir}' is not a directory",
+              file=sys.stderr)
+        return 2
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -466,9 +454,9 @@ def run(config_path: str, out_dir: str, threads: int = 1,
               file=sys.stderr)
         return 2
 
-    if seed is not None:
-        if isinstance(raw, dict) and isinstance(raw.get("monte_carlo"), dict):
-            raw["monte_carlo"]["seed"] = int(seed)
+    if seed is not None and isinstance(raw, dict) and \
+            isinstance(raw.get("monte_carlo"), dict):
+        raw["monte_carlo"]["seed"] = int(seed)
     try:
         cfg = load_config(raw)
     except ValidationError as exc:
@@ -479,13 +467,12 @@ def run(config_path: str, out_dir: str, threads: int = 1,
                for name in ("results.csv", "report.json", "meta.json")]
     try:
         with _single_thread_blas() as blas:
-            rows, overrides, counters = _DISPATCH[cfg.experiment](cfg, threads)
+            rows, overrides, counters = _EXPERIMENTS[cfg.experiment][0](cfg, threads)
     except (ValidationError, DomainError) as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 2
     except SmtdeError as exc:
-        for path in filter(os.path.exists, outputs):
-            os.remove(path)
+        _remove(outputs)
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     report = {**dict.fromkeys(REPORT_KEYS), **overrides}
@@ -500,10 +487,15 @@ def run(config_path: str, out_dir: str, threads: int = 1,
         "blas": blas,
         "counters": counters,
     }
-    os.makedirs(out_dir, exist_ok=True)
-    _write_results(outputs[0], rows)
-    _write_json(outputs[1], report)
-    _write_json(outputs[2], meta)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        _write_results(outputs[0], cfg.experiment, rows)
+        _write_json(outputs[1], report)
+        _write_json(outputs[2], meta)
+    except OSError as exc:
+        _remove(outputs)
+        print(f"output error: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -75,20 +75,19 @@ class QTable:
 
     Anti-diagonal d is stored as one (d+1, dim, dim) array whose entry m is
     Q_{d-m,m}; each one is built from the previous one with the two-term
-    recurrence. Entries are filled lazily up to k + m <= max_total; beyond that
-    the table raises rather than truncate silently, because the coefficient
-    norms can grow combinatorially. Fills are lock-protected so a table may be
+    recurrence. Entries are filled lazily up to k + m <= DEFAULT_MAX_DIAGONALS;
+    beyond that the table raises rather than truncate silently, because the
+    coefficient norms can grow combinatorially. Fills are lock-protected so a table may be
     shared across threads; values behave as pure functions of (A, B, k, m).
     """
 
-    def __init__(self, a, b, max_total: int = DEFAULT_MAX_DIAGONALS):
+    def __init__(self, a, b):
         a = as_matrix(a)
         b = as_matrix(b)
         if a.shape != b.shape:
             raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
         self.a = a.copy()
         self.b = b.copy()
-        self.max_total = int(max_total)
         self.dim = a.shape[0]
         self._diagonals = [np.eye(self.dim)[None]]
         self._lock = threading.Lock()
@@ -97,9 +96,9 @@ class QTable:
         if int(k) != k or int(m) != m or k < 0 or m < 0:
             raise ValueError(f"indices must be nonnegative integers, got ({k!r}, {m!r})")
         k, m = int(k), int(m)
-        if k + m > self.max_total:
-            raise TruncationBoundError(
-                f"Q coefficient ({k}, {m}) beyond configured bound k+m <= {self.max_total}")
+        if k + m > DEFAULT_MAX_DIAGONALS:
+            raise TruncationBoundError(f"Q coefficient ({k}, {m}) beyond the bound "
+                                       f"k+m <= {DEFAULT_MAX_DIAGONALS}")
         with self._lock:
             while len(self._diagonals) <= k + m:
                 # prev[j] = Q_{d-1-j,j}; right factors keep Q_{k,0} equal to A^k
@@ -129,7 +128,7 @@ class MLEvalInfo:
     tail_estimate: float
 
 
-def _sum_series(term, dim: int, p: MLParams, ts, max_diagonals: int):
+def _sum_series(term, dim: int, p: MLParams, ts):
     """Sum term(k, m) t^(k*rho + m*sigma) / Gamma(k*rho + m*sigma + delta)
     over k, m >= 0 by anti-diagonals at every time of the 1-d array ``ts``;
     returns (values of shape (len(ts), dim, dim), info).
@@ -152,7 +151,7 @@ def _sum_series(term, dim: int, p: MLParams, ts, max_diagonals: int):
     total = np.zeros((ts.size, dim, dim))
     recent: list[float] = []
     run = 0
-    for d in range(0, max_diagonals + 1):
+    for d in range(0, DEFAULT_MAX_DIAGONALS + 1):
         ms = np.arange(d + 1)
         exps = (d - ms) * p.rho + ms * p.sigma_exp   # entry m is term (d-m, m)
         rgs = [reciprocal_gamma(e + p.delta) for e in exps]
@@ -179,35 +178,31 @@ def _sum_series(term, dim: int, p: MLParams, ts, max_diagonals: int):
         else:
             run = 0
     raise NonConvergenceError(
-        f"matrix ml series not converged after {max_diagonals} anti-diagonals "
+        f"matrix ml series not converged after {DEFAULT_MAX_DIAGONALS} anti-diagonals "
         f"(t={ts[top]})")
 
 
-def ml_nonperm_info(q: QTable, p: MLParams, t: float,
-                    max_diagonals: int = DEFAULT_MAX_DIAGONALS):
+def ml_nonperm_info(q: QTable, p: MLParams, t: float):
     """Evaluate the non-permutable series at t >= 0; returns (value, info)."""
-    values, info = _sum_series(q.coeff, q.dim, p, [t], max_diagonals)
+    values, info = _sum_series(q.coeff, q.dim, p, [t])
     return values[0], info
 
 
-def ml_nonperm(q: QTable, p: MLParams, t: float,
-               max_diagonals: int = DEFAULT_MAX_DIAGONALS) -> np.ndarray:
+def ml_nonperm(q: QTable, p: MLParams, t: float) -> np.ndarray:
     """Non-permutable bivariate matrix Mittag-Leffler value at t."""
-    value, _ = ml_nonperm_info(q, p, t, max_diagonals=max_diagonals)
+    value, _ = ml_nonperm_info(q, p, t)
     return value
 
 
-def ml_nonperm_grid(q: QTable, p: MLParams, ts,
-                    max_diagonals: int = DEFAULT_MAX_DIAGONALS):
+def ml_nonperm_grid(q: QTable, p: MLParams, ts):
     """Evaluate the series at a 1-d batch of times t >= 0; returns (values, info).
 
     One pass serves every time; the largest one sets the truncation depth.
     """
-    return _sum_series(q.coeff, q.dim, p, ts, max_diagonals)
+    return _sum_series(q.coeff, q.dim, p, ts)
 
 
-def ml_perm(a, b, p: MLParams, t: float,
-            max_diagonals: int = DEFAULT_MAX_DIAGONALS) -> np.ndarray:
+def ml_perm(a, b, p: MLParams, t: float) -> np.ndarray:
     """Binomial-form bivariate matrix Mittag-Leffler for commuting matrices.
 
     Sums binom(k+m, m) a^k b^m t^(k*rho + m*sigma) / Gamma(k*rho + m*sigma + delta)
@@ -232,5 +227,5 @@ def ml_perm(a, b, p: MLParams, t: float,
             b_pows.append(b_pows[-1] @ b)
         return math.comb(k + m, m) * (a_pows[k] @ b_pows[m])
 
-    values, _ = _sum_series(term, dim, p, [t], max_diagonals)
+    values, _ = _sum_series(term, dim, p, [t])
     return values[0]

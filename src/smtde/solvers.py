@@ -272,6 +272,20 @@ def em_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
                         x_map=np.concatenate([p.a_mat, p.b_mat]))
 
 
+def mild_ml(p: ProblemSpec, delta: float, ts: np.ndarray) -> np.ndarray:
+    """Mild-form matrix function E_delta, exponents (alpha - beta, alpha), at
+    the times ts: shape (len(ts), dim, dim). The mild form uses delta = alpha
+    (the kernel) and alpha + 1 (its integral and the initial term)."""
+    q = QTable(p.a_mat, p.b_mat)
+    values, _ = ml_nonperm_grid(q, MLParams(p.alpha - p.beta, p.alpha, delta), ts)
+    return values
+
+
+def mild_init_term(p: ProblemSpec, ts: np.ndarray, e_a1: np.ndarray) -> np.ndarray:
+    """I + t^alpha E_{a+1}(t) B at the times ts, from e_a1 = mild_ml(p, alpha + 1, ts)."""
+    return np.eye(p.dim) + ts[:, None, None] ** p.alpha * (e_a1 @ p.b_mat)
+
+
 def mild_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
     """Matrix Mittag-Leffler kernel tables for the mild-form scheme.
 
@@ -280,20 +294,14 @@ def mild_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
     """
     h = p.horizon / n_steps
     s = h * np.arange(n_steps + 1)
-
-    q = QTable(p.a_mat, p.b_mat)
-    kern = MLParams(rho=p.alpha - p.beta, sigma_exp=p.alpha, delta=p.alpha)
-    kern_int = MLParams(rho=p.alpha - p.beta, sigma_exp=p.alpha, delta=p.alpha + 1.0)
-    e_a, _ = ml_nonperm_grid(q, kern, s)      # (n+1, nd, nd)
-    e_a1, _ = ml_nonperm_grid(q, kern_int, s)
+    e_a = mild_ml(p, p.alpha, s)               # (n+1, nd, nd)
+    e_a1 = mild_ml(p, p.alpha + 1.0, s)
 
     f_ml = s[:, None, None] ** p.alpha * e_a1               # exact cell cumulative
     kb = _difference_weights(f_ml)
     ks = np.zeros_like(kb)
     ks[1:] = (s[1:] ** (p.alpha - 1.0))[:, None, None] * e_a[1:]
-
-    init_mats = np.eye(p.dim) + s[:, None, None] ** p.alpha * (e_a1 @ p.b_mat)
-    return KernelTables(init_mats=init_mats,
+    return KernelTables(init_mats=mild_init_term(p, s, e_a1),
                         weights=np.concatenate([kb, ks], axis=2), x_map=None)
 
 

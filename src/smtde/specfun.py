@@ -112,8 +112,7 @@ def _ml_log_expansion(alpha: float, z: np.ndarray, u: np.ndarray,
     return u - math.log(alpha) + np.log1p(-alpha * np.exp(-u) * s)
 
 
-def ml_scalar_log(alpha: float, z, tol: float = ML_SERIES_TOL,
-                  max_terms: int = ML_MAX_TERMS):
+def ml_scalar_log(alpha: float, z):
     """log E_alpha(z) for z >= 0; stays accurate where E_alpha(z) overflows.
 
     Each entry takes one of two routes by its series scale u = z^(1/alpha):
@@ -133,20 +132,21 @@ def ml_scalar_log(alpha: float, z, tol: float = ML_SERIES_TOL,
     asym = (u >= ML_ASYMPTOTIC_U0) & (alpha < 1.0)
     out = np.empty_like(flat)
     if asym.any():
-        out[asym] = _ml_log_expansion(alpha, flat[asym], u[asym], tol)
+        out[asym] = _ml_log_expansion(alpha, flat[asym], u[asym], ML_SERIES_TOL)
     if not asym.all():
-        out[~asym] = _ml_log_series(alpha, flat[~asym], tol, max_terms)
+        out[~asym] = _ml_log_series(alpha, flat[~asym], ML_SERIES_TOL,
+                                    ML_MAX_TERMS)
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
-def _ml_scalar_direct(alpha: float, z: float, tol: float, max_terms: int) -> float:
+def _ml_scalar_direct(alpha: float, z: float) -> float:
     # Direct float summation; used for z < 0 where terms alternate in sign and
     # cancel, so the digits lost (~max|term| / |sum|) are bounded as well.
     total = 1.0
     power = 1.0
     largest = 1.0
     run = 0
-    for k in range(1, max_terms + 1):
+    for k in range(1, ML_MAX_TERMS + 1):
         power *= z
         try:
             term = power * reciprocal_gamma(k * alpha + 1.0)
@@ -158,7 +158,7 @@ def _ml_scalar_direct(alpha: float, z: float, tol: float, max_terms: int) -> flo
         if not math.isfinite(total):
             raise NonConvergenceError(
                 f"ml series overflowed at term {k} (alpha={alpha}, z={z})")
-        if abs(term) <= tol * abs(total):
+        if abs(term) <= ML_SERIES_TOL * abs(total):
             run += 1
             if run == _CONVERGED_RUN:
                 if largest > ML_MAX_CANCELLATION * abs(total):
@@ -169,11 +169,10 @@ def _ml_scalar_direct(alpha: float, z: float, tol: float, max_terms: int) -> flo
         else:
             run = 0
     raise NonConvergenceError(
-        f"ml series did not converge within {max_terms} terms (alpha={alpha}, z={z})")
+        f"ml series did not converge within {ML_MAX_TERMS} terms (alpha={alpha}, z={z})")
 
 
-def ml_scalar(alpha: float, z, tol: float = ML_SERIES_TOL,
-              max_terms: int = ML_MAX_TERMS):
+def ml_scalar(alpha: float, z):
     """One-parameter Mittag-Leffler function E_alpha(z).
 
     Accepts a scalar or an ndarray of arguments. Nonnegative arguments go
@@ -191,11 +190,10 @@ def ml_scalar(alpha: float, z, tol: float = ML_SERIES_TOL,
     out = np.empty_like(flat)
     neg = flat < 0
     if neg.any():
-        out[neg] = [_ml_scalar_direct(alpha, float(v), tol, max_terms)
-                    for v in flat[neg]]
+        out[neg] = [_ml_scalar_direct(alpha, float(v)) for v in flat[neg]]
     if (~neg).any():
         with np.errstate(over="ignore"):
-            out[~neg] = np.exp(ml_scalar_log(alpha, flat[~neg], tol, max_terms))
+            out[~neg] = np.exp(ml_scalar_log(alpha, flat[~neg]))
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
@@ -227,9 +225,9 @@ class SampledFunction:
     def n_points(self) -> int:
         return self.grid.size
 
-    def is_uniform(self, rtol: float = 1e-12) -> bool:
+    def is_uniform(self) -> bool:
         steps = np.diff(self.grid)
-        return bool(np.all(np.abs(steps - steps[0]) <= rtol * steps[0]))
+        return bool(np.all(np.abs(steps - steps[0]) <= 1e-12 * steps[0]))
 
 
 def rl_integral(alpha: float, f: SampledFunction, t_index: int) -> float:

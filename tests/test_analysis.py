@@ -376,7 +376,7 @@ class TestSeparationBootstrap:
         report = separation_experiment(p, eta_state, gamma, drv, 1.0, 300)
         e1, e2 = coupled_pair(p, eta_state, gamma, drv, 300)
         window = e1.grid >= analysis.FIT_WINDOW_START
-        sq = analysis._sq_distances(e1, e2)[:, window]
+        sq = analysis._sq_distances(e1, e2)[window].T
         ref = gather_bootstrap(e1.grid[window], sq, drv.seed,
                                analysis.BOOTSTRAP_RESAMPLES)
         ci = np.quantile(ref, [0.025, 0.975])

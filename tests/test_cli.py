@@ -164,6 +164,26 @@ class TestValidation:
         assert exit_info.value.code == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("out_name, status, message", [
+        ("taken", 2, "validation failed: "),
+        ("taken/sub", 3, "output error: "),
+    ])
+    def test_unusable_out_rejected(self, tmp_path, capsys, monkeypatch,
+                                   out_name, status, message):
+        # --out names a path below (or at) a regular file
+        (tmp_path / "taken").write_text("keep", encoding="utf-8")
+        calls = []
+        monkeypatch.setitem(cli.DRIFT_REGISTRY, "counted",
+                            lambda t, x: calls.append(t) or np.zeros_like(x))
+        cfg = base_config()
+        cfg["problem"]["drift"] = "counted"
+        assert run(str(write_config(tmp_path, cfg)),
+                   str(tmp_path / out_name)) == status
+        assert capsys.readouterr().err.startswith(message)
+        assert (tmp_path / "taken").read_text(encoding="utf-8") == "keep"
+        # an existing non-directory is refused before the experiment runs
+        assert bool(calls) == (status == 3)
+
     def test_load_config_direct(self):
         cfg = load_config(base_config())
         assert cfg.problem.alpha == 0.75
@@ -308,6 +328,35 @@ class TestRunOutputs:
 
 
 class TestExperiments:
+    def test_every_experiment_has_a_shipped_config(self):
+        configs = sorted(CONFIG_DIR.glob("*.json"))
+        experiments = {load_config(json.loads(path.read_text())).experiment
+                       for path in configs}
+        assert experiments == set(cli._EXPERIMENTS)
+
+    @pytest.mark.parametrize("drift", ["sec6_drift", "flaky"])
+    def test_simulate_rows_match_ms_norm(self, monkeypatch, drift):
+        # the runner's one series reduction gives the per-time ms_norm bits
+        monkeypatch.setitem(cli.DRIFT_REGISTRY, "flaky",
+                            lambda t, x: np.where(np.abs(x) > 10.0, np.inf, 0.0))
+        raw = base_config()
+        if drift == "flaky":  # the problem of test_counts_dropped_paths
+            raw["problem"].update(a_mat=[[0.0, 0.0], [0.0, 0.0]],
+                                  b_mat=[[0.0, 0.0], [0.0, 0.0]],
+                                  drift="flaky", diffusion="one")
+        raw["grid"] = {"horizon": 5.0, "n_steps": 100}
+        cfg = load_config(raw)
+        rows, _, counters = cli._run_simulate(cfg, 1)
+        drv, eta, scheme = cli._ensemble_inputs(cfg)
+        ens = cli.simulate(cfg.problem, eta, drv, cfg.n_paths, scheme=scheme)
+        assert (counters["dropped_paths"] > 0) == (drift == "flaky")
+        est, se = np.array([row[2:] for row in rows]).T
+        per_time = np.array([smtde.ms_norm(ens, i) for i in range(len(rows))])
+        series = smtde.ms_norm_series(ens)
+        assert np.array_equal(est, per_time[:, 0])
+        assert np.array_equal(se, per_time[:, 1])
+        assert np.array_equal(est, series[0]) and np.array_equal(se, series[1])
+
     def test_shipped_example_config(self, tmp_path):
         out = tmp_path / "out"
         assert run(str(CONFIG_DIR / "example_sec6.json"), str(out)) == 0

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from smtde import mlmatrix
 from smtde.errors import DomainError, NonConvergenceError, TruncationBoundError
 from smtde.linalg import mat_norm, mat_pow
 from smtde.mlmatrix import (MLParams, QTable, ml_nonperm, ml_nonperm_grid,
@@ -109,8 +110,9 @@ class TestQTable:
                     worst = max(worst, mat_norm(q_coeff(q, k, m) - closed))
             assert worst < 1e-10
 
-    def test_truncation_bound(self):
-        q = QTable(SEC6_A, SEC6_B, max_total=10)
+    def test_truncation_bound(self, monkeypatch):
+        monkeypatch.setattr(mlmatrix, "DEFAULT_MAX_DIAGONALS", 10)
+        q = QTable(SEC6_A, SEC6_B)
         q_coeff(q, 4, 6)
         with pytest.raises(TruncationBoundError):
             q_coeff(q, 5, 6)
@@ -167,10 +169,11 @@ class TestMlNonperm:
                                    * q_coeff(q, k, m))
         assert deeper <= info.tail_estimate
 
-    def test_non_convergence_guard(self):
-        q = QTable(SEC6_A, SEC6_B, max_total=400)
+    def test_non_convergence_guard(self, monkeypatch):
+        monkeypatch.setattr(mlmatrix, "DEFAULT_MAX_DIAGONALS", 5)
+        q = QTable(SEC6_A, SEC6_B)
         with pytest.raises(NonConvergenceError):
-            ml_nonperm(q, KERNEL_PARAMS, 3.0, max_diagonals=5)
+            ml_nonperm(q, KERNEL_PARAMS, 3.0)
 
     def test_grid_matches_scalar_evaluation(self):
         q = QTable(SEC6_A, SEC6_B)

@@ -60,9 +60,10 @@ class TestMlScalar:
         assert logv == pytest.approx(5.74 ** 5, rel=0.01)
         assert np.isinf(ml_scalar(0.2, 5.74))
 
-    def test_divergence_guard(self):
+    def test_divergence_guard(self, monkeypatch):
+        monkeypatch.setattr(specfun, "ML_MAX_TERMS", 10)
         with pytest.raises(NonConvergenceError, match="within 10 terms"):
-            ml_scalar(0.5, -3.0, max_terms=10)
+            ml_scalar(0.5, -3.0)
 
     def test_log_of_tiny_order_is_asymptotic_scale(self):
         # E_0.05(50) ~ exp(50^20) / 0.05: beyond any series, exact in the log
@@ -129,11 +130,12 @@ class TestMlScalarLogRoutes:
         assert np.array_equal(
             specfun._ml_log_expansion(1.0, z, z, ML_SERIES_TOL), z)
 
-    def test_expansion_stops_at_smallest_term(self):
+    def test_expansion_stops_at_smallest_term(self, monkeypatch):
         # a tolerance no term can meet: the divergent sum must stop at the
         # smallest term of its envelope, where the expansion is most accurate
+        monkeypatch.setattr(specfun, "ML_SERIES_TOL", 1e-300)
         z = 5.0
-        assert ml_scalar_log(0.5, z, tol=1e-300) == pytest.approx(
+        assert ml_scalar_log(0.5, z) == pytest.approx(
             z * z + math.log(math.erfc(-z)), rel=1e-15)
 
     def test_series_for_large_order_one_arguments(self):
