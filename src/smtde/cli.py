@@ -18,9 +18,10 @@ pinned to one thread for the run, and statistics are reduced in a fixed order.
 
 Exit codes: 0 success, 2 config parse/validation error (also for values only
 an experiment checks, e.g. ``n_iter < 3``, for ``--threads`` below 1, and for
-an ``--out`` that exists and is not a directory), 3 runtime/numerical error or
-an error creating or writing the outputs (outputs of an earlier run are
-removed); ``--out`` is created only after a success.
+an ``--out`` that exists, even as a dangling symlink, and is not a directory),
+3 runtime/numerical error or an error creating or writing the outputs
+(outputs of an earlier run are removed); ``--out`` is created only after a
+success.
 """
 
 from __future__ import annotations
@@ -57,12 +58,20 @@ REPORT_KEYS = ("m_sup", "omega", "zeta", "c_const", "fitted_exponent",
 # ---------------------------------------------------------------------------
 # built-in drift / diffusion / identity-check registries
 
+# The sec6 callbacks write both rows into one array: the stepping core calls
+# each of them once per step.
 def _sec6_drift(t, x):
-    return np.stack([np.sin(x[0]), x[1] + 5.0])
+    out = np.empty((2,) + np.shape(x)[1:])
+    np.sin(x[:1], out=out[:1])
+    np.add(x[1:2], 5.0, out=out[1:])
+    return out
 
 
 def _sec6_diffusion(t, x):
-    return np.stack([x[0] + 5.0, np.cos(x[1])])
+    out = np.empty((2,) + np.shape(x)[1:])
+    np.add(x[:1], 5.0, out=out[:1])
+    np.cos(x[1:2], out=out[1:])
+    return out
 
 
 def _zero_fn(t, x):
@@ -439,7 +448,7 @@ def run(config_path: str, out_dir: str, threads: int = 1,
     if threads < 1:
         print(f"validation failed: threads must be >= 1, got {threads}", file=sys.stderr)
         return 2
-    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+    if os.path.lexists(out_dir) and not os.path.isdir(out_dir):
         print(f"validation failed: output path '{out_dir}' is not a directory",
               file=sys.stderr)
         return 2

@@ -36,6 +36,15 @@ Both schemes share one stepping core. Each scheme's kernel tables hold one
 lag table in the narrowest form it uses (scalar weights for ``em``, no
 X-memory block for ``mild``), so with A = B = 0 the two schemes sum the same
 terms in different groupings and agree to rounding, not bit for bit.
+
+The core sums each step's lags in three fields: the lags inside the current
+block of HISTORY_BLOCK steps (near field), the block before it (an exact
+slab), and all older history, which enters through a sum of exponentials
+carried by the tables. The ``em`` power-law kernels have one (a few dozen
+shared rates, checked against the exact weights at every far lag), so its
+stepping costs O(N (K + B)) for N steps, K rates and block length B. The
+``mild`` tables carry no exponentials, and the slab then covers all of the
+history exactly, as an O(N^2) sum.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EnsembleError, ValidationError
+from .errors import EnsembleError, NonConvergenceError, ValidationError
 from .linalg import as_matrix
 from .mlmatrix import MLParams, QTable, ml_nonperm_grid
 from .specfun import reciprocal_gamma
@@ -55,9 +64,16 @@ from .specfun import reciprocal_gamma
 # Paths are simulated in fixed-size chunks regardless of thread count so that
 # results are independent of the parallel partition.
 CHUNK_PATHS = 2048
-# Output steps per far-field GEMM in the stepping core; a block re-reads the
-# path history once instead of once per step.
+# Output steps per block of the stepping core: a block reads its older
+# history with one product instead of once per step.
 HISTORY_BLOCK = 32
+# Sum-of-exponentials far field of the em kernels (``_em_far_exponentials``):
+# Gauss-Legendre nodes per log-rate panel (panels of width 2 in ln x),
+# Gauss-Jacobi nodes per power x^-q on the smallest rates, and the relative
+# error every far lag weight is checked against when the tables are built.
+SOE_PANEL_NODES = 14
+SOE_JACOBI_NODES = 8
+SOE_TOL = 1e-13
 FLAGGED_FRACTION_LIMIT = 0.10
 
 
@@ -237,11 +253,34 @@ class KernelTables:
     * ``weights[k]`` (r, n_chan * r) holds the lag-k weights in the narrowest
       form the scheme allows: r = 1 when every channel's weight is a scalar
       times I, r = dim otherwise.
+    * From lag ``far_lag`` on, the core reads the weights as the sum of
+      exponentials ``sum_l exp(-rates[l] k) far_weights[l]``. Building the
+      tables checks that sum against ``weights`` at every such lag and raises
+      ``NonConvergenceError`` beyond SOE_TOL relative. Tables without
+      exponentials set ``far_lag`` past the grid: every lag stays exact.
     """
 
     init_mats: np.ndarray         # (n_steps+1, dim, dim)
     weights: np.ndarray           # (n_steps+1, r, n_chan*r)
     x_map: np.ndarray | None      # ((n_chan-1)*dim, dim) or None
+    rates: np.ndarray             # (K,) decay per step
+    far_weights: np.ndarray       # (K, r, n_chan*r)
+    far_lag: int
+
+    def __post_init__(self):
+        lags = np.arange(self.far_lag, self.weights.shape[0])
+        size = self.weights[0].size
+        exact = self.weights[self.far_lag:].reshape(lags.size, size)
+        approx = np.exp(-np.outer(lags, self.rates)) @ \
+            self.far_weights.reshape(self.rates.size, size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            err = np.abs(approx - exact) / np.abs(exact)
+        bad = ~(err <= SOE_TOL)
+        if bad.any():
+            i, c = np.argwhere(bad)[0]
+            raise NonConvergenceError(
+                f"sum-of-exponentials far field: lag {lags[i]} weight {c} is "
+                f"off by {err[i, c]:.1e} relative (tolerance {SOE_TOL:.0e})")
 
 
 def _difference_weights(cumulative: np.ndarray) -> np.ndarray:
@@ -250,26 +289,93 @@ def _difference_weights(cumulative: np.ndarray) -> np.ndarray:
     return w
 
 
+def _cell_weights(q: float, h: float, n_steps: int) -> np.ndarray:
+    """Cell integrals ((m h)^q - ((m-1) h)^q) / Gamma(q+1) of the kernel
+    s^(q-1)/Gamma(q) at lags m = 0..n_steps, formed as
+    -expm1(q log1p(-1/m)) (m h)^q / Gamma(q+1): the difference of powers
+    would lose about log10(m) digits to cancellation."""
+    m = np.arange(1, n_steps + 1, dtype=float)
+    w = np.zeros(n_steps + 1)
+    with np.errstate(divide="ignore"):       # log1p(-1) = -inf at lag 1
+        w[1:] = -np.expm1(q * np.log1p(-1.0 / m)) * (m * h) ** q
+    return w * reciprocal_gamma(q + 1.0)
+
+
+def _gauss_jacobi(q: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule for int_0^1 x^-q f(x) dx,
+    0 < q < 1 (Golub-Welsch on the Jacobi recurrence of (1+t)^-q on [-1, 1])."""
+    b = -q
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + b
+    diag = b * b / (s * (s + 2.0))
+    k, s = k[1:], s[1:]
+    off = np.sqrt(4.0 * k * k * (k + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    t, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return (t + 1.0) / 2.0, vecs[0] ** 2 / (1.0 - q)
+
+
+def _em_far_exponentials(p: ProblemSpec, h: float,
+                         n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rates (K,) and weights (K, 1, 3) of the exponentials that carry the em
+    lag weights (w_ab, w_a, k_s) beyond lag HISTORY_BLOCK.
+
+    From m^-q = Gamma(q)^-1 int_0^inf x^(q-1) e^(-x m) dx,
+
+        k_s(m) = h^(a-1) / (Gamma(a) Gamma(1-a)) int x^-a e^(-x m) dx,
+        w_q(m) = h^q / (Gamma(q) Gamma(1-q)) int x^-q (e^x - 1)/x e^(-x m) dx
+
+    for q = a - b (w_ab) and q = a (w_a). One set of rates x serves all three
+    (Jiang, Zhang, Zhang & Zhang, CiCP 21, 2017): on [0, 1/N], one
+    Gauss-Jacobi rule per power x^-q, weighted for the channels with that
+    power only; above it, Gauss-Legendre panels in ln x up to
+    40 / (HISTORY_BLOCK + 1), past which e^(-x m) < e^-40 at every far lag.
+    """
+    a, ab = p.alpha, p.alpha - p.beta
+    lo, hi = -math.log(n_steps), math.log(40.0 / (HISTORY_BLOCK + 1))
+    n_pan = math.ceil((hi - lo) / 2.0)
+    t, g = np.polynomial.legendre.leggauss(SOE_PANEL_NODES)
+    half = (hi - lo) / (2 * n_pan)
+    x = np.exp(lo + half * (2 * np.arange(n_pan)[:, None] + 1 + t)).ravel()
+    rates = [x]
+    # quadrature weight times x^-q, per channel
+    gx = np.tile(half * g, n_pan) * x
+    dens = [gx[:, None] * x[:, None] ** -np.array([ab, a, a])]
+    for q, channels in ((ab, [1.0, 0.0, 0.0]), (a, [0.0, 1.0, 1.0])):
+        y, w = _gauss_jacobi(q, SOE_JACOBI_NODES)
+        rates.append(y / n_steps)
+        dens.append(np.outer(w * float(n_steps) ** (q - 1.0), channels))
+    rates = np.concatenate(rates)
+    dens = np.concatenate(dens)
+    dens[:, :2] *= (np.expm1(rates) / rates)[:, None]
+    # 1 / (Gamma(q) Gamma(1-q)) = sin(pi q) / pi
+    dens *= [h ** q * math.sin(math.pi * q) / math.pi for q in (ab, a)] + \
+        [h ** (a - 1.0) * math.sin(math.pi * a) / math.pi]
+    return rates, dens[:, None, :]
+
+
 def em_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
     """Exact-kernel product weights for the Volterra-form scheme.
 
     Every lag kernel is a scalar sequence times a fixed matrix, so the
     channels are [A x; B x + b; sigma dW] with scalar weights
-    (w_ab, w_a, ks): the far field multiplies no matrix per lag.
+    (w_ab, w_a, ks): the far field multiplies no matrix per lag, and lags
+    beyond HISTORY_BLOCK come from one shared set of exponentials.
     """
     h = p.horizon / n_steps
     s = h * np.arange(n_steps + 1)
 
-    f_ab = s ** (p.alpha - p.beta) * reciprocal_gamma(p.alpha - p.beta + 1.0)
-    f_a = s ** p.alpha * reciprocal_gamma(p.alpha + 1.0)
     weights = np.zeros((n_steps + 1, 1, 3))
-    weights[:, 0, 0] = _difference_weights(f_ab)
-    weights[:, 0, 1] = _difference_weights(f_a)
+    weights[:, 0, 0] = _cell_weights(p.alpha - p.beta, h, n_steps)
+    weights[:, 0, 1] = _cell_weights(p.alpha, h, n_steps)
     weights[1:, 0, 2] = s[1:] ** (p.alpha - 1.0) * reciprocal_gamma(p.alpha)
 
+    f_ab = s ** (p.alpha - p.beta) * reciprocal_gamma(p.alpha - p.beta + 1.0)
     init_mats = np.eye(p.dim) - f_ab[:, None, None] * p.a_mat
+    rates, far_weights = _em_far_exponentials(p, h, n_steps)
     return KernelTables(init_mats=init_mats, weights=weights,
-                        x_map=np.concatenate([p.a_mat, p.b_mat]))
+                        x_map=np.concatenate([p.a_mat, p.b_mat]),
+                        rates=rates, far_weights=far_weights,
+                        far_lag=HISTORY_BLOCK + 1)
 
 
 def mild_ml(p: ProblemSpec, delta: float, ts: np.ndarray) -> np.ndarray:
@@ -290,7 +396,8 @@ def mild_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
     """Matrix Mittag-Leffler kernel tables for the mild-form scheme.
 
     The mild form has no X-memory term: the channels are [b; sigma dW],
-    weighted by dense (dim, dim) blocks.
+    weighted by dense (dim, dim) blocks. There are no exponentials yet, so
+    the core sums every lag exactly.
     """
     h = p.horizon / n_steps
     s = h * np.arange(n_steps + 1)
@@ -301,8 +408,11 @@ def mild_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
     kb = _difference_weights(f_ml)
     ks = np.zeros_like(kb)
     ks[1:] = (s[1:] ** (p.alpha - 1.0))[:, None, None] * e_a[1:]
-    return KernelTables(init_mats=mild_init_term(p, s, e_a1),
-                        weights=np.concatenate([kb, ks], axis=2), x_map=None)
+    weights = np.concatenate([kb, ks], axis=2)
+    return KernelTables(init_mats=mild_init_term(p, s, e_a1), weights=weights,
+                        x_map=None, rates=np.zeros(0),
+                        far_weights=np.zeros((0,) + weights.shape[1:]),
+                        far_lag=n_steps + 1)
 
 
 def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
@@ -313,14 +423,25 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
     x0 has shape (dim, n_paths); dw has shape (n_paths, n_steps). Returns
     paths of shape (n_steps + 1, dim, n_paths). Step n sums weights[n - j]
     against the history channels of every t_j, j < n, in blocks of
-    HISTORY_BLOCK output steps: at a block start one GEMM applies the
-    far-field slab (the lags to all history already known); inside the block
-    each step adds only its in-block (near-field) lags. This regroups the
-    direct sum, exact up to rounding. The near field uses dense (dim, cn)
-    blocks even where the weights are scalars: a one-row product runs as
-    gemv, whose bits depend on the number of paths. With ``known`` (shape
-    (n_steps + 1, dim, n_paths)) the history comes from those paths, not the
-    output: the operator without feedback.
+    B = HISTORY_BLOCK output steps, split three ways:
+
+    * far field: history whose lag is at least ``tables.far_lag`` at every
+      step of the block lives in exponential states, state_l = sum_j
+      exp(-rates[l] (n0 - j)) far_weights[l] @ h_j at the block start n0.
+      Each block decays them by exp(-rates B) and adds the rows that just
+      became old (one GEMM); one more GEMM reads all B steps out of them.
+    * slab: the rest of the history known at n0, weighted exactly by one
+      GEMM (for em the previous block, lags 1..2B-1; for tables without
+      exponentials, all of it).
+    * near field: inside the block, each step adds only its in-block lags.
+
+    The slab and the near field regroup the direct sum, exact up to
+    rounding; the far field is as exact as the checked exponentials. The
+    near field uses dense (dim, cn) blocks even where the weights are
+    scalars: a one-row product runs as gemv, whose bits depend on the
+    number of paths. With ``known`` (shape (n_steps + 1, dim, n_paths)) the
+    history comes from those paths, not the output: the operator without
+    feedback.
     """
     nd = p.dim
     _, r, cf = tables.weights.shape     # lag blocks (r, cf), cf = n_chan * r
@@ -328,20 +449,31 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
     cn = n_chan * nd
     n_steps = times.size - 1
     n_chunk = x0.shape[1]
+    blk = HISTORY_BLOCK
     x = np.empty((n_steps + 1, nd, n_chunk))
     x[0] = x0
     src = x if known is None else known
-    # one history, read as (steps*cf, dim*paths/r) by the far field and as
-    # (steps*cn, paths) by the near field
+    # one history, read as (steps*cf, dim*paths/r) by the far field and the
+    # slab and as (steps*cn, paths) by the near field
     hist = np.empty((n_steps, n_chan, nd, n_chunk))
     far_hist = hist.reshape(n_steps * cf, -1)
     near_hist = hist.reshape(n_steps * cn, n_chunk)
-    near = tables.weights[:HISTORY_BLOCK]
+    near = tables.weights[:blk]
     if r == 1:
         near = np.kron(near, np.eye(nd))
     # lags HISTORY_BLOCK-1 .. 1 side by side: step k of a block reads the
     # last k blocks of columns
     near_row = np.concatenate(near[:0:-1], axis=1)
+    # rows absorbed at a block start sit at lags far_lag+B-1 .. far_lag there;
+    # step k of a block reads state_l with exp(-rates[l] k)
+    n_exp = tables.rates.size
+    into = np.exp(-np.outer(tables.rates, tables.far_lag + blk - 1 - np.arange(blk)))
+    absorb = (into[:, None, :, None] * tables.far_weights[:, :, None, :]
+              ).reshape(n_exp * r, blk * cf)
+    readout = np.kron(np.exp(-np.outer(np.arange(blk), tables.rates)), np.eye(r))
+    decay = np.repeat(np.exp(-blk * tables.rates), r)[:, None]
+    state = np.zeros((n_exp * r, far_hist.shape[1]))
+    old = 0                             # history rows held by the state
 
     def record(j: int) -> None:
         xj = src[j]
@@ -354,12 +486,19 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
 
     with np.errstate(over="ignore", invalid="ignore"):
         record(0)
-        for n0 in range(1, n_steps + 1, HISTORY_BLOCK):
-            n1 = min(n0 + HISTORY_BLOCK, n_steps + 1)
-            lags = np.arange(n0, n1)[:, None] - np.arange(n0)
+        for n0 in range(1, n_steps + 1, blk):
+            n1 = min(n0 + blk, n_steps + 1)
+            new_old = max(old, n0 - tables.far_lag + 1)
+            state *= decay
+            state += absorb[:, (blk - new_old + old) * cf:] @ \
+                far_hist[old * cf:new_old * cf]
+            old = new_old
+            lags = np.arange(n0, n1)[:, None] - np.arange(old, n0)
             slab = np.take(tables.weights, lags, axis=0).transpose(0, 2, 1, 3)
-            acc = (slab.reshape((n1 - n0) * r, n0 * cf)
-                   @ far_hist[:n0 * cf]).reshape(n1 - n0, nd, n_chunk)
+            acc = readout[:(n1 - n0) * r] @ state
+            acc += slab.reshape((n1 - n0) * r, (n0 - old) * cf) @ \
+                far_hist[old * cf:n0 * cf]
+            acc = acc.reshape(n1 - n0, nd, n_chunk)
             acc += tables.init_mats[n0:n1] @ x0
             for k, n in enumerate(range(n0, n1)):
                 if k:

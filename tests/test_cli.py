@@ -167,11 +167,14 @@ class TestValidation:
     @pytest.mark.parametrize("out_name, status, message", [
         ("taken", 2, "validation failed: "),
         ("taken/sub", 3, "output error: "),
+        ("dangling", 2, "validation failed: "),
     ])
     def test_unusable_out_rejected(self, tmp_path, capsys, monkeypatch,
                                    out_name, status, message):
-        # --out names a path below (or at) a regular file
+        # --out names a path below (or at) a regular file, or a symlink to
+        # nowhere
         (tmp_path / "taken").write_text("keep", encoding="utf-8")
+        (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
         calls = []
         monkeypatch.setitem(cli.DRIFT_REGISTRY, "counted",
                             lambda t, x: calls.append(t) or np.zeros_like(x))
@@ -181,6 +184,7 @@ class TestValidation:
                    str(tmp_path / out_name)) == status
         assert capsys.readouterr().err.startswith(message)
         assert (tmp_path / "taken").read_text(encoding="utf-8") == "keep"
+        assert not (tmp_path / "nowhere").exists()
         # an existing non-directory is refused before the experiment runs
         assert bool(calls) == (status == 3)
 
@@ -190,6 +194,16 @@ class TestValidation:
         assert cfg.experiment == "simulate"
         with pytest.raises(ValidationError):
             load_config(base_config(experiment="mystery"))
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 7)])
+def test_sec6_callbacks_match_stacked_rows(shape):
+    # the callbacks fill one array; the reference stacks the two rows
+    x = np.random.default_rng(5).normal(size=shape)
+    assert np.array_equal(cli._sec6_drift(0.0, x),
+                          np.stack([np.sin(x[0]), x[1] + 5.0]))
+    assert np.array_equal(cli._sec6_diffusion(0.0, x),
+                          np.stack([x[0] + 5.0, np.cos(x[1])]))
 
 
 # experiment -> (params, a statistic that must not read nan or +inf, dropped

@@ -1,31 +1,40 @@
 """The time-blocked stepping core against a direct O(N^2) per-step loop.
 
-The blocked core regroups each step's lag sum into a far field over completed
-blocks and a near field inside the current block, so it matches the direct sum
-up to rounding: at every step n the tolerance is 1e-12 * max|x_n|.
+The blocked core splits each step's lag sum into a near field inside the
+current block, an exact slab over older history and, for em, exponential
+states that carry every lag beyond HISTORY_BLOCK. The slab and near field
+regroup the direct sum; the exponentials are checked against the exact lag
+weights to SOE_TOL = 1e-13 relative when the tables are built. So the core
+matches the direct sum to 1e-12 * max|x_n| at every step n, also on grids
+where the exponentials carry most of the history.
 
 The direct loop does not read the core's tables. It builds each scheme's lag
 kernels here, as dense (dim, 3*dim) blocks against the history [x; b; sigma dW],
 straight from the product-quadrature weights.
 """
 
+import dataclasses
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from smtde.errors import ValidationError
+from smtde import solvers
+from smtde.errors import NonConvergenceError, ValidationError
 from smtde.mlmatrix import MLParams, QTable, ml_nonperm_grid
-from smtde.solvers import (HISTORY_BLOCK, BrownianDriver, InitialState,
-                           _step_paths, em_kernel_tables, kernel_tables,
-                           mild_kernel_tables, picard_apply, simulate_em,
-                           simulate_mild)
+from smtde.solvers import (HISTORY_BLOCK, SOE_TOL, BrownianDriver,
+                           InitialState, _cell_weights, _step_paths,
+                           em_kernel_tables, kernel_tables, mild_kernel_tables,
+                           picard_apply, simulate_em, simulate_mild)
 from smtde.specfun import reciprocal_gamma
 
-from conftest import PresetDriver
+from conftest import PresetDriver, make_problem
 
 REL_TOL = 1e-12
 STEP_COUNTS = (1, 31, 32, 33, 67)
+# grids on which the em exponentials carry most of each step's history
+LONG_STEP_COUNTS = (160, 400)
 SIMULATORS = {"em": simulate_em, "mild": simulate_mild}
 TABLES = {"em": em_kernel_tables, "mild": mild_kernel_tables}
 
@@ -132,10 +141,62 @@ def test_no_feedback_matches_direct_loop(sec6_problem, eta_state, scheme, n_step
     assert_close_per_step(out.paths, as_paths(ref))
 
 
-@pytest.mark.parametrize("step", [HISTORY_BLOCK - 1, HISTORY_BLOCK])
+@pytest.mark.parametrize("n_steps", LONG_STEP_COUNTS)
+def test_em_feedback_matches_direct_loop_on_long_grids(sec6_problem, eta_state,
+                                                       n_steps):
+    drv = BrownianDriver(seed=6, n_steps=n_steps)
+    ens = simulate_em(sec6_problem, eta_state, drv, 3)
+    ref = direct_paths("em", sec6_problem, ens.grid, ens.paths[:, 0, :].T,
+                       ens.increments)
+    assert_close_per_step(ens.paths, as_paths(ref))
+
+
+@pytest.mark.parametrize("n_steps", LONG_STEP_COUNTS)
+def test_em_no_feedback_matches_direct_loop_on_long_grids(sec6_problem,
+                                                          eta_state, n_steps):
+    drv = BrownianDriver(seed=8, n_steps=n_steps)
+    y = simulate_mild(sec6_problem, eta_state, drv, 3)
+    out = picard_apply(sec6_problem, eta_state, y,
+                       tables=em_kernel_tables(sec6_problem, n_steps))
+    known = as_core(y.paths)
+    ref = direct_paths("em", sec6_problem, y.grid, known[0], y.increments,
+                       known=known)
+    assert_close_per_step(out.paths, as_paths(ref))
+
+
+@pytest.mark.parametrize("step", [HISTORY_BLOCK, HISTORY_BLOCK + 1,
+                                  2 * HISTORY_BLOCK])
+def test_response_across_exponential_boundary(sec6_problem, eta_state, step):
+    # Without feedback the operator is affine in dW: raising dW_j by one adds
+    # k_s(n - j) sigma(t_j, y_j) to step n > j and nothing before. Row j is
+    # read by the near field, then by the exact slab, then from lag B + 1 on
+    # by the exponential states (B = HISTORY_BLOCK); a row summed twice or
+    # dropped at a hand-over would show as an error of the size of the
+    # response itself.
+    n_steps = 200
+    p = sec6_problem
+    y = simulate_em(p, eta_state, BrownianDriver(seed=2, n_steps=n_steps), 2)
+    bumped = y.increments.copy()
+    bumped[:, step] += 1.0
+    tables = em_kernel_tables(p, n_steps)
+    base = picard_apply(p, eta_state, y, tables=tables).paths
+    moved = picard_apply(p, eta_state, dataclasses.replace(y, increments=bumped),
+                         tables=tables).paths
+    lags = np.arange(1, n_steps + 1 - step)
+    k_s = (lags * p.horizon / n_steps) ** (p.alpha - 1.0) * reciprocal_gamma(p.alpha)
+    sigma = p.diffusion(y.grid[step], y.paths[:, step, :].T).T     # (paths, dim)
+    expected = k_s[None, :, None] * sigma[:, None, :]
+    assert np.array_equal(moved[:, :step + 1], base[:, :step + 1])
+    err = np.abs(moved[:, step + 1:] - base[:, step + 1:] - expected).max(axis=(0, 2))
+    assert np.all(err <= REL_TOL * np.abs(base[:, step + 1:]).max(axis=(0, 2)))
+
+
+@pytest.mark.parametrize("step", [HISTORY_BLOCK - 1, HISTORY_BLOCK,
+                                  2 * HISTORY_BLOCK, 2 * HISTORY_BLOCK + 1])
 def test_causal_across_block_boundary(sec6_problem, eta_state, step):
     # dW_{B-1} first enters the last step of the first block (near field),
-    # dW_B the first step of the second block (far field), B = HISTORY_BLOCK
+    # dW_B the first step of the second block (slab), B = HISTORY_BLOCK; the
+    # rows of the first block move into the exponentials at step 2B + 1
     rng = np.random.default_rng(1)
     base = rng.normal(size=(3, 70))
     bumped = base.copy()
@@ -201,3 +262,49 @@ def test_near_tables_stop_below_history_block(sec6_problem):
     for scheme in TABLES:
         tables = kernel_tables(sec6_problem, n_steps, scheme)
         assert tables.weights.shape[0] == n_steps + 1
+
+
+def test_mild_tables_carry_no_exponentials(sec6_problem):
+    tables = mild_kernel_tables(sec6_problem, 80)
+    assert tables.rates.size == 0 and tables.far_weights.shape == (0, 2, 4)
+    assert tables.far_lag == 81
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.75, 0.95])
+def test_cell_weights_match_forty_digit_values(q):
+    # (m h)^q - ((m - 1) h)^q in 40-digit decimal arithmetic, divided by
+    # Gamma(q + 1) in floating point as the tables do
+    h = 0.01
+    lags = [1, 2, 10, 1000, 99_999, 100_000]
+    got = _cell_weights(q, h, 100_000)[lags]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        dq, dh = Decimal(q), Decimal(h)
+        ref = [float((m * dh) ** dq - ((m - 1) * dh) ** dq) for m in lags]
+    ref = np.array(ref) * reciprocal_gamma(q + 1.0)
+    assert np.all(np.abs(got - ref) <= 1e-15 * ref)
+    assert _cell_weights(q, h, 5)[0] == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.55, 0.75, 0.95])
+@pytest.mark.parametrize("beta_frac", [0.02, 0.98])
+@pytest.mark.parametrize("n_steps", [64, 1000, 10_000])
+def test_exponentials_hold_every_far_lag(alpha, beta_frac, n_steps):
+    # building the tables checks every far lag; here the sum is also compared
+    # with the k_s kernel itself, formed without the tables, at both ends
+    p = make_problem(alpha=alpha, beta=beta_frac * alpha, horizon=3.0)
+    tables = em_kernel_tables(p, n_steps)
+    assert tables.far_lag == HISTORY_BLOCK + 1
+    h = p.horizon / n_steps
+    lags = np.array([HISTORY_BLOCK + 1, n_steps])
+    approx = np.exp(-np.outer(lags, tables.rates)) @ tables.far_weights[:, 0, 2]
+    k_s = (lags * h) ** (alpha - 1.0) * reciprocal_gamma(alpha)
+    assert np.all(np.abs(approx - k_s) <= SOE_TOL * k_s)
+
+
+@pytest.mark.parametrize("constant, value", [("SOE_PANEL_NODES", 4),
+                                             ("SOE_JACOBI_NODES", 1)])
+def test_coarse_exponentials_raise(sec6_problem, monkeypatch, constant, value):
+    monkeypatch.setattr(solvers, constant, value)
+    with pytest.raises(NonConvergenceError, match=r"lag \d+ weight \d is off by"):
+        em_kernel_tables(sec6_problem, 400)
