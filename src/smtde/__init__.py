@@ -14,7 +14,7 @@ from .specfun import (SampledFunction, caputo_identity_residual, gamma_fn,
                       ml_scalar, ml_scalar_log, reciprocal_gamma, rl_integral,
                       rl_integral_all)
 from .mlmatrix import (MLParams, QTable, ml_nonperm, ml_nonperm_grid,
-                       ml_nonperm_info, ml_perm, q_coeff)
+                       ml_nonperm_info, ml_perm)
 from .solvers import (BrownianDriver, InitialState, PathEnsemble, ProblemSpec,
                       constant_ensemble, coupled_pair, picard_apply,
                       simulate_em, simulate_mild)
@@ -23,8 +23,7 @@ from .analysis import (ContractionReport, ContinuityPoint, LemmaCheck,
                        contraction_report, continuity_experiment,
                        init_term_sup_sq, convolution_bound_check, log_weighted_norm,
                        ml_sup_norm, ms_distance_series, ms_norm, ms_norm_series,
-                       omega_threshold, separation_experiment, weighted_norm,
-                       zeta_const)
+                       omega_threshold, separation_experiment, zeta_const)
 
 __all__ = [
     "BrownianDriver", "ContractionReport", "ContinuityPoint",
@@ -38,7 +37,6 @@ __all__ = [
     "convolution_bound_check", "log_weighted_norm", "mat_norm", "mat_pow", "ml_nonperm", "ml_nonperm_grid",
     "ml_nonperm_info", "ml_perm", "ml_scalar", "ml_scalar_log", "ml_sup_norm",
     "ms_distance_series", "ms_norm", "ms_norm_series", "omega_threshold",
-    "picard_apply", "q_coeff", "reciprocal_gamma", "rl_integral", "rl_integral_all",
-    "separation_experiment", "simulate_em", "simulate_mild", "weighted_norm",
-    "zeta_const",
+    "picard_apply", "reciprocal_gamma", "rl_integral", "rl_integral_all",
+    "separation_experiment", "simulate_em", "simulate_mild", "zeta_const",
 ]

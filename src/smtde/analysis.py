@@ -66,8 +66,8 @@ def _sq_norms(e: PathEnsemble, times=slice(None)) -> np.ndarray:
     mask = _joint_valid(e)
     # flagged paths may hold inf/nan; they are dropped after the reduction
     with np.errstate(invalid="ignore", over="ignore"):
-        sq = np.square(e.paths[:, times])
-        return np.sum(sq, axis=2).T.compress(mask, axis=1)
+        sq = np.square(e.paths[times])
+        return np.sum(sq, axis=1).compress(mask, axis=1)
 
 
 def _sq_distances(e: PathEnsemble, e2: PathEnsemble) -> np.ndarray:
@@ -79,7 +79,7 @@ def _sq_distances(e: PathEnsemble, e2: PathEnsemble) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):
         diff = e.paths - e2.paths
         np.square(diff, out=diff)
-        return np.sum(diff, axis=2).T.compress(mask, axis=1)
+        return np.sum(diff, axis=1).compress(mask, axis=1)
 
 
 def _mean_and_se(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,29 +134,24 @@ def log_weighted_norm(e: PathEnsemble, e2: PathEnsemble,
     return _log_weighted_sup(e, e2, _log_weight_denominators(w, e.grid))
 
 
-def weighted_norm(e: PathEnsemble, e2: PathEnsemble, w: WeightedNormParams) -> float:
-    """sup_t of the mean-square distance discounted by E_{2a-1}(w t^(2a-1)).
-
-    May underflow to 0.0 for large omega; ratio-style consumers should use
-    ``log_weighted_norm``.
-    """
-    return float(np.exp(log_weighted_norm(e, e2, w)))
+def _contraction_scale(p: ProblemSpec, m_sup: float) -> float:
+    """Gamma(2a-1) M^2 (1 + L_b^2 T + L_s^2), shared by the threshold and zeta."""
+    factor = 1.0 + p.lip_b ** 2 * p.horizon + p.lip_sigma ** 2
+    return gamma_fn(2.0 * p.alpha - 1.0) * m_sup ** 2 * factor
 
 
 def omega_threshold(p: ProblemSpec, m_sup: float) -> float:
     """Weight above which the mild-form operator is a contraction."""
     if m_sup < 0:
         raise DomainError("m_sup must be nonnegative")
-    factor = 1.0 + p.lip_b ** 2 * p.horizon + p.lip_sigma ** 2
-    return 4.0 * gamma_fn(2.0 * p.alpha - 1.0) * m_sup ** 2 * factor
+    return 4.0 * _contraction_scale(p, m_sup)
 
 
 def zeta_const(p: ProblemSpec, m_sup: float, omega: float) -> float:
     """Contraction constant of the mild-form operator in the omega-norm."""
     if not omega > 0:
         raise DomainError(f"omega must be positive, got {omega!r}")
-    factor = 1.0 + p.lip_b ** 2 * p.horizon + p.lip_sigma ** 2
-    return 3.0 * gamma_fn(2.0 * p.alpha - 1.0) * m_sup ** 2 * factor / omega
+    return 3.0 * _contraction_scale(p, m_sup) / omega
 
 
 def ml_sup_norm(p: ProblemSpec) -> tuple[float, float]:

@@ -111,11 +111,6 @@ class QTable:
             return self._diagonals[k + m][m]
 
 
-def q_coeff(q: QTable, k: int, m: int) -> np.ndarray:
-    """Coefficient matrix Q_{k,m}, memoized in ``q``."""
-    return q.coeff(k, m)
-
-
 @dataclass(frozen=True)
 class MLEvalInfo:
     """Truncation metadata for a series evaluation.

@@ -45,6 +45,10 @@ shared rates, checked against the exact weights at every far lag), so its
 stepping costs O(N (K + B)) for N steps, K rates and block length B. The
 ``mild`` tables carry no exponentials, and the slab then covers all of the
 history exactly, as an O(N^2) sum.
+
+Paths are stored time first and paths last, (n_steps + 1, dim, n_paths),
+the layout the core computes in: each chunk of paths is stepped straight
+into its columns of the ensemble, and the statistics reduce the same array.
 """
 
 from __future__ import annotations
@@ -162,8 +166,8 @@ class InitialState:
         n = len(path_ids)
         if self.is_deterministic:
             return np.repeat(self.eta[:, None], n, axis=1)
-        z = driver.initial_normals(path_ids, self.dim)  # (n, dim)
-        return (self.mean[None, :] + self.std[None, :] * z).T
+        z = driver.initial_normals(path_ids, self.dim)
+        return self.mean[:, None] + self.std[:, None] * z
 
 
 class BrownianDriver:
@@ -195,17 +199,18 @@ class BrownianDriver:
         return self._generator(path_id).standard_normal(self.n_steps)
 
     def increments_block(self, path_ids, h: float) -> np.ndarray:
-        """Brownian increments dW ~ N(0, h) of shape (n_paths, n_steps)."""
-        out = np.empty((len(path_ids), self.n_steps))
+        """Brownian increments dW ~ N(0, h) of shape (n_steps, n_paths)."""
+        out = np.empty((self.n_steps, len(path_ids)))
         for i, pid in enumerate(path_ids):
-            out[i] = self.standard_normals(pid)
+            out[:, i] = self.standard_normals(pid)
         out *= math.sqrt(h)
         return out
 
     def initial_normals(self, path_ids, count: int) -> np.ndarray:
-        out = np.empty((len(path_ids), count))
+        """Standard normals of shape (count, n_paths)."""
+        out = np.empty((count, len(path_ids)))
         for i, pid in enumerate(path_ids):
-            out[i] = self._generator(pid, init_region=True).standard_normal(count)
+            out[:, i] = self._generator(pid, init_region=True).standard_normal(count)
         return out
 
 
@@ -213,8 +218,10 @@ class BrownianDriver:
 class PathEnsemble:
     """Sample paths on a uniform grid plus the increments that drove them.
 
-    ``paths`` has shape (n_paths, n_steps + 1, dim); ``flags`` marks paths
-    that blew up (non-finite values anywhere along the trajectory).
+    Time comes first and paths last, the layout the stepping core writes:
+    ``paths`` has shape (n_steps + 1, dim, n_paths) and ``increments`` shape
+    (n_steps, n_paths). ``flags`` (n_paths,) marks paths that blew up
+    (non-finite values anywhere along the trajectory).
     """
 
     grid: np.ndarray
@@ -224,15 +231,15 @@ class PathEnsemble:
 
     @property
     def n_paths(self) -> int:
-        return self.paths.shape[0]
+        return self.paths.shape[2]
 
     @property
     def n_steps(self) -> int:
-        return self.paths.shape[1] - 1
+        return self.paths.shape[0] - 1
 
     @property
     def dim(self) -> int:
-        return self.paths.shape[2]
+        return self.paths.shape[1]
 
     @property
     def valid_mask(self) -> np.ndarray:
@@ -416,12 +423,13 @@ def mild_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
 
 
 def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
-                x0: np.ndarray, dw: np.ndarray,
-                known: np.ndarray | None = None) -> np.ndarray:
+                x0: np.ndarray, dw: np.ndarray, out: np.ndarray,
+                known: np.ndarray | None = None) -> None:
     """Explicit time-blocked stepping for one chunk of paths.
 
-    x0 has shape (dim, n_paths); dw has shape (n_paths, n_steps). Returns
-    paths of shape (n_steps + 1, dim, n_paths). Step n sums weights[n - j]
+    x0 has shape (dim, n_paths) and dw shape (n_steps, n_paths). The paths
+    are written into ``out``, shape (n_steps + 1, dim, n_paths), which may be
+    a strided view of the caller's ensemble. Step n sums weights[n - j]
     against the history channels of every t_j, j < n, in blocks of
     B = HISTORY_BLOCK output steps, split three ways:
 
@@ -441,7 +449,7 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
     scalars: a one-row product runs as gemv, whose bits depend on the
     number of paths. With ``known`` (shape (n_steps + 1, dim, n_paths)) the
     history comes from those paths, not the output: the operator without
-    feedback.
+    feedback; ``out`` must not overlap it.
     """
     nd = p.dim
     _, r, cf = tables.weights.shape     # lag blocks (r, cf), cf = n_chan * r
@@ -450,9 +458,8 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
     n_steps = times.size - 1
     n_chunk = x0.shape[1]
     blk = HISTORY_BLOCK
-    x = np.empty((n_steps + 1, nd, n_chunk))
-    x[0] = x0
-    src = x if known is None else known
+    out[0] = x0
+    src = out if known is None else known
     # one history, read as (steps*cf, dim*paths/r) by the far field and the
     # slab and as (steps*cn, paths) by the near field
     hist = np.empty((n_steps, n_chan, nd, n_chunk))
@@ -482,7 +489,7 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
         else:
             hist[j, :-1] = (tables.x_map @ xj).reshape(n_chan - 1, nd, n_chunk)
             hist[j, -2] += p.drift(times[j], xj)
-        hist[j, -1] = p.diffusion(times[j], xj) * dw[:, j]
+        hist[j, -1] = p.diffusion(times[j], xj) * dw[j]
 
     with np.errstate(over="ignore", invalid="ignore"):
         record(0)
@@ -503,10 +510,9 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
             for k, n in enumerate(range(n0, n1)):
                 if k:
                     acc[k] += near_row[:, -k * cn:] @ near_hist[n0 * cn:n * cn]
-                x[n] = acc[k]
+                out[n] = acc[k]
                 if n < n_steps:
                     record(n)
-    return x
 
 
 def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
@@ -514,7 +520,7 @@ def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
     """The noise of one experiment, drawn once for all of its ensembles.
 
     Returns the grid, the increments of paths 0..n_paths-1 (shape
-    (n_paths, n_steps)) and then, per initial state, their initial values
+    (n_steps, n_paths)) and then, per initial state, their initial values
     (shape (dim, n_paths)).
     """
     for init in inits:
@@ -535,20 +541,18 @@ def _run_ensemble(p: ProblemSpec, tables: KernelTables, grid: np.ndarray,
     """Step the initial values x0 (dim, n_paths) over the increments dw.
 
     Paths are stepped in fixed chunks of CHUNK_PATHS, so the result does not
-    depend on ``threads``. With ``known`` (an ensemble's paths) the history
-    comes from those paths: the operator without feedback. The returned
-    ensemble holds dw itself, not a copy.
+    depend on ``threads``; each chunk writes its columns of the ensemble's
+    paths in place. With ``known`` (an ensemble's paths) the history comes
+    from those paths: the operator without feedback. The returned ensemble
+    holds dw itself, not a copy.
     """
-    n_paths = dw.shape[0]
-    paths = np.empty((n_paths, grid.size, p.dim))
+    n_paths = dw.shape[1]
+    paths = np.empty((grid.size, p.dim, n_paths))
 
     def worker(lo: int) -> None:
-        hi = min(lo + CHUNK_PATHS, n_paths)
-        hist = None if known is None else \
-            np.ascontiguousarray(known[lo:hi].transpose(1, 2, 0))
-        x = _step_paths(tables, p, grid, np.ascontiguousarray(x0[:, lo:hi]),
-                        dw[lo:hi], known=hist)
-        paths[lo:hi] = x.transpose(2, 0, 1)
+        cols = slice(lo, lo + CHUNK_PATHS)
+        _step_paths(tables, p, grid, x0[:, cols], dw[:, cols], paths[:, :, cols],
+                    known=None if known is None else known[:, :, cols])
 
     starts = range(0, n_paths, CHUNK_PATHS)
     if threads > 1 and len(starts) > 1:
@@ -556,7 +560,7 @@ def _run_ensemble(p: ProblemSpec, tables: KernelTables, grid: np.ndarray,
             list(pool.map(worker, starts))
     else:
         list(map(worker, starts))
-    flags = ~np.isfinite(paths).all(axis=(1, 2))
+    flags = ~np.isfinite(paths).all(axis=(0, 1))
     frac = float(flags.mean()) if flags.size else 0.0
     if frac > FLAGGED_FRACTION_LIMIT:
         raise EnsembleError(
@@ -619,7 +623,7 @@ def constant_ensemble(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
     grid, dw, x0 = _draw(p, drv, n_paths, init)
     # nothing is stepped, and InitialState data are finite: no path is flagged
     return PathEnsemble(
-        grid=grid, paths=np.repeat(x0.T[:, None, :], grid.size, axis=1),
+        grid=grid, paths=np.repeat(x0[None], grid.size, axis=0),
         increments=dw, flags=np.zeros(n_paths, dtype=bool))
 
 
@@ -647,15 +651,16 @@ def picard_apply(p: ProblemSpec, init: InitialState, y: PathEnsemble,
     grid = h * np.arange(n_steps + 1)
     if not np.allclose(y.grid, grid, rtol=0, atol=1e-12 * max(1.0, p.horizon)):
         raise ValidationError("ensemble grid does not match the problem horizon")
-    if y.increments.shape != (y.n_paths, n_steps):
+    if y.increments.shape != (n_steps, y.n_paths):
         raise ValidationError("ensemble increments do not match its grid")
     if init.is_deterministic:
-        if not np.allclose(y.paths[:, 0, :], init.eta[None, :], rtol=0, atol=0):
+        if not np.array_equal(y.paths[0], np.broadcast_to(init.eta[:, None],
+                                                          y.paths[0].shape)):
             raise ValidationError("ensemble initial values differ from init")
     if tables is None:
         tables = mild_kernel_tables(p, n_steps)
-    return _run_ensemble(p, tables, y.grid.copy(), y.paths[:, 0, :].T,
-                         y.increments, threads, known=y.paths)
+    return _run_ensemble(p, tables, y.grid.copy(), y.paths[0], y.increments,
+                         threads, known=y.paths)
 
 
 def coupled_pair(p: ProblemSpec, eta: InitialState, gamma: InitialState,

@@ -55,10 +55,6 @@ class PresetDriver(BrownianDriver):
     def standard_normals(self, path_id):
         return self._normals[path_id]
 
-    def increments_block(self, path_ids, h):
-        out = np.array([self._normals[pid] for pid in path_ids])
-        return out * np.sqrt(h)
-
 
 class CountingDriver(BrownianDriver):
     """Driver that counts the paths whose increments it draws."""

@@ -20,7 +20,7 @@ import smtde
 from smtde.analysis import (contraction_report, continuity_experiment,
                             convolution_bound_check, separation_experiment)
 from smtde.linalg import mat_norm, mat_pow
-from smtde.mlmatrix import MLParams, QTable, ml_nonperm, q_coeff
+from smtde.mlmatrix import MLParams, QTable, ml_nonperm
 from smtde.solvers import BrownianDriver, InitialState, simulate_em
 from smtde.specfun import (SampledFunction, caputo_identity_residual, gamma_fn,
                            ml_scalar, reciprocal_gamma)
@@ -48,7 +48,7 @@ def test_c01_q_recursion_matches_binomial_closed_form():
         for k in range(0, 13):
             for m in range(0, 13 - k):
                 closed = math.comb(k + m, m) * mat_pow(a, k) @ mat_pow(b, m)
-                worst = max(worst, mat_norm(q_coeff(table, k, m) - closed))
+                worst = max(worst, mat_norm(table.coeff(k, m) - closed))
     elapsed = time.perf_counter() - start
     report(1, worst < 1e-10 and elapsed < 1.0,
            f"max |Q - binom A^k B^m| = {worst:.2e} over k+m<=12, 20 pairs",
@@ -127,8 +127,8 @@ def test_c05_constant_drift_closed_form():
     drv = BrownianDriver(seed=SEED, n_steps=100)
     ens = simulate_em(p, InitialState.deterministic([3.0, 5.0]), drv, 2)
     shift = ens.grid ** p.alpha / gamma_fn(p.alpha + 1.0)
-    err = max(np.abs(ens.paths[0, :, 0] - (3.0 + shift)).max(),
-              np.abs(ens.paths[0, :, 1] - (5.0 + shift)).max())
+    err = max(np.abs(ens.paths[:, 0, 0] - (3.0 + shift)).max(),
+              np.abs(ens.paths[:, 1, 0] - (5.0 + shift)).max())
     elapsed = time.perf_counter() - start
     report(5, err < 1e-12 and elapsed < 1.0,
            f"max deviation from eta + t^a/Gamma(a+1) is {err:.2e}", elapsed)
@@ -141,7 +141,7 @@ def test_c06_deterministic_convergence_rate():
 
     def endpoint(n_steps):
         drv = BrownianDriver(seed=SEED, n_steps=n_steps)
-        return simulate_em(p, eta, drv, 1).paths[0, -1]
+        return simulate_em(p, eta, drv, 1).paths[-1, :, 0]
 
     reference = endpoint(8000)
     errors = [float(np.linalg.norm(endpoint(n) - reference))

@@ -7,9 +7,10 @@ import pytest
 from smtde import analysis
 from smtde.analysis import (WeightedNormParams,
                             contraction_report, continuity_experiment,
-                            init_term_sup_sq, convolution_bound_check, ml_sup_norm,
-                            ms_distance_series, ms_norm, omega_threshold,
-                            separation_experiment, weighted_norm, zeta_const)
+                            init_term_sup_sq, convolution_bound_check,
+                            log_weighted_norm, ml_sup_norm, ms_distance_series,
+                            ms_norm, omega_threshold, separation_experiment,
+                            zeta_const)
 from smtde.errors import (DegenerateExperimentError, DomainError, EnsembleError,
                           ValidationError)
 from smtde.solvers import (BrownianDriver, InitialState, PathEnsemble,
@@ -22,11 +23,12 @@ ZERO2 = np.zeros((2, 2))
 
 
 def manual_ensemble(grid, paths):
+    # paths: (n_pts, dim, n_paths)
     paths = np.asarray(paths, dtype=float)
-    n_paths, n_pts, _ = paths.shape
+    n_pts, _, n_paths = paths.shape
     return PathEnsemble(grid=np.asarray(grid, dtype=float), paths=paths,
-                        increments=np.zeros((n_paths, n_pts - 1)),
-                        flags=~np.isfinite(paths).all(axis=(1, 2)))
+                        increments=np.zeros((n_pts - 1, n_paths)),
+                        flags=~np.isfinite(paths).all(axis=(0, 1)))
 
 
 class TestMsNorm:
@@ -39,7 +41,7 @@ class TestMsNorm:
 
     def test_identical_samples_give_exactly_zero_se(self):
         grid = np.linspace(0.0, 1.0, 5)
-        paths = np.tile(np.array([1.5, -2.0]), (6, 5, 1))
+        paths = np.tile(np.array([[1.5], [-2.0]]), (5, 1, 6))
         ens = manual_ensemble(grid, paths)
         est, se = ms_norm(ens, 4)
         assert est == 1.5 ** 2 + 2.0 ** 2
@@ -52,15 +54,15 @@ class TestMsNorm:
         ens = simulate_em(p, eta_state, drv, 10)
         est, se = ms_norm(ens, 20)
         assert se <= 1e-10 * est
-        assert est == pytest.approx(np.sum(ens.paths[0, -1] ** 2), rel=1e-12)
+        assert est == pytest.approx(np.sum(ens.paths[-1, :, 0] ** 2), rel=1e-12)
 
     def test_brownian_motion_ito_isometry(self):
         # ensemble built directly from driver increments: X(t) = W(t)
         drv = BrownianDriver(seed=77, n_steps=64)
         h = 1.0 / 64
         inc = drv.increments_block(range(0, 8000), h)
-        w = np.concatenate([np.zeros((8000, 1)), np.cumsum(inc, axis=1)], axis=1)
-        ens = manual_ensemble(h * np.arange(65), w[:, :, None])
+        w = np.concatenate([np.zeros((1, 8000)), np.cumsum(inc, axis=0)])
+        ens = manual_ensemble(h * np.arange(65), w[:, None, :])
         for idx in (16, 32, 64):
             est, se = ms_norm(ens, idx)
             t = idx * h
@@ -68,17 +70,15 @@ class TestMsNorm:
 
     def test_flagged_paths_excluded(self):
         grid = np.array([0.0, 1.0])
-        paths = np.array([[[1.0], [1.0]], [[1.0], [np.inf]]])
+        paths = np.array([[[1.0, 1.0]], [[1.0, np.inf]]])
         ens = manual_ensemble(grid, paths)
         est, _ = ms_norm(ens, 1)
         assert est == 1.0
 
     def test_flagged_paths_excluded_from_distance(self):
         grid = np.array([0.0, 1.0])
-        e1 = manual_ensemble(grid, [[[1.0], [2.0]], [[1.0], [np.inf]],
-                                    [[0.0], [np.nan]]])
-        e2 = manual_ensemble(grid, [[[0.0], [0.0]], [[0.0], [np.inf]],
-                                    [[0.0], [0.0]]])
+        e1 = manual_ensemble(grid, [[[1.0, 1.0, 0.0]], [[2.0, np.inf, np.nan]]])
+        e2 = manual_ensemble(grid, [[[0.0, 0.0, 0.0]], [[0.0, np.inf, 0.0]]])
         with np.errstate(all="raise"):
             d2, se = ms_distance_series(e1, e2)
         assert np.array_equal(d2, [1.0, 4.0])
@@ -86,7 +86,7 @@ class TestMsNorm:
 
     def test_all_flagged_is_error(self):
         grid = np.array([0.0, 1.0])
-        paths = np.full((3, 2, 1), np.nan)
+        paths = np.full((2, 1, 3), np.nan)
         ens = manual_ensemble(grid, paths)
         with pytest.raises(EnsembleError):
             ms_norm(ens, 0)
@@ -97,17 +97,17 @@ class TestWeightedNorm:
         drv = BrownianDriver(seed=2, n_steps=20)
         ens = simulate_em(sec6_problem, eta_state, drv, 10)
         w = WeightedNormParams(omega=5.0, alpha=0.75)
-        assert weighted_norm(ens, ens, w) == 0.0
+        assert math.exp(log_weighted_norm(ens, ens, w)) == 0.0
 
     def test_constant_difference_sup_at_origin(self):
         grid = np.linspace(0.0, 1.0, 21)
-        base = np.zeros((4, 21, 2))
-        shifted = base + np.array([0.6, 0.8])
+        base = np.zeros((21, 2, 4))
+        shifted = base + np.array([[0.6], [0.8]])
         e1 = manual_ensemble(grid, base)
         e2 = manual_ensemble(grid, shifted)
         w = WeightedNormParams(omega=2.0, alpha=0.75)
         # distance is 1 at every t; denominator is 1 at t = 0 and increasing
-        assert weighted_norm(e1, e2, w) == pytest.approx(1.0, rel=1e-12)
+        assert math.exp(log_weighted_norm(e1, e2, w)) == pytest.approx(1.0, rel=1e-12)
 
     def test_monotone_in_omega(self, sec6_problem, eta_state):
         # same initial value, independent noise: distance vanishes at t = 0,
@@ -116,7 +116,8 @@ class TestWeightedNorm:
         d2 = BrownianDriver(seed=3, n_steps=40)
         e1 = simulate_em(sec6_problem, eta_state, d1, 200)
         e2 = simulate_em(sec6_problem, eta_state, d2, 200)
-        values = [weighted_norm(e1, e2, WeightedNormParams(omega=om, alpha=0.75))
+        values = [math.exp(log_weighted_norm(
+                      e1, e2, WeightedNormParams(omega=om, alpha=0.75)))
                   for om in (1.0, 10.0, 100.0)]
         assert values[0] > values[1] > values[2]
 
@@ -125,7 +126,8 @@ class TestWeightedNorm:
         gamma = InitialState.deterministic([3.5, 5.5])
         drv = BrownianDriver(seed=2, n_steps=40)
         e1, e2 = coupled_pair(sec6_problem, eta_state, gamma, drv, 200)
-        values = [weighted_norm(e1, e2, WeightedNormParams(omega=om, alpha=0.75))
+        values = [math.exp(log_weighted_norm(
+                      e1, e2, WeightedNormParams(omega=om, alpha=0.75)))
                   for om in (1.0, 10.0, 100.0)]
         assert values[0] >= values[1] >= values[2]
         assert values[2] >= 0.5  # at least the t = 0 contribution
@@ -136,7 +138,7 @@ class TestWeightedNorm:
         e1, e2 = coupled_pair(sec6_problem, eta_state, gamma, drv, 200)
         d2, _ = ms_distance_series(e1, e2)
         w = WeightedNormParams(omega=3.0, alpha=0.75)
-        assert weighted_norm(e1, e2, w) <= d2.max() * (1 + 1e-12)
+        assert math.exp(log_weighted_norm(e1, e2, w)) <= d2.max() * (1 + 1e-12)
 
     def test_grid_mismatch(self, sec6_problem, eta_state):
         d1 = BrownianDriver(seed=2, n_steps=20)
@@ -144,7 +146,7 @@ class TestWeightedNorm:
         e1 = simulate_em(sec6_problem, eta_state, d1, 5)
         e2 = simulate_em(sec6_problem, eta_state, d2, 5)
         with pytest.raises(ValidationError):
-            weighted_norm(e1, e2, WeightedNormParams(omega=1.0, alpha=0.75))
+            log_weighted_norm(e1, e2, WeightedNormParams(omega=1.0, alpha=0.75))
 
 
 class TestContractionConstants:

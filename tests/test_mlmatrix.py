@@ -12,7 +12,7 @@ from smtde import mlmatrix
 from smtde.errors import DomainError, NonConvergenceError, TruncationBoundError
 from smtde.linalg import mat_norm, mat_pow
 from smtde.mlmatrix import (MLParams, QTable, ml_nonperm, ml_nonperm_grid,
-                            ml_nonperm_info, ml_perm, q_coeff)
+                            ml_nonperm_info, ml_perm)
 from smtde.specfun import ml_scalar, reciprocal_gamma
 
 from conftest import SEC6_A, SEC6_B
@@ -33,14 +33,14 @@ class TestQTable:
     def test_base_cases(self):
         q = QTable(SEC6_A, SEC6_B)
         for k in range(6):
-            assert np.array_equal(q_coeff(q, k, 0), mat_pow(SEC6_A, k))
+            assert np.array_equal(q.coeff(k, 0), mat_pow(SEC6_A, k))
         for m in range(6):
-            assert np.allclose(q_coeff(q, 0, m), mat_pow(SEC6_B, m), atol=1e-15)
+            assert np.allclose(q.coeff(0, m), mat_pow(SEC6_B, m), atol=1e-15)
 
     def test_q11_is_ab_plus_ba(self):
         q = QTable(SEC6_A, SEC6_B)
         expected = SEC6_A @ SEC6_B + SEC6_B @ SEC6_A
-        assert np.allclose(q_coeff(q, 1, 1), expected, atol=1e-15)
+        assert np.allclose(q.coeff(1, 1), expected, atol=1e-15)
 
     def test_recursion_residual_is_exactly_zero(self):
         # every entry with k+m <= 8 is the two-term recurrence, bit for bit
@@ -50,10 +50,10 @@ class TestQTable:
                 k = d - m
                 expected = np.zeros((2, 2))
                 if k > 0:
-                    expected = q_coeff(q, k - 1, m) @ q.a
+                    expected = q.coeff(k - 1, m) @ q.a
                 if m > 0:
-                    expected = expected + q_coeff(q, k, m - 1) @ q.b
-                assert np.array_equal(q_coeff(q, k, m), expected)
+                    expected = expected + q.coeff(k, m - 1) @ q.b
+                assert np.array_equal(q.coeff(k, m), expected)
 
     @pytest.mark.parametrize("pair", ["sec6", "random"])
     def test_matches_exact_l_sum_definition(self, pair):
@@ -69,7 +69,7 @@ class TestQTable:
         q = QTable(a, b)
         scale_a, scale_b = mat_norm(a), mat_norm(b)
         for (k, m), exact in exact_q_table(a, b, depth).items():
-            err = exact_row_sum_error(q_coeff(q, k, m), exact)
+            err = exact_row_sum_error(q.coeff(k, m), exact)
             scale = math.comb(k + m, m) * scale_a ** k * scale_b ** m
             assert err <= 1e-14 * scale, (k, m, err, scale)
 
@@ -79,7 +79,7 @@ class TestQTable:
         depth = 60
         entries = [(d - m, m) for d in range(depth + 1) for m in range(d + 1)]
         reference = QTable(SEC6_A, SEC6_B)
-        expected = np.array([q_coeff(reference, k, m) for k, m in entries])
+        expected = np.array([reference.coeff(k, m) for k, m in entries])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -89,7 +89,7 @@ class TestQTable:
 
                 def fill(_):
                     start.wait()
-                    return np.array([q_coeff(shared, k, m) for k, m in entries])
+                    return np.array([shared.coeff(k, m) for k, m in entries])
 
                 with ThreadPoolExecutor(max_workers=2) as pool:
                     results = list(pool.map(fill, range(2), timeout=60))
@@ -107,17 +107,17 @@ class TestQTable:
             for k in range(0, 8):
                 for m in range(0, 8 - k):
                     closed = math.comb(k + m, m) * mat_pow(a, k) @ mat_pow(b, m)
-                    worst = max(worst, mat_norm(q_coeff(q, k, m) - closed))
+                    worst = max(worst, mat_norm(q.coeff(k, m) - closed))
             assert worst < 1e-10
 
     def test_truncation_bound(self, monkeypatch):
         monkeypatch.setattr(mlmatrix, "DEFAULT_MAX_DIAGONALS", 10)
         q = QTable(SEC6_A, SEC6_B)
-        q_coeff(q, 4, 6)
+        q.coeff(4, 6)
         with pytest.raises(TruncationBoundError):
-            q_coeff(q, 5, 6)
+            q.coeff(5, 6)
         with pytest.raises(ValueError):
-            q_coeff(q, -1, 0)
+            q.coeff(-1, 0)
 
 
 class TestMlNonperm:
@@ -166,7 +166,7 @@ class TestMlNonperm:
                 k = d - m
                 e = k * KERNEL_PARAMS.rho + m * KERNEL_PARAMS.sigma_exp
                 deeper += mat_norm(t_pow(1.5, e) * reciprocal_gamma(e + KERNEL_PARAMS.delta)
-                                   * q_coeff(q, k, m))
+                                   * q.coeff(k, m))
         assert deeper <= info.tail_estimate
 
     def test_non_convergence_guard(self, monkeypatch):

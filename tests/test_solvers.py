@@ -37,9 +37,9 @@ class TestBrownianDriver:
         drv = BrownianDriver(seed=9, n_steps=32)
         a = drv.increments_block(range(0, 4), h=0.25)
         b = drv.increments_block(range(0, 8), h=0.25)
-        assert np.array_equal(a, b[:4])
+        assert np.array_equal(a, b[:, :4])
         # per-path streams differ
-        assert not np.array_equal(b[0], b[1])
+        assert not np.array_equal(b[:, 0], b[:, 1])
 
     def test_variance_matches_step(self):
         drv = BrownianDriver(seed=4, n_steps=200)
@@ -90,8 +90,8 @@ class TestSimulateEm:
                          diffusion=zero_fn, lip_b=0.0, lip_sigma=0.0)
         drv = BrownianDriver(seed=3, n_steps=50)
         ens = simulate_em(p, InitialState.deterministic([3.0, 5.0]), drv, 4)
-        assert np.all(ens.paths[:, :, 0] == 3.0)
-        assert np.all(ens.paths[:, :, 1] == 5.0)
+        assert np.all(ens.paths[:, 0] == 3.0)
+        assert np.all(ens.paths[:, 1] == 5.0)
 
     def test_constant_drift_closed_form(self):
         p = make_problem(a_mat=ZERO2, b_mat=ZERO2, drift=one_fn,
@@ -100,14 +100,14 @@ class TestSimulateEm:
         ens = simulate_em(p, InitialState.deterministic([3.0, 5.0]), drv, 2)
         expected = ens.grid ** p.alpha / gamma_fn(p.alpha + 1.0)
         for comp, eta_i in ((0, 3.0), (1, 5.0)):
-            err = np.abs(ens.paths[0, :, comp] - (eta_i + expected)).max()
+            err = np.abs(ens.paths[:, comp, 0] - (eta_i + expected)).max()
             assert err < 1e-12
 
     def test_sec6_problem_is_finite(self, sec6_problem, eta_state):
         drv = BrownianDriver(seed=6, n_steps=100)
         ens = simulate_em(sec6_problem, eta_state, drv, 300)
         assert ens.flags.sum() == 0
-        endpoint = np.sum(ens.paths[:, -1, :] ** 2, axis=1).mean()
+        endpoint = np.sum(ens.paths[-1] ** 2, axis=0).mean()
         assert np.isfinite(endpoint)
 
     def test_pure_linear_term_matches_scalar_ml(self):
@@ -119,7 +119,7 @@ class TestSimulateEm:
         drv = BrownianDriver(seed=1, n_steps=2000)
         ens = simulate_em(p, InitialState.deterministic([1.0]), drv, 1)
         exact = ml_scalar(0.75, b * 2.0 ** 0.75)
-        assert ens.paths[0, -1, 0] == pytest.approx(exact, rel=5e-3)
+        assert ens.paths[-1, 0, 0] == pytest.approx(exact, rel=5e-3)
 
     def test_causality(self, sec6_problem, eta_state):
         rng = np.random.default_rng(0)
@@ -128,14 +128,14 @@ class TestSimulateEm:
         bumped[:, 20:] += 1.5  # perturb only future increments
         e1 = simulate_em(sec6_problem, eta_state, PresetDriver(base), 3)
         e2 = simulate_em(sec6_problem, eta_state, PresetDriver(bumped), 3)
-        assert np.array_equal(e1.paths[:, :21, :], e2.paths[:, :21, :])
-        assert not np.array_equal(e1.paths[:, 21:, :], e2.paths[:, 21:, :])
+        assert np.array_equal(e1.paths[:21], e2.paths[:21])
+        assert not np.array_equal(e1.paths[21:], e2.paths[21:])
 
     def test_paths_independent_of_ensemble_size(self, sec6_problem, eta_state):
         drv = BrownianDriver(seed=10, n_steps=25)
         small = simulate_em(sec6_problem, eta_state, drv, 5)
         large = simulate_em(sec6_problem, eta_state, drv, 9)
-        assert np.array_equal(small.paths, large.paths[:5])
+        assert np.array_equal(small.paths, large.paths[:, :, :5])
 
     def test_threads_do_not_change_results(self, sec6_problem, eta_state,
                                            monkeypatch):
@@ -187,8 +187,8 @@ class TestSimulateMild:
         drv = BrownianDriver(seed=8, n_steps=60)
         em = simulate_em(p, eta_state, drv, 30)
         mild = simulate_mild(p, eta_state, drv, 30)
-        scale = np.abs(mild.paths).max(axis=(0, 2))
-        err = np.abs(em.paths - mild.paths).max(axis=(0, 2))
+        scale = np.abs(mild.paths).max(axis=(1, 2))
+        err = np.abs(em.paths - mild.paths).max(axis=(1, 2))
         assert np.all(err <= 1e-12 * scale), (err / scale).max()
 
     def test_deterministic_multi_term_cross_check(self, eta_state):
@@ -213,7 +213,7 @@ class TestSimulateMild:
             drv = BrownianDriver(seed=8, n_steps=n)
             em = simulate_em(p, eta_state, drv, 1)
             mild = simulate_mild(p, eta_state, drv, 1)
-            errs.append(np.abs(em.paths[0, -1] - mild.paths[0, -1]).max())
+            errs.append(np.abs(em.paths[-1, :, 0] - mild.paths[-1, :, 0]).max())
         assert errs[1] < errs[0] and errs[2] < errs[1]
 
     def test_sec6_mean_square_endpoint_agreement(self, sec6_problem, eta_state):
@@ -221,8 +221,8 @@ class TestSimulateMild:
         n_paths = 1500
         em = simulate_em(sec6_problem, eta_state, drv, n_paths)
         mild = simulate_mild(sec6_problem, eta_state, drv, n_paths)
-        sq_em = np.sum(em.paths[:, -1, :] ** 2, axis=1)
-        sq_mild = np.sum(mild.paths[:, -1, :] ** 2, axis=1)
+        sq_em = np.sum(em.paths[-1] ** 2, axis=0)
+        sq_mild = np.sum(mild.paths[-1] ** 2, axis=0)
         diff = sq_em - sq_mild
         se = diff.std(ddof=1) / math.sqrt(n_paths)
         budget = 0.05 * max(sq_em.mean(), sq_mild.mean())  # h = 1/400 headroom
@@ -236,11 +236,11 @@ class TestPicard:
         drv = BrownianDriver(seed=2, n_steps=40)
         y = constant_ensemble(p, InitialState.deterministic([-1.0, 2.0]), drv, 6)
         y.paths += np.linspace(0, 3, y.paths.size).reshape(y.paths.shape)
-        y.paths[:, 0, 0] = -1.0
-        y.paths[:, 0, 1] = 2.0
+        y.paths[0, 0] = -1.0
+        y.paths[0, 1] = 2.0
         out = picard_apply(p, InitialState.deterministic([-1.0, 2.0]), y)
-        assert np.all(out.paths[:, :, 0] == -1.0)
-        assert np.all(out.paths[:, :, 1] == 2.0)
+        assert np.all(out.paths[:, 0] == -1.0)
+        assert np.all(out.paths[:, 1] == 2.0)
 
     def test_mild_solution_is_exact_fixed_point(self, sec6_problem, eta_state):
         drv = BrownianDriver(seed=14, n_steps=80)
@@ -266,7 +266,7 @@ class TestConstantEnsemble:
     def test_frozen_paths_carry_driver_increments(self, sec6_problem, eta_state):
         drv = BrownianDriver(seed=2, n_steps=10)
         y = constant_ensemble(sec6_problem, eta_state, drv, 3)
-        assert np.all(y.paths == eta_state.eta)
+        assert np.all(y.paths == eta_state.eta[:, None])
         assert np.array_equal(y.increments,
                               drv.increments_block(range(3), sec6_problem.horizon / 10))
         assert not y.flags.any()
@@ -291,16 +291,16 @@ class TestCoupledPair:
         gamma = InitialState.deterministic([3.5, 5.5])
         drv = BrownianDriver(seed=21, n_steps=30)
         e1, e2 = coupled_pair(p, eta, gamma, drv, 4)
-        dist = np.sum((e1.paths - e2.paths) ** 2, axis=2)
+        dist = np.sum((e1.paths - e2.paths) ** 2, axis=1)
         assert np.all(dist == 0.5)
 
     def test_sec6_distance_positive(self, sec6_problem, eta_state):
         gamma = InitialState.deterministic([3.5, 5.5])
         drv = BrownianDriver(seed=21, n_steps=100)
         e1, e2 = coupled_pair(sec6_problem, eta_state, gamma, drv, 2000)
-        sq = np.sum((e1.paths - e2.paths) ** 2, axis=2)
-        mean = sq.mean(axis=0)
-        se = sq.std(axis=0, ddof=1) / math.sqrt(sq.shape[0])
+        sq = np.sum((e1.paths - e2.paths) ** 2, axis=1)
+        mean = sq.mean(axis=1)
+        se = sq.std(axis=1, ddof=1) / math.sqrt(sq.shape[1])
         assert np.all(mean[1:] - 3.0 * se[1:] > 0)
 
     def test_noise_drawn_once_and_shared(self, sec6_problem, eta_state):
@@ -323,7 +323,7 @@ class TestConvergenceOrder:
 
         def endpoint(n):
             drv = BrownianDriver(seed=1, n_steps=n)
-            return simulate_em(p, eta_state, drv, 1).paths[0, -1]
+            return simulate_em(p, eta_state, drv, 1).paths[-1, :, 0]
 
         x_h, x_h2, x_h4 = endpoint(200), endpoint(400), endpoint(800)
         rate = np.log2(np.abs(x_h - x_h2).max() / np.abs(x_h2 - x_h4).max())

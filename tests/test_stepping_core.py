@@ -83,7 +83,7 @@ def direct_paths(scheme, p, times, x0, dw, known=None):
 
     The kernels are the dense ones of ``scheme``. The history comes from
     ``known`` when given (no feedback), otherwise from the paths being
-    computed. Shapes follow the core: (n_steps+1, dim, paths).
+    computed. Shapes follow the ensemble: (n_steps+1, dim, paths).
     """
     n_steps = times.size - 1
     init_mats, kbig = DENSE[scheme](p, n_steps)
@@ -95,7 +95,7 @@ def direct_paths(scheme, p, times, x0, dw, known=None):
         j = n - 1
         xj = src[j]
         hist.append(np.concatenate([xj, p.drift(times[j], xj),
-                                    p.diffusion(times[j], xj) * dw[:, j]]))
+                                    p.diffusion(times[j], xj) * dw[j]]))
         x[n] = init_mats[n] @ x0
         for i in range(n):
             x[n] += kbig[n - i] @ hist[i]
@@ -103,19 +103,11 @@ def direct_paths(scheme, p, times, x0, dw, known=None):
 
 
 def assert_close_per_step(got, ref):
-    # (n_paths, n_steps+1, dim) paths: compare step by step
-    scale = np.abs(ref).max(axis=(0, 2))
-    err = np.abs(got - ref).max(axis=(0, 2))
+    # (n_steps+1, dim, n_paths) paths: compare step by step
+    scale = np.abs(ref).max(axis=(1, 2))
+    err = np.abs(got - ref).max(axis=(1, 2))
     assert np.all(np.isfinite(got))
     assert np.all(err <= REL_TOL * scale), (err / scale).max()
-
-
-def as_core(paths):
-    return np.ascontiguousarray(paths.transpose(1, 2, 0))
-
-
-def as_paths(x):
-    return x.transpose(2, 0, 1)
 
 
 @pytest.mark.parametrize("scheme", sorted(SIMULATORS))
@@ -123,9 +115,9 @@ def as_paths(x):
 def test_feedback_matches_direct_loop(sec6_problem, eta_state, scheme, n_steps):
     drv = BrownianDriver(seed=4, n_steps=n_steps)
     ens = SIMULATORS[scheme](sec6_problem, eta_state, drv, 5)
-    x0 = ens.paths[:, 0, :].T
-    ref = direct_paths(scheme, sec6_problem, ens.grid, x0, ens.increments)
-    assert_close_per_step(ens.paths, as_paths(ref))
+    ref = direct_paths(scheme, sec6_problem, ens.grid, ens.paths[0],
+                       ens.increments)
+    assert_close_per_step(ens.paths, ref)
 
 
 @pytest.mark.parametrize("scheme", sorted(SIMULATORS))
@@ -135,10 +127,9 @@ def test_no_feedback_matches_direct_loop(sec6_problem, eta_state, scheme, n_step
     y = simulate_em(sec6_problem, eta_state, drv, 5)
     tables = TABLES[scheme](sec6_problem, n_steps)
     out = picard_apply(sec6_problem, eta_state, y, tables=tables)
-    known = as_core(y.paths)
-    ref = direct_paths(scheme, sec6_problem, y.grid, known[0], y.increments,
-                       known=known)
-    assert_close_per_step(out.paths, as_paths(ref))
+    ref = direct_paths(scheme, sec6_problem, y.grid, y.paths[0], y.increments,
+                       known=y.paths)
+    assert_close_per_step(out.paths, ref)
 
 
 @pytest.mark.parametrize("n_steps", LONG_STEP_COUNTS)
@@ -146,9 +137,9 @@ def test_em_feedback_matches_direct_loop_on_long_grids(sec6_problem, eta_state,
                                                        n_steps):
     drv = BrownianDriver(seed=6, n_steps=n_steps)
     ens = simulate_em(sec6_problem, eta_state, drv, 3)
-    ref = direct_paths("em", sec6_problem, ens.grid, ens.paths[:, 0, :].T,
+    ref = direct_paths("em", sec6_problem, ens.grid, ens.paths[0],
                        ens.increments)
-    assert_close_per_step(ens.paths, as_paths(ref))
+    assert_close_per_step(ens.paths, ref)
 
 
 @pytest.mark.parametrize("n_steps", LONG_STEP_COUNTS)
@@ -158,10 +149,26 @@ def test_em_no_feedback_matches_direct_loop_on_long_grids(sec6_problem,
     y = simulate_mild(sec6_problem, eta_state, drv, 3)
     out = picard_apply(sec6_problem, eta_state, y,
                        tables=em_kernel_tables(sec6_problem, n_steps))
-    known = as_core(y.paths)
-    ref = direct_paths("em", sec6_problem, y.grid, known[0], y.increments,
-                       known=known)
-    assert_close_per_step(out.paths, as_paths(ref))
+    ref = direct_paths("em", sec6_problem, y.grid, y.paths[0], y.increments,
+                       known=y.paths)
+    assert_close_per_step(out.paths, ref)
+
+
+@pytest.mark.parametrize("n_steps", [67, 160])
+def test_multi_chunk_matches_direct_loop(sec6_problem, eta_state, monkeypatch,
+                                         n_steps):
+    # chunks of 2 over 5 paths: each chunk writes strided columns of the
+    # ensemble and reads strided columns of dw and of the known paths
+    monkeypatch.setattr(solvers, "CHUNK_PATHS", 2)
+    p = sec6_problem
+    drv = BrownianDriver(seed=5, n_steps=n_steps)
+    for scheme, simulate in SIMULATORS.items():
+        ens = simulate(p, eta_state, drv, 5)
+        assert_close_per_step(ens.paths, direct_paths(
+            scheme, p, ens.grid, ens.paths[0], ens.increments))
+        out = picard_apply(p, eta_state, ens, tables=TABLES[scheme](p, n_steps))
+        assert_close_per_step(out.paths, direct_paths(
+            scheme, p, ens.grid, ens.paths[0], ens.increments, known=ens.paths))
 
 
 @pytest.mark.parametrize("step", [HISTORY_BLOCK, HISTORY_BLOCK + 1,
@@ -177,18 +184,18 @@ def test_response_across_exponential_boundary(sec6_problem, eta_state, step):
     p = sec6_problem
     y = simulate_em(p, eta_state, BrownianDriver(seed=2, n_steps=n_steps), 2)
     bumped = y.increments.copy()
-    bumped[:, step] += 1.0
+    bumped[step] += 1.0
     tables = em_kernel_tables(p, n_steps)
     base = picard_apply(p, eta_state, y, tables=tables).paths
     moved = picard_apply(p, eta_state, dataclasses.replace(y, increments=bumped),
                          tables=tables).paths
     lags = np.arange(1, n_steps + 1 - step)
     k_s = (lags * p.horizon / n_steps) ** (p.alpha - 1.0) * reciprocal_gamma(p.alpha)
-    sigma = p.diffusion(y.grid[step], y.paths[:, step, :].T).T     # (paths, dim)
-    expected = k_s[None, :, None] * sigma[:, None, :]
-    assert np.array_equal(moved[:, :step + 1], base[:, :step + 1])
-    err = np.abs(moved[:, step + 1:] - base[:, step + 1:] - expected).max(axis=(0, 2))
-    assert np.all(err <= REL_TOL * np.abs(base[:, step + 1:]).max(axis=(0, 2)))
+    sigma = p.diffusion(y.grid[step], y.paths[step])               # (dim, paths)
+    expected = k_s[:, None, None] * sigma
+    assert np.array_equal(moved[:step + 1], base[:step + 1])
+    err = np.abs(moved[step + 1:] - base[step + 1:] - expected).max(axis=(1, 2))
+    assert np.all(err <= REL_TOL * np.abs(base[step + 1:]).max(axis=(1, 2)))
 
 
 @pytest.mark.parametrize("step", [HISTORY_BLOCK - 1, HISTORY_BLOCK,
@@ -203,8 +210,8 @@ def test_causal_across_block_boundary(sec6_problem, eta_state, step):
     bumped[:, step] += 1.5
     e1 = simulate_em(sec6_problem, eta_state, PresetDriver(base), 3)
     e2 = simulate_em(sec6_problem, eta_state, PresetDriver(bumped), 3)
-    assert np.array_equal(e1.paths[:, :step + 1], e2.paths[:, :step + 1])
-    assert not np.array_equal(e1.paths[:, step + 1], e2.paths[:, step + 1])
+    assert np.array_equal(e1.paths[:step + 1], e2.paths[:step + 1])
+    assert not np.array_equal(e1.paths[step + 1], e2.paths[step + 1])
 
 
 def _core_peak_bytes(p, scheme, n_steps, n_paths):
@@ -215,7 +222,8 @@ def _core_peak_bytes(p, scheme, n_steps, n_paths):
     x0 = InitialState.deterministic([3.0, 5.0]).sample_block(drv, range(n_paths))
     tracemalloc.start()
     try:
-        _step_paths(tables, p, times, x0, dw)
+        _step_paths(tables, p, times, x0, dw,
+                    np.empty((n_steps + 1, p.dim, n_paths)))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -241,6 +249,24 @@ def test_mild_memory_grows_by_history_and_paths_only(sec6_problem):
     n_paths = 2048
     per_step = 3 * sec6_problem.dim * n_paths * 8
     assert _growth_per_step(sec6_problem, "mild", n_paths) <= 1.1 * per_step
+
+
+def test_picard_apply_holds_output_and_history_only(sec6_problem, eta_state):
+    # one chunk, mild tables: the output (dim per path-step) and the
+    # [b; sigma dW] history (2*dim); the input ensemble is read in place. The
+    # rest, block accumulators and the exact slab, is a few percent at this N
+    p, n_steps, n_paths = sec6_problem, 600, solvers.CHUNK_PATHS
+    y = simulate_em(p, eta_state, BrownianDriver(seed=3, n_steps=n_steps),
+                    n_paths)
+    tables = mild_kernel_tables(p, n_steps)
+    tracemalloc.start()
+    try:
+        picard_apply(p, eta_state, y, tables=tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = p.dim * n_paths * 8
+    assert peak <= 1.1 * ((n_steps + 1) * row + 2 * n_steps * row)
 
 
 def test_kernel_tables_dispatch(sec6_problem):
