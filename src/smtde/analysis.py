@@ -36,6 +36,8 @@ FIT_WINDOW_START = 1.0
 FITTED_EXPONENT_SLACK = 0.25
 BOOTSTRAP_RESAMPLES = 200
 SUP_GRID_POINTS = 1000
+# Grid times per block of the squared-norm reducers (_sq_reduce).
+SQ_BLOCK_TIMES = 64
 
 
 @dataclass(frozen=True)
@@ -63,23 +65,33 @@ def _sq_norms(e: PathEnsemble, times=slice(None)) -> np.ndarray:
     """|X(t)|^2 per time in ``times`` and valid path, shape (n_t, n_valid)."""
     if e.n_paths < 2:
         raise ValidationError("ms_norm needs an ensemble with at least 2 paths")
-    mask = _joint_valid(e)
-    # flagged paths may hold inf/nan; they are dropped after the reduction
-    with np.errstate(invalid="ignore", over="ignore"):
-        sq = np.square(e.paths[times])
-        return np.sum(sq, axis=1).compress(mask, axis=1)
+    return _sq_reduce(e.paths[times], None, _joint_valid(e))
 
 
 def _sq_distances(e: PathEnsemble, e2: PathEnsemble) -> np.ndarray:
     """|X(t) - Y(t)|^2 per time and jointly valid path, shape (n_t, n_valid)."""
     if e.paths.shape != e2.paths.shape or not np.array_equal(e.grid, e2.grid):
         raise ValidationError("ensembles must share the same grid and shape")
-    mask = _joint_valid(e, e2)
+    return _sq_reduce(e.paths, e2.paths, _joint_valid(e, e2))
+
+
+def _sq_reduce(x: np.ndarray, y: np.ndarray | None, mask: np.ndarray) -> np.ndarray:
+    """Sum over dim of x^2 (or (x - y)^2) for the paths in ``mask``, from
+    (n_t, dim, n_paths) paths to (n_t, n_valid). Formed SQ_BLOCK_TIMES times
+    at a time, so the temporaries are one block, not a whole ensemble; each
+    entry is the same sum over dim as for the whole array at once."""
+    out = np.empty((x.shape[0], int(np.count_nonzero(mask))))
     # flagged paths may hold inf/nan; they are dropped after the reduction
     with np.errstate(invalid="ignore", over="ignore"):
-        diff = e.paths - e2.paths
-        np.square(diff, out=diff)
-        return np.sum(diff, axis=1).compress(mask, axis=1)
+        for lo in range(0, x.shape[0], SQ_BLOCK_TIMES):
+            rows = slice(lo, lo + SQ_BLOCK_TIMES)
+            if y is None:
+                sq = np.square(x[rows])
+            else:
+                sq = np.subtract(x[rows], y[rows])
+                np.square(sq, out=sq)
+            np.sum(sq, axis=1).compress(mask, axis=1, out=out[rows])
+    return out
 
 
 def _mean_and_se(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

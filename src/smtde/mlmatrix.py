@@ -17,13 +17,14 @@ Two evaluation routes are provided:
   only when A and B commute (then both routes agree).
 
 Both routes, and ``ml_nonperm_grid`` on a batch of times, share one
-single-pass summation loop. It runs over anti-diagonals k + m = d so that
-terms sharing the same total order, and hence the same t-power scale, are
-grouped; each coefficient is fetched once and added at every time. The
-series stops once four consecutive anti-diagonals are negligible relative to
-the partial sum at the largest time, so that time sets the depth for the
-whole batch. Terms whose scalar weight is zero (a reciprocal-gamma pole, or
-t = 0 with a positive exponent) contribute exactly zero.
+summation in two phases. A depth scan runs over anti-diagonals k + m = d at
+the largest time only: it reads each anti-diagonal's coefficients with one
+call, keeps the live terms, and stops once four consecutive anti-diagonals
+are negligible relative to the partial sum, so the largest time sets the
+depth for the whole batch. Then every kept term is added at every time in one
+product, using t^(k*rho + m*sigma) = t^(k*rho) t^(m*sigma). Terms whose
+scalar weight is zero (a reciprocal-gamma pole, or t = 0 with a positive
+exponent) are never read and contribute exactly zero.
 """
 
 from __future__ import annotations
@@ -41,12 +42,14 @@ from .specfun import reciprocal_gamma
 ML_MATRIX_TOL = 1e-12
 DEFAULT_MAX_DIAGONALS = 200
 _CONVERGED_RUN = 4
+# Times per matrix product when the kept series terms are summed.
+SERIES_TIME_BLOCK = 128
 
 
 def _row_sum_norm(m: np.ndarray) -> float:
     # mat_norm without the finite-entry validation; an overflowing series must
     # run into the non-convergence guard, not a validation error
-    return float(np.max(np.sum(np.abs(m), axis=1)))
+    return float(np.abs(m).sum(axis=1).max())
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,14 @@ class MLParams:
 class QTable:
     """Memoized table of the coefficient matrices Q_{k,m}.
 
-    Anti-diagonal d is stored as one (d+1, dim, dim) array whose entry m is
-    Q_{d-m,m}; each one is built from the previous one with the two-term
-    recurrence. Entries are filled lazily up to k + m <= DEFAULT_MAX_DIAGONALS;
-    beyond that the table raises rather than truncate silently, because the
-    coefficient norms can grow combinatorially. Fills are lock-protected so a table may be
-    shared across threads; values behave as pure functions of (A, B, k, m).
+    The anti-diagonals are stored back to back in one (entries, dim, dim)
+    buffer: anti-diagonal d starts at d(d+1)/2 and its entry m is Q_{d-m,m}.
+    Each one is built from the previous one with the two-term recurrence.
+    Entries are filled lazily up to k + m <= DEFAULT_MAX_DIAGONALS; beyond that
+    the table raises rather than truncate silently, because the coefficient
+    norms can grow combinatorially. Fills and reads are lock-protected so a
+    table may be shared across threads; values behave as pure functions of
+    (A, B, k, m).
     """
 
     def __init__(self, a, b):
@@ -89,26 +94,59 @@ class QTable:
         self.a = a.copy()
         self.b = b.copy()
         self.dim = a.shape[0]
-        self._diagonals = [np.eye(self.dim)[None]]
+        self._flat = np.eye(self.dim)[None]
+        self._depth = 0
         self._lock = threading.Lock()
 
-    def coeff(self, k: int, m: int) -> np.ndarray:
-        if int(k) != k or int(m) != m or k < 0 or m < 0:
-            raise ValueError(f"indices must be nonnegative integers, got ({k!r}, {m!r})")
-        k, m = int(k), int(m)
-        if k + m > DEFAULT_MAX_DIAGONALS:
-            raise TruncationBoundError(f"Q coefficient ({k}, {m}) beyond the bound "
-                                       f"k+m <= {DEFAULT_MAX_DIAGONALS}")
+    def coeff(self, k, m) -> np.ndarray:
+        """Q_{k,m}: a (dim, dim) matrix for integers k, m, or the
+        (n, dim, dim) stack of Q_{k_i,m_i} for two index arrays of length n."""
+        ks, ms = _index_array(k), _index_array(m)
+        if ks.shape != ms.shape or ks.ndim > 1:
+            raise ValueError(f"indices must be two integers or two equal-length "
+                             f"1-d arrays, got shapes {ks.shape} and {ms.shape}")
+        ds = ks + ms            # negative only where the sum overflowed
+        top = int(ds.max(initial=0))
+        if top > DEFAULT_MAX_DIAGONALS or ds.size and ds.min() < 0:
+            bad = int(np.argmax((ds < 0) | (ds > DEFAULT_MAX_DIAGONALS)))
+            raise TruncationBoundError(
+                f"Q coefficient ({ks.flat[bad]}, {ms.flat[bad]}) beyond the bound "
+                f"k+m <= {DEFAULT_MAX_DIAGONALS}")
         with self._lock:
-            while len(self._diagonals) <= k + m:
-                # prev[j] = Q_{d-1-j,j}; right factors keep Q_{k,0} equal to A^k
-                prev = self._diagonals[-1]
-                d = len(prev)
-                diag = np.zeros((d + 1, self.dim, self.dim))
-                diag[:d] = prev @ self.a
-                diag[1:] += prev @ self.b
-                self._diagonals.append(diag)
-            return self._diagonals[k + m][m]
+            if top > self._depth:
+                self._fill(top)
+            return self._flat.take((ds * (ds + 1) >> 1) + ms, axis=0)
+
+    def _fill(self, top: int) -> None:
+        # called under the lock; grows the buffer at least twofold
+        need = (top + 1) * (top + 2) // 2
+        if need > len(self._flat):
+            size = min(max(need, 2 * len(self._flat)),
+                       (DEFAULT_MAX_DIAGONALS + 1) * (DEFAULT_MAX_DIAGONALS + 2) // 2)
+            flat = np.empty((size, self.dim, self.dim))
+            flat[:len(self._flat)] = self._flat
+            self._flat = flat
+        for d in range(self._depth + 1, top + 1):
+            # prev[j] = Q_{d-1-j,j}; right factors keep Q_{k,0} equal to A^k
+            lo = d * (d + 1) // 2
+            prev = self._flat[lo - d:lo]
+            diag = self._flat[lo:lo + d + 1]
+            diag[:d] = prev @ self.a
+            diag[d] = 0.0
+            diag[1:] += prev @ self.b
+        self._depth = top
+
+
+def _index_array(v) -> np.ndarray:
+    arr = np.asarray(v)
+    if arr.dtype.kind == "f" and np.all(np.isfinite(arr) & (arr == np.floor(arr))
+                                        & (np.abs(arr) < 2.0 ** 62)):
+        arr = arr.astype(np.int64)
+    if arr.dtype.kind in "iu":
+        arr = arr.astype(np.int64, copy=False)    # uint64 past 2^63 turns negative
+        if not (arr.size and arr.min() < 0):
+            return arr
+    raise ValueError(f"indices must be nonnegative integers, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -125,15 +163,18 @@ class MLEvalInfo:
 
 def _sum_series(term, dim: int, p: MLParams, ts):
     """Sum term(k, m) t^(k*rho + m*sigma) / Gamma(k*rho + m*sigma + delta)
-    over k, m >= 0 by anti-diagonals at every time of the 1-d array ``ts``;
-    returns (values of shape (len(ts), dim, dim), info).
+    over k, m >= 0 at every time of the 1-d array ``ts``; returns (values of
+    shape (len(ts), dim, dim), info).
 
-    The stopping rule reads the row of the largest time, so that time sets
-    the truncation depth. All series exponents are nonnegative, so every
-    term's magnitude at a smaller time is bounded by its magnitude at t_max,
-    and the t_max tail bounds all tails in absolute terms. ``term(k, m)``
-    gives the (dim, dim) coefficient matrix; it is called once per term, and
-    only for terms whose scalar weight is nonzero at some time.
+    A depth scan runs over the anti-diagonals at the largest time only and
+    applies the stopping rule there. All series exponents are nonnegative,
+    so every term's magnitude at a smaller time is bounded by its magnitude
+    at t_max, and the t_max tail bounds all tails in absolute terms. The
+    terms the scan kept are then summed at every time in one product, from
+    t^(k*rho + m*sigma) = t^(k*rho) t^(m*sigma). ``term(ks, ms)`` gives the
+    (n, dim, dim) stack of coefficient matrices for two index arrays; it is
+    called once per anti-diagonal, and only for terms whose scalar weight is
+    nonzero at t_max (then at some time: smaller times only shrink it).
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -142,39 +183,71 @@ def _sum_series(term, dim: int, p: MLParams, ts):
     if bad.any():
         raise DomainError(
             f"t must be finite and nonnegative, got {float(ts[bad][0])!r}")
-    top = int(np.argmax(ts))
-    total = np.zeros((ts.size, dim, dim))
+    t_max = float(ts.max())
+    kept_k, kept_m, kept_g = [], [], []    # live terms and rg * Q, per diagonal
+    total = np.zeros(dim * dim)
     recent: list[float] = []
     run = 0
     for d in range(0, DEFAULT_MAX_DIAGONALS + 1):
         ms = np.arange(d + 1)
         exps = (d - ms) * p.rho + ms * p.sigma_exp   # entry m is term (d-m, m)
-        rgs = [reciprocal_gamma(e + p.delta) for e in exps]
+        rgs = np.array(list(map(reciprocal_gamma, (exps + p.delta).tolist())))
         with np.errstate(over="ignore", invalid="ignore"):
             # an overflowing power is left to the non-convergence guard
-            weights = ts[:, None] ** exps * rgs
-            live = np.flatnonzero(np.any(weights != 0.0, axis=0))
+            powers = t_max ** exps
+            live = np.flatnonzero(powers * rgs)
+            if live.size < ms.size:
+                ms, rgs, powers = live, rgs[live], powers[live]
             diag = np.zeros_like(total)
-            if live.size:
-                coeffs = np.array([term(d - m, m) for m in live])
-                diag = np.einsum("tm,mjk->tjk", weights[:, live], coeffs)
+            if ms.size:
+                g = rgs[:, None] * term(d - ms, ms).reshape(ms.size, dim * dim)
+                kept_k.append(d - ms)
+                kept_m.append(ms)
+                kept_g.append(g)
+                diag = powers @ g
             total += diag
-        diag_norm = _row_sum_norm(diag[top])
-        total_norm = _row_sum_norm(total[top])
+        diag_norm = _row_sum_norm(diag.reshape(dim, dim))
+        total_norm = _row_sum_norm(total.reshape(dim, dim))
         if not (math.isfinite(diag_norm) and math.isfinite(total_norm)):
             raise NonConvergenceError(
-                f"matrix ml series overflowed at anti-diagonal {d} (t={ts[top]})")
+                f"matrix ml series overflowed at anti-diagonal {d} (t={t_max})")
         recent.append(diag_norm)
         if diag_norm <= ML_MATRIX_TOL * total_norm:
             run += 1
             if run == _CONVERGED_RUN:
                 tail = 2.0 * sum(recent[-_CONVERGED_RUN:])
-                return total, MLEvalInfo(diagonals_used=d, tail_estimate=tail)
+                values = _sum_kept(kept_k, kept_m, kept_g, d, dim, p, ts)
+                return (values.reshape(ts.size, dim, dim),
+                        MLEvalInfo(diagonals_used=d, tail_estimate=tail))
         else:
             run = 0
     raise NonConvergenceError(
         f"matrix ml series not converged after {DEFAULT_MAX_DIAGONALS} anti-diagonals "
-        f"(t={ts[top]})")
+        f"(t={t_max})")
+
+
+def _sum_kept(kept_k, kept_m, kept_g, depth: int, dim: int, p: MLParams,
+              ts: np.ndarray) -> np.ndarray:
+    """Sum the kept terms at every time, flattened to (len(ts), dim * dim):
+    sum_k t^(k*rho) sum_m t^(m*sigma) G[m, k] with G[m, k] = rg Q_{k,m}. Per
+    block of SERIES_TIME_BLOCK times, the inner sums of all k are one GEMM
+    over m; the block bounds its (times, k, dim * dim) intermediate."""
+    n = depth + 1
+    width = dim * dim
+    g = np.zeros((n, n, width))
+    if kept_g:
+        g[np.concatenate(kept_m), np.concatenate(kept_k)] = np.concatenate(kept_g)
+    g = g.reshape(n, n * width)
+    powers = np.arange(n)
+    out = np.empty((ts.size, width))
+    for lo in range(0, ts.size, SERIES_TIME_BLOCK):
+        t = ts[lo:lo + SERIES_TIME_BLOCK, None]
+        with np.errstate(under="ignore"):
+            t_sigma = t ** (powers * p.sigma_exp)     # (times, n) over m
+            t_rho = t ** (powers * p.rho)             # (times, n) over k
+        inner = (t_sigma @ g).reshape(t.size, n, width)
+        out[lo:lo + t.size] = np.matmul(t_rho[:, None, :], inner)[:, 0]
+    return out
 
 
 def ml_nonperm_info(q: QTable, p: MLParams, t: float):
@@ -192,7 +265,7 @@ def ml_nonperm(q: QTable, p: MLParams, t: float) -> np.ndarray:
 def ml_nonperm_grid(q: QTable, p: MLParams, ts):
     """Evaluate the series at a 1-d batch of times t >= 0; returns (values, info).
 
-    One pass serves every time; the largest one sets the truncation depth.
+    The largest time sets the truncation depth for every time of the batch.
     """
     return _sum_series(q.coeff, q.dim, p, ts)
 
@@ -201,7 +274,7 @@ def ml_perm(a, b, p: MLParams, t: float) -> np.ndarray:
     """Binomial-form bivariate matrix Mittag-Leffler for commuting matrices.
 
     Sums binom(k+m, m) a^k b^m t^(k*rho + m*sigma) / Gamma(k*rho + m*sigma + delta)
-    with the same anti-diagonal summation loop as ``ml_nonperm``. The leading
+    with the same summation as ``ml_nonperm``. The leading
     t^(delta-1) prefactor of the usual kernel form is left to callers. Raises
     if the inputs do not commute.
     """
@@ -215,12 +288,14 @@ def ml_perm(a, b, p: MLParams, t: float) -> np.ndarray:
     dim = a.shape[0]
     a_pows, b_pows = [np.eye(dim)], [np.eye(dim)]
 
-    def term(k, m):
-        while len(a_pows) <= k:
+    def term(ks, ms):
+        while len(a_pows) <= ks.max():
             a_pows.append(a_pows[-1] @ a)
-        while len(b_pows) <= m:
+        while len(b_pows) <= ms.max():
             b_pows.append(b_pows[-1] @ b)
-        return math.comb(k + m, m) * (a_pows[k] @ b_pows[m])
+        binoms = np.array([float(math.comb(k + m, m))
+                           for k, m in zip(ks.tolist(), ms.tolist())])
+        return binoms[:, None, None] * (np.array(a_pows)[ks] @ np.array(b_pows)[ms])
 
     values, _ = _sum_series(term, dim, p, [t])
     return values[0]

@@ -54,6 +54,7 @@ into its columns of the ensemble, and the statistics reduce the same array.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -176,7 +177,10 @@ class BrownianDriver:
     Each path owns a counter-based RNG stream keyed by (seed, path_id), so
     increments are a pure function of (seed, path_id, step) and do not depend
     on ensemble size or on how paths are partitioned into chunks. Initial-value
-    draws come from a disjoint counter region of the same stream.
+    draws come from a disjoint counter region of the same stream, 2^96 draws
+    in. Each thread holds one Philox generator and re-keys it per path: the
+    draws equal those of a fresh ``Generator(Philox(key=[seed, path_id]))``
+    bit for bit, without seeding a new generator per path.
     """
 
     def __init__(self, seed: int, n_steps: int):
@@ -188,12 +192,26 @@ class BrownianDriver:
             raise ValidationError(f"n_steps must be >= 1, got {n_steps!r}")
         self.seed = seed
         self.n_steps = n_steps
+        self._local = threading.local()
 
     def _generator(self, path_id: int, init_region: bool = False) -> np.random.Generator:
-        bitgen = np.random.Philox(key=[self.seed, int(path_id)])
+        local = self._local
+        if not hasattr(local, "state"):
+            local.generator = np.random.Generator(np.random.Philox(0))
+            # the state of a fresh Philox(key=[seed, path_id]): zero counter,
+            # empty buffer; only the key's second word changes per path
+            local.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": np.zeros(4, np.uint64),
+                          "key": np.array([self.seed, 0], np.uint64)},
+                "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                "has_uint32": 0, "uinteger": 0}
+        local.state["state"]["key"][1] = path_id
+        bitgen = local.generator.bit_generator
+        bitgen.state = local.state
         if init_region:
             bitgen.advance(2 ** 96)
-        return np.random.Generator(bitgen)
+        return local.generator
 
     def standard_normals(self, path_id: int) -> np.ndarray:
         return self._generator(path_id).standard_normal(self.n_steps)

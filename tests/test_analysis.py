@@ -84,6 +84,26 @@ class TestMsNorm:
         assert np.array_equal(d2, [1.0, 4.0])
         assert np.array_equal(se, [0.0, 0.0])
 
+    def test_distance_reducer_memory_is_one_block(self):
+        # the difference is formed per block of times: the peak is the
+        # (n_t, n_valid) result plus one block's temporaries, where the
+        # whole difference would add a full ensemble (5x the result at dim 2)
+        rng = np.random.default_rng(2)
+        n_t, n_paths = 2001, 500
+        e1, e2 = (manual_ensemble(np.arange(n_t), rng.standard_normal((n_t, 2, n_paths)))
+                  for _ in range(2))
+        block = analysis.SQ_BLOCK_TIMES * 3 * n_paths * 8   # difference + its sum
+        tracemalloc.start()
+        try:
+            sq = analysis._sq_distances(e1, e2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sq.shape == (n_t, n_paths)
+        assert peak <= 1.1 * sq.nbytes + block
+        assert peak <= 1.25 * sq.nbytes
+        assert np.array_equal(sq, np.sum(np.square(e1.paths - e2.paths), axis=1))
+
     def test_all_flagged_is_error(self):
         grid = np.array([0.0, 1.0])
         paths = np.full((2, 1, 3), np.nan)

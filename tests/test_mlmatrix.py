@@ -119,6 +119,24 @@ class TestQTable:
         with pytest.raises(ValueError):
             q.coeff(-1, 0)
 
+    def test_array_indices(self, monkeypatch):
+        monkeypatch.setattr(mlmatrix, "DEFAULT_MAX_DIAGONALS", 10)
+        q = QTable(SEC6_A, SEC6_B)
+        ks, ms = np.array([3, 0, 7, 3]), np.array([2, 10, 0, 2])
+        stack = q.coeff(ks, ms)
+        assert stack.shape == (4, 2, 2)
+        for got, k, m in zip(stack, ks, ms):
+            assert np.array_equal(got, q.coeff(int(k), int(m)))
+        assert q.coeff([], []).shape == (0, 2, 2)
+        with pytest.raises(TruncationBoundError):
+            q.coeff([1, 5], [2, 6])
+        with pytest.raises(ValueError):
+            q.coeff([1, -1], [0, 0])
+        with pytest.raises(ValueError):
+            q.coeff([1, 2], [0])
+        with pytest.raises(ValueError):
+            q.coeff([1.5], [0])
+
 
 class TestMlNonperm:
     def test_identity_at_origin(self):
@@ -227,13 +245,51 @@ class TestMlNonperm:
         assert mat_norm(vals[1] - ml_nonperm(q, p, 1.0)) < 1e-12
 
 
+class TestSeriesAgainstPerDiagonalSum:
+    """The depth scan plus one product against a plain per-diagonal sum."""
+
+    @pytest.mark.parametrize("pair, horizon, delta", [
+        ("sec6", 20.0, 0.75), ("sec6", 20.0, 1.75),
+        ("commuting", 5.0, 0.75), ("commuting", 5.0, 1.75)])
+    def test_matches_per_diagonal_sum(self, pair, horizon, delta):
+        if pair == "sec6":
+            a, b = SEC6_A, SEC6_B
+        else:
+            a, b = random_pair(np.random.default_rng(7), commuting=True)
+        q = QTable(a, b)
+        p = MLParams(rho=0.5, sigma_exp=0.75, delta=delta)
+        ts = np.linspace(0.0, horizon, 201)
+        vals, info = ml_nonperm_grid(q, p, ts)
+        expected = per_diagonal_sum(q, p, ts, info.diagonals_used)
+        scale = np.abs(expected).max(axis=(1, 2))
+        err = np.abs(vals - expected).max(axis=(1, 2))
+        assert np.all(err <= 1e-13 * scale)
+
+
+def per_diagonal_sum(q, p, ts, depth):
+    """The series to anti-diagonal ``depth`` at every time of ``ts``, one
+    anti-diagonal at a time: each term's weight t^(k rho + m sigma) /
+    Gamma(k rho + m sigma + delta) is one power, each coefficient one call."""
+    total = np.zeros((ts.size, q.dim, q.dim))
+    for d in range(depth + 1):
+        ms = np.arange(d + 1)
+        exps = (d - ms) * p.rho + ms * p.sigma_exp
+        rgs = [reciprocal_gamma(e + p.delta) for e in exps]
+        weights = ts[:, None] ** exps * rgs
+        coeffs = np.array([q.coeff(int(d - m), int(m)) for m in ms])
+        total += np.einsum("tm,mjk->tjk", weights, coeffs)
+    return total
+
+
 def count_coeff_calls(q):
-    """Route q.coeff through a per-(k, m) call counter; returns the counter."""
+    """Route q.coeff through a per-(k, m) read counter; returns the counter.
+
+    An array call counts each of its index pairs once."""
     calls = Counter()
     coeff = q.coeff
 
     def counted(k, m):
-        calls[(k, m)] += 1
+        calls.update(zip(np.atleast_1d(k).tolist(), np.atleast_1d(m).tolist()))
         return coeff(k, m)
 
     q.coeff = counted

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -52,6 +53,39 @@ class TestBrownianDriver:
         drv.initial_normals([3], 2)
         after = drv.increments_block([3], h=0.5)
         assert np.array_equal(before, after)
+
+    @pytest.mark.parametrize("seed", [0, 29, 2 ** 63 - 1])
+    def test_draws_pinned_to_fresh_philox_per_path(self, seed):
+        # the definition of the streams: a fresh Philox keyed by
+        # (seed, path_id), 2^96 draws in for the initial values
+        def fresh(pid, init_region=False):
+            bitgen = np.random.Philox(key=[seed, pid])
+            if init_region:
+                bitgen.advance(2 ** 96)
+            return np.random.Generator(bitgen)
+
+        pids = [5, 0, 1000, 3, 5, 2]
+        drv = BrownianDriver(seed=seed, n_steps=40)
+        inc = drv.increments_block(pids, h=0.25)
+        init = drv.initial_normals(pids, 3)
+        for i, pid in enumerate(pids):
+            assert np.array_equal(inc[:, i], fresh(pid).standard_normal(40) * 0.5)
+            assert np.array_equal(init[:, i], fresh(pid, True).standard_normal(3))
+
+    def test_draws_equal_across_threads(self):
+        # one driver shared by more threads than cores, switching often: a
+        # generator shared between threads would mix their streams
+        drv = BrownianDriver(seed=7, n_steps=50)
+        expected = BrownianDriver(seed=7, n_steps=50).increments_block(range(128), h=0.1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with solvers.ThreadPoolExecutor(max_workers=4) as pool:
+                blocks = list(pool.map(lambda lo: drv.increments_block(range(lo, lo + 8), 0.1),
+                                       range(0, 128, 8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(np.concatenate(blocks, axis=1), expected)
 
     def test_seed_validation(self):
         with pytest.raises(ValidationError):
