@@ -30,7 +30,7 @@ from .errors import (DegenerateExperimentError, DomainError, EnsembleError,
 from .solvers import (BrownianDriver, InitialState, PathEnsemble, ProblemSpec,
                       _ensembles, constant_ensemble, coupled_pair,
                       mild_init_term, mild_kernel_tables, mild_ml, picard_apply)
-from .specfun import gamma_fn, ml_scalar_log
+from .specfun import gamma_fn, ml_scalar_log, rl_weights
 
 FIT_WINDOW_START = 1.0
 FITTED_EXPONENT_SLACK = 0.25
@@ -218,13 +218,12 @@ def convolution_bound_check(alpha: float, omega: float, t: float, n_quad: int) -
         raise ValidationError("n_quad must be >= 1")
     order = 2.0 * alpha - 1.0
     r = np.linspace(0.0, t, n_quad + 1)
-    lags = t - r
-    cells = (lags[:-1] ** order - lags[1:] ** order) / order  # exact kernel integrals
+    # the exact cell kernel integrals are Gamma(order) w[n_quad - j]: 1/Gamma cancels
+    cells = rl_weights(order, t / n_quad, n_quad)[:0:-1]
     log_e = ml_scalar_log(order, omega * r[:-1] ** order)
     with np.errstate(divide="ignore"):
         log_terms = np.log(cells) + log_e
-    log_lhs = (math.log(omega) - math.lgamma(order)
-               + float(np.logaddexp.reduce(log_terms)))
+    log_lhs = math.log(omega) + float(np.logaddexp.reduce(log_terms))
     log_rhs = float(ml_scalar_log(order, omega * t ** order))
     holds = log_lhs <= log_rhs + math.log1p(1e-6)
     with np.errstate(over="ignore"):

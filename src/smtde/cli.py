@@ -46,7 +46,7 @@ from .analysis import (contraction_report, continuity_experiment,
                        separation_experiment)
 from .errors import (DomainError, NonConvergenceError, SmtdeError,
                      TruncationBoundError, ValidationError)
-from .mlmatrix import MLParams, QTable, ml_nonperm_info, ml_perm
+from .mlmatrix import MLParams, ml_nonperm_info, ml_perm
 from .solvers import (_SCHEMES, BrownianDriver, InitialState, ProblemSpec,
                       simulate)
 from .specfun import SampledFunction, caputo_identity_residual, gamma_fn
@@ -325,11 +325,10 @@ def _run_ml_eval(cfg: RunConfig, threads: int):
     prob = cfg.problem
     delta = cfg.params.get("delta", prob.alpha)
     params = MLParams(rho=prob.alpha - prob.beta, sigma_exp=prob.alpha, delta=delta)
-    q = QTable(prob.a_mat, prob.b_mat)
     rows = []
     for t in cfg.params["t_grid"]:
         try:
-            value, info = ml_nonperm_info(q, params, t)
+            value, info = ml_nonperm_info(prob.q_table, params, t)
         except (NonConvergenceError, TruncationBoundError):
             rows.append((t, "converged", False, None))
             continue
@@ -361,7 +360,7 @@ def _run_check_lemma(cfg: RunConfig, threads: int):
 
 def _run_check_identity(cfg: RunConfig, threads: int):
     prob = cfg.problem
-    grid = prob.horizon / cfg.n_steps * np.arange(cfg.n_steps + 1)
+    grid = prob.grid(cfg.n_steps)
     f_vals, df_vals = IDENTITY_REGISTRY[cfg.params["function"]](prob.alpha, grid)
     f = SampledFunction(grid, f_vals)
     df = SampledFunction(grid, df_vals)

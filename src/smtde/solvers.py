@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -64,7 +64,7 @@ import numpy as np
 from .errors import EnsembleError, NonConvergenceError, ValidationError
 from .linalg import as_matrix
 from .mlmatrix import MLParams, QTable, ml_nonperm_grid
-from .specfun import reciprocal_gamma
+from .specfun import reciprocal_gamma, rl_weights
 
 # Paths are simulated in fixed-size chunks regardless of thread count so that
 # results are independent of the parallel partition.
@@ -89,6 +89,8 @@ class ProblemSpec:
     ``drift`` and ``diffusion`` map (t, x) -> vector and must broadcast over
     trailing axes of x (x arrives with shape (dim,) or (dim, n_paths)).
     ``lip_b`` and ``lip_sigma`` are caller-asserted Lipschitz constants.
+    ``a_mat`` and ``b_mat`` are stored as read-only copies; ``q_table`` is the
+    one (lazily filled) table of their Q coefficients for every series call.
     """
 
     alpha: float
@@ -101,6 +103,7 @@ class ProblemSpec:
     lip_sigma: float
     horizon: float
     dim: int
+    q_table: QTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.5 < self.alpha < 1.0:
@@ -118,8 +121,14 @@ class ProblemSpec:
             raise ValidationError("Lipschitz constants must be nonnegative")
         if not self.horizon > 0:
             raise ValidationError(f"horizon must be positive, got {self.horizon!r}")
-        object.__setattr__(self, "a_mat", a.copy())
-        object.__setattr__(self, "b_mat", b.copy())
+        for name, mat in (("a_mat", a.copy()), ("b_mat", b.copy())):
+            mat.flags.writeable = False
+            object.__setattr__(self, name, mat)
+        object.__setattr__(self, "q_table", QTable(self.a_mat, self.b_mat))
+
+    def grid(self, n_steps: int) -> np.ndarray:
+        """The uniform grid t_n = (horizon / n_steps) n, n = 0..n_steps."""
+        return self.horizon / n_steps * np.arange(n_steps + 1)
 
 
 class InitialState:
@@ -308,24 +317,6 @@ class KernelTables:
                 f"off by {err[i, c]:.1e} relative (tolerance {SOE_TOL:.0e})")
 
 
-def _difference_weights(cumulative: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(cumulative)
-    w[1:] = cumulative[1:] - cumulative[:-1]
-    return w
-
-
-def _cell_weights(q: float, h: float, n_steps: int) -> np.ndarray:
-    """Cell integrals ((m h)^q - ((m-1) h)^q) / Gamma(q+1) of the kernel
-    s^(q-1)/Gamma(q) at lags m = 0..n_steps, formed as
-    -expm1(q log1p(-1/m)) (m h)^q / Gamma(q+1): the difference of powers
-    would lose about log10(m) digits to cancellation."""
-    m = np.arange(1, n_steps + 1, dtype=float)
-    w = np.zeros(n_steps + 1)
-    with np.errstate(divide="ignore"):       # log1p(-1) = -inf at lag 1
-        w[1:] = -np.expm1(q * np.log1p(-1.0 / m)) * (m * h) ** q
-    return w * reciprocal_gamma(q + 1.0)
-
-
 def _gauss_jacobi(q: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss rule for int_0^1 x^-q f(x) dx,
     0 < q < 1 (Golub-Welsch on the Jacobi recurrence of (1+t)^-q on [-1, 1])."""
@@ -387,11 +378,11 @@ def em_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
     beyond HISTORY_BLOCK come from one shared set of exponentials.
     """
     h = p.horizon / n_steps
-    s = h * np.arange(n_steps + 1)
+    s = p.grid(n_steps)
 
     weights = np.zeros((n_steps + 1, 1, 3))
-    weights[:, 0, 0] = _cell_weights(p.alpha - p.beta, h, n_steps)
-    weights[:, 0, 1] = _cell_weights(p.alpha, h, n_steps)
+    weights[:, 0, 0] = rl_weights(p.alpha - p.beta, h, n_steps)
+    weights[:, 0, 1] = rl_weights(p.alpha, h, n_steps)
     weights[1:, 0, 2] = s[1:] ** (p.alpha - 1.0) * reciprocal_gamma(p.alpha)
 
     f_ab = s ** (p.alpha - p.beta) * reciprocal_gamma(p.alpha - p.beta + 1.0)
@@ -407,9 +398,8 @@ def mild_ml(p: ProblemSpec, delta: float, ts: np.ndarray) -> np.ndarray:
     """Mild-form matrix function E_delta, exponents (alpha - beta, alpha), at
     the times ts: shape (len(ts), dim, dim). The mild form uses delta = alpha
     (the kernel) and alpha + 1 (its integral and the initial term)."""
-    q = QTable(p.a_mat, p.b_mat)
-    values, _ = ml_nonperm_grid(q, MLParams(p.alpha - p.beta, p.alpha, delta), ts)
-    return values
+    params = MLParams(p.alpha - p.beta, p.alpha, delta)
+    return ml_nonperm_grid(p.q_table, params, ts)[0]
 
 
 def mild_init_term(p: ProblemSpec, ts: np.ndarray, e_a1: np.ndarray) -> np.ndarray:
@@ -424,13 +414,12 @@ def mild_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
     weighted by dense (dim, dim) blocks. There are no exponentials yet, so
     the core sums every lag exactly.
     """
-    h = p.horizon / n_steps
-    s = h * np.arange(n_steps + 1)
+    s = p.grid(n_steps)
     e_a = mild_ml(p, p.alpha, s)               # (n+1, nd, nd)
     e_a1 = mild_ml(p, p.alpha + 1.0, s)
 
     f_ml = s[:, None, None] ** p.alpha * e_a1               # exact cell cumulative
-    kb = _difference_weights(f_ml)
+    kb = np.diff(f_ml, axis=0, prepend=f_ml[:1])             # lag 0: zero, unused
     ks = np.zeros_like(kb)
     ks[1:] = (s[1:] ** (p.alpha - 1.0))[:, None, None] * e_a[1:]
     weights = np.concatenate([kb, ks], axis=2)
@@ -547,9 +536,8 @@ def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
                 f"initial state dim {init.dim} != problem dim {p.dim}")
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
-    h = p.horizon / drv.n_steps
-    ids = range(n_paths)
-    return (h * np.arange(drv.n_steps + 1), drv.increments_block(ids, h),
+    ids, h = range(n_paths), p.horizon / drv.n_steps
+    return (p.grid(drv.n_steps), drv.increments_block(ids, h),
             *(init.sample_block(drv, ids) for init in inits))
 
 
@@ -665,9 +653,8 @@ def picard_apply(p: ProblemSpec, init: InitialState, y: PathEnsemble,
     if init.dim != p.dim:
         raise ValidationError(f"initial state dim {init.dim} != problem dim {p.dim}")
     n_steps = y.n_steps
-    h = p.horizon / n_steps
-    grid = h * np.arange(n_steps + 1)
-    if not np.allclose(y.grid, grid, rtol=0, atol=1e-12 * max(1.0, p.horizon)):
+    if not np.allclose(y.grid, p.grid(n_steps), rtol=0,
+                       atol=1e-12 * max(1.0, p.horizon)):
         raise ValidationError("ensemble grid does not match the problem horizon")
     if y.increments.shape != (n_steps, y.n_paths):
         raise ValidationError("ensemble increments do not match its grid")

@@ -8,7 +8,10 @@ Riemann-Liouville fractional integral
 
 The quadrature is a left-endpoint product rule: f is held piecewise constant
 at the left endpoint of each cell while the singular kernel is integrated
-exactly, giving the weights [(t-t_j)^a - (t-t_{j+1})^a] / Gamma(a+1).
+exactly, giving the weights [(t-t_j)^a - (t-t_{j+1})^a] / Gamma(a+1). On a
+uniform grid they depend on the lag m only; ``rl_weights`` is their one
+owner, formed as -expm1(a log1p(-1/m)) (m h)^a / Gamma(a+1) without the
+cancellation of the difference of powers.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ ML_ASYMPTOTIC_U0 = 20.0
 # Largest max|term| / |sum| accepted from the alternating series for z < 0:
 # at most six of float64's sixteen significant digits may cancel.
 ML_MAX_CANCELLATION = 1e6
+# A grid is uniform if each point is within this times T of (T/N) n (rounding ~eps T)
+UNIFORM_GRID_EPS = 4.0 * np.finfo(float).eps
 # Consecutive negligible terms required before the series is declared
 # converged; guards against alternating-sign false stops.
 _CONVERGED_RUN = 4
@@ -226,8 +231,21 @@ class SampledFunction:
         return self.grid.size
 
     def is_uniform(self) -> bool:
-        steps = np.diff(self.grid)
-        return bool(np.all(np.abs(steps - steps[0]) <= 1e-12 * steps[0]))
+        """Whether the grid is t_n = (T/N) n up to the rounding of its points."""
+        ref = np.linspace(0.0, self.grid[-1], self.grid.size)
+        return bool(np.all(np.abs(self.grid - ref) <= UNIFORM_GRID_EPS * self.grid[-1]))
+
+
+def rl_weights(q: float, h: float, n: int) -> np.ndarray:
+    """Product-rule weights ((m h)^q - ((m-1) h)^q) / Gamma(q+1) of I^q at
+    lags m = 0..n (lag 0 is zero), for any q > 0. Formed as
+    -expm1(q log1p(-1/m)) (m h)^q / Gamma(q+1): the difference of powers
+    would lose about log10(m) digits to cancellation."""
+    m = np.arange(1, n + 1, dtype=float)
+    w = np.zeros(n + 1)
+    with np.errstate(divide="ignore"):       # log1p(-1) = -inf at lag 1
+        w[1:] = -np.expm1(q * np.log1p(-1.0 / m)) * (m * h) ** q
+    return w * reciprocal_gamma(q + 1.0)
 
 
 def rl_integral(alpha: float, f: SampledFunction, t_index: int) -> float:
@@ -260,10 +278,7 @@ def rl_integral_all(alpha: float, f: SampledFunction) -> np.ndarray:
     n_pts = f.n_points
     if not f.is_uniform():
         return np.array([rl_integral(alpha, f, i) for i in range(n_pts)])
-    h = float(f.grid[1] - f.grid[0])
-    k = np.arange(n_pts, dtype=float)
-    w = np.zeros(n_pts)
-    w[1:] = (h ** alpha) * (k[1:] ** alpha - k[:-1] ** alpha) / gamma_fn(alpha + 1.0)
+    w = rl_weights(alpha, f.grid[-1] / (n_pts - 1), n_pts - 1)
     return np.convolve(f.values, w)[:n_pts]
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smtde.mlmatrix import QTable
 from smtde.solvers import BrownianDriver, InitialState, ProblemSpec
 
 SEC6_A = np.array([[0.1, 0.2], [0.3, 0.4]])
@@ -42,6 +43,20 @@ def sec6_problem():
 @pytest.fixture
 def eta_state():
     return InitialState.deterministic([3.0, 5.0])
+
+
+@pytest.fixture
+def q_fills(monkeypatch):
+    """(table, anti-diagonals added) for every QTable fill, in call order."""
+    fills = []
+    original = QTable._fill
+
+    def counting(table, top):
+        fills.append((table, top - table._depth))
+        original(table, top)
+
+    monkeypatch.setattr(QTable, "_fill", counting)
+    return fills
 
 
 class PresetDriver(BrownianDriver):

@@ -275,6 +275,14 @@ class TestContractionReport:
         contraction_report(sec6_problem, eta_state, drv, n_iter=4, n_paths=20)
         assert calls == [(11,)]
 
+    def test_one_q_table(self, sec6_problem, eta_state, q_fills):
+        # the sup norm, the initial-term bound and the mild tables all read
+        # the problem's own table
+        drv = BrownianDriver(seed=3, n_steps=20)
+        contraction_report(sec6_problem, eta_state, drv, n_iter=3, n_paths=10)
+        assert q_fills
+        assert all(table is sec6_problem.q_table for table, _ in q_fills)
+
     def test_alpha_near_half(self, eta_state):
         # order 2a - 1 = 0.2: the denominators need the asymptotic route
         p = make_problem(alpha=0.6)

@@ -32,6 +32,30 @@ class TestProblemSpec:
         with pytest.raises(ValidationError):
             make_problem(a_mat=np.zeros((3, 3)))
 
+    def test_matrices_are_read_only(self, sec6_problem):
+        # q_table is built from them once, so they must not change under it
+        with pytest.raises(ValueError):
+            sec6_problem.a_mat[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            sec6_problem.b_mat[0, 0] = 1.0
+
+    @pytest.mark.parametrize("horizon, n_steps", [(1.0, 100), (20.0, 200), (0.3, 7)])
+    def test_grid_is_the_ensemble_grid(self, eta_state, horizon, n_steps):
+        p = make_problem(horizon=horizon)
+        drv = BrownianDriver(seed=1, n_steps=n_steps)
+        grid = p.grid(n_steps)
+        assert grid.tobytes() == simulate_em(p, eta_state, drv, 3).grid.tobytes()
+        y = constant_ensemble(p, eta_state, drv, 3)
+        assert grid.tobytes() == picard_apply(p, eta_state, y).grid.tobytes()
+
+    def test_mild_tables_fill_one_q_table_once(self, q_fills):
+        # E_a and E_{a+1} at T = 20, N = 200 read anti-diagonals up to 100 and
+        # 98: the problem's one table fills each of them once
+        p = make_problem(horizon=20.0)
+        solvers.mild_kernel_tables(p, 200)
+        assert all(table is p.q_table for table, _ in q_fills)
+        assert sum(added for _, added in q_fills) == 100
+
 
 class TestBrownianDriver:
     def test_increments_deterministic_per_path(self):

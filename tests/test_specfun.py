@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -159,6 +160,21 @@ class TestSampledFunction:
         g = SampledFunction(np.array([0.0, 0.1, 0.5, 1.0]), np.zeros(4))
         assert not g.is_uniform()
 
+    @pytest.mark.parametrize("n", [10, 10_000, 1_000_000])
+    def test_uniform_detection_allows_rounding(self, n):
+        # the points of linspace and of (T/N) * arange carry a rounding of
+        # ~eps T, which exceeds 1e-12 h from N ~ 10^4 on
+        for t_max in (1e-3, 1.0, 7.3, 1e3):
+            for grid in (np.linspace(0.0, t_max, n + 1),
+                         t_max / n * np.arange(n + 1)):
+                assert SampledFunction(grid, np.zeros(n + 1)).is_uniform()
+
+    @pytest.mark.parametrize("n", [10, 1000, 10_000])
+    def test_moved_point_is_not_uniform(self, n):
+        grid = np.linspace(0.0, 1.0, n + 1)
+        grid[n // 3] += 1e-9 / n
+        assert not SampledFunction(grid, np.zeros(n + 1)).is_uniform()
+
 
 def _uniform(fn, t_max=1.0, n=1000):
     grid = np.linspace(0.0, t_max, n + 1)
@@ -205,6 +221,22 @@ class TestRlIntegral:
         for idx in (0, 1, 31, 128):
             assert all_vals[idx] == pytest.approx(rl_integral(0.6, f, idx),
                                                   rel=1e-12, abs=1e-14)
+
+    def test_all_indices_of_impulse_match_forty_digit_weights(self):
+        # I^a of a unit impulse at t = 0 is the weight row itself; a
+        # difference of powers loses ~1e-12 of it by n = 10^4
+        n, alpha = 10_000, 0.75
+        values = np.zeros(n + 1)
+        values[0] = 1.0
+        got = rl_integral_all(alpha, SampledFunction(np.linspace(0.0, 1.0, n + 1),
+                                                     values))
+        lags = [1, 2, 10, *range(97, n, 997), n - 1, n]
+        with localcontext() as ctx:
+            ctx.prec = 40
+            da, dh = Decimal(alpha), Decimal(1.0 / n)
+            ref = [float((m * dh) ** da - ((m - 1) * dh) ** da) for m in lags]
+        ref = np.array(ref) * reciprocal_gamma(alpha + 1.0)
+        assert np.all(np.abs(got[lags] - ref) <= 1e-15 * ref)
 
     def test_domain_and_bounds(self):
         f = _uniform(lambda t: t, n=8)

@@ -24,10 +24,10 @@ from smtde import solvers
 from smtde.errors import NonConvergenceError, ValidationError
 from smtde.mlmatrix import MLParams, QTable, ml_nonperm_grid
 from smtde.solvers import (HISTORY_BLOCK, SOE_TOL, BrownianDriver,
-                           InitialState, _cell_weights, _step_paths,
+                           InitialState, _step_paths,
                            em_kernel_tables, kernel_tables, mild_kernel_tables,
                            picard_apply, simulate_em, simulate_mild)
-from smtde.specfun import reciprocal_gamma
+from smtde.specfun import reciprocal_gamma, rl_weights
 
 from conftest import PresetDriver, make_problem
 
@@ -296,20 +296,22 @@ def test_mild_tables_carry_no_exponentials(sec6_problem):
     assert tables.far_lag == 81
 
 
-@pytest.mark.parametrize("q", [0.05, 0.5, 0.75, 0.95])
+@pytest.mark.parametrize("q", [0.05, 0.1, 0.5, 0.75, 0.95, 1.3])
 def test_cell_weights_match_forty_digit_values(q):
-    # (m h)^q - ((m - 1) h)^q in 40-digit decimal arithmetic, divided by
-    # Gamma(q + 1) in floating point as the tables do
+    # specfun.rl_weights, which the em tables, rl_integral_all and the lemma
+    # check read, against (m h)^q - ((m - 1) h)^q in 40-digit decimal
+    # arithmetic, divided by Gamma(q + 1) in floating point as it does.
+    # q = 0.1 is the lemma's 2 alpha - 1 at alpha = 0.55; 1.3 is an I^q > 1
     h = 0.01
     lags = [1, 2, 10, 1000, 99_999, 100_000]
-    got = _cell_weights(q, h, 100_000)[lags]
+    got = rl_weights(q, h, 100_000)[lags]
     with localcontext() as ctx:
         ctx.prec = 40
         dq, dh = Decimal(q), Decimal(h)
         ref = [float((m * dh) ** dq - ((m - 1) * dh) ** dq) for m in lags]
     ref = np.array(ref) * reciprocal_gamma(q + 1.0)
     assert np.all(np.abs(got - ref) <= 1e-15 * ref)
-    assert _cell_weights(q, h, 5)[0] == 0.0
+    assert rl_weights(q, h, 5)[0] == 0.0
 
 
 @pytest.mark.parametrize("alpha", [0.55, 0.75, 0.95])
