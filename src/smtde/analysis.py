@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (DegenerateExperimentError, DomainError, EnsembleError,
                      ValidationError)
 from .solvers import (BrownianDriver, InitialState, PathEnsemble, ProblemSpec,
-                      _ensembles, constant_ensemble, coupled_pair,
+                      _ensembles, constant_ensemble, coupled_sq_distances,
                       mild_init_term, mild_kernel_tables, mild_ml, picard_apply)
 from .specfun import gamma_fn, ml_scalar_log, rl_weights
 
@@ -362,16 +362,16 @@ def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState
             np.array_equal(eta.eta, gamma.eta):
         raise DegenerateExperimentError("eta == gamma yields zero separation")
 
-    e1, e2 = coupled_pair(p, eta, gamma, drv, n_paths, scheme=scheme, threads=threads)
-    sq = _sq_distances(e1, e2)
+    times, sq = coupled_sq_distances(p, eta, gamma, drv, n_paths, scheme=scheme,
+                                     threads=threads)
     d2, se = _mean_and_se(sq)
     if not np.any(d2 > 0):
         raise DegenerateExperimentError("coupled distance is identically zero")
 
-    window = e1.grid >= FIT_WINDOW_START
+    window = times >= FIT_WINDOW_START
     if window.sum() < 2:
         raise ValidationError("fit window holds fewer than two grid points")
-    t_win = e1.grid[window]
+    t_win = times[window]
     p_hat, kappa_hat = _fit_decay_exponent(t_win, d2[window])
 
     rng = np.random.Generator(np.random.Philox(key=[drv.seed, 0xB007]))
@@ -379,10 +379,10 @@ def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState
     ci = (float(np.quantile(boot, 0.025)), float(np.quantile(boot, 0.975)))
 
     with np.errstate(invalid="ignore"):
-        scaled = e1.grid ** scaling_exponent * np.sqrt(d2)
+        scaled = times ** scaling_exponent * np.sqrt(d2)
     positive = bool(np.all(d2[window] - 3.0 * se[window] > 0))
     return SeparationReport(
-        times=e1.grid, ms_distance=d2, std_errors=se,
+        times=times, ms_distance=d2, std_errors=se,
         scaling_exponent=scaling_exponent, scaled=scaled,
         fitted_exponent=p_hat, fitted_ci=ci, kappa_hat=kappa_hat,
         alpha=p.alpha,

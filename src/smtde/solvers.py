@@ -42,13 +42,16 @@ block of HISTORY_BLOCK steps (near field), the block before it (an exact
 slab), and all older history, which enters through a sum of exponentials
 carried by the tables. The ``em`` power-law kernels have one (a few dozen
 shared rates, checked against the exact weights at every far lag), so its
-stepping costs O(N (K + B)) for N steps, K rates and block length B. The
-``mild`` tables carry no exponentials, and the slab then covers all of the
-history exactly, as an O(N^2) sum.
+stepping costs O(N (K + B)) for N steps, K rates and block length B, and
+it keeps only the 2B history rows it still reads. The ``mild`` tables carry
+no exponentials, and the slab then covers all of the history exactly, as an
+O(N^2) sum over a history kept whole.
 
 Paths are stored time first and paths last, (n_steps + 1, dim, n_paths),
 the layout the core computes in: each chunk of paths is stepped straight
 into its columns of the ensemble, and the statistics reduce the same array.
+The core only writes its output rows, so ``coupled_sq_distances`` can step
+both ensembles of a coupled pair in one chunk and keep |X - Y|^2 instead.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ SOE_TOL = 1e-13
 FLAGGED_FRACTION_LIMIT = 0.10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """Coefficients, nonlinearity, and horizon of one problem instance.
 
@@ -91,6 +94,7 @@ class ProblemSpec:
     ``lip_b`` and ``lip_sigma`` are caller-asserted Lipschitz constants.
     ``a_mat`` and ``b_mat`` are stored as read-only copies; ``q_table`` is the
     one (lazily filled) table of their Q coefficients for every series call.
+    A problem compares and hashes by identity, so it can key a dict.
     """
 
     alpha: float
@@ -103,7 +107,7 @@ class ProblemSpec:
     lip_sigma: float
     horizon: float
     dim: int
-    q_table: QTable = field(init=False, repr=False, compare=False)
+    q_table: QTable = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.5 < self.alpha < 1.0:
@@ -430,15 +434,19 @@ def mild_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
 
 
 def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
-                x0: np.ndarray, dw: np.ndarray, out: np.ndarray,
+                x0: np.ndarray, dw: np.ndarray, out,
                 known: np.ndarray | None = None) -> None:
     """Explicit time-blocked stepping for one chunk of paths.
 
-    x0 has shape (dim, n_paths) and dw shape (n_steps, n_paths). The paths
-    are written into ``out``, shape (n_steps + 1, dim, n_paths), which may be
-    a strided view of the caller's ensemble. Step n sums weights[n - j]
-    against the history channels of every t_j, j < n, in blocks of
-    B = HISTORY_BLOCK output steps, split three ways:
+    x0 has shape (dim, n_paths) and dw shape (n_steps, c), where n_paths is
+    a multiple of c: the chunk may stack copies of c paths side by side
+    (the two ensembles of a coupled pair), and every copy steps over the same
+    increments, broadcast, never copied. Step n is written once, as
+    ``out[n] = x_n`` (shape (dim, n_paths)), and never read back: ``out`` may
+    be a strided view of the caller's ensemble, shape (n_steps + 1, dim,
+    n_paths), or any object that takes row assignments. Step n sums
+    weights[n - j] against the history channels of every t_j, j < n, in
+    blocks of B = HISTORY_BLOCK output steps, split three ways:
 
     * far field: history whose lag is at least ``tables.far_lag`` at every
       step of the block lives in exponential states, state_l = sum_j
@@ -450,13 +458,18 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
       exponentials, all of it).
     * near field: inside the block, each step adds only its in-block lags.
 
+    A history row absorbed into the states is never read again, so the
+    history is a window of far_lag + B - 1 rows (2B for em): at each block
+    start, after the absorb GEMM, the rows still read move to its front.
+    Tables without exponentials keep every row, and nothing moves.
+
     The slab and the near field regroup the direct sum, exact up to
     rounding; the far field is as exact as the checked exponentials. The
     near field uses dense (dim, cn) blocks even where the weights are
     scalars: a one-row product runs as gemv, whose bits depend on the
     number of paths. With ``known`` (shape (n_steps + 1, dim, n_paths)) the
     history comes from those paths, not the output: the operator without
-    feedback; ``out`` must not overlap it.
+    feedback.
     """
     nd = p.dim
     _, r, cf = tables.weights.shape     # lag blocks (r, cf), cf = n_chan * r
@@ -464,14 +477,14 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
     cn = n_chan * nd
     n_steps = times.size - 1
     n_chunk = x0.shape[1]
+    stacked = (nd, n_chunk // dw.shape[1], dw.shape[1])
     blk = HISTORY_BLOCK
-    out[0] = x0
-    src = out if known is None else known
-    # one history, read as (steps*cf, dim*paths/r) by the far field and the
-    # slab and as (steps*cn, paths) by the near field
-    hist = np.empty((n_steps, n_chan, nd, n_chunk))
-    far_hist = hist.reshape(n_steps * cf, -1)
-    near_hist = hist.reshape(n_steps * cn, n_chunk)
+    # the live history window, read as (rows*cf, dim*paths/r) by the far
+    # field and the slab and as (rows*cn, paths) by the near field
+    rows = min(n_steps, tables.far_lag + blk - 1)
+    hist = np.empty((rows, n_chan, nd, n_chunk))
+    far_hist = hist.reshape(rows * cf, -1)
+    near_hist = hist.reshape(rows * cn, n_chunk)
     near = tables.weights[:blk]
     if r == 1:
         near = np.kron(near, np.eye(nd))
@@ -487,39 +500,44 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
     readout = np.kron(np.exp(-np.outer(np.arange(blk), tables.rates)), np.eye(r))
     decay = np.repeat(np.exp(-blk * tables.rates), r)[:, None]
     state = np.zeros((n_exp * r, far_hist.shape[1]))
-    old = 0                             # history rows held by the state
+    old = 0         # history rows held by the state; window row i is t_(old+i)
 
-    def record(j: int) -> None:
-        xj = src[j]
+    def record(j: int, xj: np.ndarray) -> None:
+        row = hist[j - old]
         if tables.x_map is None:
-            hist[j, 0] = p.drift(times[j], xj)
+            row[0] = p.drift(times[j], xj)
         else:
-            hist[j, :-1] = (tables.x_map @ xj).reshape(n_chan - 1, nd, n_chunk)
-            hist[j, -2] += p.drift(times[j], xj)
-        hist[j, -1] = p.diffusion(times[j], xj) * dw[j]
+            row[:-1] = (tables.x_map @ xj).reshape(n_chan - 1, nd, n_chunk)
+            row[-2] += p.drift(times[j], xj)
+        row[-1].reshape(stacked)[...] = dw[j]
+        row[-1] *= p.diffusion(times[j], xj)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        record(0)
+        out[0] = x0
+        record(0, x0 if known is None else known[0])
         for n0 in range(1, n_steps + 1, blk):
             n1 = min(n0 + blk, n_steps + 1)
             new_old = max(old, n0 - tables.far_lag + 1)
             state *= decay
             state += absorb[:, (blk - new_old + old) * cf:] @ \
-                far_hist[old * cf:new_old * cf]
-            old = new_old
+                far_hist[:(new_old - old) * cf]
+            if new_old > old:
+                hist[:n0 - new_old] = hist[new_old - old:n0 - old]
+                old = new_old
             lags = np.arange(n0, n1)[:, None] - np.arange(old, n0)
             slab = np.take(tables.weights, lags, axis=0).transpose(0, 2, 1, 3)
             acc = readout[:(n1 - n0) * r] @ state
             acc += slab.reshape((n1 - n0) * r, (n0 - old) * cf) @ \
-                far_hist[old * cf:n0 * cf]
+                far_hist[:(n0 - old) * cf]
             acc = acc.reshape(n1 - n0, nd, n_chunk)
             acc += tables.init_mats[n0:n1] @ x0
             for k, n in enumerate(range(n0, n1)):
                 if k:
-                    acc[k] += near_row[:, -k * cn:] @ near_hist[n0 * cn:n * cn]
+                    acc[k] += near_row[:, -k * cn:] @ \
+                        near_hist[(n0 - old) * cn:(n - old) * cn]
                 out[n] = acc[k]
                 if n < n_steps:
-                    record(n)
+                    record(n, acc[k] if known is None else known[n])
 
 
 def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
@@ -541,6 +559,26 @@ def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
             *(init.sample_block(drv, ids) for init in inits))
 
 
+def _each_chunk(worker: Callable[[slice], None], n_paths: int, width: int,
+                threads: int) -> None:
+    """worker(cols) for the column slices of fixed ``width`` that cover
+    n_paths, on a pool of ``threads`` when there is more than one chunk."""
+    chunks = [slice(lo, lo + width) for lo in range(0, n_paths, width)]
+    if threads > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(worker, chunks))
+    else:
+        list(map(worker, chunks))
+
+
+def _check_flagged(flags: np.ndarray) -> None:
+    """EnsembleError if more than FLAGGED_FRACTION_LIMIT of the paths blew up."""
+    frac = float(flags.mean()) if flags.size else 0.0
+    if frac > FLAGGED_FRACTION_LIMIT:
+        raise EnsembleError(
+            f"{frac:.1%} of paths blew up (limit {FLAGGED_FRACTION_LIMIT:.0%})")
+
+
 def _run_ensemble(p: ProblemSpec, tables: KernelTables, grid: np.ndarray,
                   x0: np.ndarray, dw: np.ndarray, threads: int = 1,
                   known: np.ndarray | None = None) -> PathEnsemble:
@@ -555,23 +593,31 @@ def _run_ensemble(p: ProblemSpec, tables: KernelTables, grid: np.ndarray,
     n_paths = dw.shape[1]
     paths = np.empty((grid.size, p.dim, n_paths))
 
-    def worker(lo: int) -> None:
-        cols = slice(lo, lo + CHUNK_PATHS)
+    def worker(cols: slice) -> None:
         _step_paths(tables, p, grid, x0[:, cols], dw[:, cols], paths[:, :, cols],
                     known=None if known is None else known[:, :, cols])
 
-    starts = range(0, n_paths, CHUNK_PATHS)
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(worker, starts))
-    else:
-        list(map(worker, starts))
+    _each_chunk(worker, n_paths, CHUNK_PATHS, threads)
     flags = ~np.isfinite(paths).all(axis=(0, 1))
-    frac = float(flags.mean()) if flags.size else 0.0
-    if frac > FLAGGED_FRACTION_LIMIT:
-        raise EnsembleError(
-            f"{frac:.1%} of paths blew up (limit {FLAGGED_FRACTION_LIMIT:.0%})")
+    _check_flagged(flags)
     return PathEnsemble(grid=grid, paths=paths, increments=dw, flags=flags)
+
+
+class _PairDistances:
+    """Write-only output of a stacked pair chunk, [X | Y] of shape
+    (dim, 2c): row n becomes |X - Y|^2 in ``sq[n, cols]``, and ``finite``
+    (2, n_paths) keeps whether each ensemble's paths stayed finite. The sum
+    over dim is the one ``_sq_distances`` forms from stored ensembles."""
+
+    def __init__(self, sq: np.ndarray, finite: np.ndarray, cols: slice):
+        self.sq, self.finite, self.cols = sq, finite, cols
+
+    def __setitem__(self, n: int, x: np.ndarray) -> None:
+        xy = x.reshape(x.shape[0], 2, -1)
+        diff = np.subtract(xy[:, 0], xy[:, 1])
+        np.square(diff, out=diff)
+        np.sum(diff, axis=0, out=self.sq[n, self.cols])
+        self.finite[:, self.cols] &= np.isfinite(xy).all(axis=0)
 
 
 # Scheme name -> kernel table builder, looked up at call time so that a
@@ -676,6 +722,42 @@ def coupled_pair(p: ProblemSpec, eta: InitialState, gamma: InitialState,
     Synchronous coupling: the increments are drawn once and both ensembles
     step over (and hold) the same array, so the per-path difference isolates
     the initial-condition effect. The default scheme is the Volterra-form
-    integrator, which has no series cutoff limiting the horizon.
+    integrator, which has no series cutoff limiting the horizon. Both
+    ensembles are stored, 2 (n_steps + 1) dim doubles per path;
+    ``coupled_sq_distances`` gives their squared distances without storing
+    either.
     """
     return tuple(_ensembles(p, drv, n_paths, (eta, gamma), scheme, threads))
+
+
+def coupled_sq_distances(p: ProblemSpec, eta: InitialState, gamma: InitialState,
+                         drv: BrownianDriver, n_paths: int, scheme: str = "em",
+                         threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The grid and |X(t) - Y(t)|^2 of the ``coupled_pair`` ensembles, per
+    time and jointly valid path, shape (n_steps + 1, n_valid), without
+    storing either ensemble.
+
+    Each chunk stacks CHUNK_PATHS / 2 initial values of eta beside the same
+    paths' values of gamma and steps them once, over one copy of their
+    increments; the core's output rows go straight into the distances. The
+    paths left out (flagged in either ensemble) and the EnsembleError above
+    FLAGGED_FRACTION_LIMIT (eta's ensemble checked first) are those of
+    ``coupled_pair``; the values are those of ``_sq_distances`` on its
+    ensembles, up to the last bits where the chunk widths make the BLAS
+    kernels differ (README "Determinism").
+    """
+    tables = kernel_tables(p, drv.n_steps, scheme)
+    grid, dw, x_eta, x_gamma = _draw(p, drv, n_paths, eta, gamma)
+    sq = np.empty((grid.size, n_paths))
+    finite = np.ones((2, n_paths), dtype=bool)
+
+    def worker(cols: slice) -> None:
+        x0 = np.concatenate([x_eta[:, cols], x_gamma[:, cols]], axis=1)
+        _step_paths(tables, p, grid, x0, dw[:, cols],
+                    _PairDistances(sq, finite, cols))
+
+    _each_chunk(worker, n_paths, max(CHUNK_PATHS // 2, 1), threads)
+    for ensemble in finite:
+        _check_flagged(~ensemble)
+    valid = finite.all(axis=0)
+    return grid, sq if valid.all() else sq.compress(valid, axis=1)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smtde import analysis
+from smtde import analysis, solvers
 from smtde.analysis import (WeightedNormParams,
                             contraction_report, continuity_experiment,
                             init_term_sup_sq, convolution_bound_check,
@@ -13,8 +13,9 @@ from smtde.analysis import (WeightedNormParams,
                             zeta_const)
 from smtde.errors import (DegenerateExperimentError, DomainError, EnsembleError,
                           ValidationError)
-from smtde.solvers import (BrownianDriver, InitialState, PathEnsemble,
-                           constant_ensemble, coupled_pair, picard_apply,
+from smtde.solvers import (HISTORY_BLOCK, BrownianDriver, InitialState,
+                           PathEnsemble, constant_ensemble, coupled_pair,
+                           coupled_sq_distances, em_kernel_tables, picard_apply,
                            simulate_em)
 
 from conftest import CountingDriver, make_problem, one_fn, zero_fn
@@ -357,6 +358,28 @@ class TestSeparation:
         expected_scaled = report.times[win] ** 1.0 * np.sqrt(report.ms_distance[win])
         assert np.allclose(report.scaled[win], expected_scaled, rtol=1e-12)
 
+    def test_memory_holds_distances_not_paths(self, eta_state):
+        # the pair is never stored: the peak is the (N+1, P) distances, the
+        # increments (N, P) and one stacked chunk's working set per column,
+        # the 2B-row history window of [A x; B x + b; sigma dW], the K
+        # exponential states with their update and two (B, dim) accumulators.
+        # The stored pair added two (N+1, dim, P) ensembles and an (N, 3 dim)
+        # history per path: 45.7 MB here, against 14.5 MB measured
+        p = self.make_long_problem()
+        n_steps, n_paths = 1000, 500
+        k = em_kernel_tables(p, n_steps).rates.size
+        per_column = (2 * HISTORY_BLOCK * 3 + 2 * k + 2 * HISTORY_BLOCK) * p.dim * 8
+        bound = 2 * (n_steps + 1) * n_paths * 8 + 1.2 * per_column * 2 * n_paths
+        drv = BrownianDriver(seed=4, n_steps=n_steps)
+        gamma = InitialState.deterministic([3.5, 5.5])
+        tracemalloc.start()
+        try:
+            separation_experiment(p, eta_state, gamma, drv, 1.0, n_paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
     def test_exponent_stable_under_doubling_paths(self, eta_state):
         p = self.make_long_problem()
         gamma = InitialState.deterministic([3.5, 5.5])
@@ -385,6 +408,73 @@ def gather_bootstrap(times, sq, seed, n_boot):
 def flaky_drift(t, x):
     # non-finite once a coordinate leaves [-10, 10]: a few paths blow up
     return np.where(np.abs(x) > 10.0, np.inf, 0.0)
+
+
+def flaky_above(level):
+    # non-finite once a coordinate exceeds level: with eta = (3, 5) and
+    # gamma = (-5, -3), only eta's paths get there (at seed 7, 100 steps and
+    # 256 paths: 3.9% of them for level 9, 13.7% for level 8)
+    return lambda t, x: np.where(x > level, np.inf, 0.0)
+
+
+class TestCoupledSqDistances:
+    """The one-pass squared distances against the stored pair, bit for bit.
+
+    A chunk's bits depend on its width where that is not a multiple of the
+    BLAS kernel's column block (README "Determinism"), and the one pass
+    stacks CHUNK_PATHS / 2 pairs per chunk; the widths here are multiples
+    of 64 on both sides."""
+
+    GAMMA = InitialState.deterministic([3.5, 5.5])
+
+    @pytest.mark.parametrize("scheme, n_steps, n_paths, horizon", [
+        ("em", 1000, 768, 10.0),     # the separation-long width
+        ("em", 200, 3 * solvers.CHUNK_PATHS // 4, 5.0),   # two stacked chunks
+        ("mild", 100, 64, 4.0),
+    ])
+    def test_equals_stored_pair(self, eta_state, scheme, n_steps, n_paths,
+                                horizon):
+        p = make_problem(horizon=horizon)
+        drv = BrownianDriver(seed=1, n_steps=n_steps)
+        ref = analysis._sq_distances(*coupled_pair(
+            p, eta_state, self.GAMMA, drv, n_paths, scheme=scheme))
+        for threads in (1, 2):
+            grid, sq = coupled_sq_distances(p, eta_state, self.GAMMA, drv,
+                                            n_paths, scheme=scheme,
+                                            threads=threads)
+            assert np.array_equal(sq, ref)
+            assert sq.flags.c_contiguous
+        assert grid.tobytes() == p.grid(n_steps).tobytes()
+
+    def test_blowup_in_one_ensemble(self, eta_state):
+        p = make_problem(a_mat=ZERO2, b_mat=ZERO2, drift=flaky_above(9.0),
+                         diffusion=one_fn, horizon=5.0)
+        gamma = InitialState.deterministic([-5.0, -3.0])
+        drv = BrownianDriver(seed=7, n_steps=100)
+        e1, e2 = coupled_pair(p, eta_state, gamma, drv, 256)
+        assert e1.flags.sum() > 0 and not e2.flags.any()
+        ref = analysis._sq_distances(e1, e2)
+        _, sq = coupled_sq_distances(p, eta_state, gamma, drv, 256)
+        assert np.array_equal(sq, ref)
+        report = separation_experiment(p, eta_state, gamma, drv, 1.0, 256)
+        assert report.n_dropped == int(e1.flags.sum())
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_flagged_limit_error_matches(self, eta_state, swap):
+        # eta's ensemble (or gamma's, swapped) blows up past the 10% limit;
+        # the other stays finite
+        p = make_problem(a_mat=ZERO2, b_mat=ZERO2, drift=flaky_above(8.0),
+                         diffusion=one_fn, horizon=5.0)
+        inits = [eta_state, InitialState.deterministic([-5.0, -3.0])]
+        if swap:
+            inits.reverse()
+        drv = BrownianDriver(seed=7, n_steps=100)
+        with pytest.raises(EnsembleError) as stored:
+            coupled_pair(p, *inits, drv, 256)
+        with pytest.raises(EnsembleError) as one_pass:
+            coupled_sq_distances(p, *inits, drv, 256)
+        assert str(one_pass.value) == str(stored.value)
+        assert "of paths blew up" in str(stored.value)
 
 
 class TestSeparationBootstrap:

@@ -39,6 +39,13 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             sec6_problem.b_mat[0, 0] = 1.0
 
+    def test_compares_and_hashes_by_identity(self, sec6_problem):
+        # the generated __eq__/__hash__ would read the matrices and raise
+        p = sec6_problem
+        assert p == p
+        assert p != make_problem()
+        assert {p: 1}[p] == 1
+
     @pytest.mark.parametrize("horizon, n_steps", [(1.0, 100), (20.0, 200), (0.3, 7)])
     def test_grid_is_the_ensemble_grid(self, eta_state, horizon, n_steps):
         p = make_problem(horizon=horizon)

@@ -215,15 +215,16 @@ def test_causal_across_block_boundary(sec6_problem, eta_state, step):
 
 
 def _core_peak_bytes(p, scheme, n_steps, n_paths):
+    # the core's own peak: the output, like the inputs, is the caller's
     tables = TABLES[scheme](p, n_steps)
     drv = BrownianDriver(seed=3, n_steps=n_steps)
     times = p.horizon / n_steps * np.arange(n_steps + 1)
     dw = drv.increments_block(range(n_paths), p.horizon / n_steps)
     x0 = InitialState.deterministic([3.0, 5.0]).sample_block(drv, range(n_paths))
+    out = np.empty((n_steps + 1, p.dim, n_paths))
     tracemalloc.start()
     try:
-        _step_paths(tables, p, times, x0, dw,
-                    np.empty((n_steps + 1, p.dim, n_paths)))
+        _step_paths(tables, p, times, x0, dw, out)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -236,18 +237,28 @@ def _growth_per_step(p, scheme, n_paths):
 
 
 def test_memory_grows_by_history_and_paths_only(sec6_problem):
-    # per added step the em core keeps one [A x; B x + b; sigma dW] history
-    # row (3*dim) and one output row (dim) per path; nothing else may grow
-    # with the grid
+    # the em history is a window of 2B rows, so from 100 to 200 steps
+    # (same K) nothing grows with the grid; a whole history would add one
+    # [A x; B x + b; sigma dW] row (3*dim) per path and step
     n_paths = 2048
-    per_step = 4 * sec6_problem.dim * n_paths * 8
-    assert _growth_per_step(sec6_problem, "em", n_paths) <= 1.1 * per_step
+    row = sec6_problem.dim * n_paths * 8
+    assert _growth_per_step(sec6_problem, "em", n_paths) <= 0.1 * row
+
+
+def test_em_history_window_does_not_grow_with_steps(sec6_problem):
+    # the core's peak is the history window, the K exponential states and
+    # the block accumulators. K grows with log N (72 at N = 500, 86 at
+    # N = 4000); a whole history would make the peak 7x larger at 4000
+    short = _core_peak_bytes(sec6_problem, "em", 500, 256)
+    long = _core_peak_bytes(sec6_problem, "em", 4000, 256)
+    assert long <= 1.1 * short
 
 
 def test_mild_memory_grows_by_history_and_paths_only(sec6_problem):
-    # mild records no x-memory channel: [b; sigma dW] (2*dim) plus the output
+    # mild records no x-memory channel and keeps all of its history:
+    # [b; sigma dW] (2*dim) per path and step
     n_paths = 2048
-    per_step = 3 * sec6_problem.dim * n_paths * 8
+    per_step = 2 * sec6_problem.dim * n_paths * 8
     assert _growth_per_step(sec6_problem, "mild", n_paths) <= 1.1 * per_step
 
 
