@@ -28,15 +28,17 @@ import numpy as np
 from .errors import (DegenerateExperimentError, DomainError, EnsembleError,
                      ValidationError)
 from .solvers import (BrownianDriver, InitialState, PathEnsemble, ProblemSpec,
-                      _ensembles, constant_ensemble, coupled_sq_distances,
-                      mild_init_term, mild_kernel_tables, mild_ml, picard_apply)
+                      _draw, _ensembles, constant_ensemble, coupled_sq_distances,
+                      kernel_tables, mild_init_term, mild_kernel_tables, mild_ml,
+                      picard_apply)
 from .specfun import gamma_fn, ml_scalar_log, rl_weights
 
 FIT_WINDOW_START = 1.0
 FITTED_EXPONENT_SLACK = 0.25
 BOOTSTRAP_RESAMPLES = 200
 SUP_GRID_POINTS = 1000
-# Grid times per block of the squared-norm reducers (_sq_reduce).
+# Grid times per block of the squared-norm reducers (_sq_reduce) and of the
+# standard errors (_mean_and_se).
 SQ_BLOCK_TIMES = 64
 
 
@@ -96,13 +98,16 @@ def _sq_reduce(x: np.ndarray, y: np.ndarray | None, mask: np.ndarray) -> np.ndar
 
 def _mean_and_se(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-time mean and standard error of a C-ordered (n_t, n_valid) array:
-    each time's sum over paths is numpy's pairwise sum."""
+    each time's sum over paths is numpy's pairwise sum. The deviations from
+    the mean are formed SQ_BLOCK_TIMES times at a time, not for all of sq."""
     est = sq.mean(axis=-1)
     n_valid = sq.shape[-1]
+    se = np.zeros_like(est)
     if n_valid > 1:
-        se = sq.std(axis=-1, ddof=1) / math.sqrt(n_valid)
-    else:
-        se = np.zeros_like(est)
+        for lo in range(0, sq.shape[0], SQ_BLOCK_TIMES):
+            rows = slice(lo, lo + SQ_BLOCK_TIMES)
+            se[rows] = sq[rows].std(axis=-1, ddof=1)
+        se /= math.sqrt(n_valid)
     return est, se
 
 
@@ -368,10 +373,11 @@ def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState
     if not np.any(d2 > 0):
         raise DegenerateExperimentError("coupled distance is identically zero")
 
-    window = times >= FIT_WINDOW_START
-    if window.sum() < 2:
-        raise ValidationError("fit window holds fewer than two grid points")
+    # the fit window is a suffix of the grid: every window below is a view
+    window = slice(int(np.searchsorted(times, FIT_WINDOW_START)), None)
     t_win = times[window]
+    if t_win.size < 2:
+        raise ValidationError("fit window holds fewer than two grid points")
     p_hat, kappa_hat = _fit_decay_exponent(t_win, d2[window])
 
     rng = np.random.Generator(np.random.Philox(key=[drv.seed, 0xB007]))
@@ -406,15 +412,16 @@ class ContinuityPoint:
 
 
 def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
-                          drv: BrownianDriver, n_paths: int,
-                          direction=None, scheme: str = "em",
+                          drv: BrownianDriver, n_paths: int, scheme: str = "em",
                           threads: int = 1) -> list[ContinuityPoint]:
     """sup-t mean-square distance per initial offset, against a shared base run.
 
-    For each offset the perturbed initial value is eta + offset * u along a
-    fixed unit direction u; the reported ratio sup_t d^2 / |eta - gamma|^2
+    For each offset the perturbed initial value is eta + offset * u along
+    the unit diagonal u; the reported ratio sup_t d^2 / |eta - gamma|^2
     should stay bounded across offsets when the solution map is continuous in
-    the initial data.
+    the initial data. The noise is drawn once; the base ensemble is stepped
+    first, then one shifted ensemble at a time, so the memory held does not
+    grow with the number of offsets.
     """
     offsets = [float(o) for o in offsets]
     if not offsets or any(o <= 0 for o in offsets):
@@ -424,25 +431,17 @@ def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
     if not eta.is_deterministic:
         raise ValidationError("continuity experiment needs a deterministic eta")
 
-    if direction is None:
-        u = np.ones(p.dim) / math.sqrt(p.dim)
-    else:
-        u = np.asarray(direction, dtype=float)
-        norm = float(np.linalg.norm(u))
-        if u.shape != (p.dim,) or norm == 0:
-            raise ValidationError("direction must be a nonzero vector of problem dim")
-        u = u / norm
-
+    u = np.ones(p.dim) / math.sqrt(p.dim)
     gammas = [InitialState.deterministic(eta.eta + off * u) for off in offsets]
-    # each shifted ensemble is stepped when the loop reaches it, so the memory
-    # held does not grow with the number of offsets
-    ensembles = _ensembles(p, drv, n_paths, [eta, *gammas], scheme, threads)
-    base = next(ensembles)
-    rows: list[ContinuityPoint] = []
-    for off, shifted in zip(offsets, ensembles):
-        d2, _ = ms_distance_series(base, shifted)
-        sup_d2 = float(np.max(d2))
-        rows.append(ContinuityPoint(
+    tables = kernel_tables(p, drv.n_steps, scheme)
+    grid, dw, x_eta, *x_gammas = _draw(p, drv, n_paths, eta, *gammas)
+    base, = _ensembles(p, tables, grid, [x_eta], dw, threads)
+
+    def point(off: float, x0: np.ndarray) -> ContinuityPoint:
+        shifted, = _ensembles(p, tables, grid, [x0], dw, threads)
+        sup_d2 = float(np.max(ms_distance_series(base, shifted)[0]))
+        return ContinuityPoint(
             offset=off, sup_ms_distance=sup_d2, ratio=sup_d2 / off ** 2,
-            n_dropped=int((base.flags | shifted.flags).sum())))
-    return rows
+            n_dropped=int((base.flags | shifted.flags).sum()))
+
+    return [point(off, x0) for off, x0 in zip(offsets, x_gammas)]

@@ -178,14 +178,14 @@ def _as_param(key: str, value, dim: int):
         return _as_choice(value, key, _SCHEMES)
     if key == "function":
         return _as_choice(value, key, IDENTITY_REGISTRY)
-    if key in ("omega", "direction") and value is None:
+    if key == "omega" and value is None:
         return None
     if key in ("n_iter", "n_quad"):
         return _as_int(value, name)
     if key in ("lambda", "omega", "delta"):
         return _as_number(value, name)
-    # the rest are vectors; initial states and directions live in R^dim
-    vec = _as_vector(value, name, dim if key in ("eta", "gamma", "direction") else None)
+    # the rest are vectors; initial states live in R^dim
+    vec = _as_vector(value, name, dim if key in ("eta", "gamma") else None)
     if key == "t_grid" and any(t < 0 for t in vec):
         raise ValidationError("params.t_grid values must be nonnegative")
     return vec
@@ -311,9 +311,7 @@ def _run_separation(cfg: RunConfig, threads: int):
 def _run_continuity(cfg: RunConfig, threads: int):
     drv, eta, scheme = _ensemble_inputs(cfg)
     points = continuity_experiment(cfg.problem, eta, cfg.params["offsets"], drv,
-                                   cfg.n_paths,
-                                   direction=cfg.params.get("direction"),
-                                   scheme=scheme, threads=threads)
+                                   cfg.n_paths, scheme=scheme, threads=threads)
     rows = []
     for pt in points:
         rows.append((pt.offset, "sup_ms_distance", pt.sup_ms_distance, None))
@@ -373,7 +371,7 @@ _EXPERIMENTS = {
     "simulate": (_run_simulate, ("eta",), ("scheme",)),
     "picard": (_run_picard, ("eta",), ("n_iter", "omega")),
     "separation": (_run_separation, ("eta", "gamma", "lambda"), ("scheme",)),
-    "continuity": (_run_continuity, ("eta", "offsets"), ("direction", "scheme")),
+    "continuity": (_run_continuity, ("eta", "offsets"), ("scheme",)),
     "ml-eval": (_run_ml_eval, ("t_grid",), ("delta",)),
     "check-lemma": (_run_check_lemma, ("omegas", "alphas", "times", "n_quad"), ()),
     "check-identity": (_run_check_identity, ("function",), ()),

@@ -48,10 +48,13 @@ no exponentials, and the slab then covers all of the history exactly, as an
 O(N^2) sum over a history kept whole.
 
 Paths are stored time first and paths last, (n_steps + 1, dim, n_paths),
-the layout the core computes in: each chunk of paths is stepped straight
-into its columns of the ensemble, and the statistics reduce the same array.
-The core only writes its output rows, so ``coupled_sq_distances`` can step
-both ensembles of a coupled pair in one chunk and keep |X - Y|^2 instead.
+the layout the core computes in. Every ensemble is stepped by one chunk
+loop, ``_run``: a chunk stacks the same paths from each initial value
+(one copy for ``simulate``, two for a coupled pair) over one copy of their
+increments, and the core writes each row as (dim, copies, c) and reports
+which paths stayed finite. ``coupled_pair`` stores the copies;
+``coupled_sq_distances`` keeps only |X - Y|^2 of the same chunks, so the
+two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -435,16 +438,18 @@ def mild_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
 
 def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
                 x0: np.ndarray, dw: np.ndarray, out,
-                known: np.ndarray | None = None) -> None:
-    """Explicit time-blocked stepping for one chunk of paths.
+                known: np.ndarray | None = None) -> np.ndarray:
+    """Explicit time-blocked stepping for one chunk of paths; returns the
+    (n_paths,) mask of the paths whose output stayed finite.
 
     x0 has shape (dim, n_paths) and dw shape (n_steps, c), where n_paths is
-    a multiple of c: the chunk may stack copies of c paths side by side
-    (the two ensembles of a coupled pair), and every copy steps over the same
-    increments, broadcast, never copied. Step n is written once, as
-    ``out[n] = x_n`` (shape (dim, n_paths)), and never read back: ``out`` may
-    be a strided view of the caller's ensemble, shape (n_steps + 1, dim,
-    n_paths), or any object that takes row assignments. Step n sums
+    a multiple of c: the chunk stacks copies of c paths side by side (one
+    per initial value), and every copy steps over the same increments,
+    broadcast, never copied. Step n is written once, as ``out[n] = x_n`` of
+    shape (dim, copies, c), and never read back: ``out`` may be a strided
+    view of the caller's ensembles, shape (n_steps + 1, dim, copies, c), or
+    any object that takes row assignments. The finite mask is checked on
+    x0 and then once per block, on the block's rows. Step n sums
     weights[n - j] against the history channels of every t_j, j < n, in
     blocks of B = HISTORY_BLOCK output steps, split three ways:
 
@@ -469,7 +474,7 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
     scalars: a one-row product runs as gemv, whose bits depend on the
     number of paths. With ``known`` (shape (n_steps + 1, dim, n_paths)) the
     history comes from those paths, not the output: the operator without
-    feedback.
+    feedback. The mask covers the output, not ``known``.
     """
     nd = p.dim
     _, r, cf = tables.weights.shape     # lag blocks (r, cf), cf = n_chan * r
@@ -478,6 +483,9 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
     n_steps = times.size - 1
     n_chunk = x0.shape[1]
     stacked = (nd, n_chunk // dw.shape[1], dw.shape[1])
+    # allocated before the working arrays, so it cannot pin the heap top above
+    # their freed space (that cost 0.7 MB peak RSS on a 768-path em pair)
+    finite = np.isfinite(x0).all(axis=0)
     blk = HISTORY_BLOCK
     # the live history window, read as (rows*cf, dim*paths/r) by the far
     # field and the slab and as (rows*cn, paths) by the near field
@@ -513,7 +521,7 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
         row[-1] *= p.diffusion(times[j], xj)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        out[0] = x0
+        out[0] = x0.reshape(stacked)
         record(0, x0 if known is None else known[0])
         for n0 in range(1, n_steps + 1, blk):
             n1 = min(n0 + blk, n_steps + 1)
@@ -535,9 +543,11 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
                 if k:
                     acc[k] += near_row[:, -k * cn:] @ \
                         near_hist[(n0 - old) * cn:(n - old) * cn]
-                out[n] = acc[k]
+                out[n] = acc[k].reshape(stacked)
                 if n < n_steps:
                     record(n, acc[k] if known is None else known[n])
+            finite &= np.isfinite(acc).all(axis=(0, 1))
+    return finite
 
 
 def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
@@ -571,53 +581,63 @@ def _each_chunk(worker: Callable[[slice], None], n_paths: int, width: int,
         list(map(worker, chunks))
 
 
-def _check_flagged(flags: np.ndarray) -> None:
-    """EnsembleError if more than FLAGGED_FRACTION_LIMIT of the paths blew up."""
-    frac = float(flags.mean()) if flags.size else 0.0
-    if frac > FLAGGED_FRACTION_LIMIT:
-        raise EnsembleError(
-            f"{frac:.1%} of paths blew up (limit {FLAGGED_FRACTION_LIMIT:.0%})")
+def _run(p: ProblemSpec, tables: KernelTables, grid: np.ndarray, x0s,
+         dw: np.ndarray, out: Callable[[slice], object], threads: int = 1,
+         known: np.ndarray | None = None) -> np.ndarray:
+    """Step each of the initial values x0s, (dim, n_paths) per copy, over
+    the increments dw; returns which paths stayed finite, (copies, n_paths).
 
-
-def _run_ensemble(p: ProblemSpec, tables: KernelTables, grid: np.ndarray,
-                  x0: np.ndarray, dw: np.ndarray, threads: int = 1,
-                  known: np.ndarray | None = None) -> PathEnsemble:
-    """Step the initial values x0 (dim, n_paths) over the increments dw.
-
-    Paths are stepped in fixed chunks of CHUNK_PATHS, so the result does not
-    depend on ``threads``; each chunk writes its columns of the ensemble's
-    paths in place. With ``known`` (an ensemble's paths) the history comes
-    from those paths: the operator without feedback. The returned ensemble
-    holds dw itself, not a copy.
+    Every chunk stacks CHUNK_PATHS // copies paths of each copy, whatever
+    ``threads`` is, so the result does not depend on it. ``out(cols)`` is
+    the core's output for the chunk of columns ``cols``. With ``known`` (an
+    ensemble's paths) the history comes from those paths: the operator
+    without feedback. EnsembleError if more than FLAGGED_FRACTION_LIMIT of
+    one copy's paths blew up, the copies checked in order.
     """
-    n_paths = dw.shape[1]
-    paths = np.empty((grid.size, p.dim, n_paths))
+    copies, n_paths = len(x0s), dw.shape[1]
+    finite = np.empty((copies, n_paths), dtype=bool)
 
     def worker(cols: slice) -> None:
-        _step_paths(tables, p, grid, x0[:, cols], dw[:, cols], paths[:, :, cols],
-                    known=None if known is None else known[:, :, cols])
+        x0 = np.concatenate([x[:, cols] for x in x0s], axis=1)
+        finite[:, cols] = _step_paths(
+            tables, p, grid, x0, dw[:, cols], out(cols),
+            known=None if known is None else known[:, :, cols]).reshape(copies, -1)
 
-    _each_chunk(worker, n_paths, CHUNK_PATHS, threads)
-    flags = ~np.isfinite(paths).all(axis=(0, 1))
-    _check_flagged(flags)
-    return PathEnsemble(grid=grid, paths=paths, increments=dw, flags=flags)
+    _each_chunk(worker, n_paths, max(CHUNK_PATHS // copies, 1), threads)
+    for flags in ~finite:
+        frac = float(flags.mean()) if flags.size else 0.0
+        if frac > FLAGGED_FRACTION_LIMIT:
+            raise EnsembleError(
+                f"{frac:.1%} of paths blew up (limit {FLAGGED_FRACTION_LIMIT:.0%})")
+    return finite
+
+
+def _ensembles(p: ProblemSpec, tables: KernelTables, grid: np.ndarray, x0s,
+               dw: np.ndarray, threads: int = 1,
+               known: np.ndarray | None = None) -> list[PathEnsemble]:
+    """One stored ensemble per initial values in x0s, stepped together by
+    ``_run``. Each ensemble's paths are C-contiguous, and each ensemble
+    holds dw itself, not a copy."""
+    paths = np.empty((len(x0s), grid.size, p.dim, dw.shape[1]))
+    finite = _run(p, tables, grid, x0s, dw,
+                  lambda cols: paths[..., cols].transpose(1, 2, 0, 3),
+                  threads, known)
+    return [PathEnsemble(grid=grid, paths=x, increments=dw, flags=~ok)
+            for x, ok in zip(paths, finite)]
 
 
 class _PairDistances:
-    """Write-only output of a stacked pair chunk, [X | Y] of shape
-    (dim, 2c): row n becomes |X - Y|^2 in ``sq[n, cols]``, and ``finite``
-    (2, n_paths) keeps whether each ensemble's paths stayed finite. The sum
-    over dim is the one ``_sq_distances`` forms from stored ensembles."""
+    """Write-only output of a pair chunk: row n, [X, Y] of shape (dim, 2, c),
+    becomes |X - Y|^2 in ``sq[n, cols]``, the sum over dim that
+    ``_sq_distances`` forms from stored ensembles."""
 
-    def __init__(self, sq: np.ndarray, finite: np.ndarray, cols: slice):
-        self.sq, self.finite, self.cols = sq, finite, cols
+    def __init__(self, sq: np.ndarray, cols: slice):
+        self.sq, self.cols = sq, cols
 
     def __setitem__(self, n: int, x: np.ndarray) -> None:
-        xy = x.reshape(x.shape[0], 2, -1)
-        diff = np.subtract(xy[:, 0], xy[:, 1])
+        diff = np.subtract(x[:, 0], x[:, 1])
         np.square(diff, out=diff)
         np.sum(diff, axis=0, out=self.sq[n, self.cols])
-        self.finite[:, self.cols] &= np.isfinite(xy).all(axis=0)
 
 
 # Scheme name -> kernel table builder, looked up at call time so that a
@@ -637,20 +657,12 @@ def kernel_tables(p: ProblemSpec, n_steps: int, scheme: str) -> KernelTables:
     return _TABLE_BUILDERS[scheme](p, n_steps)
 
 
-def _ensembles(p: ProblemSpec, drv: BrownianDriver, n_paths: int, inits,
-               scheme: str, threads: int):
-    """One ensemble per initial state in ``inits``, all over one increments
-    array. Tables and noise are made at the call, so bad input raises there;
-    each ensemble is stepped only when the returned iterator reaches it."""
-    tables = kernel_tables(p, drv.n_steps, scheme)
-    grid, dw, *x0s = _draw(p, drv, n_paths, *inits)
-    return (_run_ensemble(p, tables, grid, x0, dw, threads) for x0 in x0s)
-
-
 def simulate(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
              n_paths: int, scheme: str = "em", threads: int = 1) -> PathEnsemble:
     """Path ensemble of the named scheme (see ``kernel_tables``)."""
-    return next(_ensembles(p, drv, n_paths, [init], scheme, threads))
+    tables = kernel_tables(p, drv.n_steps, scheme)
+    grid, dw, x0 = _draw(p, drv, n_paths, init)
+    return _ensembles(p, tables, grid, [x0], dw, threads)[0]
 
 
 def simulate_em(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
@@ -710,8 +722,8 @@ def picard_apply(p: ProblemSpec, init: InitialState, y: PathEnsemble,
             raise ValidationError("ensemble initial values differ from init")
     if tables is None:
         tables = mild_kernel_tables(p, n_steps)
-    return _run_ensemble(p, tables, y.grid.copy(), y.paths[0], y.increments,
-                         threads, known=y.paths)
+    return _ensembles(p, tables, y.grid.copy(), [y.paths[0]], y.increments,
+                      threads, known=y.paths)[0]
 
 
 def coupled_pair(p: ProblemSpec, eta: InitialState, gamma: InitialState,
@@ -722,12 +734,13 @@ def coupled_pair(p: ProblemSpec, eta: InitialState, gamma: InitialState,
     Synchronous coupling: the increments are drawn once and both ensembles
     step over (and hold) the same array, so the per-path difference isolates
     the initial-condition effect. The default scheme is the Volterra-form
-    integrator, which has no series cutoff limiting the horizon. Both
-    ensembles are stored, 2 (n_steps + 1) dim doubles per path;
-    ``coupled_sq_distances`` gives their squared distances without storing
-    either.
+    integrator, which has no series cutoff limiting the horizon. This is the
+    stored form of ``coupled_sq_distances``: the same stacked chunks, with
+    both ensembles kept, 2 (n_steps + 1) dim doubles per path.
     """
-    return tuple(_ensembles(p, drv, n_paths, (eta, gamma), scheme, threads))
+    tables = kernel_tables(p, drv.n_steps, scheme)
+    grid, dw, *x0s = _draw(p, drv, n_paths, eta, gamma)
+    return tuple(_ensembles(p, tables, grid, x0s, dw, threads))
 
 
 def coupled_sq_distances(p: ProblemSpec, eta: InitialState, gamma: InitialState,
@@ -737,27 +750,16 @@ def coupled_sq_distances(p: ProblemSpec, eta: InitialState, gamma: InitialState,
     time and jointly valid path, shape (n_steps + 1, n_valid), without
     storing either ensemble.
 
-    Each chunk stacks CHUNK_PATHS / 2 initial values of eta beside the same
-    paths' values of gamma and steps them once, over one copy of their
-    increments; the core's output rows go straight into the distances. The
-    paths left out (flagged in either ensemble) and the EnsembleError above
-    FLAGGED_FRACTION_LIMIT (eta's ensemble checked first) are those of
-    ``coupled_pair``; the values are those of ``_sq_distances`` on its
-    ensembles, up to the last bits where the chunk widths make the BLAS
-    kernels differ (README "Determinism").
+    Each chunk stacks CHUNK_PATHS / 2 paths from eta beside the same paths
+    from gamma, as ``coupled_pair`` does, and the core's output rows go
+    straight into the distances. So the values equal ``_sq_distances`` on
+    the ``coupled_pair`` ensembles bit for bit, and the paths left out
+    (flagged in either ensemble) and the EnsembleError above
+    FLAGGED_FRACTION_LIMIT (eta's ensemble checked first) are the same.
     """
     tables = kernel_tables(p, drv.n_steps, scheme)
-    grid, dw, x_eta, x_gamma = _draw(p, drv, n_paths, eta, gamma)
+    grid, dw, *x0s = _draw(p, drv, n_paths, eta, gamma)
     sq = np.empty((grid.size, n_paths))
-    finite = np.ones((2, n_paths), dtype=bool)
-
-    def worker(cols: slice) -> None:
-        x0 = np.concatenate([x_eta[:, cols], x_gamma[:, cols]], axis=1)
-        _step_paths(tables, p, grid, x0, dw[:, cols],
-                    _PairDistances(sq, finite, cols))
-
-    _each_chunk(worker, n_paths, max(CHUNK_PATHS // 2, 1), threads)
-    for ensemble in finite:
-        _check_flagged(~ensemble)
-    valid = finite.all(axis=0)
+    valid = _run(p, tables, grid, x0s, dw, lambda cols: _PairDistances(sq, cols),
+                 threads).all(axis=0)
     return grid, sq if valid.all() else sq.compress(valid, axis=1)

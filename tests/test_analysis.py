@@ -18,7 +18,8 @@ from smtde.solvers import (HISTORY_BLOCK, BrownianDriver, InitialState,
                            coupled_sq_distances, em_kernel_tables, picard_apply,
                            simulate_em)
 
-from conftest import CountingDriver, make_problem, one_fn, zero_fn
+from conftest import (CountingDriver, flaky_above, make_problem, one_fn,
+                      zero_fn)
 
 ZERO2 = np.zeros((2, 2))
 
@@ -104,6 +105,25 @@ class TestMsNorm:
         assert peak <= 1.1 * sq.nbytes + block
         assert peak <= 1.25 * sq.nbytes
         assert np.array_equal(sq, np.sum(np.square(e1.paths - e2.paths), axis=1))
+
+    def test_standard_errors_memory_is_one_block(self):
+        # the deviations from the mean are formed per block of times: the
+        # peak is the two (n_t,) outputs plus one block's deviations and
+        # numpy's ufunc buffer (getbufsize doubles, taken by the broadcast
+        # subtraction), where sq.std formed all of them at once (1.0x sq)
+        rng = np.random.default_rng(4)
+        n_t, n_valid = 2001, 500
+        sq = rng.random((n_t, n_valid))
+        block = (analysis.SQ_BLOCK_TIMES * n_valid + np.getbufsize()) * 8
+        tracemalloc.start()
+        try:
+            est, se = analysis._mean_and_se(sq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= est.nbytes + se.nbytes + 1.1 * block
+        assert np.array_equal(est, sq.mean(axis=-1))
+        assert np.array_equal(se, sq.std(axis=-1, ddof=1) / math.sqrt(n_valid))
 
     def test_all_flagged_is_error(self):
         grid = np.array([0.0, 1.0])
@@ -410,20 +430,10 @@ def flaky_drift(t, x):
     return np.where(np.abs(x) > 10.0, np.inf, 0.0)
 
 
-def flaky_above(level):
-    # non-finite once a coordinate exceeds level: with eta = (3, 5) and
-    # gamma = (-5, -3), only eta's paths get there (at seed 7, 100 steps and
-    # 256 paths: 3.9% of them for level 9, 13.7% for level 8)
-    return lambda t, x: np.where(x > level, np.inf, 0.0)
-
-
 class TestCoupledSqDistances:
-    """The one-pass squared distances against the stored pair, bit for bit.
-
-    A chunk's bits depend on its width where that is not a multiple of the
-    BLAS kernel's column block (README "Determinism"), and the one pass
-    stacks CHUNK_PATHS / 2 pairs per chunk; the widths here are multiples
-    of 64 on both sides."""
+    """The one-pass squared distances against the stored pair, bit for bit:
+    both step the same stacked chunks of CHUNK_PATHS / 2 pairs, whatever
+    their width."""
 
     GAMMA = InitialState.deterministic([3.5, 5.5])
 
@@ -431,6 +441,8 @@ class TestCoupledSqDistances:
         ("em", 1000, 768, 10.0),     # the separation-long width
         ("em", 200, 3 * solvers.CHUNK_PATHS // 4, 5.0),   # two stacked chunks
         ("mild", 100, 64, 4.0),
+        ("em", 37, 5, 4.0),          # one narrow chunk
+        ("em", 200, 2500, 5.0),      # a full chunk and a ragged one
     ])
     def test_equals_stored_pair(self, eta_state, scheme, n_steps, n_paths,
                                 horizon):

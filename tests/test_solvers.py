@@ -204,7 +204,8 @@ class TestSimulateEm:
 
     def test_threads_do_not_change_results(self, sec6_problem, eta_state,
                                            monkeypatch):
-        # chunks of 12 paths: 40 paths make four chunks, so the pool runs
+        # chunks of 12 paths (6 of each copy for the coupled pair, stepped in
+        # one pass): 40 paths make four chunks or more, so the pool runs
         monkeypatch.setattr(solvers, "CHUNK_PATHS", 12)
         pools = []
 
@@ -228,7 +229,7 @@ class TestSimulateEm:
         serial = ensembles(1)
         assert pools == []
         threaded = ensembles(3)
-        assert pools == [3] * 5
+        assert pools == [3] * 4
         for a, b in zip(serial, threaded):
             assert np.array_equal(a.paths, b.paths)
 

@@ -24,12 +24,13 @@ from smtde import solvers
 from smtde.errors import NonConvergenceError, ValidationError
 from smtde.mlmatrix import MLParams, QTable, ml_nonperm_grid
 from smtde.solvers import (HISTORY_BLOCK, SOE_TOL, BrownianDriver,
-                           InitialState, _step_paths,
+                           InitialState, _step_paths, coupled_pair,
                            em_kernel_tables, kernel_tables, mild_kernel_tables,
                            picard_apply, simulate_em, simulate_mild)
 from smtde.specfun import reciprocal_gamma, rl_weights
 
-from conftest import PresetDriver, make_problem
+from conftest import (PresetDriver, flaky_above, make_problem, one_fn,
+                      zero_fn)
 
 REL_TOL = 1e-12
 STEP_COUNTS = (1, 31, 32, 33, 67)
@@ -214,14 +215,50 @@ def test_causal_across_block_boundary(sec6_problem, eta_state, step):
     assert not np.array_equal(e1.paths[step + 1], e2.paths[step + 1])
 
 
+@pytest.mark.parametrize("scheme", ["em", "mild", "picard"])
+def test_finite_mask_is_the_output_check(scheme):
+    # a drift that is inf above 9 blows up some paths from (3, 5) and none
+    # from (-5, -3). The core's mask over the two stacked copies, or over
+    # one copy of picard_apply's operator without feedback (its drift reads
+    # stored paths), equals the check of every output value; so do the
+    # flags of the stored ensembles
+    n_steps, n_paths = 100, 256
+    zero = np.zeros((2, 2))
+    p = make_problem(a_mat=zero, b_mat=zero, drift=flaky_above(9.0),
+                     diffusion=one_fn, horizon=5.0)
+    drv = BrownianDriver(seed=7, n_steps=n_steps)
+    inits = [InitialState.deterministic(v) for v in ([3.0, 5.0], [-5.0, -3.0])]
+    x0s = [init.sample_block(drv, range(n_paths)) for init in inits]
+    known = None
+    if scheme == "picard":
+        y = simulate_em(dataclasses.replace(p, drift=zero_fn), inits[0], drv,
+                        n_paths)
+        ensembles = [picard_apply(p, inits[0], y)]
+        # the core never reads the last known row: the mask covers the output
+        x0s, known = x0s[:1], y.paths.copy()
+        known[-1] = np.nan
+    else:
+        ensembles = coupled_pair(p, *inits, drv, n_paths, scheme=scheme)
+    tables = kernel_tables(p, n_steps, "em" if scheme == "em" else "mild")
+    dw = drv.increments_block(range(n_paths), p.horizon / n_steps)
+    out = np.empty((n_steps + 1, p.dim, len(x0s), n_paths))
+    finite = _step_paths(tables, p, p.grid(n_steps), np.concatenate(x0s, axis=1),
+                         dw, out, known=known)
+    assert np.array_equal(finite, np.isfinite(out).all(axis=(0, 1)).ravel())
+    assert 0 < np.count_nonzero(~finite) < n_paths
+    for e in ensembles:
+        assert np.array_equal(e.flags, ~np.isfinite(e.paths).all(axis=(0, 1)))
+
+
 def _core_peak_bytes(p, scheme, n_steps, n_paths):
-    # the core's own peak: the output, like the inputs, is the caller's
+    # the core's own peak: the output, one copy of (dim, 1, n_paths) rows,
+    # is the caller's like the inputs
     tables = TABLES[scheme](p, n_steps)
     drv = BrownianDriver(seed=3, n_steps=n_steps)
     times = p.horizon / n_steps * np.arange(n_steps + 1)
     dw = drv.increments_block(range(n_paths), p.horizon / n_steps)
     x0 = InitialState.deterministic([3.0, 5.0]).sample_block(drv, range(n_paths))
-    out = np.empty((n_steps + 1, p.dim, n_paths))
+    out = np.empty((n_steps + 1, p.dim, 1, n_paths))
     tracemalloc.start()
     try:
         _step_paths(tables, p, times, x0, dw, out)
