@@ -55,9 +55,9 @@ class WeightedNormParams:
 
 
 def _joint_valid(*ensembles: PathEnsemble) -> np.ndarray:
-    mask = ensembles[0].valid_mask
+    mask = ~ensembles[0].flags
     for e in ensembles[1:]:
-        mask = mask & e.valid_mask
+        mask = mask & ~e.flags
     if not mask.any():
         raise EnsembleError("all paths flagged; no valid statistics")
     return mask
@@ -140,7 +140,7 @@ def _log_weight_denominators(w: WeightedNormParams, times: np.ndarray) -> np.nda
 
 def _log_weighted_sup(e: PathEnsemble, e2: PathEnsemble,
                       log_denom: np.ndarray) -> float:
-    d2, _ = ms_distance_series(e, e2)
+    d2 = _sq_distances(e, e2).mean(axis=-1)
     with np.errstate(divide="ignore"):
         return float(np.max(np.log(d2) - log_denom))
 

@@ -34,17 +34,3 @@ def commutator(a, b) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a
 
-
-def mat_pow(a, k: int) -> np.ndarray:
-    """Return a**k for integer k >= 0, with a**0 = identity.
-
-    Uses a plain left-to-right product so repeated powers of the same matrix
-    are consistent with incrementally built power tables.
-    """
-    a = as_matrix(a)
-    if int(k) != k or k < 0:
-        raise ValueError(f"power must be a nonnegative integer, got {k!r}")
-    out = np.eye(a.shape[0])
-    for _ in range(int(k)):
-        out = out @ a
-    return out

@@ -275,10 +275,6 @@ class PathEnsemble:
     def dim(self) -> int:
         return self.paths.shape[1]
 
-    @property
-    def valid_mask(self) -> np.ndarray:
-        return ~self.flags
-
 
 @dataclass(frozen=True)
 class KernelTables:
@@ -640,21 +636,17 @@ class _PairDistances:
         np.sum(diff, axis=0, out=self.sq[n, self.cols])
 
 
-# Scheme name -> kernel table builder, looked up at call time so that a
-# wrapper bound over the module attribute (perfbench's tracer) sees the call.
-_TABLE_BUILDERS = {
-    "em": lambda p, n_steps: em_kernel_tables(p, n_steps),
-    "mild": lambda p, n_steps: mild_kernel_tables(p, n_steps),
-}
 # Scheme names accepted by ``kernel_tables`` (and by the CLI config check).
-_SCHEMES = tuple(_TABLE_BUILDERS)
+_SCHEMES = ("em", "mild")
 
 
 def kernel_tables(p: ProblemSpec, n_steps: int, scheme: str) -> KernelTables:
     """Kernel tables of the named scheme: ``em`` (Volterra form) or ``mild``."""
     if scheme not in _SCHEMES:
         raise ValidationError(f"unknown scheme '{scheme}' (choices: {list(_SCHEMES)})")
-    return _TABLE_BUILDERS[scheme](p, n_steps)
+    if scheme == "em":
+        return em_kernel_tables(p, n_steps)
+    return mild_kernel_tables(p, n_steps)
 
 
 def simulate(p: ProblemSpec, init: InitialState, drv: BrownianDriver,

@@ -29,9 +29,6 @@ ML_MAX_TERMS = 100_000
 # asymptotic expansion (0 < a < 1). Below it the power series is cheap; above
 # it the series needs ~u/a terms while the expansion is accurate to ~e^(-2u).
 ML_ASYMPTOTIC_U0 = 20.0
-# Largest max|term| / |sum| accepted from the alternating series for z < 0:
-# at most six of float64's sixteen significant digits may cancel.
-ML_MAX_CANCELLATION = 1e6
 # A grid is uniform if each point is within this times T of (T/N) n (rounding ~eps T)
 UNIFORM_GRID_EPS = 4.0 * np.finfo(float).eps
 # Consecutive negligible terms required before the series is declared
@@ -144,62 +141,17 @@ def ml_scalar_log(alpha: float, z):
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
-def _ml_scalar_direct(alpha: float, z: float) -> float:
-    # Direct float summation; used for z < 0 where terms alternate in sign and
-    # cancel, so the digits lost (~max|term| / |sum|) are bounded as well.
-    total = 1.0
-    power = 1.0
-    largest = 1.0
-    run = 0
-    for k in range(1, ML_MAX_TERMS + 1):
-        power *= z
-        try:
-            term = power * reciprocal_gamma(k * alpha + 1.0)
-        except OverflowError:
-            raise NonConvergenceError(
-                f"ml series overflowed at term {k} (alpha={alpha}, z={z})") from None
-        total += term
-        largest = max(largest, abs(term))
-        if not math.isfinite(total):
-            raise NonConvergenceError(
-                f"ml series overflowed at term {k} (alpha={alpha}, z={z})")
-        if abs(term) <= ML_SERIES_TOL * abs(total):
-            run += 1
-            if run == _CONVERGED_RUN:
-                if largest > ML_MAX_CANCELLATION * abs(total):
-                    raise NonConvergenceError(
-                        f"ml series lost {math.log10(largest / abs(total)):.1f} "
-                        f"digits to cancellation (alpha={alpha}, z={z})")
-                return total
-        else:
-            run = 0
-    raise NonConvergenceError(
-        f"ml series did not converge within {ML_MAX_TERMS} terms (alpha={alpha}, z={z})")
-
-
 def ml_scalar(alpha: float, z):
-    """One-parameter Mittag-Leffler function E_alpha(z).
+    """One-parameter Mittag-Leffler function E_alpha(z) for finite z >= 0.
 
-    Accepts a scalar or an ndarray of arguments. Nonnegative arguments go
-    through ``ml_scalar_log`` (may return inf when the value exceeds float64
-    range); negative arguments use direct summation, which raises
-    NonConvergenceError when cancellation would cost more than
-    ML_MAX_CANCELLATION allows.
+    Accepts a scalar or an ndarray of arguments. Computed as
+    exp(ml_scalar_log(alpha, z)), so it shares that function's domain
+    (DomainError otherwise) and returns inf where the value exceeds float64
+    range.
     """
-    if alpha <= 0:
-        raise DomainError(f"ml order must be positive, got {alpha!r}")
-    zs = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(zs)):
-        raise DomainError("ml_scalar requires finite arguments")
-    flat = np.atleast_1d(zs).ravel()
-    out = np.empty_like(flat)
-    neg = flat < 0
-    if neg.any():
-        out[neg] = [_ml_scalar_direct(alpha, float(v)) for v in flat[neg]]
-    if (~neg).any():
-        with np.errstate(over="ignore"):
-            out[~neg] = np.exp(ml_scalar_log(alpha, flat[~neg]))
-    return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
+    with np.errstate(over="ignore"):
+        out = np.exp(ml_scalar_log(alpha, z))
+    return float(out) if np.ndim(z) == 0 else out
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,16 @@ SEC6_A = np.array([[0.1, 0.2], [0.3, 0.4]])
 SEC6_B = np.array([[0.4, 0.1], [0.2, 0.3]])
 
 
+def left_power(a, k):
+    """a**k as the left-to-right product I @ a @ ... @ a, the order in which
+    QTable builds its k-th power (np.linalg.matrix_power squares repeatedly
+    and gives other bits)."""
+    out = np.eye(a.shape[0])
+    for _ in range(k):
+        out = out @ a
+    return out
+
+
 def sec6_drift(t, x):
     return np.stack([np.sin(x[0]), x[1] + 5.0])
 

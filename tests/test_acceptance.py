@@ -19,13 +19,13 @@ import pytest
 import smtde
 from smtde.analysis import (contraction_report, continuity_experiment,
                             convolution_bound_check, separation_experiment)
-from smtde.linalg import mat_norm, mat_pow
+from smtde.linalg import mat_norm
 from smtde.mlmatrix import MLParams, QTable, ml_nonperm
 from smtde.solvers import BrownianDriver, InitialState, simulate_em
 from smtde.specfun import (SampledFunction, caputo_identity_residual, gamma_fn,
                            ml_scalar, reciprocal_gamma)
 
-from conftest import make_problem, one_fn, zero_fn
+from conftest import left_power, make_problem, one_fn, zero_fn
 
 SEED = 29  # canonical acceptance seed used by every stochastic criterion
 
@@ -47,7 +47,7 @@ def test_c01_q_recursion_matches_binomial_closed_form():
         table = QTable(a, b)
         for k in range(0, 13):
             for m in range(0, 13 - k):
-                closed = math.comb(k + m, m) * mat_pow(a, k) @ mat_pow(b, m)
+                closed = math.comb(k + m, m) * left_power(a, k) @ left_power(b, m)
                 worst = max(worst, mat_norm(table.coeff(k, m) - closed))
     elapsed = time.perf_counter() - start
     report(1, worst < 1e-10 and elapsed < 1.0,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smtde.linalg import commutator, mat_norm, mat_pow
+from smtde.linalg import commutator, mat_norm
 
 from conftest import SEC6_A, SEC6_B
 
@@ -40,16 +40,6 @@ def test_commutator_antisymmetry():
         a = rng.normal(size=(n, n))
         b = rng.normal(size=(n, n))
         assert np.array_equal(commutator(a, b), -commutator(b, a))
-
-
-def test_mat_pow_cases():
-    assert np.array_equal(mat_pow(SEC6_A, 0), np.eye(2))
-    assert np.array_equal(mat_pow(np.eye(2), 7), np.eye(2))
-    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.array_equal(mat_pow(nilpotent, 2), np.zeros((2, 2)))
-    assert np.allclose(mat_pow(SEC6_A, 3), SEC6_A @ SEC6_A @ SEC6_A)
-    with pytest.raises(ValueError):
-        mat_pow(SEC6_A, -1)
 
 
 def test_norm_submultiplicative_and_triangle():

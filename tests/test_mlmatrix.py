@@ -10,12 +10,12 @@ import pytest
 
 from smtde import mlmatrix
 from smtde.errors import DomainError, NonConvergenceError, TruncationBoundError
-from smtde.linalg import mat_norm, mat_pow
+from smtde.linalg import mat_norm
 from smtde.mlmatrix import (MLParams, QTable, ml_nonperm, ml_nonperm_grid,
                             ml_nonperm_info, ml_perm)
 from smtde.specfun import ml_scalar, reciprocal_gamma
 
-from conftest import SEC6_A, SEC6_B
+from conftest import SEC6_A, SEC6_B, left_power
 
 KERNEL_PARAMS = MLParams(rho=0.5, sigma_exp=0.75, delta=0.75)
 
@@ -33,9 +33,9 @@ class TestQTable:
     def test_base_cases(self):
         q = QTable(SEC6_A, SEC6_B)
         for k in range(6):
-            assert np.array_equal(q.coeff(k, 0), mat_pow(SEC6_A, k))
+            assert np.array_equal(q.coeff(k, 0), left_power(SEC6_A, k))
         for m in range(6):
-            assert np.allclose(q.coeff(0, m), mat_pow(SEC6_B, m), atol=1e-15)
+            assert np.allclose(q.coeff(0, m), left_power(SEC6_B, m), atol=1e-15)
 
     def test_q11_is_ab_plus_ba(self):
         q = QTable(SEC6_A, SEC6_B)
@@ -106,7 +106,7 @@ class TestQTable:
             worst = 0.0
             for k in range(0, 8):
                 for m in range(0, 8 - k):
-                    closed = math.comb(k + m, m) * mat_pow(a, k) @ mat_pow(b, m)
+                    closed = math.comb(k + m, m) * left_power(a, k) @ left_power(b, m)
                     worst = max(worst, mat_norm(q.coeff(k, m) - closed))
             assert worst < 1e-10
 
