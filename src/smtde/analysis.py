@@ -28,9 +28,9 @@ import numpy as np
 from .errors import (DegenerateExperimentError, DomainError, EnsembleError,
                      ValidationError)
 from .solvers import (BrownianDriver, InitialState, PathEnsemble, ProblemSpec,
-                      _draw, _ensembles, constant_ensemble, coupled_sq_distances,
-                      kernel_tables, mild_init_term, mild_kernel_tables, mild_ml,
-                      picard_apply)
+                      _draw, _ensembles, constant_ensemble, kernel_tables,
+                      mild_init_term, mild_kernel_tables, mild_ml, picard_apply,
+                      squared_norms)
 from .specfun import gamma_fn, ml_scalar_log, rl_weights
 
 FIT_WINDOW_START = 1.0
@@ -63,10 +63,14 @@ def _joint_valid(*ensembles: PathEnsemble) -> np.ndarray:
     return mask
 
 
+def _check_ms_paths(n_paths: int) -> None:
+    if n_paths < 2:
+        raise ValidationError("ms_norm needs an ensemble with at least 2 paths")
+
+
 def _sq_norms(e: PathEnsemble, times=slice(None)) -> np.ndarray:
     """|X(t)|^2 per time in ``times`` and valid path, shape (n_t, n_valid)."""
-    if e.n_paths < 2:
-        raise ValidationError("ms_norm needs an ensemble with at least 2 paths")
+    _check_ms_paths(e.n_paths)
     return _sq_reduce(e.paths[times], None, _joint_valid(e))
 
 
@@ -123,6 +127,17 @@ def ms_norm(e: PathEnsemble, t_index: int) -> tuple[float, float]:
 def ms_norm_series(e: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
     """Per-time mean of |X(t)|^2 with standard errors."""
     return _mean_and_se(_sq_norms(e))
+
+
+def simulate_ms_norm(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
+                     n_paths: int, scheme: str = "em", threads: int = 1
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The grid, per-time mean of |X(t)|^2 with standard errors, and the
+    number of paths left out (flagged), of a run that stores no paths: the
+    values of ``ms_norm_series(simulate(...))`` bit for bit."""
+    _check_ms_paths(n_paths)
+    grid, sq = squared_norms(p, [init], drv, n_paths, scheme, threads)
+    return (grid, *_mean_and_se(sq), n_paths - sq.shape[1])
 
 
 def ms_distance_series(e: PathEnsemble, e2: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
@@ -367,8 +382,8 @@ def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState
             np.array_equal(eta.eta, gamma.eta):
         raise DegenerateExperimentError("eta == gamma yields zero separation")
 
-    times, sq = coupled_sq_distances(p, eta, gamma, drv, n_paths, scheme=scheme,
-                                     threads=threads)
+    times, sq = squared_norms(p, [eta, gamma], drv, n_paths, scheme=scheme,
+                              threads=threads)
     d2, se = _mean_and_se(sq)
     if not np.any(d2 > 0):
         raise DegenerateExperimentError("coupled distance is identically zero")
@@ -434,7 +449,8 @@ def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
     u = np.ones(p.dim) / math.sqrt(p.dim)
     gammas = [InitialState.deterministic(eta.eta + off * u) for off in offsets]
     tables = kernel_tables(p, drv.n_steps, scheme)
-    grid, dw, x_eta, *x_gammas = _draw(p, drv, n_paths, eta, *gammas)
+    grid, noise, x_eta, *x_gammas = _draw(p, drv, n_paths, eta, *gammas)
+    dw = noise(slice(None))
     base, = _ensembles(p, tables, grid, [x_eta], dw, threads)
 
     def point(off: float, x0: np.ndarray) -> ContinuityPoint:

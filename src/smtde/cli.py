@@ -42,13 +42,12 @@ import numpy as np
 
 from . import __version__
 from .analysis import (contraction_report, continuity_experiment,
-                       convolution_bound_check, ms_norm_series,
-                       separation_experiment)
+                       convolution_bound_check, separation_experiment,
+                       simulate_ms_norm)
 from .errors import (DomainError, NonConvergenceError, SmtdeError,
                      TruncationBoundError, ValidationError)
 from .mlmatrix import MLParams, ml_nonperm_info, ml_perm
-from .solvers import (_SCHEMES, BrownianDriver, InitialState, ProblemSpec,
-                      simulate)
+from .solvers import _SCHEMES, BrownianDriver, InitialState, ProblemSpec
 from .specfun import SampledFunction, caputo_identity_residual, gamma_fn
 
 REPORT_KEYS = ("m_sup", "omega", "zeta", "c_const", "fitted_exponent",
@@ -262,11 +261,10 @@ def _path_counters(cfg: RunConfig, dropped: int) -> dict:
 
 def _run_simulate(cfg: RunConfig, threads: int):
     drv, eta, scheme = _ensemble_inputs(cfg)
-    ens = simulate(cfg.problem, eta, drv, cfg.n_paths, scheme=scheme,
-                   threads=threads)
-    est, se = ms_norm_series(ens)
-    rows = [(t, "ms_norm", m, e) for t, m, e in zip(ens.grid, est, se)]
-    return rows, {}, _path_counters(cfg, int(ens.flags.sum()))
+    grid, est, se, dropped = simulate_ms_norm(cfg.problem, eta, drv, cfg.n_paths,
+                                              scheme=scheme, threads=threads)
+    rows = [(t, "ms_norm", m, e) for t, m, e in zip(grid, est, se)]
+    return rows, {}, _path_counters(cfg, dropped)
 
 
 def _run_picard(cfg: RunConfig, threads: int):

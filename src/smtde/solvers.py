@@ -52,9 +52,11 @@ the layout the core computes in. Every ensemble is stepped by one chunk
 loop, ``_run``: a chunk stacks the same paths from each initial value
 (one copy for ``simulate``, two for a coupled pair) over one copy of their
 increments, and the core writes each row as (dim, copies, c) and reports
-which paths stayed finite. ``coupled_pair`` stores the copies;
-``coupled_sq_distances`` keeps only |X - Y|^2 of the same chunks, so the
-two agree bit for bit.
+which paths stayed finite. The stored routes (``simulate``,
+``coupled_pair``, ``picard_apply``) keep every row and the increments;
+``squared_norms`` keeps only |X|^2 of one copy or |X - Y|^2 of two and
+draws each chunk's increments in the chunk's worker, so the two routes
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -73,8 +75,10 @@ from .mlmatrix import MLParams, QTable, ml_nonperm_grid
 from .specfun import reciprocal_gamma, rl_weights
 
 # Paths are simulated in fixed-size chunks regardless of thread count so that
-# results are independent of the parallel partition.
-CHUNK_PATHS = 2048
+# results are independent of the parallel partition. A chunk's width sets
+# how much history, how many exponential states and, on the reduced route,
+# how many increments are held at once.
+CHUNK_PATHS = 1024
 # Output steps per block of the stepping core: a block reads its older
 # history with one product instead of once per step.
 HISTORY_BLOCK = 32
@@ -495,6 +499,7 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
     # lags HISTORY_BLOCK-1 .. 1 side by side: step k of a block reads the
     # last k blocks of columns
     near_row = np.concatenate(near[:0:-1], axis=1)
+    weight_rows = np.arange(r)[:, None]
     # rows absorbed at a block start sit at lags far_lag+B-1 .. far_lag there;
     # step k of a block reads state_l with exp(-rates[l] k)
     n_exp = tables.rates.size
@@ -528,8 +533,10 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
             if new_old > old:
                 hist[:n0 - new_old] = hist[new_old - old:n0 - old]
                 old = new_old
-            lags = np.arange(n0, n1)[:, None] - np.arange(old, n0)
-            slab = np.take(tables.weights, lags, axis=0).transpose(0, 2, 1, 3)
+            lags = np.arange(n0, n1)[:, None, None] - np.arange(old, n0)
+            # (n1 - n0, r, n0 - old, cf): gathered in the product's row
+            # order, so the reshape below copies nothing
+            slab = tables.weights[lags, weight_rows]
             acc = readout[:(n1 - n0) * r] @ state
             acc += slab.reshape((n1 - n0) * r, (n0 - old) * cf) @ \
                 far_hist[:(n0 - old) * cf]
@@ -547,12 +554,15 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
 
 
 def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
-          *inits: InitialState) -> tuple[np.ndarray, ...]:
-    """The noise of one experiment, drawn once for all of its ensembles.
+          *inits: InitialState) -> tuple:
+    """The noise of one experiment, for all of its ensembles.
 
-    Returns the grid, the increments of paths 0..n_paths-1 (shape
-    (n_steps, n_paths)) and then, per initial state, their initial values
-    (shape (dim, n_paths)).
+    Returns the grid, ``noise`` and then, per initial state, the initial
+    values of paths 0..n_paths-1 (shape (dim, n_paths)). ``noise(cols)``
+    draws the increments of the paths in the column slice ``cols``, shape
+    (n_steps, c): a path's increments are a pure function of (seed, path,
+    step), so a chunk can draw its own, and ``noise(slice(None))`` draws
+    them all.
     """
     for init in inits:
         if init.dim != p.dim:
@@ -561,7 +571,11 @@ def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
     ids, h = range(n_paths), p.horizon / drv.n_steps
-    return (p.grid(drv.n_steps), drv.increments_block(ids, h),
+
+    def noise(cols: slice) -> np.ndarray:
+        return drv.increments_block(ids[cols], h)
+
+    return (p.grid(drv.n_steps), noise,
             *(init.sample_block(drv, ids) for init in inits))
 
 
@@ -578,25 +592,27 @@ def _each_chunk(worker: Callable[[slice], None], n_paths: int, width: int,
 
 
 def _run(p: ProblemSpec, tables: KernelTables, grid: np.ndarray, x0s,
-         dw: np.ndarray, out: Callable[[slice], object], threads: int = 1,
-         known: np.ndarray | None = None) -> np.ndarray:
-    """Step each of the initial values x0s, (dim, n_paths) per copy, over
-    the increments dw; returns which paths stayed finite, (copies, n_paths).
+         noise: Callable[[slice], np.ndarray], out: Callable[[slice], object],
+         threads: int = 1, known: np.ndarray | None = None) -> np.ndarray:
+    """Step each of the initial values x0s, (dim, n_paths) per copy; returns
+    which paths stayed finite, (copies, n_paths).
 
     Every chunk stacks CHUNK_PATHS // copies paths of each copy, whatever
-    ``threads`` is, so the result does not depend on it. ``out(cols)`` is
-    the core's output for the chunk of columns ``cols``. With ``known`` (an
-    ensemble's paths) the history comes from those paths: the operator
-    without feedback. EnsembleError if more than FLAGGED_FRACTION_LIMIT of
-    one copy's paths blew up, the copies checked in order.
+    ``threads`` is, so the result does not depend on it. For the chunk of
+    columns ``cols``, ``noise(cols)`` gives its increments (n_steps, c),
+    which every copy steps over, and ``out(cols)`` takes the core's output.
+    With ``known`` (an ensemble's paths) the history comes from those
+    paths: the operator without feedback. EnsembleError if more than
+    FLAGGED_FRACTION_LIMIT of one copy's paths blew up, the copies checked
+    in order.
     """
-    copies, n_paths = len(x0s), dw.shape[1]
+    copies, n_paths = len(x0s), x0s[0].shape[1]
     finite = np.empty((copies, n_paths), dtype=bool)
 
     def worker(cols: slice) -> None:
         x0 = np.concatenate([x[:, cols] for x in x0s], axis=1)
         finite[:, cols] = _step_paths(
-            tables, p, grid, x0, dw[:, cols], out(cols),
+            tables, p, grid, x0, noise(cols), out(cols),
             known=None if known is None else known[:, :, cols]).reshape(copies, -1)
 
     _each_chunk(worker, n_paths, max(CHUNK_PATHS // copies, 1), threads)
@@ -612,28 +628,33 @@ def _ensembles(p: ProblemSpec, tables: KernelTables, grid: np.ndarray, x0s,
                dw: np.ndarray, threads: int = 1,
                known: np.ndarray | None = None) -> list[PathEnsemble]:
     """One stored ensemble per initial values in x0s, stepped together by
-    ``_run``. Each ensemble's paths are C-contiguous, and each ensemble
-    holds dw itself, not a copy."""
+    ``_run`` over the increments dw (n_steps, n_paths). Each ensemble's
+    paths are C-contiguous, and each ensemble holds dw itself, not a
+    copy."""
     paths = np.empty((len(x0s), grid.size, p.dim, dw.shape[1]))
-    finite = _run(p, tables, grid, x0s, dw,
+    finite = _run(p, tables, grid, x0s, lambda cols: dw[:, cols],
                   lambda cols: paths[..., cols].transpose(1, 2, 0, 3),
                   threads, known)
     return [PathEnsemble(grid=grid, paths=x, increments=dw, flags=~ok)
             for x, ok in zip(paths, finite)]
 
 
-class _PairDistances:
-    """Write-only output of a pair chunk: row n, [X, Y] of shape (dim, 2, c),
-    becomes |X - Y|^2 in ``sq[n, cols]``, the sum over dim that
-    ``_sq_distances`` forms from stored ensembles."""
+class _SqNorms:
+    """Write-only output of a chunk of one or two copies: row n, X of shape
+    (dim, 1, c) or [X, Y] of shape (dim, 2, c), becomes |X|^2 or
+    |X - Y|^2 in ``sq[n, cols]``, the sum over dim that ``_sq_reduce``
+    forms from stored ensembles."""
 
     def __init__(self, sq: np.ndarray, cols: slice):
         self.sq, self.cols = sq, cols
 
     def __setitem__(self, n: int, x: np.ndarray) -> None:
-        diff = np.subtract(x[:, 0], x[:, 1])
-        np.square(diff, out=diff)
-        np.sum(diff, axis=0, out=self.sq[n, self.cols])
+        if x.shape[1] == 1:
+            d = np.square(x[:, 0])
+        else:
+            d = np.subtract(x[:, 0], x[:, 1])
+            np.square(d, out=d)
+        np.sum(d, axis=0, out=self.sq[n, self.cols])
 
 
 # Scheme names accepted by ``kernel_tables`` (and by the CLI config check).
@@ -653,8 +674,8 @@ def simulate(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
              n_paths: int, scheme: str = "em", threads: int = 1) -> PathEnsemble:
     """Path ensemble of the named scheme (see ``kernel_tables``)."""
     tables = kernel_tables(p, drv.n_steps, scheme)
-    grid, dw, x0 = _draw(p, drv, n_paths, init)
-    return _ensembles(p, tables, grid, [x0], dw, threads)[0]
+    grid, noise, x0 = _draw(p, drv, n_paths, init)
+    return _ensembles(p, tables, grid, [x0], noise(slice(None)), threads)[0]
 
 
 def simulate_em(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
@@ -676,11 +697,11 @@ def constant_ensemble(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
     Serves as the Y_0 iterate for Picard iteration: the increments are drawn
     once here, and every iterate's stochastic term reuses them.
     """
-    grid, dw, x0 = _draw(p, drv, n_paths, init)
+    grid, noise, x0 = _draw(p, drv, n_paths, init)
     # nothing is stepped, and InitialState data are finite: no path is flagged
     return PathEnsemble(
         grid=grid, paths=np.repeat(x0[None], grid.size, axis=0),
-        increments=dw, flags=np.zeros(n_paths, dtype=bool))
+        increments=noise(slice(None)), flags=np.zeros(n_paths, dtype=bool))
 
 
 def picard_apply(p: ProblemSpec, init: InitialState, y: PathEnsemble,
@@ -727,31 +748,36 @@ def coupled_pair(p: ProblemSpec, eta: InitialState, gamma: InitialState,
     step over (and hold) the same array, so the per-path difference isolates
     the initial-condition effect. The default scheme is the Volterra-form
     integrator, which has no series cutoff limiting the horizon. This is the
-    stored form of ``coupled_sq_distances``: the same stacked chunks, with
-    both ensembles kept, 2 (n_steps + 1) dim doubles per path.
+    stored form of ``squared_norms(p, [eta, gamma], ...)``: the same stacked
+    chunks, with both ensembles kept, 2 (n_steps + 1) dim doubles per path.
     """
     tables = kernel_tables(p, drv.n_steps, scheme)
-    grid, dw, *x0s = _draw(p, drv, n_paths, eta, gamma)
-    return tuple(_ensembles(p, tables, grid, x0s, dw, threads))
+    grid, noise, *x0s = _draw(p, drv, n_paths, eta, gamma)
+    return tuple(_ensembles(p, tables, grid, x0s, noise(slice(None)), threads))
 
 
-def coupled_sq_distances(p: ProblemSpec, eta: InitialState, gamma: InitialState,
-                         drv: BrownianDriver, n_paths: int, scheme: str = "em",
-                         threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """The grid and |X(t) - Y(t)|^2 of the ``coupled_pair`` ensembles, per
-    time and jointly valid path, shape (n_steps + 1, n_valid), without
-    storing either ensemble.
+def squared_norms(p: ProblemSpec, inits, drv: BrownianDriver, n_paths: int,
+                  scheme: str = "em",
+                  threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The grid and, per time and valid path, |X(t)|^2 for one initial state
+    or |X(t) - Y(t)|^2 for two coupled ones, shape (n_steps + 1, n_valid),
+    without storing paths or the increments of more than one chunk.
 
-    Each chunk stacks CHUNK_PATHS / 2 paths from eta beside the same paths
-    from gamma, as ``coupled_pair`` does, and the core's output rows go
-    straight into the distances. So the values equal ``_sq_distances`` on
-    the ``coupled_pair`` ensembles bit for bit, and the paths left out
-    (flagged in either ensemble) and the EnsembleError above
-    FLAGGED_FRACTION_LIMIT (eta's ensemble checked first) are the same.
+    The chunks are those of ``simulate`` (one initial state) or
+    ``coupled_pair`` (two), each drawing its own increments, and the core's
+    output rows go straight into the squares. So the values equal the
+    squares that ``ms_norm_series`` forms from the ``simulate`` ensemble, or
+    ``ms_distance_series`` from the ``coupled_pair`` ensembles, bit for bit;
+    the paths left out (flagged in either ensemble) and the EnsembleError
+    above FLAGGED_FRACTION_LIMIT (the first ensemble checked first) are the
+    same.
     """
+    if len(inits) not in (1, 2):
+        raise ValidationError(
+            f"squared_norms takes one or two initial states, got {len(inits)}")
     tables = kernel_tables(p, drv.n_steps, scheme)
-    grid, dw, *x0s = _draw(p, drv, n_paths, eta, gamma)
+    grid, noise, *x0s = _draw(p, drv, n_paths, *inits)
     sq = np.empty((grid.size, n_paths))
-    valid = _run(p, tables, grid, x0s, dw, lambda cols: _PairDistances(sq, cols),
+    valid = _run(p, tables, grid, x0s, noise, lambda cols: _SqNorms(sq, cols),
                  threads).all(axis=0)
     return grid, sq if valid.all() else sq.compress(valid, axis=1)

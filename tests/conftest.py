@@ -89,12 +89,16 @@ class PresetDriver(BrownianDriver):
 
 
 class CountingDriver(BrownianDriver):
-    """Driver that counts the paths whose increments it draws."""
+    """Driver that counts the paths whose increments it draws and keeps each
+    draw as (path ids, increments)."""
 
     def __init__(self, seed, n_steps):
         super().__init__(seed=seed, n_steps=n_steps)
         self.paths_drawn = 0
+        self.draws = []
 
     def increments_block(self, path_ids, h):
         self.paths_drawn += len(path_ids)
-        return super().increments_block(path_ids, h)
+        block = super().increments_block(path_ids, h)
+        self.draws.append((path_ids, block))
+        return block

@@ -9,14 +9,14 @@ from smtde.analysis import (WeightedNormParams,
                             contraction_report, continuity_experiment,
                             init_term_sup_sq, convolution_bound_check,
                             log_weighted_norm, ml_sup_norm, ms_distance_series,
-                            ms_norm, omega_threshold, separation_experiment,
-                            zeta_const)
+                            ms_norm, ms_norm_series, omega_threshold,
+                            separation_experiment, simulate_ms_norm, zeta_const)
 from smtde.errors import (DegenerateExperimentError, DomainError, EnsembleError,
                           ValidationError)
 from smtde.solvers import (HISTORY_BLOCK, BrownianDriver, InitialState,
                            PathEnsemble, constant_ensemble, coupled_pair,
-                           coupled_sq_distances, em_kernel_tables, picard_apply,
-                           simulate_em)
+                           em_kernel_tables, picard_apply, simulate_em,
+                           squared_norms)
 
 from conftest import (CountingDriver, flaky_above, make_problem, one_fn,
                       zero_fn)
@@ -433,16 +433,21 @@ def flaky_drift(t, x):
 class TestCoupledSqDistances:
     """The one-pass squared distances against the stored pair, bit for bit:
     both step the same stacked chunks of CHUNK_PATHS / 2 pairs, whatever
-    their width."""
+    their width, and the one pass draws each chunk's increments itself."""
 
     GAMMA = InitialState.deterministic([3.5, 5.5])
+    HALF = solvers.CHUNK_PATHS // 2
 
     @pytest.mark.parametrize("scheme, n_steps, n_paths, horizon", [
         ("em", 1000, 768, 10.0),     # the separation-long width
-        ("em", 200, 3 * solvers.CHUNK_PATHS // 4, 5.0),   # two stacked chunks
+        ("em", 200, 3 * solvers.CHUNK_PATHS // 2, 5.0),  # three full chunks
         ("mild", 100, 64, 4.0),
         ("em", 37, 5, 4.0),          # one narrow chunk
-        ("em", 200, 2500, 5.0),      # a full chunk and a ragged one
+        ("em", 200, 2500, 5.0),      # full chunks and a ragged one
+        ("em", 50, HALF + 188, 4.0),         # two chunks, the last partial
+        ("em", 50, 2 * HALF + 176, 4.0),     # three chunks, the last partial
+        ("mild", 50, HALF + 188, 4.0),
+        ("mild", 50, 2 * HALF + 176, 4.0),
     ])
     def test_equals_stored_pair(self, eta_state, scheme, n_steps, n_paths,
                                 horizon):
@@ -451,9 +456,8 @@ class TestCoupledSqDistances:
         ref = analysis._sq_distances(*coupled_pair(
             p, eta_state, self.GAMMA, drv, n_paths, scheme=scheme))
         for threads in (1, 2):
-            grid, sq = coupled_sq_distances(p, eta_state, self.GAMMA, drv,
-                                            n_paths, scheme=scheme,
-                                            threads=threads)
+            grid, sq = squared_norms(p, [eta_state, self.GAMMA], drv, n_paths,
+                                     scheme=scheme, threads=threads)
             assert np.array_equal(sq, ref)
             assert sq.flags.c_contiguous
         assert grid.tobytes() == p.grid(n_steps).tobytes()
@@ -466,7 +470,7 @@ class TestCoupledSqDistances:
         e1, e2 = coupled_pair(p, eta_state, gamma, drv, 256)
         assert e1.flags.sum() > 0 and not e2.flags.any()
         ref = analysis._sq_distances(e1, e2)
-        _, sq = coupled_sq_distances(p, eta_state, gamma, drv, 256)
+        _, sq = squared_norms(p, [eta_state, gamma], drv, 256)
         assert np.array_equal(sq, ref)
         report = separation_experiment(p, eta_state, gamma, drv, 1.0, 256)
         assert report.n_dropped == int(e1.flags.sum())
@@ -484,9 +488,71 @@ class TestCoupledSqDistances:
         with pytest.raises(EnsembleError) as stored:
             coupled_pair(p, *inits, drv, 256)
         with pytest.raises(EnsembleError) as one_pass:
-            coupled_sq_distances(p, *inits, drv, 256)
+            squared_norms(p, inits, drv, 256)
         assert str(one_pass.value) == str(stored.value)
         assert "of paths blew up" in str(stored.value)
+
+
+class TestSimulateMsNorm:
+    """The reduced simulate route (|X|^2 in the core's sink, increments drawn
+    per chunk) against ms_norm_series of the stored ensemble."""
+
+    CHUNK = solvers.CHUNK_PATHS
+
+    @pytest.mark.parametrize("scheme", ["em", "mild"])
+    @pytest.mark.parametrize("n_paths", [5, CHUNK + 476, 2 * CHUNK + 452])
+    def test_equals_stored_series(self, eta_state, scheme, n_paths):
+        # one, two and three chunks, the last one partial
+        p = make_problem(horizon=4.0)
+        drv = BrownianDriver(seed=2, n_steps=50)
+        ens = solvers.simulate(p, eta_state, drv, n_paths, scheme=scheme)
+        est_ref, se_ref = ms_norm_series(ens)
+        for threads in (1, 2):
+            grid, est, se, dropped = simulate_ms_norm(
+                p, eta_state, drv, n_paths, scheme=scheme, threads=threads)
+            assert np.array_equal(est, est_ref) and np.array_equal(se, se_ref)
+            assert grid.tobytes() == ens.grid.tobytes() and dropped == 0
+            _, sq = squared_norms(p, [eta_state], drv, n_paths, scheme=scheme,
+                                  threads=threads)
+            assert np.array_equal(sq, analysis._sq_norms(ens))
+
+    def test_draws_increments_per_chunk(self, eta_state):
+        # each chunk draws its own columns, and together they are the
+        # stored route's one draw
+        p, n_steps, n_paths = make_problem(), 10, 2 * self.CHUNK + 452
+        drv = CountingDriver(seed=3, n_steps=n_steps)
+        squared_norms(p, [eta_state], drv, n_paths)
+        ids = [list(path_ids) for path_ids, _ in drv.draws]
+        assert ids == [list(range(lo, min(lo + self.CHUNK, n_paths)))
+                       for lo in range(0, n_paths, self.CHUNK)]
+        full = BrownianDriver(seed=3, n_steps=n_steps).increments_block(
+            range(n_paths), p.horizon / n_steps)
+        assert np.array_equal(np.concatenate([b for _, b in drv.draws], axis=1),
+                              full)
+
+    def test_memory_holds_squares_not_paths(self, eta_state):
+        # mild, four chunks: the (N+1, P) squares, one chunk's [b; sigma dW]
+        # history (2*dim per step) and one chunk's increments; no paths and
+        # no (N, P) increments. The rest, the exact slab and the block
+        # accumulators, is a few percent at this N. Storing the ensemble
+        # and all of its increments peaked at 2.3x this bound
+        p, n_steps, n_paths = make_problem(horizon=4.0), 600, 4 * self.CHUNK
+        drv = BrownianDriver(seed=3, n_steps=n_steps)
+        tracemalloc.start()
+        try:
+            simulate_ms_norm(p, eta_state, drv, n_paths, scheme="mild")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk_history = n_steps * 2 * p.dim * self.CHUNK * 8
+        chunk_noise = n_steps * self.CHUNK * 8
+        assert peak <= 1.1 * ((n_steps + 1) * n_paths * 8 + chunk_history
+                              + chunk_noise)
+
+    def test_rejects_three_initial_states(self, sec6_problem, eta_state):
+        with pytest.raises(ValidationError, match="one or two initial states"):
+            squared_norms(sec6_problem, [eta_state] * 3,
+                          BrownianDriver(seed=1, n_steps=5), 4)
 
 
 class TestSeparationBootstrap:

@@ -362,7 +362,8 @@ class TestExperiments:
         cfg = load_config(raw)
         rows, _, counters = cli._run_simulate(cfg, 1)
         drv, eta, scheme = cli._ensemble_inputs(cfg)
-        ens = cli.simulate(cfg.problem, eta, drv, cfg.n_paths, scheme=scheme)
+        ens = smtde.solvers.simulate(cfg.problem, eta, drv, cfg.n_paths,
+                                     scheme=scheme)
         assert (counters["dropped_paths"] > 0) == (drift == "flaky")
         est, se = np.array([row[2:] for row in rows]).T
         per_time = np.array([smtde.ms_norm(ens, i) for i in range(len(rows))])

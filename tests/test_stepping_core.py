@@ -300,10 +300,11 @@ def test_mild_memory_grows_by_history_and_paths_only(sec6_problem):
 
 
 def test_picard_apply_holds_output_and_history_only(sec6_problem, eta_state):
-    # one chunk, mild tables: the output (dim per path-step) and the
-    # [b; sigma dW] history (2*dim); the input ensemble is read in place. The
-    # rest, block accumulators and the exact slab, is a few percent at this N
-    p, n_steps, n_paths = sec6_problem, 600, solvers.CHUNK_PATHS
+    # two chunks, mild tables: the output (dim per path-step) and one chunk's
+    # [b; sigma dW] history (2*dim per step for half of the paths); the
+    # input ensemble is read in place. The rest, block accumulators and the
+    # exact slab, is a few percent at this N
+    p, n_steps, n_paths = sec6_problem, 600, 2 * solvers.CHUNK_PATHS
     y = simulate_em(p, eta_state, BrownianDriver(seed=3, n_steps=n_steps),
                     n_paths)
     tables = mild_kernel_tables(p, n_steps)
@@ -314,7 +315,8 @@ def test_picard_apply_holds_output_and_history_only(sec6_problem, eta_state):
     finally:
         tracemalloc.stop()
     row = p.dim * n_paths * 8
-    assert peak <= 1.1 * ((n_steps + 1) * row + 2 * n_steps * row)
+    chunk_history = n_steps * 2 * p.dim * solvers.CHUNK_PATHS * 8
+    assert peak <= 1.1 * ((n_steps + 1) * row + chunk_history)
 
 
 def test_kernel_tables_dispatch(sec6_problem):
