@@ -28,9 +28,9 @@ import numpy as np
 from .errors import (DegenerateExperimentError, DomainError, EnsembleError,
                      ValidationError)
 from .solvers import (BrownianDriver, InitialState, PathEnsemble, ProblemSpec,
-                      _draw, _ensembles, constant_ensemble, kernel_tables,
-                      mild_init_term, mild_kernel_tables, mild_ml, picard_apply,
-                      squared_norms)
+                      _check_dims, _draw, _ensembles, constant_ensemble,
+                      kernel_tables, mild_init_term, mild_kernel_tables, mild_ml,
+                      picard_apply, squared_norms)
 from .specfun import gamma_fn, ml_scalar_log, rl_weights
 
 FIT_WINDOW_START = 1.0
@@ -119,7 +119,7 @@ def ms_norm(e: PathEnsemble, t_index: int) -> tuple[float, float]:
     """Sample mean of |X(t)|^2 across paths and its standard error."""
     n = int(t_index)
     if n < 0 or n > e.n_steps:
-        raise ValueError(f"t_index {t_index} outside grid")
+        raise ValidationError(f"t_index {t_index} outside grid")
     est, se = _mean_and_se(_sq_norms(e, slice(n, n + 1)))
     return float(est[0]), float(se[0])
 
@@ -378,8 +378,7 @@ def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState
     if p.horizon < 4.0:
         raise ValidationError("separation experiment needs horizon >= 4 "
                               "for a meaningful fit window")
-    if eta.is_deterministic and gamma.is_deterministic and \
-            np.array_equal(eta.eta, gamma.eta):
+    if np.array_equal(eta.eta, gamma.eta):
         raise DegenerateExperimentError("eta == gamma yields zero separation")
 
     times, sq = squared_norms(p, [eta, gamma], drv, n_paths, scheme=scheme,
@@ -431,8 +430,9 @@ def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
                           threads: int = 1) -> list[ContinuityPoint]:
     """sup-t mean-square distance per initial offset, against a shared base run.
 
-    For each offset the perturbed initial value is eta + offset * u along
-    the unit diagonal u; the reported ratio sup_t d^2 / |eta - gamma|^2
+    For each offset the perturbed initial value is the vector
+    eta + offset * u along the unit diagonal u (eta's dim is checked before
+    any is formed); the reported ratio sup_t d^2 / |eta - gamma|^2
     should stay bounded across offsets when the solution map is continuous in
     the initial data. The noise is drawn once; the base ensemble is stepped
     first, then one shifted ensemble at a time, so the memory held does not
@@ -443,8 +443,7 @@ def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
         raise ValidationError("offsets must be positive")
     if any(b >= a for a, b in zip(offsets[:-1], offsets[1:])):
         raise ValidationError("offsets must be strictly decreasing")
-    if not eta.is_deterministic:
-        raise ValidationError("continuity experiment needs a deterministic eta")
+    _check_dims(p, eta)
 
     u = np.ones(p.dim) / math.sqrt(p.dim)
     gammas = [InitialState.deterministic(eta.eta + off * u) for off in offsets]

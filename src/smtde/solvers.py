@@ -143,52 +143,21 @@ class ProblemSpec:
 
 
 class InitialState:
-    """Deterministic vector or independent-Gaussian initial condition."""
+    """The initial value eta of every path of an ensemble: one finite vector."""
 
-    def __init__(self, eta=None, mean=None, std=None):
-        if (eta is None) == (mean is None):
-            raise ValidationError("specify exactly one of eta (deterministic) or mean/std")
-        if eta is not None:
-            vec = np.asarray(eta, dtype=float)
-            if vec.ndim != 1 or not np.all(np.isfinite(vec)):
-                raise ValidationError("eta must be a finite vector")
-            self.eta = vec.copy()
-            self.mean = None
-            self.std = None
-        else:
-            mvec = np.asarray(mean, dtype=float)
-            svec = np.broadcast_to(np.asarray(std, dtype=float), mvec.shape).copy()
-            if mvec.ndim != 1 or not np.all(np.isfinite(mvec)):
-                raise ValidationError("mean must be a finite vector")
-            if not np.all(np.isfinite(svec)) or np.any(svec < 0):
-                raise ValidationError("std must be finite and nonnegative")
-            self.eta = None
-            self.mean = mvec
-            self.std = svec
+    def __init__(self, eta):
+        vec = np.asarray(eta, dtype=float)
+        if vec.ndim != 1 or not np.all(np.isfinite(vec)):
+            raise ValidationError("eta must be a finite vector")
+        self.eta = vec.copy()
 
     @classmethod
     def deterministic(cls, eta) -> "InitialState":
-        return cls(eta=eta)
-
-    @classmethod
-    def gaussian(cls, mean, std) -> "InitialState":
-        return cls(mean=mean, std=std)
-
-    @property
-    def is_deterministic(self) -> bool:
-        return self.eta is not None
+        return cls(eta)
 
     @property
     def dim(self) -> int:
-        return self.eta.size if self.eta is not None else self.mean.size
-
-    def sample_block(self, driver: "BrownianDriver", path_ids) -> np.ndarray:
-        """Initial values for the given paths, shape (dim, n_paths)."""
-        n = len(path_ids)
-        if self.is_deterministic:
-            return np.repeat(self.eta[:, None], n, axis=1)
-        z = driver.initial_normals(path_ids, self.dim)
-        return self.mean[:, None] + self.std[:, None] * z
+        return self.eta.size
 
 
 class BrownianDriver:
@@ -196,11 +165,12 @@ class BrownianDriver:
 
     Each path owns a counter-based RNG stream keyed by (seed, path_id), so
     increments are a pure function of (seed, path_id, step) and do not depend
-    on ensemble size or on how paths are partitioned into chunks. Initial-value
-    draws come from a disjoint counter region of the same stream, 2^96 draws
-    in. Each thread holds one Philox generator and re-keys it per path: the
-    draws equal those of a fresh ``Generator(Philox(key=[seed, path_id]))``
-    bit for bit, without seeding a new generator per path.
+    on ensemble size or on how paths are partitioned into chunks.
+    ``initial_normals`` draws from a disjoint counter region of the same
+    stream, 2^96 draws in. Each thread holds one Philox generator and re-keys
+    it per path: the draws equal those of a fresh
+    ``Generator(Philox(key=[seed, path_id]))`` bit for bit, without seeding a
+    new generator per path.
     """
 
     def __init__(self, seed: int, n_steps: int):
@@ -553,21 +523,25 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
     return finite
 
 
+def _check_dims(p: ProblemSpec, *inits: InitialState) -> None:
+    for init in inits:
+        if init.dim != p.dim:
+            raise ValidationError(
+                f"initial state dim {init.dim} != problem dim {p.dim}")
+
+
 def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
           *inits: InitialState) -> tuple:
     """The noise of one experiment, for all of its ensembles.
 
-    Returns the grid, ``noise`` and then, per initial state, the initial
-    values of paths 0..n_paths-1 (shape (dim, n_paths)). ``noise(cols)``
+    Returns the grid, ``noise`` and then, per initial state, its eta
+    repeated for paths 0..n_paths-1 (shape (dim, n_paths)). ``noise(cols)``
     draws the increments of the paths in the column slice ``cols``, shape
     (n_steps, c): a path's increments are a pure function of (seed, path,
     step), so a chunk can draw its own, and ``noise(slice(None))`` draws
     them all.
     """
-    for init in inits:
-        if init.dim != p.dim:
-            raise ValidationError(
-                f"initial state dim {init.dim} != problem dim {p.dim}")
+    _check_dims(p, *inits)
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
     ids, h = range(n_paths), p.horizon / drv.n_steps
@@ -576,7 +550,7 @@ def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
         return drv.increments_block(ids[cols], h)
 
     return (p.grid(drv.n_steps), noise,
-            *(init.sample_block(drv, ids) for init in inits))
+            *(np.repeat(init.eta[:, None], n_paths, axis=1) for init in inits))
 
 
 def _each_chunk(worker: Callable[[slice], None], n_paths: int, width: int,
@@ -698,7 +672,7 @@ def constant_ensemble(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
     once here, and every iterate's stochastic term reuses them.
     """
     grid, noise, x0 = _draw(p, drv, n_paths, init)
-    # nothing is stepped, and InitialState data are finite: no path is flagged
+    # nothing is stepped, and every eta is finite: no path is flagged
     return PathEnsemble(
         grid=grid, paths=np.repeat(x0[None], grid.size, axis=0),
         increments=noise(slice(None)), flags=np.zeros(n_paths, dtype=bool))
@@ -717,22 +691,20 @@ def picard_apply(p: ProblemSpec, init: InitialState, y: PathEnsemble,
 
     evaluated with the same product quadrature as ``simulate_mild``; the
     stochastic term reuses y's stored increments, and eta is taken from y's
-    stored initial values (which must be consistent with ``init``).
+    stored initial values, which must equal ``init.eta`` on every path.
     """
     if y.dim != p.dim:
         raise ValidationError(f"ensemble dim {y.dim} != problem dim {p.dim}")
-    if init.dim != p.dim:
-        raise ValidationError(f"initial state dim {init.dim} != problem dim {p.dim}")
+    _check_dims(p, init)
     n_steps = y.n_steps
     if not np.allclose(y.grid, p.grid(n_steps), rtol=0,
                        atol=1e-12 * max(1.0, p.horizon)):
         raise ValidationError("ensemble grid does not match the problem horizon")
     if y.increments.shape != (n_steps, y.n_paths):
         raise ValidationError("ensemble increments do not match its grid")
-    if init.is_deterministic:
-        if not np.array_equal(y.paths[0], np.broadcast_to(init.eta[:, None],
-                                                          y.paths[0].shape)):
-            raise ValidationError("ensemble initial values differ from init")
+    if not np.array_equal(y.paths[0], np.broadcast_to(init.eta[:, None],
+                                                      y.paths[0].shape)):
+        raise ValidationError("ensemble initial values differ from init")
     if tables is None:
         tables = mild_kernel_tables(p, n_steps)
     return _ensembles(p, tables, y.grid.copy(), [y.paths[0]], y.increments,

@@ -16,7 +16,7 @@ from smtde.errors import (DegenerateExperimentError, DomainError, EnsembleError,
 from smtde.solvers import (HISTORY_BLOCK, BrownianDriver, InitialState,
                            PathEnsemble, constant_ensemble, coupled_pair,
                            em_kernel_tables, picard_apply, simulate_em,
-                           squared_norms)
+                           simulate_mild, squared_norms)
 
 from conftest import (CountingDriver, flaky_above, make_problem, one_fn,
                       zero_fn)
@@ -40,6 +40,13 @@ class TestMsNorm:
         est, se = ms_norm(ens, 0)
         assert est == 34.0
         assert se == 0.0
+
+    @pytest.mark.parametrize("t_index", [-1, 21])
+    def test_t_index_outside_grid_rejected(self, sec6_problem, eta_state, t_index):
+        drv = BrownianDriver(seed=1, n_steps=20)
+        ens = simulate_em(sec6_problem, eta_state, drv, 5)
+        with pytest.raises(ValidationError, match="outside grid"):
+            ms_norm(ens, t_index)
 
     def test_identical_samples_give_exactly_zero_se(self):
         grid = np.linspace(0.0, 1.0, 5)
@@ -661,3 +668,32 @@ class TestContinuity:
             continuity_experiment(sec6_problem, eta_state, [1e-3, 1e-2], drv, 5)
         with pytest.raises(ValidationError):
             continuity_experiment(sec6_problem, eta_state, [0.1, -0.2], drv, 5)
+
+
+# every route that takes initial states, given one of dim 3 (bad) on the
+# 2-dim sec6 problem, with the good eta where a route takes two
+WRONG_DIM_ROUTES = {
+    "simulate_em": lambda p, eta, bad, drv: simulate_em(p, bad, drv, 4),
+    "simulate_mild": lambda p, eta, bad, drv: simulate_mild(p, bad, drv, 4),
+    "coupled_pair": lambda p, eta, bad, drv: coupled_pair(p, eta, bad, drv, 4),
+    "constant_ensemble": lambda p, eta, bad, drv: constant_ensemble(p, bad, drv, 4),
+    "squared_norms": lambda p, eta, bad, drv: squared_norms(p, [bad], drv, 4),
+    "separation_experiment": lambda p, eta, bad, drv: separation_experiment(
+        p, eta, bad, drv, 0.75, 4),
+    "continuity_experiment": lambda p, eta, bad, drv: continuity_experiment(
+        p, bad, [0.1], drv, 4),
+    "contraction_report": lambda p, eta, bad, drv: contraction_report(
+        p, bad, drv, 3, 4),
+    "picard_apply": lambda p, eta, bad, drv: picard_apply(
+        p, bad, constant_ensemble(p, eta, drv, 4)),
+}
+
+
+@pytest.mark.parametrize("route", list(WRONG_DIM_ROUTES))
+def test_wrong_dim_initial_state_rejected(eta_state, route):
+    # horizon 5 so that the separation experiment reaches its initial states
+    p = make_problem(horizon=5.0)
+    bad = InitialState.deterministic([3.0, 5.0, 1.0])
+    drv = BrownianDriver(seed=3, n_steps=10)
+    with pytest.raises(ValidationError, match="initial state dim 3 != problem dim 2"):
+        WRONG_DIM_ROUTES[route](p, eta_state, bad, drv)

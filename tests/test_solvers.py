@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -126,27 +127,18 @@ class TestBrownianDriver:
 
 
 class TestInitialState:
-    def test_deterministic_block(self):
+    def test_deterministic_block(self, sec6_problem):
         init = InitialState.deterministic([3.0, 5.0])
         drv = BrownianDriver(seed=1, n_steps=4)
-        block = init.sample_block(drv, range(0, 3))
+        block = constant_ensemble(sec6_problem, init, drv, 3).paths[0]
         assert block.shape == (2, 3)
         assert np.all(block[0] == 3.0) and np.all(block[1] == 5.0)
 
-    def test_gaussian_block_moments(self):
-        init = InitialState.gaussian([1.0, -2.0], 0.5)
-        drv = BrownianDriver(seed=2, n_steps=4)
-        block = init.sample_block(drv, range(0, 4000))
-        assert block.mean(axis=1) == pytest.approx([1.0, -2.0], abs=0.05)
-        assert block.std(axis=1) == pytest.approx([0.5, 0.5], rel=0.1)
-
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            InitialState()
         with pytest.raises(ValidationError):
             InitialState.deterministic([np.nan, 1.0])
         with pytest.raises(ValidationError):
-            InitialState.gaussian([0.0], -1.0)
+            InitialState.deterministic([[3.0, 5.0]])
 
 
 class TestSimulateEm:
@@ -326,6 +318,14 @@ class TestPicard:
         y = simulate_mild(sec6_problem, eta_state, drv, 3)
         with pytest.raises(ValidationError):
             picard_apply(sec6_problem, InitialState.deterministic([0.0, 0.0]), y)
+
+    def test_increments_mismatch_rejected(self, sec6_problem, eta_state):
+        drv = BrownianDriver(seed=14, n_steps=16)
+        y = constant_ensemble(sec6_problem, eta_state, drv, 3)
+        short = dataclasses.replace(y, increments=y.increments[:-1])
+        with pytest.raises(ValidationError,
+                           match="ensemble increments do not match its grid"):
+            picard_apply(sec6_problem, eta_state, short)
 
 
 class TestConstantEnsemble:

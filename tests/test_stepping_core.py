@@ -228,7 +228,7 @@ def test_finite_mask_is_the_output_check(scheme):
                      diffusion=one_fn, horizon=5.0)
     drv = BrownianDriver(seed=7, n_steps=n_steps)
     inits = [InitialState.deterministic(v) for v in ([3.0, 5.0], [-5.0, -3.0])]
-    x0s = [init.sample_block(drv, range(n_paths)) for init in inits]
+    x0s = [np.repeat(init.eta[:, None], n_paths, axis=1) for init in inits]
     known = None
     if scheme == "picard":
         y = simulate_em(dataclasses.replace(p, drift=zero_fn), inits[0], drv,
@@ -257,7 +257,8 @@ def _core_peak_bytes(p, scheme, n_steps, n_paths):
     drv = BrownianDriver(seed=3, n_steps=n_steps)
     times = p.horizon / n_steps * np.arange(n_steps + 1)
     dw = drv.increments_block(range(n_paths), p.horizon / n_steps)
-    x0 = InitialState.deterministic([3.0, 5.0]).sample_block(drv, range(n_paths))
+    x0 = np.repeat(InitialState.deterministic([3.0, 5.0]).eta[:, None], n_paths,
+                   axis=1)
     out = np.empty((n_steps + 1, p.dim, 1, n_paths))
     tracemalloc.start()
     try:
