@@ -27,8 +27,9 @@ import numpy as np
 
 from .errors import (DegenerateExperimentError, DomainError, EnsembleError,
                      ValidationError)
+from .linalg import row_sum_norms
 from .solvers import (BrownianDriver, InitialState, PathEnsemble, ProblemSpec,
-                      _check_dims, _draw, _ensembles, constant_ensemble,
+                      _check_dims, _draw, _ensembles, _sum_sq, constant_ensemble,
                       kernel_tables, mild_init_term, mild_kernel_tables, mild_ml,
                       picard_apply, squared_norms)
 from .specfun import gamma_fn, ml_scalar_log, rl_weights
@@ -71,32 +72,26 @@ def _check_ms_paths(n_paths: int) -> None:
 def _sq_norms(e: PathEnsemble, times=slice(None)) -> np.ndarray:
     """|X(t)|^2 per time in ``times`` and valid path, shape (n_t, n_valid)."""
     _check_ms_paths(e.n_paths)
-    return _sq_reduce(e.paths[times], None, _joint_valid(e))
+    return _sq_reduce(_joint_valid(e), e.paths[times])
 
 
 def _sq_distances(e: PathEnsemble, e2: PathEnsemble) -> np.ndarray:
     """|X(t) - Y(t)|^2 per time and jointly valid path, shape (n_t, n_valid)."""
     if e.paths.shape != e2.paths.shape or not np.array_equal(e.grid, e2.grid):
         raise ValidationError("ensembles must share the same grid and shape")
-    return _sq_reduce(e.paths, e2.paths, _joint_valid(e, e2))
+    return _sq_reduce(_joint_valid(e, e2), e.paths, e2.paths)
 
 
-def _sq_reduce(x: np.ndarray, y: np.ndarray | None, mask: np.ndarray) -> np.ndarray:
-    """Sum over dim of x^2 (or (x - y)^2) for the paths in ``mask``, from
-    (n_t, dim, n_paths) paths to (n_t, n_valid). Formed SQ_BLOCK_TIMES times
-    at a time, so the temporaries are one block, not a whole ensemble; each
-    entry is the same sum over dim as for the whole array at once."""
-    out = np.empty((x.shape[0], int(np.count_nonzero(mask))))
+def _sq_reduce(mask: np.ndarray, *paths: np.ndarray) -> np.ndarray:
+    """``_sum_sq`` of one or two (n_t, dim, n_paths) path arrays for the
+    paths in ``mask``, shape (n_t, n_valid), formed SQ_BLOCK_TIMES times at
+    a time: the temporaries are one block, not a whole ensemble."""
+    out = np.empty((paths[0].shape[0], int(np.count_nonzero(mask))))
     # flagged paths may hold inf/nan; they are dropped after the reduction
     with np.errstate(invalid="ignore", over="ignore"):
-        for lo in range(0, x.shape[0], SQ_BLOCK_TIMES):
+        for lo in range(0, out.shape[0], SQ_BLOCK_TIMES):
             rows = slice(lo, lo + SQ_BLOCK_TIMES)
-            if y is None:
-                sq = np.square(x[rows])
-            else:
-                sq = np.subtract(x[rows], y[rows])
-                np.square(sq, out=sq)
-            np.sum(sq, axis=1).compress(mask, axis=1, out=out[rows])
+            _sum_sq(*(x[rows] for x in paths)).compress(mask, axis=1, out=out[rows])
     return out
 
 
@@ -193,7 +188,7 @@ def ml_sup_norm(p: ProblemSpec) -> tuple[float, float]:
     SUP_GRID_POINTS).
     """
     ts = np.linspace(0.0, p.horizon, 2 * SUP_GRID_POINTS + 1)
-    norms = np.abs(mild_ml(p, p.alpha, ts)).sum(axis=2).max(axis=1)
+    norms = row_sum_norms(mild_ml(p, p.alpha, ts))
     fine = float(norms.max())
     coarse = float(norms[::2].max())
     gap = abs(fine - coarse) / fine if fine > 0 else 0.0
@@ -203,8 +198,7 @@ def ml_sup_norm(p: ProblemSpec) -> tuple[float, float]:
 def init_term_sup_sq(p: ProblemSpec) -> float:
     """sup_t of |I + t^alpha E_{a+1}(t) B|^2 over [0, T] (scalar bound)."""
     ts = np.linspace(0.0, p.horizon, 2 * SUP_GRID_POINTS + 1)
-    mats = mild_init_term(p, ts, mild_ml(p, p.alpha + 1.0, ts))
-    norms = np.abs(mats).sum(axis=2).max(axis=1)
+    norms = row_sum_norms(mild_init_term(p, ts, mild_ml(p, p.alpha + 1.0, ts)))
     return float(norms.max()) ** 2
 
 
@@ -446,7 +440,7 @@ def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
     _check_dims(p, eta)
 
     u = np.ones(p.dim) / math.sqrt(p.dim)
-    gammas = [InitialState.deterministic(eta.eta + off * u) for off in offsets]
+    gammas = [InitialState(eta.eta + off * u) for off in offsets]
     tables = kernel_tables(p, drv.n_steps, scheme)
     grid, noise, x_eta, *x_gammas = _draw(p, drv, n_paths, eta, *gammas)
     dw = noise(slice(None))

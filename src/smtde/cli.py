@@ -251,7 +251,7 @@ def load_config(raw: dict) -> RunConfig:
 def _ensemble_inputs(cfg: RunConfig):
     """Driver, initial state and scheme of an ensemble experiment."""
     return (BrownianDriver(cfg.seed, cfg.n_steps),
-            InitialState.deterministic(cfg.params["eta"]),
+            InitialState(cfg.params["eta"]),
             cfg.params.get("scheme", "em"))
 
 
@@ -284,7 +284,7 @@ def _run_picard(cfg: RunConfig, threads: int):
 
 def _run_separation(cfg: RunConfig, threads: int):
     drv, eta, scheme = _ensemble_inputs(cfg)
-    gamma = InitialState.deterministic(cfg.params["gamma"])
+    gamma = InitialState(cfg.params["gamma"])
     report = separation_experiment(cfg.problem, eta, gamma, drv,
                                    cfg.params["lambda"], cfg.n_paths,
                                    scheme=scheme, threads=threads)

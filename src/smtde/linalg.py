@@ -20,10 +20,14 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def row_sum_norms(m: np.ndarray) -> np.ndarray:
+    """Unchecked max row-sum norm of each matrix of a (..., n, n) stack."""
+    return np.abs(m).sum(axis=-1).max(axis=-1)
+
+
 def mat_norm(m) -> float:
     """Max row-sum norm: max_i sum_j |m_ij| (the operator norm for max-norm vectors)."""
-    a = as_matrix(m)
-    return float(np.max(np.sum(np.abs(a), axis=1)))
+    return float(row_sum_norms(as_matrix(m)))
 
 
 def commutator(a, b) -> np.ndarray:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, TruncationBoundError
-from .linalg import as_matrix, commutator, mat_norm
+from .linalg import as_matrix, commutator, mat_norm, row_sum_norms
 from .specfun import reciprocal_gamma
 
 ML_MATRIX_TOL = 1e-12
@@ -44,12 +44,6 @@ DEFAULT_MAX_DIAGONALS = 200
 _CONVERGED_RUN = 4
 # Times per matrix product when the kept series terms are summed.
 SERIES_TIME_BLOCK = 128
-
-
-def _row_sum_norm(m: np.ndarray) -> float:
-    # mat_norm without the finite-entry validation; an overflowing series must
-    # run into the non-convergence guard, not a validation error
-    return float(np.abs(m).sum(axis=1).max())
 
 
 @dataclass(frozen=True)
@@ -206,8 +200,8 @@ def _sum_series(term, dim: int, p: MLParams, ts):
                 kept_g.append(g)
                 diag = powers @ g
             total += diag
-        diag_norm = _row_sum_norm(diag.reshape(dim, dim))
-        total_norm = _row_sum_norm(total.reshape(dim, dim))
+        diag_norm = float(row_sum_norms(diag.reshape(dim, dim)))
+        total_norm = float(row_sum_norms(total.reshape(dim, dim)))
         if not (math.isfinite(diag_norm) and math.isfinite(total_norm)):
             raise NonConvergenceError(
                 f"matrix ml series overflowed at anti-diagonal {d} (t={t_max})")

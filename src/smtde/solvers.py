@@ -51,12 +51,12 @@ Paths are stored time first and paths last, (n_steps + 1, dim, n_paths),
 the layout the core computes in. Every ensemble is stepped by one chunk
 loop, ``_run``: a chunk stacks the same paths from each initial value
 (one copy for ``simulate``, two for a coupled pair) over one copy of their
-increments, and the core writes each row as (dim, copies, c) and reports
-which paths stayed finite. The stored routes (``simulate``,
+increments, and the core writes each block of rows as (rows, dim, copies,
+c) and reports which paths stayed finite. The stored routes (``simulate``,
 ``coupled_pair``, ``picard_apply``) keep every row and the increments;
-``squared_norms`` keeps only |X|^2 of one copy or |X - Y|^2 of two and
-draws each chunk's increments in the chunk's worker, so the two routes
-agree bit for bit.
+``squared_norms`` keeps only |X|^2 of one copy or |X - Y|^2 of two (both
+routes form them with ``_sum_sq``) and draws each chunk's increments in the
+chunk's worker, so the two routes agree bit for bit.
 """
 
 from __future__ import annotations
@@ -150,10 +150,6 @@ class InitialState:
         if vec.ndim != 1 or not np.all(np.isfinite(vec)):
             raise ValidationError("eta must be a finite vector")
         self.eta = vec.copy()
-
-    @classmethod
-    def deterministic(cls, eta) -> "InitialState":
-        return cls(eta)
 
     @property
     def dim(self) -> int:
@@ -415,13 +411,13 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
     x0 has shape (dim, n_paths) and dw shape (n_steps, c), where n_paths is
     a multiple of c: the chunk stacks copies of c paths side by side (one
     per initial value), and every copy steps over the same increments,
-    broadcast, never copied. Step n is written once, as ``out[n] = x_n`` of
-    shape (dim, copies, c), and never read back: ``out`` may be a strided
-    view of the caller's ensembles, shape (n_steps + 1, dim, copies, c), or
-    any object that takes row assignments. The finite mask is checked on
-    x0 and then once per block, on the block's rows. Step n sums
-    weights[n - j] against the history channels of every t_j, j < n, in
-    blocks of B = HISTORY_BLOCK output steps, split three ways:
+    broadcast, never copied. Each block of steps n0..n1-1 is written once,
+    as ``out[n0:n1]`` (x0 as ``out[:1]``), and never read back: ``out`` may
+    be a strided view of the caller's ensembles, shape (n_steps + 1, dim,
+    copies, c), or any object that takes row-slice assignments. The finite
+    mask is checked on x0 and then once per block, on the block's rows.
+    Step n sums weights[n - j] against the history channels of every t_j,
+    j < n, in blocks of B = HISTORY_BLOCK output steps, split three ways:
 
     * far field: history whose lag is at least ``tables.far_lag`` at every
       step of the block lives in exponential states, state_l = sum_j
@@ -429,14 +425,14 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
       Each block decays them by exp(-rates B) and adds the rows that just
       became old (one GEMM); one more GEMM reads all B steps out of them.
     * slab: the rest of the history known at n0, weighted exactly by one
-      GEMM (for em the previous block, lags 1..2B-1; for tables without
-      exponentials, all of it).
+      GEMM into the accumulator that every block reuses (for em the
+      previous block, lags 1..2B-1; without exponentials, all of it).
     * near field: inside the block, each step adds only its in-block lags.
 
     A history row absorbed into the states is never read again, so the
     history is a window of far_lag + B - 1 rows (2B for em): at each block
     start, after the absorb GEMM, the rows still read move to its front.
-    Tables without exponentials keep every row, and nothing moves.
+    Without exponentials every row stays, and no far-field GEMM runs.
 
     The slab and the near field regroup the direct sum, exact up to
     rounding; the far field is as exact as the checked exponentials. The
@@ -463,6 +459,7 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
     hist = np.empty((rows, n_chan, nd, n_chunk))
     far_hist = hist.reshape(rows * cf, -1)
     near_hist = hist.reshape(rows * cn, n_chunk)
+    noise_rows = hist[:, -1].reshape(rows, *stacked)     # the sigma dW channel
     near = tables.weights[:blk]
     if r == 1:
         near = np.kron(near, np.eye(nd))
@@ -480,45 +477,46 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
     decay = np.repeat(np.exp(-blk * tables.rates), r)[:, None]
     state = np.zeros((n_exp * r, far_hist.shape[1]))
     old = 0         # history rows held by the state; window row i is t_(old+i)
+    acc_rows = np.empty((blk * r, far_hist.shape[1]))  # every block's sums
 
     def record(j: int, xj: np.ndarray) -> None:
         row = hist[j - old]
         if tables.x_map is None:
             row[0] = p.drift(times[j], xj)
         else:
-            row[:-1] = (tables.x_map @ xj).reshape(n_chan - 1, nd, n_chunk)
+            np.matmul(tables.x_map, xj, out=row[:-1].reshape(-1, n_chunk))
             row[-2] += p.drift(times[j], xj)
-        row[-1].reshape(stacked)[...] = dw[j]
+        noise_rows[j - old] = dw[j]
         row[-1] *= p.diffusion(times[j], xj)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        out[0] = x0.reshape(stacked)
+        out[:1] = x0.reshape(1, *stacked)
         record(0, x0 if known is None else known[0])
         for n0 in range(1, n_steps + 1, blk):
             n1 = min(n0 + blk, n_steps + 1)
             new_old = max(old, n0 - tables.far_lag + 1)
-            state *= decay
-            state += absorb[:, (blk - new_old + old) * cf:] @ \
-                far_hist[:(new_old - old) * cf]
             if new_old > old:
+                state *= decay
+                state += absorb[:, (blk - new_old + old) * cf:] @ \
+                    far_hist[:(new_old - old) * cf]
                 hist[:n0 - new_old] = hist[new_old - old:n0 - old]
                 old = new_old
             lags = np.arange(n0, n1)[:, None, None] - np.arange(old, n0)
-            # (n1 - n0, r, n0 - old, cf): gathered in the product's row
-            # order, so the reshape below copies nothing
-            slab = tables.weights[lags, weight_rows]
-            acc = readout[:(n1 - n0) * r] @ state
-            acc += slab.reshape((n1 - n0) * r, (n0 - old) * cf) @ \
-                far_hist[:(n0 - old) * cf]
+            # the slab weights (n1 - n0, r, n0 - old, cf), gathered in the
+            # product's row order (the reshape copies nothing), freed after it
+            acc = np.matmul(tables.weights[lags, weight_rows].reshape((n1 - n0) * r, -1),
+                            far_hist[:(n0 - old) * cf], out=acc_rows[:(n1 - n0) * r])
+            if old:         # the states hold rows
+                acc += readout[:(n1 - n0) * r] @ state
             acc = acc.reshape(n1 - n0, nd, n_chunk)
             acc += tables.init_mats[n0:n1] @ x0
             for k, n in enumerate(range(n0, n1)):
                 if k:
                     acc[k] += near_row[:, -k * cn:] @ \
                         near_hist[(n0 - old) * cn:(n - old) * cn]
-                out[n] = acc[k].reshape(stacked)
                 if n < n_steps:
                     record(n, acc[k] if known is None else known[n])
+            out[n0:n1] = acc.reshape(n1 - n0, *stacked)
             finite &= np.isfinite(acc).all(axis=(0, 1))
     return finite
 
@@ -613,22 +611,27 @@ def _ensembles(p: ProblemSpec, tables: KernelTables, grid: np.ndarray, x0s,
             for x, ok in zip(paths, finite)]
 
 
+def _sum_sq(x: np.ndarray, y: np.ndarray | None = None, out=None) -> np.ndarray:
+    """Sum over dim of x^2 or (x - y)^2, (rows, dim, paths) -> (rows, paths):
+    the squared norms of the core's blocks and of stored ensembles alike."""
+    if y is None:
+        sq = np.square(x)
+    else:
+        sq = np.subtract(x, y)
+        np.square(sq, out=sq)
+    return np.sum(sq, axis=1, out=out)
+
+
 class _SqNorms:
-    """Write-only output of a chunk of one or two copies: row n, X of shape
-    (dim, 1, c) or [X, Y] of shape (dim, 2, c), becomes |X|^2 or
-    |X - Y|^2 in ``sq[n, cols]``, the sum over dim that ``_sq_reduce``
-    forms from stored ensembles."""
+    """Write-only output of a chunk of one or two copies: rows of X, shape
+    (rows, dim, 1, c), or of [X, Y], shape (rows, dim, 2, c), become |X|^2
+    or |X - Y|^2 in ``sq[rows, cols]``."""
 
     def __init__(self, sq: np.ndarray, cols: slice):
         self.sq, self.cols = sq, cols
 
-    def __setitem__(self, n: int, x: np.ndarray) -> None:
-        if x.shape[1] == 1:
-            d = np.square(x[:, 0])
-        else:
-            d = np.subtract(x[:, 0], x[:, 1])
-            np.square(d, out=d)
-        np.sum(d, axis=0, out=self.sq[n, self.cols])
+    def __setitem__(self, rows: slice, x: np.ndarray) -> None:
+        _sum_sq(*np.moveaxis(x, 2, 0), out=self.sq[rows, self.cols])
 
 
 # Scheme names accepted by ``kernel_tables`` (and by the CLI config check).

@@ -38,19 +38,32 @@ _LOG_BLOCK = 128
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma function for x > 0. Raises DomainError otherwise."""
+    """Gamma function for finite x > 0, inf where it exceeds float64 range
+    (x above ~171.62). Raises DomainError otherwise."""
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"gamma_fn requires x > 0, got {x!r}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
 
 
 def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x) extended by zero at the poles x = 0, -1, -2, ..."""
+    """1/Gamma(x) for finite x, extended by zero at the poles x = 0, -1, -2, ...
+
+    Where Gamma overflows (x above ~171.62) it is exp(-lgamma(x)), subnormal
+    and then 0.0; where Gamma underflows to a signed zero (x below about
+    -177.6) it is inf with the sign of Gamma.
+    """
     x = float(x)
     if x <= 0.0 and x == int(x):
         return 0.0
-    return 1.0 / math.gamma(x)
+    try:
+        g = math.gamma(x)
+    except OverflowError:
+        return math.exp(-math.lgamma(x))
+    return 1.0 / g if g else math.copysign(math.inf, g)
 
 
 def _ml_log_series(alpha: float, z: np.ndarray, tol: float,

@@ -59,7 +59,7 @@ def sec6_problem():
 
 @pytest.fixture
 def eta_state():
-    return InitialState.deterministic([3.0, 5.0])
+    return InitialState([3.0, 5.0])
 
 
 @pytest.fixture

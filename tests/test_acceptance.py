@@ -125,7 +125,7 @@ def test_c05_constant_drift_closed_form():
     p = make_problem(a_mat=zero2, b_mat=zero2, drift=one_fn, diffusion=zero_fn,
                      lip_b=0.0, lip_sigma=0.0)
     drv = BrownianDriver(seed=SEED, n_steps=100)
-    ens = simulate_em(p, InitialState.deterministic([3.0, 5.0]), drv, 2)
+    ens = simulate_em(p, InitialState([3.0, 5.0]), drv, 2)
     shift = ens.grid ** p.alpha / gamma_fn(p.alpha + 1.0)
     err = max(np.abs(ens.paths[:, 0, 0] - (3.0 + shift)).max(),
               np.abs(ens.paths[:, 1, 0] - (5.0 + shift)).max())
@@ -137,7 +137,7 @@ def test_c05_constant_drift_closed_form():
 def test_c06_deterministic_convergence_rate():
     start = time.perf_counter()
     p = make_problem(diffusion=zero_fn, lip_sigma=0.0)
-    eta = InitialState.deterministic([3.0, 5.0])
+    eta = InitialState([3.0, 5.0])
 
     def endpoint(n_steps):
         drv = BrownianDriver(seed=SEED, n_steps=n_steps)
@@ -158,7 +158,7 @@ def test_c07_picard_contraction():
     start = time.perf_counter()
     p = make_problem()  # horizon 1.0
     drv = BrownianDriver(seed=SEED, n_steps=100)
-    rep = contraction_report(p, InitialState.deterministic([3.0, 5.0]), drv,
+    rep = contraction_report(p, InitialState([3.0, 5.0]), drv,
                              n_iter=4, n_paths=1000)
     zeta_exact = abs(rep.zeta - 0.75) < 1e-12
     ratios_ok = bool(rep.iterate_ratios) and max(rep.iterate_ratios) <= 0.85
@@ -172,8 +172,8 @@ def test_c07_picard_contraction():
 def test_c08_separation_at_extended_horizon():
     start = time.perf_counter()
     p = make_problem(horizon=10.0)
-    eta = InitialState.deterministic([3.0, 5.0])
-    gamma = InitialState.deterministic([3.5, 5.5])
+    eta = InitialState([3.0, 5.0])
+    gamma = InitialState([3.5, 5.5])
     drv = BrownianDriver(seed=SEED, n_steps=1000)
     rep = separation_experiment(p, eta, gamma, drv, scaling_exponent=0.75,
                                 n_paths=10_000)
@@ -191,7 +191,7 @@ def test_c08_separation_at_extended_horizon():
 def test_c09_continuity_ratio_band():
     start = time.perf_counter()
     p = make_problem()
-    eta = InitialState.deterministic([3.0, 5.0])
+    eta = InitialState([3.0, 5.0])
     drv = BrownianDriver(seed=SEED, n_steps=100)
     rows = continuity_experiment(p, eta, [1e-1, 1e-2, 1e-3], drv, n_paths=2000)
     ratios = [row.ratio for row in rows]

@@ -171,7 +171,7 @@ class TestWeightedNorm:
 
     def test_constant_offset_norm_insensitive_to_omega(self, sec6_problem, eta_state):
         # distance already positive at t = 0 where the discount is 1
-        gamma = InitialState.deterministic([3.5, 5.5])
+        gamma = InitialState([3.5, 5.5])
         drv = BrownianDriver(seed=2, n_steps=40)
         e1, e2 = coupled_pair(sec6_problem, eta_state, gamma, drv, 200)
         values = [math.exp(log_weighted_norm(
@@ -181,7 +181,7 @@ class TestWeightedNorm:
         assert values[2] >= 0.5  # at least the t = 0 contribution
 
     def test_bounded_by_sup_distance(self, sec6_problem, eta_state):
-        gamma = InitialState.deterministic([3.5, 5.5])
+        gamma = InitialState([3.5, 5.5])
         drv = BrownianDriver(seed=2, n_steps=40)
         e1, e2 = coupled_pair(sec6_problem, eta_state, gamma, drv, 200)
         d2, _ = ms_distance_series(e1, e2)
@@ -267,7 +267,7 @@ class TestContractionReport:
         p = make_problem(a_mat=ZERO2, b_mat=ZERO2, drift=zero_fn,
                          diffusion=zero_fn, lip_b=0.0, lip_sigma=0.0)
         drv = BrownianDriver(seed=3, n_steps=20)
-        report = contraction_report(p, InitialState.deterministic([1.0, 2.0]),
+        report = contraction_report(p, InitialState([1.0, 2.0]),
                                     drv, n_iter=3, n_paths=10)
         assert report.immediate_convergence
         assert report.iterate_ratios == []
@@ -357,7 +357,7 @@ class TestSeparation:
 
     def test_short_horizon_rejected(self, sec6_problem, eta_state):
         drv = BrownianDriver(seed=4, n_steps=100)
-        gamma = InitialState.deterministic([3.5, 5.5])
+        gamma = InitialState([3.5, 5.5])
         with pytest.raises(ValidationError):
             separation_experiment(sec6_problem, eta_state, gamma, drv, 0.75, 50)
 
@@ -365,7 +365,7 @@ class TestSeparation:
         # single-order equation: both coefficient matrices vanish
         p = self.make_long_problem(a_mat=ZERO2, b_mat=ZERO2)
         drv = BrownianDriver(seed=4, n_steps=250)
-        gamma = InitialState.deterministic([3.5, 5.5])
+        gamma = InitialState([3.5, 5.5])
         report = separation_experiment(p, eta_state, gamma, drv, 1.0, 400)
         assert np.isfinite(report.fitted_exponent)
         assert report.fitted_ci[0] <= report.fitted_exponent <= report.fitted_ci[1]
@@ -374,7 +374,7 @@ class TestSeparation:
     def test_sec6_report_contents(self, eta_state):
         p = self.make_long_problem()
         drv = BrownianDriver(seed=4, n_steps=250)
-        gamma = InitialState.deterministic([3.5, 5.5])
+        gamma = InitialState([3.5, 5.5])
         report = separation_experiment(p, eta_state, gamma, drv, 1.0, 500)
         assert report.consistent_with_lower_bound
         assert report.positive_3se_from_fit_start
@@ -398,7 +398,7 @@ class TestSeparation:
         per_column = (2 * HISTORY_BLOCK * 3 + 2 * k + 2 * HISTORY_BLOCK) * p.dim * 8
         bound = 2 * (n_steps + 1) * n_paths * 8 + 1.2 * per_column * 2 * n_paths
         drv = BrownianDriver(seed=4, n_steps=n_steps)
-        gamma = InitialState.deterministic([3.5, 5.5])
+        gamma = InitialState([3.5, 5.5])
         tracemalloc.start()
         try:
             separation_experiment(p, eta_state, gamma, drv, 1.0, n_paths)
@@ -409,7 +409,7 @@ class TestSeparation:
 
     def test_exponent_stable_under_doubling_paths(self, eta_state):
         p = self.make_long_problem()
-        gamma = InitialState.deterministic([3.5, 5.5])
+        gamma = InitialState([3.5, 5.5])
         drv = BrownianDriver(seed=4, n_steps=100)
         r1 = separation_experiment(p, eta_state, gamma, drv, 1.0, 400)
         r2 = separation_experiment(p, eta_state, gamma, drv, 1.0, 800)
@@ -442,7 +442,7 @@ class TestCoupledSqDistances:
     both step the same stacked chunks of CHUNK_PATHS / 2 pairs, whatever
     their width, and the one pass draws each chunk's increments itself."""
 
-    GAMMA = InitialState.deterministic([3.5, 5.5])
+    GAMMA = InitialState([3.5, 5.5])
     HALF = solvers.CHUNK_PATHS // 2
 
     @pytest.mark.parametrize("scheme, n_steps, n_paths, horizon", [
@@ -472,7 +472,7 @@ class TestCoupledSqDistances:
     def test_blowup_in_one_ensemble(self, eta_state):
         p = make_problem(a_mat=ZERO2, b_mat=ZERO2, drift=flaky_above(9.0),
                          diffusion=one_fn, horizon=5.0)
-        gamma = InitialState.deterministic([-5.0, -3.0])
+        gamma = InitialState([-5.0, -3.0])
         drv = BrownianDriver(seed=7, n_steps=100)
         e1, e2 = coupled_pair(p, eta_state, gamma, drv, 256)
         assert e1.flags.sum() > 0 and not e2.flags.any()
@@ -488,7 +488,7 @@ class TestCoupledSqDistances:
         # the other stays finite
         p = make_problem(a_mat=ZERO2, b_mat=ZERO2, drift=flaky_above(8.0),
                          diffusion=one_fn, horizon=5.0)
-        inits = [eta_state, InitialState.deterministic([-5.0, -3.0])]
+        inits = [eta_state, InitialState([-5.0, -3.0])]
         if swap:
             inits.reverse()
         drv = BrownianDriver(seed=7, n_steps=100)
@@ -576,7 +576,7 @@ class TestSeparationBootstrap:
 
     def test_ci_matches_gather_loop(self, eta_state):
         p = make_problem(horizon=5.0)
-        gamma = InitialState.deterministic([3.5, 5.5])
+        gamma = InitialState([3.5, 5.5])
         drv = BrownianDriver(seed=4, n_steps=100)
         report = separation_experiment(p, eta_state, gamma, drv, 1.0, 300)
         e1, e2 = coupled_pair(p, eta_state, gamma, drv, 300)
@@ -593,7 +593,7 @@ class TestSeparationBootstrap:
                          diffusion=one_fn, horizon=5.0)
         # the two ensembles leave [-10, 10] on opposite sides, so different
         # paths are flagged in each, and a path flagged in either is dropped
-        gamma = InitialState.deterministic([-5.0, -3.0])
+        gamma = InitialState([-5.0, -3.0])
         drv = BrownianDriver(seed=7, n_steps=100)
         e1, e2 = coupled_pair(p, eta_state, gamma, drv, 200)
         dropped = int((e1.flags | e2.flags).sum())
@@ -607,7 +607,7 @@ class TestSeparationBootstrap:
         p = make_problem(horizon=5.0)
         drv = BrownianDriver(seed=4, n_steps=60)
         report = separation_experiment(
-            p, eta_state, InitialState.deterministic([3.5, 5.5]), drv, 1.0, 50)
+            p, eta_state, InitialState([3.5, 5.5]), drv, 1.0, 50)
         assert (report.n_paths, report.n_dropped) == (50, 0)
 
 
@@ -615,7 +615,7 @@ class TestContinuity:
     def test_trivial_dynamics_ratio_one(self):
         p = make_problem(a_mat=ZERO2, b_mat=ZERO2, drift=zero_fn,
                          diffusion=zero_fn, lip_b=0.0, lip_sigma=0.0)
-        eta = InitialState.deterministic([3.0, 5.0])
+        eta = InitialState([3.0, 5.0])
         drv = BrownianDriver(seed=5, n_steps=20)
         rows = continuity_experiment(p, eta, [1e-1, 1e-2, 1e-3], drv, 10)
         for row in rows:
@@ -642,7 +642,7 @@ class TestContinuity:
         rows = continuity_experiment(p, eta_state, offsets, drv, 200)
         u = np.ones(2) / math.sqrt(2.0)
         for off, row in zip(offsets, rows):
-            gamma = InitialState.deterministic(eta_state.eta + off * u)
+            gamma = InitialState(eta_state.eta + off * u)
             e1, e2 = coupled_pair(p, eta_state, gamma, drv, 200)
             assert row.n_dropped == int((e1.flags | e2.flags).sum())
         assert max(row.n_dropped for row in rows) > 0
@@ -693,7 +693,7 @@ WRONG_DIM_ROUTES = {
 def test_wrong_dim_initial_state_rejected(eta_state, route):
     # horizon 5 so that the separation experiment reaches its initial states
     p = make_problem(horizon=5.0)
-    bad = InitialState.deterministic([3.0, 5.0, 1.0])
+    bad = InitialState([3.0, 5.0, 1.0])
     drv = BrownianDriver(seed=3, n_steps=10)
     with pytest.raises(ValidationError, match="initial state dim 3 != problem dim 2"):
         WRONG_DIM_ROUTES[route](p, eta_state, bad, drv)

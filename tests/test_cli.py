@@ -481,6 +481,20 @@ class TestExperiments:
             <= report["fitted_ci_high"]
         assert report["kappa_hat"] > 0
 
+    @pytest.mark.parametrize("delta, converged", [(172.5, 1.0), (-200.5, 0.0)])
+    def test_ml_eval_offsets_beyond_gamma_range(self, tmp_path, delta, converged):
+        # every Gamma(k rho + m sigma + delta) of the shipped config's series
+        # overflows at 172.5; at -200.5 the first ones underflow to a signed
+        # zero, so their reciprocals are infinite and the series cannot
+        # converge. Both are rows of a finished run, not a crash
+        cfg = json.loads((CONFIG_DIR / "ml_eval_sec6.json").read_text())
+        cfg["params"]["delta"] = delta
+        out = tmp_path / "out"
+        assert run(str(write_config(tmp_path, cfg)), str(out)) == 0
+        flags = {float(r["value"]) for r in read_rows(out)
+                 if r["quantity"] == "converged"}
+        assert flags == {converged}
+
     def test_ml_eval_flags_nonconverged_rows(self, tmp_path):
         # the default anti-diagonal cap cannot reach t = 80 for this pair
         cfg = base_config(experiment="ml-eval",

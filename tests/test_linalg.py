@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smtde.linalg import commutator, mat_norm
+from smtde.linalg import commutator, mat_norm, row_sum_norms
 
 from conftest import SEC6_A, SEC6_B
 
@@ -50,3 +50,11 @@ def test_norm_submultiplicative_and_triangle():
         b = rng.normal(size=(n, n))
         assert mat_norm(a @ b) <= mat_norm(a) * mat_norm(b) * (1 + 1e-12)
         assert mat_norm(a + b) <= mat_norm(a) + mat_norm(b) + 1e-12
+
+
+def test_row_sum_norms_batched_and_unchecked():
+    # one norm per matrix of a stack, each equal to mat_norm; non-finite
+    # entries give a non-finite norm instead of mat_norm's ValueError
+    stack = np.stack([SEC6_A, SEC6_B, -np.eye(2)])
+    assert np.array_equal(row_sum_norms(stack), [mat_norm(m) for m in stack])
+    assert np.isnan(row_sum_norms(np.array([[1.0, np.nan], [0.0, 1.0]])))

@@ -128,7 +128,7 @@ class TestBrownianDriver:
 
 class TestInitialState:
     def test_deterministic_block(self, sec6_problem):
-        init = InitialState.deterministic([3.0, 5.0])
+        init = InitialState([3.0, 5.0])
         drv = BrownianDriver(seed=1, n_steps=4)
         block = constant_ensemble(sec6_problem, init, drv, 3).paths[0]
         assert block.shape == (2, 3)
@@ -136,9 +136,9 @@ class TestInitialState:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            InitialState.deterministic([np.nan, 1.0])
+            InitialState([np.nan, 1.0])
         with pytest.raises(ValidationError):
-            InitialState.deterministic([[3.0, 5.0]])
+            InitialState([[3.0, 5.0]])
 
 
 class TestSimulateEm:
@@ -146,7 +146,7 @@ class TestSimulateEm:
         p = make_problem(a_mat=ZERO2, b_mat=ZERO2, drift=zero_fn,
                          diffusion=zero_fn, lip_b=0.0, lip_sigma=0.0)
         drv = BrownianDriver(seed=3, n_steps=50)
-        ens = simulate_em(p, InitialState.deterministic([3.0, 5.0]), drv, 4)
+        ens = simulate_em(p, InitialState([3.0, 5.0]), drv, 4)
         assert np.all(ens.paths[:, 0] == 3.0)
         assert np.all(ens.paths[:, 1] == 5.0)
 
@@ -154,7 +154,7 @@ class TestSimulateEm:
         p = make_problem(a_mat=ZERO2, b_mat=ZERO2, drift=one_fn,
                          diffusion=zero_fn, lip_b=0.0, lip_sigma=0.0)
         drv = BrownianDriver(seed=3, n_steps=100)
-        ens = simulate_em(p, InitialState.deterministic([3.0, 5.0]), drv, 2)
+        ens = simulate_em(p, InitialState([3.0, 5.0]), drv, 2)
         expected = ens.grid ** p.alpha / gamma_fn(p.alpha + 1.0)
         for comp, eta_i in ((0, 3.0), (1, 5.0)):
             err = np.abs(ens.paths[:, comp, 0] - (eta_i + expected)).max()
@@ -174,7 +174,7 @@ class TestSimulateEm:
                         b_mat=np.array([[b]]), drift=zero_fn, diffusion=zero_fn,
                         lip_b=0.0, lip_sigma=0.0, horizon=2.0, dim=1)
         drv = BrownianDriver(seed=1, n_steps=2000)
-        ens = simulate_em(p, InitialState.deterministic([1.0]), drv, 1)
+        ens = simulate_em(p, InitialState([1.0]), drv, 1)
         exact = ml_scalar(0.75, b * 2.0 ** 0.75)
         assert ens.paths[-1, 0, 0] == pytest.approx(exact, rel=5e-3)
 
@@ -208,7 +208,7 @@ class TestSimulateEm:
 
         monkeypatch.setattr(solvers, "ThreadPoolExecutor", CountingPool)
         drv = BrownianDriver(seed=10, n_steps=25)
-        gamma = InitialState.deterministic([3.5, 5.5])
+        gamma = InitialState([3.5, 5.5])
 
         def ensembles(threads):
             mild = simulate_mild(sec6_problem, eta_state, drv, 40, threads=threads)
@@ -292,11 +292,11 @@ class TestPicard:
         p = make_problem(a_mat=ZERO2, b_mat=ZERO2, drift=zero_fn,
                          diffusion=zero_fn, lip_b=0.0, lip_sigma=0.0)
         drv = BrownianDriver(seed=2, n_steps=40)
-        y = constant_ensemble(p, InitialState.deterministic([-1.0, 2.0]), drv, 6)
+        y = constant_ensemble(p, InitialState([-1.0, 2.0]), drv, 6)
         y.paths += np.linspace(0, 3, y.paths.size).reshape(y.paths.shape)
         y.paths[0, 0] = -1.0
         y.paths[0, 1] = 2.0
-        out = picard_apply(p, InitialState.deterministic([-1.0, 2.0]), y)
+        out = picard_apply(p, InitialState([-1.0, 2.0]), y)
         assert np.all(out.paths[:, 0] == -1.0)
         assert np.all(out.paths[:, 1] == 2.0)
 
@@ -317,7 +317,7 @@ class TestPicard:
         drv = BrownianDriver(seed=14, n_steps=16)
         y = simulate_mild(sec6_problem, eta_state, drv, 3)
         with pytest.raises(ValidationError):
-            picard_apply(sec6_problem, InitialState.deterministic([0.0, 0.0]), y)
+            picard_apply(sec6_problem, InitialState([0.0, 0.0]), y)
 
     def test_increments_mismatch_rejected(self, sec6_problem, eta_state):
         drv = BrownianDriver(seed=14, n_steps=16)
@@ -353,15 +353,15 @@ class TestCoupledPair:
     def test_constant_distance_for_trivial_dynamics(self):
         p = make_problem(a_mat=ZERO2, b_mat=ZERO2, drift=zero_fn,
                          diffusion=zero_fn, lip_b=0.0, lip_sigma=0.0)
-        eta = InitialState.deterministic([3.0, 5.0])
-        gamma = InitialState.deterministic([3.5, 5.5])
+        eta = InitialState([3.0, 5.0])
+        gamma = InitialState([3.5, 5.5])
         drv = BrownianDriver(seed=21, n_steps=30)
         e1, e2 = coupled_pair(p, eta, gamma, drv, 4)
         dist = np.sum((e1.paths - e2.paths) ** 2, axis=1)
         assert np.all(dist == 0.5)
 
     def test_sec6_distance_positive(self, sec6_problem, eta_state):
-        gamma = InitialState.deterministic([3.5, 5.5])
+        gamma = InitialState([3.5, 5.5])
         drv = BrownianDriver(seed=21, n_steps=100)
         e1, e2 = coupled_pair(sec6_problem, eta_state, gamma, drv, 2000)
         sq = np.sum((e1.paths - e2.paths) ** 2, axis=1)
@@ -371,7 +371,7 @@ class TestCoupledPair:
 
     def test_noise_drawn_once_and_shared(self, sec6_problem, eta_state):
         drv = CountingDriver(seed=21, n_steps=20)
-        gamma = InitialState.deterministic([3.5, 5.5])
+        gamma = InitialState([3.5, 5.5])
         e1, e2 = coupled_pair(sec6_problem, eta_state, gamma, drv, 6)
         assert drv.paths_drawn == 6
         assert np.shares_memory(e1.increments, e2.increments)

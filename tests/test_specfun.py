@@ -30,6 +30,24 @@ class TestGamma:
         # negative non-integer arguments are fine
         assert reciprocal_gamma(-0.5) == pytest.approx(1.0 / math.gamma(-0.5), rel=1e-14)
 
+    def test_gamma_overflow_is_inf(self):
+        assert gamma_fn(171.7) == math.inf
+        assert gamma_fn(171.6) == math.gamma(171.6)
+
+    @pytest.mark.parametrize("x", [171.7, 200.0])
+    def test_reciprocal_beyond_gamma_overflow(self, x):
+        # math.gamma overflows: 1/Gamma is exp(-lgamma), subnormal at 171.7
+        # and zero at 200
+        assert reciprocal_gamma(x) == math.exp(-math.lgamma(x))
+        assert (reciprocal_gamma(x) > 0.0) == (x < 172.0)
+
+    @pytest.mark.parametrize("x, sign", [(-171.5, 1.0), (-200.5, -1.0),
+                                         (-201.5, 1.0)])
+    def test_reciprocal_where_gamma_underflows(self, x, sign):
+        # Gamma is subnormal at -171.5 and a signed zero below about -177.6; its
+        # reciprocal is inf with the sign of Gamma, (-1)^n on (-n, -n+1)
+        assert reciprocal_gamma(x) == sign * math.inf
+
 
 class TestMlScalar:
     def test_reduces_to_exp(self):

@@ -14,6 +14,7 @@ straight from the product-quadrature weights.
 """
 
 import dataclasses
+import math
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -227,7 +228,7 @@ def test_finite_mask_is_the_output_check(scheme):
     p = make_problem(a_mat=zero, b_mat=zero, drift=flaky_above(9.0),
                      diffusion=one_fn, horizon=5.0)
     drv = BrownianDriver(seed=7, n_steps=n_steps)
-    inits = [InitialState.deterministic(v) for v in ([3.0, 5.0], [-5.0, -3.0])]
+    inits = [InitialState(v) for v in ([3.0, 5.0], [-5.0, -3.0])]
     x0s = [np.repeat(init.eta[:, None], n_paths, axis=1) for init in inits]
     known = None
     if scheme == "picard":
@@ -250,6 +251,47 @@ def test_finite_mask_is_the_output_check(scheme):
         assert np.array_equal(e.flags, ~np.isfinite(e.paths).all(axis=(0, 1)))
 
 
+class CountingOut:
+    """A write-only core output that records each assignment's rows."""
+
+    def __init__(self, shape):
+        self.rows = np.empty(shape)
+        self.writes = []
+
+    def __setitem__(self, key, x):
+        self.writes.append(key.indices(len(self.rows))[:2])
+        self.rows[key] = x
+
+
+@pytest.mark.parametrize("scheme", sorted(TABLES))
+@pytest.mark.parametrize("n_steps", STEP_COUNTS + LONG_STEP_COUNTS[:1])
+def test_core_writes_each_block_once(sec6_problem, eta_state, monkeypatch,
+                                     scheme, n_steps):
+    # three chunks over 5 paths: each chunk's output takes x0 and then each
+    # block of B = HISTORY_BLOCK steps in one assignment, ceil(N/B) + 1 in
+    # all, in order, and the rows are the stored ensemble's
+    monkeypatch.setattr(solvers, "CHUNK_PATHS", 2)
+    p, blk = sec6_problem, HISTORY_BLOCK
+    drv = BrownianDriver(seed=5, n_steps=n_steps)
+    grid, noise, x0 = solvers._draw(p, drv, 5, eta_state)
+    sinks = {}
+
+    def out(cols):
+        width = x0[:, cols].shape[1]
+        sinks[cols.start] = CountingOut((n_steps + 1, p.dim, 1, width))
+        return sinks[cols.start]
+
+    solvers._run(p, kernel_tables(p, n_steps, scheme), grid, [x0], noise, out)
+    paths = SIMULATORS[scheme](p, eta_state, drv, 5).paths
+    blocks = [(0, 1)] + [(n0, min(n0 + blk, n_steps + 1))
+                         for n0 in range(1, n_steps + 1, blk)]
+    assert len(blocks) == math.ceil(n_steps / blk) + 1
+    assert sorted(sinks) == [0, 2, 4]
+    for lo, sink in sinks.items():
+        assert sink.writes == blocks
+        assert np.array_equal(sink.rows[:, :, 0], paths[..., lo:lo + 2])
+
+
 def _core_peak_bytes(p, scheme, n_steps, n_paths):
     # the core's own peak: the output, one copy of (dim, 1, n_paths) rows,
     # is the caller's like the inputs
@@ -257,7 +299,7 @@ def _core_peak_bytes(p, scheme, n_steps, n_paths):
     drv = BrownianDriver(seed=3, n_steps=n_steps)
     times = p.horizon / n_steps * np.arange(n_steps + 1)
     dw = drv.increments_block(range(n_paths), p.horizon / n_steps)
-    x0 = np.repeat(InitialState.deterministic([3.0, 5.0]).eta[:, None], n_paths,
+    x0 = np.repeat(InitialState([3.0, 5.0]).eta[:, None], n_paths,
                    axis=1)
     out = np.empty((n_steps + 1, p.dim, 1, n_paths))
     tracemalloc.start()
