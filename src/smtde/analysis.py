@@ -21,6 +21,7 @@ equals 3/4 by construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,9 +163,18 @@ def log_weighted_norm(e: PathEnsemble, e2: PathEnsemble,
 
 
 def _contraction_scale(p: ProblemSpec, m_sup: float) -> float:
-    """Gamma(2a-1) M^2 (1 + L_b^2 T + L_s^2), shared by the threshold and zeta."""
-    factor = 1.0 + p.lip_b ** 2 * p.horizon + p.lip_sigma ** 2
-    return gamma_fn(2.0 * p.alpha - 1.0) * m_sup ** 2 * factor
+    """Gamma(2a-1) M^2 (1 + L_b^2 T + L_s^2), shared by the threshold and zeta;
+    DomainError where it overflows."""
+    try:
+        factor = 1.0 + p.lip_b ** 2 * p.horizon + p.lip_sigma ** 2
+        scale = gamma_fn(2.0 * p.alpha - 1.0) * m_sup ** 2 * factor
+    except OverflowError:
+        scale = math.inf
+    if not scale < math.inf:
+        raise DomainError(
+            f"the contraction threshold overflows: lip_b {p.lip_b!r}, lip_sigma "
+            f"{p.lip_sigma!r}, horizon {p.horizon!r}, M {m_sup!r}")
+    return scale
 
 
 def omega_threshold(p: ProblemSpec, m_sup: float) -> float:
@@ -392,7 +402,7 @@ def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState
     boot = _bootstrap_exponents(t_win, sq[window].T, rng, BOOTSTRAP_RESAMPLES)
     ci = (float(np.quantile(boot, 0.025)), float(np.quantile(boot, 0.975)))
 
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         scaled = times ** scaling_exponent * np.sqrt(d2)
     positive = bool(np.all(d2[window] - 3.0 * se[window] > 0))
     return SeparationReport(
@@ -430,27 +440,35 @@ def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
     should stay bounded across offsets when the solution map is continuous in
     the initial data. The noise is drawn once; the base ensemble is stepped
     first, then one shifted ensemble at a time, so the memory held does not
-    grow with the number of offsets.
+    grow with the number of offsets. ValidationError unless each offset's
+    square, which the ratio divides by, is a finite normal float.
     """
     offsets = [float(o) for o in offsets]
     if not offsets or any(o <= 0 for o in offsets):
         raise ValidationError("offsets must be positive")
     if any(b >= a for a, b in zip(offsets[:-1], offsets[1:])):
         raise ValidationError("offsets must be strictly decreasing")
+    for off in offsets:
+        try:
+            normal = sys.float_info.min <= off ** 2 < math.inf
+        except OverflowError:
+            normal = False
+        if not normal:
+            raise ValidationError(
+                f"offset {off!r}: its square is not a finite normal float")
     _check_dims(p, eta)
 
     u = np.ones(p.dim) / math.sqrt(p.dim)
     gammas = [InitialState(eta.eta + off * u) for off in offsets]
     tables = kernel_tables(p, drv.n_steps, scheme)
-    grid, noise, x_eta, *x_gammas = _draw(p, drv, n_paths, eta, *gammas)
-    dw = noise(slice(None))
-    base, = _ensembles(p, tables, grid, [x_eta], dw, threads)
+    dw = _draw(p, drv, n_paths, eta, *gammas)(slice(None))
+    base, = _ensembles(p, tables, [eta], dw, threads)
 
-    def point(off: float, x0: np.ndarray) -> ContinuityPoint:
-        shifted, = _ensembles(p, tables, grid, [x0], dw, threads)
+    def point(off: float, gamma: InitialState) -> ContinuityPoint:
+        shifted, = _ensembles(p, tables, [gamma], dw, threads)
         sup_d2 = float(np.max(ms_distance_series(base, shifted)[0]))
         return ContinuityPoint(
             offset=off, sup_ms_distance=sup_d2, ratio=sup_d2 / off ** 2,
             n_dropped=int((base.flags | shifted.flags).sum()))
 
-    return [point(off, x0) for off, x0 in zip(offsets, x_gammas)]
+    return [point(off, gamma) for off, gamma in zip(offsets, gammas)]

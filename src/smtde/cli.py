@@ -17,8 +17,11 @@ fixed-size chunks with per-path RNG streams, numpy's bundled OpenBLAS is
 pinned to one thread for the run, and statistics are reduced in a fixed order.
 
 Exit codes: 0 success, 2 config parse/validation error (also for values only
-an experiment checks, e.g. ``n_iter < 3``, for ``--threads`` below 1, and for
-an ``--out`` that exists, even as a dangling symlink, and is not a directory),
+an experiment checks, e.g. ``n_iter < 3``, for values whose arithmetic
+overflows: a continuity offset without a finite normal square, a Picard
+contraction threshold, a non-finite ``check-identity`` sample; for
+``--threads`` below 1, and for an ``--out`` that exists, even as a dangling
+symlink, and is not a directory),
 3 runtime/numerical error or an error creating or writing the outputs
 (outputs of an earlier run are removed); ``--out`` is created only after a
 success.

@@ -49,14 +49,16 @@ O(N^2) sum over a history kept whole.
 
 Paths are stored time first and paths last, (n_steps + 1, dim, n_paths),
 the layout the core computes in. Every ensemble is stepped by one chunk
-loop, ``_run``: a chunk stacks the same paths from each initial value
-(one copy for ``simulate``, two for a coupled pair) over one copy of their
-increments, and the core writes each block of rows as (rows, dim, copies,
-c) and reports which paths stayed finite. The stored routes (``simulate``,
-``coupled_pair``, ``picard_apply``) keep every row and the increments;
-``squared_norms`` keeps only |X|^2 of one copy or |X - Y|^2 of two (both
-routes form them with ``_sum_sq``) and draws each chunk's increments in the
-chunk's worker, so the two routes agree bit for bit.
+loop, ``_run``, from its initial states and a noise source alone: a chunk
+stacks the same paths from each eta (one copy for ``simulate``, two for a
+coupled pair) over one copy of their increments, on the grid
+``p.grid(n_steps)`` of the increments' row count, and the core writes each
+block of rows as (rows, dim, copies, c) and reports which paths stayed
+finite. The stored routes (``simulate``, ``coupled_pair``,
+``picard_apply``) keep every row and the increments; ``squared_norms``
+keeps only |X|^2 of one copy or |X - Y|^2 of two (both routes form them
+with ``_sum_sq``) and draws each chunk's increments in the chunk's worker,
+so the two routes agree bit for bit.
 """
 
 from __future__ import annotations
@@ -402,20 +404,21 @@ def mild_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
                         far_lag=n_steps + 1)
 
 
-def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
-                x0: np.ndarray, dw: np.ndarray, out,
+def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
+                dw: np.ndarray, out,
                 known: np.ndarray | None = None) -> np.ndarray:
     """Explicit time-blocked stepping for one chunk of paths; returns the
-    (n_paths,) mask of the paths whose output stayed finite.
+    (copies * c,) mask of the paths whose output stayed finite.
 
-    x0 has shape (dim, n_paths) and dw shape (n_steps, c), where n_paths is
-    a multiple of c: the chunk stacks copies of c paths side by side (one
-    per initial value), and every copy steps over the same increments,
-    broadcast, never copied. Each block of steps n0..n1-1 is written once,
-    as ``out[n0:n1]`` (x0 as ``out[:1]``), and never read back: ``out`` may
-    be a strided view of the caller's ensembles, shape (n_steps + 1, dim,
-    copies, c), or any object that takes row-slice assignments. The finite
-    mask is checked on x0 and then once per block, on the block's rows.
+    etas has shape (dim, copies) and dw shape (n_steps, c): the chunk stacks
+    c paths from each initial value side by side, x0 = np.repeat(etas, c,
+    axis=1), on the grid ``p.grid(n_steps)``, and every copy steps over the
+    same increments, broadcast, never copied. Each block of steps n0..n1-1
+    is written once, as ``out[n0:n1]`` (x0 as ``out[:1]``), and never read
+    back: ``out`` may be a strided view of the caller's ensembles, shape
+    (n_steps + 1, dim, copies, c), or any object that takes row-slice
+    assignments. The finite mask is checked on x0 and then once per block,
+    on the block's rows.
     Step n sums weights[n - j] against the history channels of every t_j,
     j < n, in blocks of B = HISTORY_BLOCK output steps, split three ways:
 
@@ -446,12 +449,15 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, times: np.ndarray,
     _, r, cf = tables.weights.shape     # lag blocks (r, cf), cf = n_chan * r
     n_chan = cf // r
     cn = n_chan * nd
-    n_steps = times.size - 1
-    n_chunk = x0.shape[1]
-    stacked = (nd, n_chunk // dw.shape[1], dw.shape[1])
-    # allocated before the working arrays, so it cannot pin the heap top above
-    # their freed space (that cost 0.7 MB peak RSS on a 768-path em pair)
+    n_steps, c = dw.shape
+    # x0 and the mask are allocated before the working arrays, so they cannot
+    # pin the heap top above their freed space (that cost 0.7 MB peak RSS on
+    # a 768-path em pair)
+    x0 = np.repeat(etas, c, axis=1)
     finite = np.isfinite(x0).all(axis=0)
+    times = p.grid(n_steps)
+    n_chunk = x0.shape[1]
+    stacked = (nd, etas.shape[1], c)
     blk = HISTORY_BLOCK
     # the live history window, read as (rows*cf, dim*paths/r) by the far
     # field and the slab and as (rows*cn, paths) by the near field
@@ -529,15 +535,13 @@ def _check_dims(p: ProblemSpec, *inits: InitialState) -> None:
 
 
 def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
-          *inits: InitialState) -> tuple:
-    """The noise of one experiment, for all of its ensembles.
+          *inits: InitialState) -> Callable[[slice], np.ndarray]:
+    """Checks the initial states and n_paths; returns the experiment's noise.
 
-    Returns the grid, ``noise`` and then, per initial state, its eta
-    repeated for paths 0..n_paths-1 (shape (dim, n_paths)). ``noise(cols)``
-    draws the increments of the paths in the column slice ``cols``, shape
-    (n_steps, c): a path's increments are a pure function of (seed, path,
-    step), so a chunk can draw its own, and ``noise(slice(None))`` draws
-    them all.
+    ``noise(cols)`` draws the increments of the paths in the column slice
+    ``cols`` of 0..n_paths-1, shape (n_steps, c): a path's increments are a
+    pure function of (seed, path, step), so a chunk can draw its own, and
+    ``noise(slice(None))`` draws them all.
     """
     _check_dims(p, *inits)
     if n_paths < 1:
@@ -547,47 +551,40 @@ def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
     def noise(cols: slice) -> np.ndarray:
         return drv.increments_block(ids[cols], h)
 
-    return (p.grid(drv.n_steps), noise,
-            *(np.repeat(init.eta[:, None], n_paths, axis=1) for init in inits))
+    return noise
 
 
-def _each_chunk(worker: Callable[[slice], None], n_paths: int, width: int,
-                threads: int) -> None:
-    """worker(cols) for the column slices of fixed ``width`` that cover
-    n_paths, on a pool of ``threads`` when there is more than one chunk."""
+def _run(p: ProblemSpec, tables: KernelTables, inits, n_paths: int,
+         noise: Callable[[slice], np.ndarray], out: Callable[[slice], object],
+         threads: int = 1, known: np.ndarray | None = None) -> np.ndarray:
+    """Step n_paths paths from each initial state in inits, one copy each;
+    returns which paths stayed finite, (copies, n_paths).
+
+    Every chunk stacks CHUNK_PATHS // copies paths of each copy, whatever
+    ``threads`` is, so the result does not depend on it; ``threads`` > 1
+    runs the chunks on a pool. For the chunk of columns ``cols``,
+    ``noise(cols)`` gives its increments (n_steps, c), which every copy
+    steps over, and ``out(cols)`` takes the core's output. With ``known``
+    (an ensemble's paths) the history comes from those paths: the operator
+    without feedback. EnsembleError if more than FLAGGED_FRACTION_LIMIT of
+    one copy's paths blew up, the copies checked in order.
+    """
+    etas = np.stack([init.eta for init in inits], axis=1)
+    copies = etas.shape[1]
+    finite = np.empty((copies, n_paths), dtype=bool)
+
+    def worker(cols: slice) -> None:
+        finite[:, cols] = _step_paths(
+            tables, p, etas, noise(cols), out(cols),
+            known=None if known is None else known[:, :, cols]).reshape(copies, -1)
+
+    width = max(CHUNK_PATHS // copies, 1)
     chunks = [slice(lo, lo + width) for lo in range(0, n_paths, width)]
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(worker, chunks))
     else:
         list(map(worker, chunks))
-
-
-def _run(p: ProblemSpec, tables: KernelTables, grid: np.ndarray, x0s,
-         noise: Callable[[slice], np.ndarray], out: Callable[[slice], object],
-         threads: int = 1, known: np.ndarray | None = None) -> np.ndarray:
-    """Step each of the initial values x0s, (dim, n_paths) per copy; returns
-    which paths stayed finite, (copies, n_paths).
-
-    Every chunk stacks CHUNK_PATHS // copies paths of each copy, whatever
-    ``threads`` is, so the result does not depend on it. For the chunk of
-    columns ``cols``, ``noise(cols)`` gives its increments (n_steps, c),
-    which every copy steps over, and ``out(cols)`` takes the core's output.
-    With ``known`` (an ensemble's paths) the history comes from those
-    paths: the operator without feedback. EnsembleError if more than
-    FLAGGED_FRACTION_LIMIT of one copy's paths blew up, the copies checked
-    in order.
-    """
-    copies, n_paths = len(x0s), x0s[0].shape[1]
-    finite = np.empty((copies, n_paths), dtype=bool)
-
-    def worker(cols: slice) -> None:
-        x0 = np.concatenate([x[:, cols] for x in x0s], axis=1)
-        finite[:, cols] = _step_paths(
-            tables, p, grid, x0, noise(cols), out(cols),
-            known=None if known is None else known[:, :, cols]).reshape(copies, -1)
-
-    _each_chunk(worker, n_paths, max(CHUNK_PATHS // copies, 1), threads)
     for flags in ~finite:
         frac = float(flags.mean()) if flags.size else 0.0
         if frac > FLAGGED_FRACTION_LIMIT:
@@ -596,17 +593,19 @@ def _run(p: ProblemSpec, tables: KernelTables, grid: np.ndarray, x0s,
     return finite
 
 
-def _ensembles(p: ProblemSpec, tables: KernelTables, grid: np.ndarray, x0s,
-               dw: np.ndarray, threads: int = 1,
+def _ensembles(p: ProblemSpec, tables: KernelTables, inits, dw: np.ndarray,
+               threads: int = 1,
                known: np.ndarray | None = None) -> list[PathEnsemble]:
-    """One stored ensemble per initial values in x0s, stepped together by
-    ``_run`` over the increments dw (n_steps, n_paths). Each ensemble's
-    paths are C-contiguous, and each ensemble holds dw itself, not a
-    copy."""
-    paths = np.empty((len(x0s), grid.size, p.dim, dw.shape[1]))
-    finite = _run(p, tables, grid, x0s, lambda cols: dw[:, cols],
+    """One stored ensemble per initial state in inits, stepped together by
+    ``_run`` over the increments dw (n_steps, n_paths) on ``p.grid(n_steps)``.
+    Each ensemble's paths are C-contiguous, and each ensemble holds dw
+    itself, not a copy."""
+    n_steps, n_paths = dw.shape
+    paths = np.empty((len(inits), n_steps + 1, p.dim, n_paths))
+    finite = _run(p, tables, inits, n_paths, lambda cols: dw[:, cols],
                   lambda cols: paths[..., cols].transpose(1, 2, 0, 3),
                   threads, known)
+    grid = p.grid(n_steps)
     return [PathEnsemble(grid=grid, paths=x, increments=dw, flags=~ok)
             for x, ok in zip(paths, finite)]
 
@@ -651,8 +650,8 @@ def simulate(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
              n_paths: int, scheme: str = "em", threads: int = 1) -> PathEnsemble:
     """Path ensemble of the named scheme (see ``kernel_tables``)."""
     tables = kernel_tables(p, drv.n_steps, scheme)
-    grid, noise, x0 = _draw(p, drv, n_paths, init)
-    return _ensembles(p, tables, grid, [x0], noise(slice(None)), threads)[0]
+    noise = _draw(p, drv, n_paths, init)
+    return _ensembles(p, tables, [init], noise(slice(None)), threads)[0]
 
 
 def simulate_em(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
@@ -674,10 +673,11 @@ def constant_ensemble(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
     Serves as the Y_0 iterate for Picard iteration: the increments are drawn
     once here, and every iterate's stochastic term reuses them.
     """
-    grid, noise, x0 = _draw(p, drv, n_paths, init)
+    noise = _draw(p, drv, n_paths, init)
     # nothing is stepped, and every eta is finite: no path is flagged
     return PathEnsemble(
-        grid=grid, paths=np.repeat(x0[None], grid.size, axis=0),
+        grid=p.grid(drv.n_steps),
+        paths=np.tile(init.eta[:, None], (drv.n_steps + 1, 1, n_paths)),
         increments=noise(slice(None)), flags=np.zeros(n_paths, dtype=bool))
 
 
@@ -710,8 +710,7 @@ def picard_apply(p: ProblemSpec, init: InitialState, y: PathEnsemble,
         raise ValidationError("ensemble initial values differ from init")
     if tables is None:
         tables = mild_kernel_tables(p, n_steps)
-    return _ensembles(p, tables, y.grid.copy(), [y.paths[0]], y.increments,
-                      threads, known=y.paths)[0]
+    return _ensembles(p, tables, [init], y.increments, threads, known=y.paths)[0]
 
 
 def coupled_pair(p: ProblemSpec, eta: InitialState, gamma: InitialState,
@@ -727,8 +726,8 @@ def coupled_pair(p: ProblemSpec, eta: InitialState, gamma: InitialState,
     chunks, with both ensembles kept, 2 (n_steps + 1) dim doubles per path.
     """
     tables = kernel_tables(p, drv.n_steps, scheme)
-    grid, noise, *x0s = _draw(p, drv, n_paths, eta, gamma)
-    return tuple(_ensembles(p, tables, grid, x0s, noise(slice(None)), threads))
+    noise = _draw(p, drv, n_paths, eta, gamma)
+    return tuple(_ensembles(p, tables, [eta, gamma], noise(slice(None)), threads))
 
 
 def squared_norms(p: ProblemSpec, inits, drv: BrownianDriver, n_paths: int,
@@ -751,8 +750,8 @@ def squared_norms(p: ProblemSpec, inits, drv: BrownianDriver, n_paths: int,
         raise ValidationError(
             f"squared_norms takes one or two initial states, got {len(inits)}")
     tables = kernel_tables(p, drv.n_steps, scheme)
-    grid, noise, *x0s = _draw(p, drv, n_paths, *inits)
-    sq = np.empty((grid.size, n_paths))
-    valid = _run(p, tables, grid, x0s, noise, lambda cols: _SqNorms(sq, cols),
+    noise = _draw(p, drv, n_paths, *inits)
+    sq = np.empty((drv.n_steps + 1, n_paths))
+    valid = _run(p, tables, inits, n_paths, noise, lambda cols: _SqNorms(sq, cols),
                  threads).all(axis=0)
-    return grid, sq if valid.all() else sq.compress(valid, axis=1)
+    return p.grid(drv.n_steps), sq if valid.all() else sq.compress(valid, axis=1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, ValidationError
 
 ML_SERIES_TOL = 1e-14
 ML_MAX_TERMS = 100_000
@@ -169,7 +169,8 @@ def ml_scalar(alpha: float, z):
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """A real-valued function sampled on a strictly increasing grid from 0."""
+    """A real-valued function sampled on a strictly increasing grid from 0;
+    ValidationError on any other grid or on a non-finite value."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -178,16 +179,16 @@ class SampledFunction:
         grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("grid must be a 1-d array with at least two points")
+            raise ValidationError("grid must be a 1-d array with at least two points")
         if grid[0] != 0.0:
-            raise ValueError("grid must start at 0")
+            raise ValidationError("grid must start at 0")
         if not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing")
+            raise ValidationError("grid must be strictly increasing")
         if values.shape != grid.shape:
-            raise ValueError(
+            raise ValidationError(
                 f"values shape {values.shape} does not match grid shape {grid.shape}")
         if not np.all(np.isfinite(values)):
-            raise ValueError("sampled values must be finite")
+            raise ValidationError("sampled values must be finite")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -661,6 +662,28 @@ class TestContinuity:
                 tracemalloc.stop()
 
         assert peak(6) <= 1.1 * peak(2)
+
+    @pytest.mark.parametrize("offset", [1e-300, 1e-170, 1e-160, 1e300, math.inf])
+    def test_offset_square_must_be_normal(self, sec6_problem, eta_state, offset):
+        # the ratio divides by offset ** 2: zero below ~1.5e-162, subnormal
+        # below ~1.5e-154, an OverflowError above ~1.3e154. Beside a valid
+        # offset, nothing is drawn
+        drv = CountingDriver(seed=5, n_steps=10)
+        offsets = sorted([1.0, offset], reverse=True)
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"offset {offset!r}: its square is not")):
+            continuity_experiment(sec6_problem, eta_state, offsets, drv, 5)
+        assert drv.paths_drawn == 0
+
+    def test_extreme_normal_squares_accepted(self):
+        # from eta = 0 the trivial dynamics keep the offset itself: ratio 1
+        # at both ends of the accepted range
+        p = make_problem(a_mat=ZERO2, b_mat=ZERO2, drift=zero_fn,
+                         diffusion=zero_fn, lip_b=0.0, lip_sigma=0.0)
+        drv = BrownianDriver(seed=5, n_steps=10)
+        rows = continuity_experiment(p, InitialState([0.0, 0.0]), [1e150, 1e-150],
+                                     drv, 4)
+        assert [row.ratio for row in rows] == pytest.approx([1.0, 1.0], rel=1e-12)
 
     def test_offsets_must_decrease(self, sec6_problem, eta_state):
         drv = BrownianDriver(seed=5, n_steps=10)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,19 @@ class TestValidation:
          {"monte_carlo": {"n_paths": 1, "seed": 7}}, "at least 2 paths"),
         ("separation", {"eta": [3.0, 5.0], "gamma": [3.5, 5.5], "lambda": 1.0},
          {"grid": {"horizon": 1.0, "n_steps": 50}}, "horizon >= 4"),
+        # the distance ratio divides by offset ** 2, which is 0.0 here ...
+        ("continuity", {"eta": [3.0, 5.0], "offsets": [1e-170]}, {},
+         "offset 1e-170: its square is not a finite normal float"),
+        # ... and overflows here
+        ("continuity", {"eta": [3.0, 5.0], "offsets": [1e300]}, {},
+         "offset 1e+300: its square is not a finite normal float"),
+        ("picard", {"eta": [3.0, 5.0], "n_iter": 3},
+         {"problem": dict(base_config()["problem"], lip_b=1e160)},
+         "the contraction threshold overflows: lip_b 1e+160"),
+        # t^2 on a grid up to 1e300 is not finite
+        ("check-identity", {"function": "t_squared"},
+         {"grid": {"horizon": 1e300, "n_steps": 100}},
+         "sampled values must be finite"),
     ])
     def test_values_checked_by_experiment_rejected(self, tmp_path, capsys,
                                                    experiment, params,
@@ -480,6 +494,23 @@ class TestExperiments:
         assert report["fitted_ci_low"] <= report["fitted_exponent"] \
             <= report["fitted_ci_high"]
         assert report["kappa_hat"] > 0
+
+    def test_separation_overflowing_scale_is_quiet(self, tmp_path, capsys):
+        # t^lambda overflows for t > 1 at lambda = 1e308: the scaled distance
+        # is inf there, without a numpy warning
+        cfg = base_config(experiment="separation",
+                          params={"eta": [3.0, 5.0], "gamma": [3.5, 5.5],
+                                  "lambda": 1e308},
+                          grid={"horizon": 4.0, "n_steps": 40})
+        cfg["monte_carlo"]["n_paths"] = 50
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(str(write_config(tmp_path, cfg)), str(out)) == 0
+        assert capsys.readouterr().err == ""
+        scaled = [float(r["value"]) for r in read_rows(out)
+                  if r["quantity"] == "scaled_distance" and float(r["time"]) > 1.0]
+        assert scaled and all(v == math.inf for v in scaled)
 
     @pytest.mark.parametrize("delta, converged", [(172.5, 1.0), (-200.5, 0.0)])
     def test_ml_eval_offsets_beyond_gamma_range(self, tmp_path, delta, converged):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from smtde import specfun
-from smtde.errors import DomainError, NonConvergenceError
+from smtde.errors import DomainError, NonConvergenceError, ValidationError
 from smtde.specfun import (ML_ASYMPTOTIC_U0, ML_MAX_TERMS, ML_SERIES_TOL,
                            SampledFunction, caputo_identity_residual, gamma_fn,
                            ml_scalar, ml_scalar_log, reciprocal_gamma,
@@ -175,6 +175,14 @@ class TestSampledFunction:
             SampledFunction(np.array([0.1, 1.0]), np.zeros(2))
         with pytest.raises(ValueError):
             SampledFunction(np.array([0.0, 1.0]), np.array([0.0, np.inf]))
+
+    def test_non_finite_values_are_validation_errors(self):
+        # t^2 sampled up to 1e300 overflows: a config error (CLI exit 2)
+        grid = np.array([0.0, 1e300])
+        with np.errstate(over="ignore"):
+            values = grid ** 2
+        with pytest.raises(ValidationError, match="sampled values must be finite"):
+            SampledFunction(grid, values)
 
     def test_uniform_detection(self):
         f = SampledFunction(np.linspace(0, 1, 11), np.zeros(11))

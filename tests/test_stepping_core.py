@@ -173,6 +173,48 @@ def test_multi_chunk_matches_direct_loop(sec6_problem, eta_state, monkeypatch,
             scheme, p, ens.grid, ens.paths[0], ens.increments, known=ens.paths))
 
 
+def time_drift(t, x):
+    return np.stack([np.sin(x[0]) + t, x[1] * (1.0 + t)])
+
+
+def time_diffusion(t, x):
+    return np.stack([x[0] + 5.0 * t, np.cos(x[1]) + t])
+
+
+def _max_rel_err(got, ref):
+    return (np.abs(got - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))).max()
+
+
+@pytest.mark.parametrize("route, n_steps", [("em", 40), ("em", 160),
+                                            ("mild", 40), ("mild", 160),
+                                            ("picard-em", 40), ("picard-mild", 40)])
+def test_time_dependent_callbacks_match_direct_loop(sec6_problem, eta_state,
+                                                    route, n_steps):
+    # every other callback in the suite ignores t: here the drift and the
+    # diffusion read it, so the core must pass t_j of p.grid(N) with history
+    # row j. The reference with the times one step late misses by percents
+    p = dataclasses.replace(sec6_problem, drift=time_drift,
+                            diffusion=time_diffusion)
+    drv = BrownianDriver(seed=4, n_steps=n_steps)
+    scheme = route.removeprefix("picard-")
+    times = p.grid(n_steps)
+    if route == scheme:
+        ens = SIMULATORS[scheme](p, eta_state, drv, 5)
+        known = None
+    else:
+        y = simulate_em(p, eta_state, drv, 5)
+        ens = picard_apply(p, eta_state, y, tables=TABLES[scheme](p, n_steps))
+        known = y.paths
+    assert np.array_equal(ens.grid, times)
+
+    def ref(ts):
+        return direct_paths(scheme, p, ts, ens.paths[0], ens.increments,
+                            known=known)
+
+    assert_close_per_step(ens.paths, ref(times))
+    assert _max_rel_err(ens.paths, ref(times + times[1])) > 1e-3
+
+
 @pytest.mark.parametrize("step", [HISTORY_BLOCK, HISTORY_BLOCK + 1,
                                   2 * HISTORY_BLOCK])
 def test_response_across_exponential_boundary(sec6_problem, eta_state, step):
@@ -229,22 +271,21 @@ def test_finite_mask_is_the_output_check(scheme):
                      diffusion=one_fn, horizon=5.0)
     drv = BrownianDriver(seed=7, n_steps=n_steps)
     inits = [InitialState(v) for v in ([3.0, 5.0], [-5.0, -3.0])]
-    x0s = [np.repeat(init.eta[:, None], n_paths, axis=1) for init in inits]
+    etas = np.stack([init.eta for init in inits], axis=1)
     known = None
     if scheme == "picard":
         y = simulate_em(dataclasses.replace(p, drift=zero_fn), inits[0], drv,
                         n_paths)
         ensembles = [picard_apply(p, inits[0], y)]
         # the core never reads the last known row: the mask covers the output
-        x0s, known = x0s[:1], y.paths.copy()
+        etas, known = etas[:, :1], y.paths.copy()
         known[-1] = np.nan
     else:
         ensembles = coupled_pair(p, *inits, drv, n_paths, scheme=scheme)
     tables = kernel_tables(p, n_steps, "em" if scheme == "em" else "mild")
     dw = drv.increments_block(range(n_paths), p.horizon / n_steps)
-    out = np.empty((n_steps + 1, p.dim, len(x0s), n_paths))
-    finite = _step_paths(tables, p, p.grid(n_steps), np.concatenate(x0s, axis=1),
-                         dw, out, known=known)
+    out = np.empty((n_steps + 1, p.dim, etas.shape[1], n_paths))
+    finite = _step_paths(tables, p, etas, dw, out, known=known)
     assert np.array_equal(finite, np.isfinite(out).all(axis=(0, 1)).ravel())
     assert 0 < np.count_nonzero(~finite) < n_paths
     for e in ensembles:
@@ -273,15 +314,15 @@ def test_core_writes_each_block_once(sec6_problem, eta_state, monkeypatch,
     monkeypatch.setattr(solvers, "CHUNK_PATHS", 2)
     p, blk = sec6_problem, HISTORY_BLOCK
     drv = BrownianDriver(seed=5, n_steps=n_steps)
-    grid, noise, x0 = solvers._draw(p, drv, 5, eta_state)
+    noise = solvers._draw(p, drv, 5, eta_state)
     sinks = {}
 
     def out(cols):
-        width = x0[:, cols].shape[1]
+        width = len(range(5)[cols])
         sinks[cols.start] = CountingOut((n_steps + 1, p.dim, 1, width))
         return sinks[cols.start]
 
-    solvers._run(p, kernel_tables(p, n_steps, scheme), grid, [x0], noise, out)
+    solvers._run(p, kernel_tables(p, n_steps, scheme), [eta_state], 5, noise, out)
     paths = SIMULATORS[scheme](p, eta_state, drv, 5).paths
     blocks = [(0, 1)] + [(n0, min(n0 + blk, n_steps + 1))
                          for n0 in range(1, n_steps + 1, blk)]
@@ -297,14 +338,12 @@ def _core_peak_bytes(p, scheme, n_steps, n_paths):
     # is the caller's like the inputs
     tables = TABLES[scheme](p, n_steps)
     drv = BrownianDriver(seed=3, n_steps=n_steps)
-    times = p.horizon / n_steps * np.arange(n_steps + 1)
     dw = drv.increments_block(range(n_paths), p.horizon / n_steps)
-    x0 = np.repeat(InitialState([3.0, 5.0]).eta[:, None], n_paths,
-                   axis=1)
+    etas = InitialState([3.0, 5.0]).eta[:, None]
     out = np.empty((n_steps + 1, p.dim, 1, n_paths))
     tracemalloc.start()
     try:
-        _step_paths(tables, p, times, x0, dw, out)
+        _step_paths(tables, p, etas, dw, out)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
