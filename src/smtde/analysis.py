@@ -441,7 +441,8 @@ def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
     the initial data. The noise is drawn once; the base ensemble is stepped
     first, then one shifted ensemble at a time, so the memory held does not
     grow with the number of offsets. ValidationError unless each offset's
-    square, which the ratio divides by, is a finite normal float.
+    square, which the ratio divides by, is a finite normal float, and
+    unless each mean-square distance and ratio is finite.
     """
     offsets = [float(o) for o in offsets]
     if not offsets or any(o <= 0 for o in offsets):
@@ -466,9 +467,17 @@ def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
 
     def point(off: float, gamma: InitialState) -> ContinuityPoint:
         shifted, = _ensembles(p, tables, [gamma], dw, threads)
-        sup_d2 = float(np.max(ms_distance_series(base, shifted)[0]))
+        # squared distances near the top of the float range overflow their
+        # sum over paths
+        with np.errstate(over="ignore", invalid="ignore"):
+            sup_d2 = float(np.max(ms_distance_series(base, shifted)[0]))
+        ratio = sup_d2 / off ** 2
+        if not math.isfinite(ratio):
+            raise ValidationError(
+                f"offset {off!r}: the distance ratio overflows (sup mean-square "
+                f"distance {sup_d2!r})")
         return ContinuityPoint(
-            offset=off, sup_ms_distance=sup_d2, ratio=sup_d2 / off ** 2,
+            offset=off, sup_ms_distance=sup_d2, ratio=ratio,
             n_dropped=int((base.flags | shifted.flags).sum()))
 
     return [point(off, gamma) for off, gamma in zip(offsets, gammas)]

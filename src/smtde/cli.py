@@ -18,8 +18,9 @@ pinned to one thread for the run, and statistics are reduced in a fixed order.
 
 Exit codes: 0 success, 2 config parse/validation error (also for values only
 an experiment checks, e.g. ``n_iter < 3``, for values whose arithmetic
-overflows: a continuity offset without a finite normal square, a Picard
-contraction threshold, a non-finite ``check-identity`` sample; for
+overflows: a continuity offset without a finite normal square or whose
+mean-square distance overflows, a Picard contraction threshold, a
+non-finite ``check-identity`` sample; for
 ``--threads`` below 1, and for an ``--out`` that exists, even as a dangling
 symlink, and is not a directory),
 3 runtime/numerical error or an error creating or writing the outputs
@@ -360,7 +361,9 @@ def _run_check_lemma(cfg: RunConfig, threads: int):
 def _run_check_identity(cfg: RunConfig, threads: int):
     prob = cfg.problem
     grid = prob.grid(cfg.n_steps)
-    f_vals, df_vals = IDENTITY_REGISTRY[cfg.params["function"]](prob.alpha, grid)
+    # a sample that overflows is rejected by SampledFunction below
+    with np.errstate(over="ignore"):
+        f_vals, df_vals = IDENTITY_REGISTRY[cfg.params["function"]](prob.alpha, grid)
     f = SampledFunction(grid, f_vals)
     df = SampledFunction(grid, df_vals)
     residual = caputo_identity_residual(prob.alpha, f, df)

@@ -32,33 +32,43 @@ provided, both on uniform grids:
   integrals of the kernel; the diffusion term keeps the non-anticipating
   left-point kernel value.
 
-Both schemes share one stepping core. Each scheme's kernel tables hold one
-lag table in the narrowest form it uses (scalar weights for ``em``, no
-X-memory block for ``mild``), so with A = B = 0 the two schemes sum the same
-terms in different groupings and agree to rounding, not bit for bit.
+Both schemes share one stepping core, the feedback recurrence
+``_step_paths``. Each scheme's kernel tables hold one lag table in the
+narrowest form it uses (scalar weights for ``em``, no X-memory block for
+``mild``), so with A = B = 0 the two schemes sum the same terms in
+different groupings and agree to rounding, not bit for bit.
 
 The core sums each step's lags in three fields: the lags inside the current
-block of HISTORY_BLOCK steps (near field), the block before it (an exact
-slab), and all older history, which enters through a sum of exponentials
-carried by the tables. The ``em`` power-law kernels have one (a few dozen
-shared rates, checked against the exact weights at every far lag), so its
-stepping costs O(N (K + B)) for N steps, K rates and block length B, and
-it keeps only the 2B history rows it still reads. The ``mild`` tables carry
-no exponentials, and the slab then covers all of the history exactly, as an
-O(N^2) sum over a history kept whole.
+block of HISTORY_BLOCK steps (near field), the history before the block
+that the window still holds (an exact slab, one product per block of
+history rows), and all older history, which enters through a sum of
+exponentials carried by the tables. The ``em`` power-law kernels have one
+(a few dozen shared rates, checked against the exact weights at every far
+lag), so its stepping costs O(N (K + B)) for N steps, K rates and block
+length B, and it keeps only the 2B history rows it still reads. The
+``mild`` tables carry no exponentials, and the slab then covers all of the
+history exactly, as an O(N^2) sum over a history kept whole.
+
+The Picard operator ``picard_apply`` has no feedback: its history is a
+given ensemble. Its kernel, ``_apply_known``, takes the history one block
+of rows at a time and adds each block's contribution to every later block
+of output rows, one product each, with exact weights at every lag. A chunk
+holds its output and one block of history, not N rows. It forms the same
+products as the core and adds them in the same order, so it maps a
+``simulate_mild`` ensemble to itself bit for bit.
 
 Paths are stored time first and paths last, (n_steps + 1, dim, n_paths),
 the layout the core computes in. Every ensemble is stepped by one chunk
 loop, ``_run``, from its initial states and a noise source alone: a chunk
 stacks the same paths from each eta (one copy for ``simulate``, two for a
 coupled pair) over one copy of their increments, on the grid
-``p.grid(n_steps)`` of the increments' row count, and the core writes each
-block of rows as (rows, dim, copies, c) and reports which paths stayed
-finite. The stored routes (``simulate``, ``coupled_pair``,
-``picard_apply``) keep every row and the increments; ``squared_norms``
-keeps only |X|^2 of one copy or |X - Y|^2 of two (both routes form them
-with ``_sum_sq``) and draws each chunk's increments in the chunk's worker,
-so the two routes agree bit for bit.
+``p.grid(n_steps)`` of the increments' row count, and the kernel writes
+the rows as (rows, dim, copies, c) and reports which paths stayed finite.
+The stored routes (``simulate``, ``coupled_pair``, ``picard_apply``) keep
+every row and the increments; ``squared_norms`` keeps only |X|^2 of one
+copy or |X - Y|^2 of two (both routes form them with ``_sum_sq``) and
+draws each chunk's increments in the chunk's worker, so the two routes
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -250,9 +260,10 @@ class PathEnsemble:
 
 @dataclass(frozen=True)
 class KernelTables:
-    """Lag-indexed kernel tables consumed by the shared stepping core.
+    """Lag-indexed kernel tables consumed by the stepping core and the
+    no-feedback kernel.
 
-    The core records, for every history time t_j, ``n_chan`` channels of
+    Both record, for every history time t_j, ``n_chan`` channels of
     shape (dim, n_paths): ``x_map @ x_j`` split into its ``dim``-row blocks,
     the drift added to the last of them, then sigma dW_j. Without ``x_map``
     the channels are just [b; sigma dW]. Lag 0 is never used (explicit
@@ -262,8 +273,9 @@ class KernelTables:
     * ``weights[k]`` (r, n_chan * r) holds the lag-k weights in the narrowest
       form the scheme allows: r = 1 when every channel's weight is a scalar
       times I, r = dim otherwise.
-    * From lag ``far_lag`` on, the core reads the weights as the sum of
-      exponentials ``sum_l exp(-rates[l] k) far_weights[l]``. Building the
+    * From lag ``far_lag`` on, the feedback core reads the weights as the
+      sum of exponentials ``sum_l exp(-rates[l] k) far_weights[l]`` (the
+      no-feedback kernel reads ``weights`` at every lag). Building the
       tables checks that sum against ``weights`` at every such lag and raises
       ``NonConvergenceError`` beyond SOE_TOL relative. Tables without
       exponentials set ``far_lag`` past the grid: every lag stays exact.
@@ -404,11 +416,54 @@ def mild_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
                         far_lag=n_steps + 1)
 
 
+def _channels(tables: KernelTables, p: ProblemSpec, t: float, x: np.ndarray,
+              dw: np.ndarray, row: np.ndarray) -> None:
+    """Write the history channels of the values x = X(t), (dim, m), into row,
+    (n_chan, dim, m): ``x_map @ x`` split into its dim-row blocks with the
+    drift added to the last of them (the drift alone without ``x_map``),
+    then sigma(t, x) dW, the increments dw (c,) broadcast over the m // c
+    stacked copies."""
+    if tables.x_map is None:
+        row[0] = p.drift(t, x)
+    else:
+        np.matmul(tables.x_map, x, out=row[:-1].reshape(-1, x.shape[1]))
+        row[-2] += p.drift(t, x)
+    row[-1].reshape(p.dim, -1, dw.size)[...] = dw
+    row[-1] *= p.diffusion(t, x)
+
+
+def _blocks(n_steps: int) -> list[tuple[int, int]]:
+    """The output blocks (n0, n1): steps 1..n_steps in runs of HISTORY_BLOCK."""
+    return [(n0, min(n0 + HISTORY_BLOCK, n_steps + 1))
+            for n0 in range(1, n_steps + 1, HISTORY_BLOCK)]
+
+
+def _lag_weights(tables: KernelTables, n0: int, n1: int, j0: int,
+                 j1: int) -> np.ndarray:
+    """weights[n - j] of the steps n0..n1-1 against the history rows
+    j0..j1-1, gathered in a product's row order, ((n1 - n0) r, (j1 - j0) cf)
+    (the reshape copies nothing)."""
+    r = tables.weights.shape[1]
+    lags = np.arange(n0, n1)[:, None, None] - np.arange(j0, j1)
+    return tables.weights[lags, np.arange(r)[:, None]].reshape((n1 - n0) * r, -1)
+
+
+def _near_row(tables: KernelTables, nd: int) -> np.ndarray:
+    """The weights of lags HISTORY_BLOCK-1 .. 1 side by side: step k of a
+    block reads the last k blocks of columns against its in-block history.
+    The blocks are dense (dim, n_chan dim) even where the weights are
+    scalars: a one-row product runs as gemv, whose bits depend on the
+    number of paths."""
+    near = tables.weights[:HISTORY_BLOCK]
+    if near.shape[1] == 1:
+        near = np.kron(near, np.eye(nd))
+    return np.concatenate(near[:0:-1], axis=1)
+
+
 def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
-                dw: np.ndarray, out,
-                known: np.ndarray | None = None) -> np.ndarray:
-    """Explicit time-blocked stepping for one chunk of paths; returns the
-    (copies * c,) mask of the paths whose output stayed finite.
+                dw: np.ndarray, out) -> np.ndarray:
+    """The feedback recurrence, time-blocked, for one chunk of paths; returns
+    the (copies * c,) mask of the paths whose output stayed finite.
 
     etas has shape (dim, copies) and dw shape (n_steps, c): the chunk stacks
     c paths from each initial value side by side, x0 = np.repeat(etas, c,
@@ -419,17 +474,19 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
     (n_steps + 1, dim, copies, c), or any object that takes row-slice
     assignments. The finite mask is checked on x0 and then once per block,
     on the block's rows.
-    Step n sums weights[n - j] against the history channels of every t_j,
-    j < n, in blocks of B = HISTORY_BLOCK output steps, split three ways:
+    Step n sums weights[n - j] against the history channels (``_channels``)
+    of every t_j, j < n, in blocks of B = HISTORY_BLOCK output steps, split
+    three ways:
 
     * far field: history whose lag is at least ``tables.far_lag`` at every
       step of the block lives in exponential states, state_l = sum_j
       exp(-rates[l] (n0 - j)) far_weights[l] @ h_j at the block start n0.
       Each block decays them by exp(-rates B) and adds the rows that just
       became old (one GEMM); one more GEMM reads all B steps out of them.
-    * slab: the rest of the history known at n0, weighted exactly by one
-      GEMM into the accumulator that every block reuses (for em the
-      previous block, lags 1..2B-1; without exponentials, all of it).
+    * slab: the rest of the history known at n0, weighted exactly into the
+      accumulator that every block reuses, one GEMM per history piece (row
+      0, then the rows of each earlier block), added in time order: for em
+      the previous block, lags 1..2B-1; without exponentials, all of it.
     * near field: inside the block, each step adds only its in-block lags.
 
     A history row absorbed into the states is never read again, so the
@@ -438,12 +495,10 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
     Without exponentials every row stays, and no far-field GEMM runs.
 
     The slab and the near field regroup the direct sum, exact up to
-    rounding; the far field is as exact as the checked exponentials. The
-    near field uses dense (dim, cn) blocks even where the weights are
-    scalars: a one-row product runs as gemv, whose bits depend on the
-    number of paths. With ``known`` (shape (n_steps + 1, dim, n_paths)) the
-    history comes from those paths, not the output: the operator without
-    feedback. The mask covers the output, not ``known``.
+    rounding; the far field is as exact as the checked exponentials.
+    ``_apply_known`` sums the same products in the same order, so without
+    exponentials the operator maps this recurrence's paths to themselves
+    bit for bit.
     """
     nd = p.dim
     _, r, cf = tables.weights.shape     # lag blocks (r, cf), cf = n_chan * r
@@ -465,14 +520,7 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
     hist = np.empty((rows, n_chan, nd, n_chunk))
     far_hist = hist.reshape(rows * cf, -1)
     near_hist = hist.reshape(rows * cn, n_chunk)
-    noise_rows = hist[:, -1].reshape(rows, *stacked)     # the sigma dW channel
-    near = tables.weights[:blk]
-    if r == 1:
-        near = np.kron(near, np.eye(nd))
-    # lags HISTORY_BLOCK-1 .. 1 side by side: step k of a block reads the
-    # last k blocks of columns
-    near_row = np.concatenate(near[:0:-1], axis=1)
-    weight_rows = np.arange(r)[:, None]
+    near_row = _near_row(tables, nd)
     # rows absorbed at a block start sit at lags far_lag+B-1 .. far_lag there;
     # step k of a block reads state_l with exp(-rates[l] k)
     n_exp = tables.rates.size
@@ -485,21 +533,10 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
     old = 0         # history rows held by the state; window row i is t_(old+i)
     acc_rows = np.empty((blk * r, far_hist.shape[1]))  # every block's sums
 
-    def record(j: int, xj: np.ndarray) -> None:
-        row = hist[j - old]
-        if tables.x_map is None:
-            row[0] = p.drift(times[j], xj)
-        else:
-            np.matmul(tables.x_map, xj, out=row[:-1].reshape(-1, n_chunk))
-            row[-2] += p.drift(times[j], xj)
-        noise_rows[j - old] = dw[j]
-        row[-1] *= p.diffusion(times[j], xj)
-
     with np.errstate(over="ignore", invalid="ignore"):
         out[:1] = x0.reshape(1, *stacked)
-        record(0, x0 if known is None else known[0])
-        for n0 in range(1, n_steps + 1, blk):
-            n1 = min(n0 + blk, n_steps + 1)
+        _channels(tables, p, times[0], x0, dw[0], hist[0])
+        for n0, n1 in _blocks(n_steps):
             new_old = max(old, n0 - tables.far_lag + 1)
             if new_old > old:
                 state *= decay
@@ -507,11 +544,16 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
                     far_hist[:(new_old - old) * cf]
                 hist[:n0 - new_old] = hist[new_old - old:n0 - old]
                 old = new_old
-            lags = np.arange(n0, n1)[:, None, None] - np.arange(old, n0)
-            # the slab weights (n1 - n0, r, n0 - old, cf), gathered in the
-            # product's row order (the reshape copies nothing), freed after it
-            acc = np.matmul(tables.weights[lags, weight_rows].reshape((n1 - n0) * r, -1),
-                            far_hist[:(n0 - old) * cf], out=acc_rows[:(n1 - n0) * r])
+            # the slab, cut where the history pieces start (1, 1 + B, ...)
+            cuts = [old, *(j for j in range(1, n0, blk) if j > old), n0]
+            # the first piece is written into the accumulator, the rest added
+            acc = acc_rows[:(n1 - n0) * r]
+            for i, (j0, j1) in enumerate(zip(cuts[:-1], cuts[1:])):
+                piece = np.matmul(_lag_weights(tables, n0, n1, j0, j1),
+                                  far_hist[(j0 - old) * cf:(j1 - old) * cf],
+                                  out=None if i else acc)
+                if i:
+                    acc += piece
             if old:         # the states hold rows
                 acc += readout[:(n1 - n0) * r] @ state
             acc = acc.reshape(n1 - n0, nd, n_chunk)
@@ -521,9 +563,76 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
                     acc[k] += near_row[:, -k * cn:] @ \
                         near_hist[(n0 - old) * cn:(n - old) * cn]
                 if n < n_steps:
-                    record(n, acc[k] if known is None else known[n])
+                    _channels(tables, p, times[n], acc[k], dw[n], hist[n - old])
             out[n0:n1] = acc.reshape(n1 - n0, *stacked)
             finite &= np.isfinite(acc).all(axis=(0, 1))
+    return finite
+
+
+def _apply_known(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
+                 known: np.ndarray, dw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The operator without feedback for one chunk of paths: the lag sum of
+    ``_step_paths`` with the history channels formed from the given paths
+    ``known`` (n_steps + 1, dim, c), not from the output. Returns the
+    (copies * c,) mask of the paths whose output stayed finite.
+
+    etas, dw and the (n_steps + 1, dim, copies, c) output are those of
+    ``_step_paths``, but the output is an array that accumulates. The known
+    rows are taken one piece at a time: row 0, then the rows of each output
+    block of B = HISTORY_BLOCK steps. The kernel forms a piece's channels
+    once (``_channels``) and holds no other history. If the piece is the
+    in-block history of output block n0..n1-1, it adds that block's
+    initial term and near field, as the feedback core does; the block is
+    then complete, and the finite mask is checked on it. Then it adds the
+    piece's contribution to every later output block, one product each,
+    with the weights weights[n - j] gathered from ``tables.weights``. So
+    each output row takes the feedback core's products in the feedback
+    core's order. Every lag is weighed exactly: tables with exponentials
+    (em) are read only through ``weights``.
+
+    A chunk thus holds one block of history and one block's product, not
+    the history of every step. The known row n_steps is never read.
+    """
+    nd = p.dim
+    _, r, cf = tables.weights.shape
+    n_chan = cf // r
+    cn = n_chan * nd
+    n_steps, c = dw.shape
+    x0 = np.repeat(etas, c, axis=1)
+    finite = np.isfinite(x0).all(axis=0)
+    times = p.grid(n_steps)
+    stacked = (nd, etas.shape[1], c)
+    hist = np.empty((HISTORY_BLOCK, n_chan, nd, c))
+    hist_cols = hist.reshape(HISTORY_BLOCK * cf, -1)
+    near_hist = hist.reshape(HISTORY_BLOCK * cn, c)
+    near_row = _near_row(tables, nd)
+    acc_rows = np.empty((HISTORY_BLOCK * r, hist_cols.shape[1]))
+    blocks = _blocks(n_steps)
+    # piece i: row 0 for i = 0, else the rows of output block i - 1
+    pieces = [(0, 1)] + [(n0, min(n1, n_steps)) for n0, n1 in blocks]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[:1] = x0.reshape(1, *stacked)
+        for i, (j0, j1) in enumerate(pieces):
+            for j in range(j0, j1):
+                _channels(tables, p, times[j], known[j], dw[j], hist[j - j0])
+            if i:
+                n0, n1 = blocks[i - 1]
+                block = out[n0:n1]
+                block += (tables.init_mats[n0:n1] @ x0).reshape(n1 - n0, *stacked)
+                for k in range(1, n1 - n0):
+                    block[k] += (near_row[:, -k * cn:] @ near_hist[:k * cn]
+                                 ).reshape(nd, 1, c)
+                finite &= np.isfinite(block).all(axis=(0, 1)).ravel()
+            for n0, n1 in blocks[i:]:
+                # one history for every copy
+                piece = np.matmul(_lag_weights(tables, n0, n1, j0, j1),
+                                  hist_cols[:(j1 - j0) * cf],
+                                  out=acc_rows[:(n1 - n0) * r]).reshape(n1 - n0, nd, 1, c)
+                if i:
+                    out[n0:n1] += piece
+                else:
+                    out[n0:n1] = piece
     return finite
 
 
@@ -564,19 +673,24 @@ def _run(p: ProblemSpec, tables: KernelTables, inits, n_paths: int,
     ``threads`` is, so the result does not depend on it; ``threads`` > 1
     runs the chunks on a pool. For the chunk of columns ``cols``,
     ``noise(cols)`` gives its increments (n_steps, c), which every copy
-    steps over, and ``out(cols)`` takes the core's output. With ``known``
-    (an ensemble's paths) the history comes from those paths: the operator
-    without feedback. EnsembleError if more than FLAGGED_FRACTION_LIMIT of
-    one copy's paths blew up, the copies checked in order.
+    steps over, and ``out(cols)`` takes the kernel's output. The kernel is
+    the feedback recurrence ``_step_paths``, or with ``known`` (an
+    ensemble's paths, whose columns ``cols`` the chunk reads in place) the
+    operator without feedback, ``_apply_known``, whose output must then be
+    an array. EnsembleError if more than FLAGGED_FRACTION_LIMIT of one
+    copy's paths blew up, the copies checked in order.
     """
     etas = np.stack([init.eta for init in inits], axis=1)
     copies = etas.shape[1]
     finite = np.empty((copies, n_paths), dtype=bool)
 
     def worker(cols: slice) -> None:
-        finite[:, cols] = _step_paths(
-            tables, p, etas, noise(cols), out(cols),
-            known=None if known is None else known[:, :, cols]).reshape(copies, -1)
+        if known is None:
+            ok = _step_paths(tables, p, etas, noise(cols), out(cols))
+        else:
+            ok = _apply_known(tables, p, etas, known[:, :, cols], noise(cols),
+                              out(cols))
+        finite[:, cols] = ok.reshape(copies, -1)
 
     width = max(CHUNK_PATHS // copies, 1)
     chunks = [slice(lo, lo + width) for lo in range(0, n_paths, width)]
@@ -695,6 +809,11 @@ def picard_apply(p: ProblemSpec, init: InitialState, y: PathEnsemble,
     evaluated with the same product quadrature as ``simulate_mild``; the
     stochastic term reuses y's stored increments, and eta is taken from y's
     stored initial values, which must equal ``init.eta`` on every path.
+    The no-feedback kernel ``_apply_known`` reads y's paths in place and
+    holds, per chunk, one block of HISTORY_BLOCK rows of their channels: the
+    memory is the output plus O(one block), whatever n_steps is. ``tables``
+    defaults to the mild ones; any tables are read through their exact
+    weights only, so em tables give the em operator without exponentials.
     """
     if y.dim != p.dim:
         raise ValidationError(f"ensemble dim {y.dim} != problem dim {p.dim}")

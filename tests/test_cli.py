@@ -154,7 +154,15 @@ class TestValidation:
         ("check-identity", {"function": "t_squared"},
          {"grid": {"horizon": 1e300, "n_steps": 100}},
          "sampled values must be finite"),
+        # a continuity offset whose square is finite, but 50 squared
+        # distances near 1e308 overflow their mean
+        ("continuity", {"eta": [3.0, 5.0], "offsets": [1e154]},
+         {"grid": {"horizon": 1.0, "n_steps": 20},
+          "monte_carlo": {"n_paths": 50, "seed": 7}},
+         "offset 1e+154: the distance ratio overflows"),
     ])
+    # an overflow is reported by the check, not by a numpy warning first
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_values_checked_by_experiment_rejected(self, tmp_path, capsys,
                                                    experiment, params,
                                                    overrides, message):

@@ -25,7 +25,8 @@ from smtde import solvers
 from smtde.errors import NonConvergenceError, ValidationError
 from smtde.mlmatrix import MLParams, QTable, ml_nonperm_grid
 from smtde.solvers import (HISTORY_BLOCK, SOE_TOL, BrownianDriver,
-                           InitialState, _step_paths, coupled_pair,
+                           InitialState, _apply_known, _step_paths,
+                           constant_ensemble, coupled_pair,
                            em_kernel_tables, kernel_tables, mild_kernel_tables,
                            picard_apply, simulate_em, simulate_mild)
 from smtde.specfun import reciprocal_gamma, rl_weights
@@ -217,29 +218,30 @@ def test_time_dependent_callbacks_match_direct_loop(sec6_problem, eta_state,
 
 @pytest.mark.parametrize("step", [HISTORY_BLOCK, HISTORY_BLOCK + 1,
                                   2 * HISTORY_BLOCK])
-def test_response_across_exponential_boundary(sec6_problem, eta_state, step):
-    # Without feedback the operator is affine in dW: raising dW_j by one adds
-    # k_s(n - j) sigma(t_j, y_j) to step n > j and nothing before. Row j is
-    # read by the near field, then by the exact slab, then from lag B + 1 on
-    # by the exponential states (B = HISTORY_BLOCK); a row summed twice or
+def test_response_across_exponential_boundary(eta_state, step):
+    # With A = B = 0, zero drift and unit diffusion the em recurrence is
+    # x_n = x_0 + sum_j k_s(n - j) dW_j exactly, so moving dW_j moves step
+    # n > j by k_s(n - j) times the move and nothing before. Row j is read
+    # by the near field, then by the exact slab, then from lag B + 1 on by
+    # the exponential states (B = HISTORY_BLOCK); a row summed twice or
     # dropped at a hand-over would show as an error of the size of the
-    # response itself.
+    # response itself
     n_steps = 200
-    p = sec6_problem
-    y = simulate_em(p, eta_state, BrownianDriver(seed=2, n_steps=n_steps), 2)
-    bumped = y.increments.copy()
-    bumped[step] += 1.0
-    tables = em_kernel_tables(p, n_steps)
-    base = picard_apply(p, eta_state, y, tables=tables).paths
-    moved = picard_apply(p, eta_state, dataclasses.replace(y, increments=bumped),
-                         tables=tables).paths
+    zero = np.zeros((2, 2))
+    p = make_problem(a_mat=zero, b_mat=zero, drift=zero_fn, diffusion=one_fn)
+    normals = np.random.default_rng(2).normal(size=(2, n_steps))
+    bumped = normals.copy()
+    bumped[:, step] += 1.5
+    base = simulate_em(p, eta_state, PresetDriver(normals), 2)
+    moved = simulate_em(p, eta_state, PresetDriver(bumped), 2)
     lags = np.arange(1, n_steps + 1 - step)
     k_s = (lags * p.horizon / n_steps) ** (p.alpha - 1.0) * reciprocal_gamma(p.alpha)
-    sigma = p.diffusion(y.grid[step], y.paths[step])               # (dim, paths)
-    expected = k_s[:, None, None] * sigma
-    assert np.array_equal(moved[:step + 1], base[:step + 1])
-    err = np.abs(moved[step + 1:] - base[step + 1:] - expected).max(axis=(1, 2))
-    assert np.all(err <= REL_TOL * np.abs(base[step + 1:]).max(axis=(1, 2)))
+    delta = moved.increments[step] - base.increments[step]        # (paths,)
+    expected = k_s[:, None, None] * delta
+    assert np.array_equal(moved.paths[:step + 1], base.paths[:step + 1])
+    err = np.abs(moved.paths[step + 1:] - base.paths[step + 1:] - expected
+                 ).max(axis=(1, 2))
+    assert np.all(err <= REL_TOL * np.abs(base.paths[step + 1:]).max(axis=(1, 2)))
 
 
 @pytest.mark.parametrize("step", [HISTORY_BLOCK - 1, HISTORY_BLOCK,
@@ -261,10 +263,10 @@ def test_causal_across_block_boundary(sec6_problem, eta_state, step):
 @pytest.mark.parametrize("scheme", ["em", "mild", "picard"])
 def test_finite_mask_is_the_output_check(scheme):
     # a drift that is inf above 9 blows up some paths from (3, 5) and none
-    # from (-5, -3). The core's mask over the two stacked copies, or over
-    # one copy of picard_apply's operator without feedback (its drift reads
-    # stored paths), equals the check of every output value; so do the
-    # flags of the stored ensembles
+    # from (-5, -3). The feedback core's mask over the two stacked copies,
+    # or the no-feedback kernel's over one copy of picard_apply's operator
+    # (its drift reads stored paths), equals the check of every output
+    # value; so do the flags of the stored ensembles
     n_steps, n_paths = 100, 256
     zero = np.zeros((2, 2))
     p = make_problem(a_mat=zero, b_mat=zero, drift=flaky_above(9.0),
@@ -272,20 +274,21 @@ def test_finite_mask_is_the_output_check(scheme):
     drv = BrownianDriver(seed=7, n_steps=n_steps)
     inits = [InitialState(v) for v in ([3.0, 5.0], [-5.0, -3.0])]
     etas = np.stack([init.eta for init in inits], axis=1)
-    known = None
+    tables = kernel_tables(p, n_steps, "em" if scheme == "em" else "mild")
+    dw = drv.increments_block(range(n_paths), p.horizon / n_steps)
     if scheme == "picard":
         y = simulate_em(dataclasses.replace(p, drift=zero_fn), inits[0], drv,
                         n_paths)
         ensembles = [picard_apply(p, inits[0], y)]
-        # the core never reads the last known row: the mask covers the output
-        etas, known = etas[:, :1], y.paths.copy()
+        # the kernel never reads the last known row: the mask covers the output
+        known = y.paths.copy()
         known[-1] = np.nan
+        out = np.empty((n_steps + 1, p.dim, 1, n_paths))
+        finite = _apply_known(tables, p, etas[:, :1], known, dw, out)
     else:
         ensembles = coupled_pair(p, *inits, drv, n_paths, scheme=scheme)
-    tables = kernel_tables(p, n_steps, "em" if scheme == "em" else "mild")
-    dw = drv.increments_block(range(n_paths), p.horizon / n_steps)
-    out = np.empty((n_steps + 1, p.dim, etas.shape[1], n_paths))
-    finite = _step_paths(tables, p, etas, dw, out, known=known)
+        out = np.empty((n_steps + 1, p.dim, 2, n_paths))
+        finite = _step_paths(tables, p, etas, dw, out)
     assert np.array_equal(finite, np.isfinite(out).all(axis=(0, 1)).ravel())
     assert 0 < np.count_nonzero(~finite) < n_paths
     for e in ensembles:
@@ -381,24 +384,60 @@ def test_mild_memory_grows_by_history_and_paths_only(sec6_problem):
     assert _growth_per_step(sec6_problem, "mild", n_paths) <= 1.1 * per_step
 
 
-def test_picard_apply_holds_output_and_history_only(sec6_problem, eta_state):
-    # two chunks, mild tables: the output (dim per path-step) and one chunk's
-    # [b; sigma dW] history (2*dim per step for half of the paths); the
-    # input ensemble is read in place. The rest, block accumulators and the
-    # exact slab, is a few percent at this N
-    p, n_steps, n_paths = sec6_problem, 600, 2 * solvers.CHUNK_PATHS
-    y = simulate_em(p, eta_state, BrownianDriver(seed=3, n_steps=n_steps),
-                    n_paths)
+def _picard_peak_bytes(p, eta, n_steps, n_paths):
+    # the traced peak of one picard_apply with mild tables, built untraced
+    y = simulate_em(p, eta, BrownianDriver(seed=3, n_steps=n_steps), n_paths)
     tables = mild_kernel_tables(p, n_steps)
     tracemalloc.start()
     try:
-        picard_apply(p, eta_state, y, tables=tables)
-        peak = tracemalloc.get_traced_memory()[1]
+        picard_apply(p, eta, y, tables=tables)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_picard_apply_holds_output_and_history_only(sec6_problem, eta_state):
+    # two chunks, mild tables: the output (dim per path-step) and, per
+    # chunk, O(one block): the [b; sigma dW] channels of B = HISTORY_BLOCK
+    # known rows (two blocks of output rows), the block product and the
+    # initial term (one each); measured 4.3 blocks. The input ensemble is
+    # read in place, and a history of every step (2*dim per step) would be
+    # about 38 blocks more at this N
+    p, n_steps, n_paths = sec6_problem, 600, 2 * solvers.CHUNK_PATHS
+    peak = _picard_peak_bytes(p, eta_state, n_steps, n_paths)
     row = p.dim * n_paths * 8
-    chunk_history = n_steps * 2 * p.dim * solvers.CHUNK_PATHS * 8
-    assert peak <= 1.1 * ((n_steps + 1) * row + chunk_history)
+    block = HISTORY_BLOCK * p.dim * solvers.CHUNK_PATHS * 8
+    assert peak <= (n_steps + 1) * row + 6 * block
+
+
+def test_picard_apply_grows_by_output_rows_only(sec6_problem, eta_state,
+                                                monkeypatch):
+    # from 600 to 2400 steps the peak grows by the 1800 output rows alone:
+    # the kernel's history is one block whatever N is. Two chunks of 128
+    # paths; a history of every step would double the growth
+    monkeypatch.setattr(solvers, "CHUNK_PATHS", 128)
+    p, n_paths = sec6_problem, 256
+    growth = (_picard_peak_bytes(p, eta_state, 2400, n_paths)
+              - _picard_peak_bytes(p, eta_state, 600, n_paths))
+    assert growth <= 1.02 * 1800 * p.dim * n_paths * 8
+
+
+def test_picard_iterates_agree_bit_for_bit_on_their_shared_rows(sec6_problem,
+                                                                eta_state):
+    # row n of T Y reads rows 0..n-1 of Y, so iterate k + 1 equals iterate
+    # k exactly on rows 0..k: the zero differences that contraction_report's
+    # weighted sup skips. No product of row n reads a later row, so the
+    # agreement is bit for bit also past the block boundaries at rows 33
+    # and 65. (From k = 25 on here the iterates agree on more rows: their
+    # differences fall below rounding.)
+    n_steps = 70
+    drv = BrownianDriver(seed=12, n_steps=n_steps)
+    tables = mild_kernel_tables(sec6_problem, n_steps)
+    current = constant_ensemble(sec6_problem, eta_state, drv, 4)
+    for k in range(n_steps + 1):
+        nxt = picard_apply(sec6_problem, eta_state, current, tables=tables)
+        assert np.array_equal(nxt.paths[:k + 1], current.paths[:k + 1])
+        current = nxt
 
 
 def test_kernel_tables_dispatch(sec6_problem):
