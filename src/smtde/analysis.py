@@ -39,8 +39,8 @@ FIT_WINDOW_START = 1.0
 FITTED_EXPONENT_SLACK = 0.25
 BOOTSTRAP_RESAMPLES = 200
 SUP_GRID_POINTS = 1000
-# Grid times per block of the squared-norm reducers (_sq_reduce) and of the
-# standard errors (_mean_and_se).
+# Grid times per block of the squared-norm reducers (_sq_reduce), of the
+# standard errors (_mean_and_se) and of the weighted sup (_log_weighted_sup).
 SQ_BLOCK_TIMES = 64
 
 
@@ -76,11 +76,16 @@ def _sq_norms(e: PathEnsemble, times=slice(None)) -> np.ndarray:
     return _sq_reduce(_joint_valid(e), e.paths[times])
 
 
-def _sq_distances(e: PathEnsemble, e2: PathEnsemble) -> np.ndarray:
-    """|X(t) - Y(t)|^2 per time and jointly valid path, shape (n_t, n_valid)."""
+def _pair_valid(e: PathEnsemble, e2: PathEnsemble) -> np.ndarray:
+    """The jointly valid paths of two ensembles on one grid."""
     if e.paths.shape != e2.paths.shape or not np.array_equal(e.grid, e2.grid):
         raise ValidationError("ensembles must share the same grid and shape")
-    return _sq_reduce(_joint_valid(e, e2), e.paths, e2.paths)
+    return _joint_valid(e, e2)
+
+
+def _sq_distances(e: PathEnsemble, e2: PathEnsemble) -> np.ndarray:
+    """|X(t) - Y(t)|^2 per time and jointly valid path, shape (n_t, n_valid)."""
+    return _sq_reduce(_pair_valid(e, e2), e.paths, e2.paths)
 
 
 def _sq_reduce(mask: np.ndarray, *paths: np.ndarray) -> np.ndarray:
@@ -151,7 +156,14 @@ def _log_weight_denominators(w: WeightedNormParams, times: np.ndarray) -> np.nda
 
 def _log_weighted_sup(e: PathEnsemble, e2: PathEnsemble,
                       log_denom: np.ndarray) -> float:
-    d2 = _sq_distances(e, e2).mean(axis=-1)
+    """max over t of log E|X(t) - Y(t)|^2 - log_denom(t). Each time's mean is
+    taken from one SQ_BLOCK_TIMES block of squared distances at a time, the
+    same pairwise sum as over the whole (n_t, n_valid) array."""
+    mask = _pair_valid(e, e2)
+    d2 = np.empty(e.paths.shape[0])
+    for lo in range(0, d2.size, SQ_BLOCK_TIMES):
+        rows = slice(lo, lo + SQ_BLOCK_TIMES)
+        d2[rows] = _sq_reduce(mask, e.paths[rows], e2.paths[rows]).mean(axis=-1)
     with np.errstate(divide="ignore"):
         return float(np.max(np.log(d2) - log_denom))
 

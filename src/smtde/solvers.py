@@ -32,30 +32,27 @@ provided, both on uniform grids:
   integrals of the kernel; the diffusion term keeps the non-anticipating
   left-point kernel value.
 
-Both schemes share one stepping core, the feedback recurrence
-``_step_paths``. Each scheme's kernel tables hold one lag table in the
+Both schemes and the Picard operator share one stepping kernel,
+``_step_paths``: the same lag sum, computed with feedback (the history is
+the output just computed) or, for ``picard_apply``, without (the history is
+a given ensemble). Each scheme's kernel tables hold one lag table in the
 narrowest form it uses (scalar weights for ``em``, no X-memory block for
 ``mild``), so with A = B = 0 the two schemes sum the same terms in
 different groupings and agree to rounding, not bit for bit.
 
-The core sums each step's lags in three fields: the lags inside the current
-block of HISTORY_BLOCK steps (near field), the history before the block
-that the window still holds (an exact slab, one product per block of
-history rows), and all older history, which enters through a sum of
-exponentials carried by the tables. The ``em`` power-law kernels have one
-(a few dozen shared rates, checked against the exact weights at every far
-lag), so its stepping costs O(N (K + B)) for N steps, K rates and block
-length B, and it keeps only the 2B history rows it still reads. The
-``mild`` tables carry no exponentials, and the slab then covers all of the
-history exactly, as an O(N^2) sum over a history kept whole.
-
-The Picard operator ``picard_apply`` has no feedback: its history is a
-given ensemble. Its kernel, ``_apply_known``, takes the history one block
-of rows at a time and adds each block's contribution to every later block
-of output rows, one product each, with exact weights at every lag. A chunk
-holds its output and one block of history, not N rows. It forms the same
-products as the core and adds them in the same order, so it maps a
-``simulate_mild`` ensemble to itself bit for bit.
+The kernel holds one block of HISTORY_BLOCK history rows and pushes each
+finished block forward. A step's lags fall in three fields: the lags inside
+its own block (near field), the blocks that the tables weigh exactly (one
+product per block of history, pushed into the later blocks), and all older
+history, which enters through a sum of exponentials carried by the tables.
+The ``em`` power-law kernels have one (a few dozen shared rates, checked
+against the exact weights at every far lag), so a block is pushed into the
+next block only, its stepping costs O(N (K + B)) for N steps, K rates and
+block length B, and no history beyond one block is kept. The ``mild``
+tables carry no exponentials: each block is pushed into every later block,
+an O(N^2) sum whose pending sums (dim doubles per step and path) are the
+only thing that grows with the grid, held in the output when it is stored.
+So ``picard_apply`` maps a ``simulate_mild`` ensemble to itself bit for bit.
 
 Paths are stored time first and paths last, (n_steps + 1, dim, n_paths),
 the layout the core computes in. Every ensemble is stepped by one chunk
@@ -260,10 +257,9 @@ class PathEnsemble:
 
 @dataclass(frozen=True)
 class KernelTables:
-    """Lag-indexed kernel tables consumed by the stepping core and the
-    no-feedback kernel.
+    """Lag-indexed kernel tables consumed by the stepping kernel.
 
-    Both record, for every history time t_j, ``n_chan`` channels of
+    It records, for every history time t_j, ``n_chan`` channels of
     shape (dim, n_paths): ``x_map @ x_j`` split into its ``dim``-row blocks,
     the drift added to the last of them, then sigma dW_j. Without ``x_map``
     the channels are just [b; sigma dW]. Lag 0 is never used (explicit
@@ -273,12 +269,13 @@ class KernelTables:
     * ``weights[k]`` (r, n_chan * r) holds the lag-k weights in the narrowest
       form the scheme allows: r = 1 when every channel's weight is a scalar
       times I, r = dim otherwise.
-    * From lag ``far_lag`` on, the feedback core reads the weights as the
-      sum of exponentials ``sum_l exp(-rates[l] k) far_weights[l]`` (the
-      no-feedback kernel reads ``weights`` at every lag). Building the
-      tables checks that sum against ``weights`` at every such lag and raises
-      ``NonConvergenceError`` beyond SOE_TOL relative. Tables without
-      exponentials set ``far_lag`` past the grid: every lag stays exact.
+    * From lag ``far_lag`` on, the kernel reads the weights as the sum of
+      exponentials ``sum_l exp(-rates[l] k) far_weights[l]``, with and
+      without feedback. Building the tables checks that sum against
+      ``weights`` at every such lag and raises ``NonConvergenceError``
+      beyond SOE_TOL relative. far_lag is HISTORY_BLOCK + 1 (em) or, for
+      tables without exponentials (mild), past the grid: every lag stays
+      exact.
     """
 
     init_mats: np.ndarray         # (n_steps+1, dim, dim)
@@ -461,44 +458,52 @@ def _near_row(tables: KernelTables, nd: int) -> np.ndarray:
 
 
 def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
-                dw: np.ndarray, out) -> np.ndarray:
-    """The feedback recurrence, time-blocked, for one chunk of paths; returns
-    the (copies * c,) mask of the paths whose output stayed finite.
+                dw: np.ndarray, out, known: np.ndarray | None = None) -> np.ndarray:
+    """The lag sum x_n = init_mats[n] x0 + sum_{j<n} weights[n - j] h_j for
+    one chunk of paths; returns the (copies * c,) mask of the paths whose
+    output stayed finite.
 
     etas has shape (dim, copies) and dw shape (n_steps, c): the chunk stacks
     c paths from each initial value side by side, x0 = np.repeat(etas, c,
     axis=1), on the grid ``p.grid(n_steps)``, and every copy steps over the
-    same increments, broadcast, never copied. Each block of steps n0..n1-1
-    is written once, as ``out[n0:n1]`` (x0 as ``out[:1]``), and never read
-    back: ``out`` may be a strided view of the caller's ensembles, shape
-    (n_steps + 1, dim, copies, c), or any object that takes row-slice
-    assignments. The finite mask is checked on x0 and then once per block,
-    on the block's rows.
-    Step n sums weights[n - j] against the history channels (``_channels``)
-    of every t_j, j < n, in blocks of B = HISTORY_BLOCK output steps, split
-    three ways:
+    same increments, broadcast, never copied. The history channels h_j
+    (``_channels``) come from the output row x_j just computed (the feedback
+    recurrence) or, given ``known`` (n_steps + 1, dim, c), from known[j] (the
+    operator without feedback; one history serves every copy). ``out`` takes
+    x0 as ``out[:1]`` and each block of steps n0..n1-1 once: it is a strided
+    view of the caller's ensembles, shape (n_steps + 1, dim, copies, c), in
+    whose rows each block is summed in place, or any other object, which
+    gets each finished block as ``out[n0:n1] = rows``. The mask is checked
+    on x0 and then once per block.
 
-    * far field: history whose lag is at least ``tables.far_lag`` at every
-      step of the block lives in exponential states, state_l = sum_j
-      exp(-rates[l] (n0 - j)) far_weights[l] @ h_j at the block start n0.
-      Each block decays them by exp(-rates B) and adds the rows that just
-      became old (one GEMM); one more GEMM reads all B steps out of them.
-    * slab: the rest of the history known at n0, weighted exactly into the
-      accumulator that every block reuses, one GEMM per history piece (row
-      0, then the rows of each earlier block), added in time order: for em
-      the previous block, lags 1..2B-1; without exponentials, all of it.
-    * near field: inside the block, each step adds only its in-block lags.
+    The kernel holds the channels of one piece of history, row 0 and then
+    the rows of each block of B = HISTORY_BLOCK steps, and pushes each piece
+    forward once it is complete. Block n0..n1-1 sums, in this order:
 
-    A history row absorbed into the states is never read again, so the
-    history is a window of far_lag + B - 1 rows (2B for em): at each block
-    start, after the absorb GEMM, the rows still read move to its front.
-    Without exponentials every row stays, and no far-field GEMM runs.
+    * for em, its far field: the pieces older than the previous block live
+      in exponential states, state_l = sum_j exp(-rates[l] (n0 - j))
+      far_weights[l] @ h_j, read out with one product. After its pushes, a
+      piece is folded into the states (decay by exp(-rates B), then one
+      absorb product), ready for the first block that reads it there.
+    * its pending rows: each piece is pushed, one product each with weights
+      gathered exactly (``_lag_weights``), into every later block that
+      starts less than ``tables.far_lag`` after it: the next block for em
+      (far_lag = B + 1), every later block for mild (far_lag past the
+      grid). The first piece writes, the others add, in time order.
+    * its initial term, then row by row its near field (the in-block lags),
+      after which the row's channels are formed (given rows have theirs
+      formed before the near field).
 
-    The slab and the near field regroup the direct sum, exact up to
-    rounding; the far field is as exact as the checked exponentials.
-    ``_apply_known`` sums the same products in the same order, so without
-    exponentials the operator maps this recurrence's paths to themselves
-    bit for bit.
+    A block is summed in its pending rows: the output rows themselves when
+    ``out`` is an array, otherwise a buffer of the far_lag - 1 rows that a
+    piece can feed (one block for em; for mild the grid, dim doubles per
+    path and step, half its history), reused from block to block.
+
+    The pushes and the near field regroup the direct sum, exact up to
+    rounding; the far field is as exact as the checked exponentials. Each
+    output row takes the same products in the same order with and without
+    ``known``, so without exponentials the operator maps this recurrence's
+    paths to themselves bit for bit.
     """
     nd = p.dim
     _, r, cf = tables.weights.shape     # lag blocks (r, cf), cf = n_chan * r
@@ -511,128 +516,84 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
     x0 = np.repeat(etas, c, axis=1)
     finite = np.isfinite(x0).all(axis=0)
     times = p.grid(n_steps)
-    n_chunk = x0.shape[1]
     stacked = (nd, etas.shape[1], c)
     blk = HISTORY_BLOCK
-    # the live history window, read as (rows*cf, dim*paths/r) by the far
-    # field and the slab and as (rows*cn, paths) by the near field
-    rows = min(n_steps, tables.far_lag + blk - 1)
-    hist = np.empty((rows, n_chan, nd, n_chunk))
-    far_hist = hist.reshape(rows * cf, -1)
-    near_hist = hist.reshape(rows * cn, n_chunk)
+    # one piece of history, read as (rows*cf, dim*width/r) by the products
+    # and as (rows*cn, width) by the near field
+    width = x0.shape[1] if known is None else c
+    hist = np.empty((blk, n_chan, nd, width))
+    hist_cols = hist.reshape(blk * cf, -1)
+    near_hist = hist.reshape(blk * cn, width)
     near_row = _near_row(tables, nd)
-    # rows absorbed at a block start sit at lags far_lag+B-1 .. far_lag there;
-    # step k of a block reads state_l with exp(-rates[l] k)
+    stored = isinstance(out, np.ndarray)
+    pending = out[1:] if stored else np.empty(
+        (min(tables.far_lag - 1, n_steps), *stacked))
+    # a piece is folded in at lags far_lag+B-1 .. far_lag before the first
+    # block that reads it from the states; step k of a block reads state_l
+    # with exp(-rates[l] k)
     n_exp = tables.rates.size
     into = np.exp(-np.outer(tables.rates, tables.far_lag + blk - 1 - np.arange(blk)))
     absorb = (into[:, None, :, None] * tables.far_weights[:, :, None, :]
               ).reshape(n_exp * r, blk * cf)
     readout = np.kron(np.exp(-np.outer(np.arange(blk), tables.rates)), np.eye(r))
     decay = np.repeat(np.exp(-blk * tables.rates), r)[:, None]
-    state = np.zeros((n_exp * r, far_hist.shape[1]))
-    old = 0         # history rows held by the state; window row i is t_(old+i)
-    acc_rows = np.empty((blk * r, far_hist.shape[1]))  # every block's sums
+    state = np.zeros((n_exp * r, hist_cols.shape[1]))
+    # every product is formed here: a block's rows or the states' update
+    prod_buf = np.empty(max(blk, n_exp) * nd * x0.shape[1])
+    blocks = _blocks(n_steps)
+
+    def sums(n0: int, n1: int) -> np.ndarray:
+        """The pending sums of steps n0..n1-1, one block."""
+        i = (n0 - 1) % len(pending)
+        return pending[i:i + n1 - n0]
+
+    def product(weights: np.ndarray, x: np.ndarray, rows: int) -> np.ndarray:
+        """weights @ x as ``rows`` output rows, (rows, dim, copies or 1, c)."""
+        shape = (*weights.shape[:-1], x.shape[-1])
+        return np.matmul(weights, x, out=prod_buf[:math.prod(shape)].reshape(shape)
+                         ).reshape(rows, nd, -1, c)
 
     with np.errstate(over="ignore", invalid="ignore"):
         out[:1] = x0.reshape(1, *stacked)
-        _channels(tables, p, times[0], x0, dw[0], hist[0])
-        for n0, n1 in _blocks(n_steps):
-            new_old = max(old, n0 - tables.far_lag + 1)
-            if new_old > old:
+        _channels(tables, p, times[0], x0 if known is None else known[0], dw[0],
+                  hist[0])
+        j0, j1 = 0, 1       # the history rows whose channels hist holds
+        for i, (n0, n1) in enumerate(blocks):
+            acc = sums(n0, n1)
+            if n0 >= tables.far_lag:        # the states hold rows
+                acc[...] = product(readout[:(n1 - n0) * r], state, n1 - n0)
+            for m0, m1 in blocks[i:]:
+                if m0 >= j0 + tables.far_lag:
+                    break
+                piece = product(_lag_weights(tables, m0, m1, j0, j1),
+                                hist_cols[:(j1 - j0) * cf], m1 - m0)
+                dest = sums(m0, m1)
+                if j0:
+                    dest += piece
+                else:
+                    dest[...] = piece
+            if blocks[-1][0] >= j0 + tables.far_lag:
                 state *= decay
-                state += absorb[:, (blk - new_old + old) * cf:] @ \
-                    far_hist[:(new_old - old) * cf]
-                hist[:n0 - new_old] = hist[new_old - old:n0 - old]
-                old = new_old
-            # the slab, cut where the history pieces start (1, 1 + B, ...)
-            cuts = [old, *(j for j in range(1, n0, blk) if j > old), n0]
-            # the first piece is written into the accumulator, the rest added
-            acc = acc_rows[:(n1 - n0) * r]
-            for i, (j0, j1) in enumerate(zip(cuts[:-1], cuts[1:])):
-                piece = np.matmul(_lag_weights(tables, n0, n1, j0, j1),
-                                  far_hist[(j0 - old) * cf:(j1 - old) * cf],
-                                  out=None if i else acc)
-                if i:
-                    acc += piece
-            if old:         # the states hold rows
-                acc += readout[:(n1 - n0) * r] @ state
-            acc = acc.reshape(n1 - n0, nd, n_chunk)
-            acc += tables.init_mats[n0:n1] @ x0
+                state += np.matmul(absorb[:, (blk - j1 + j0) * cf:],
+                                   hist_cols[:(j1 - j0) * cf],
+                                   out=prod_buf[:state.size].reshape(state.shape))
+            acc += product(tables.init_mats[n0:n1], x0, n1 - n0)
+            if known is not None:
+                # given rows: their channels are formed before the near field,
+                # not between its products (measured 5% of picard_apply)
+                for k, n in enumerate(range(n0, min(n1, n_steps))):
+                    _channels(tables, p, times[n], known[n], dw[n], hist[k])
             for k, n in enumerate(range(n0, n1)):
                 if k:
-                    acc[k] += near_row[:, -k * cn:] @ \
-                        near_hist[(n0 - old) * cn:(n - old) * cn]
-                if n < n_steps:
-                    _channels(tables, p, times[n], acc[k], dw[n], hist[n - old])
-            out[n0:n1] = acc.reshape(n1 - n0, *stacked)
-            finite &= np.isfinite(acc).all(axis=(0, 1))
-    return finite
-
-
-def _apply_known(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
-                 known: np.ndarray, dw: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The operator without feedback for one chunk of paths: the lag sum of
-    ``_step_paths`` with the history channels formed from the given paths
-    ``known`` (n_steps + 1, dim, c), not from the output. Returns the
-    (copies * c,) mask of the paths whose output stayed finite.
-
-    etas, dw and the (n_steps + 1, dim, copies, c) output are those of
-    ``_step_paths``, but the output is an array that accumulates. The known
-    rows are taken one piece at a time: row 0, then the rows of each output
-    block of B = HISTORY_BLOCK steps. The kernel forms a piece's channels
-    once (``_channels``) and holds no other history. If the piece is the
-    in-block history of output block n0..n1-1, it adds that block's
-    initial term and near field, as the feedback core does; the block is
-    then complete, and the finite mask is checked on it. Then it adds the
-    piece's contribution to every later output block, one product each,
-    with the weights weights[n - j] gathered from ``tables.weights``. So
-    each output row takes the feedback core's products in the feedback
-    core's order. Every lag is weighed exactly: tables with exponentials
-    (em) are read only through ``weights``.
-
-    A chunk thus holds one block of history and one block's product, not
-    the history of every step. The known row n_steps is never read.
-    """
-    nd = p.dim
-    _, r, cf = tables.weights.shape
-    n_chan = cf // r
-    cn = n_chan * nd
-    n_steps, c = dw.shape
-    x0 = np.repeat(etas, c, axis=1)
-    finite = np.isfinite(x0).all(axis=0)
-    times = p.grid(n_steps)
-    stacked = (nd, etas.shape[1], c)
-    hist = np.empty((HISTORY_BLOCK, n_chan, nd, c))
-    hist_cols = hist.reshape(HISTORY_BLOCK * cf, -1)
-    near_hist = hist.reshape(HISTORY_BLOCK * cn, c)
-    near_row = _near_row(tables, nd)
-    acc_rows = np.empty((HISTORY_BLOCK * r, hist_cols.shape[1]))
-    blocks = _blocks(n_steps)
-    # piece i: row 0 for i = 0, else the rows of output block i - 1
-    pieces = [(0, 1)] + [(n0, min(n1, n_steps)) for n0, n1 in blocks]
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[:1] = x0.reshape(1, *stacked)
-        for i, (j0, j1) in enumerate(pieces):
-            for j in range(j0, j1):
-                _channels(tables, p, times[j], known[j], dw[j], hist[j - j0])
-            if i:
-                n0, n1 = blocks[i - 1]
-                block = out[n0:n1]
-                block += (tables.init_mats[n0:n1] @ x0).reshape(n1 - n0, *stacked)
-                for k in range(1, n1 - n0):
-                    block[k] += (near_row[:, -k * cn:] @ near_hist[:k * cn]
-                                 ).reshape(nd, 1, c)
-                finite &= np.isfinite(block).all(axis=(0, 1)).ravel()
-            for n0, n1 in blocks[i:]:
-                # one history for every copy
-                piece = np.matmul(_lag_weights(tables, n0, n1, j0, j1),
-                                  hist_cols[:(j1 - j0) * cf],
-                                  out=acc_rows[:(n1 - n0) * r]).reshape(n1 - n0, nd, 1, c)
-                if i:
-                    out[n0:n1] += piece
-                else:
-                    out[n0:n1] = piece
+                    acc[k] += (near_row[:, -k * cn:] @ near_hist[:k * cn]
+                               ).reshape(nd, -1, c)
+                if known is None and n < n_steps:
+                    _channels(tables, p, times[n], acc[k].reshape(nd, -1), dw[n],
+                              hist[k])
+            if not stored:
+                out[n0:n1] = acc
+            finite &= np.isfinite(acc).all(axis=(0, 1)).ravel()
+            j0, j1 = n0, min(n1, n_steps)
     return finite
 
 
@@ -673,23 +634,20 @@ def _run(p: ProblemSpec, tables: KernelTables, inits, n_paths: int,
     ``threads`` is, so the result does not depend on it; ``threads`` > 1
     runs the chunks on a pool. For the chunk of columns ``cols``,
     ``noise(cols)`` gives its increments (n_steps, c), which every copy
-    steps over, and ``out(cols)`` takes the kernel's output. The kernel is
-    the feedback recurrence ``_step_paths``, or with ``known`` (an
-    ensemble's paths, whose columns ``cols`` the chunk reads in place) the
-    operator without feedback, ``_apply_known``, whose output must then be
-    an array. EnsembleError if more than FLAGGED_FRACTION_LIMIT of one
-    copy's paths blew up, the copies checked in order.
+    steps over, and ``out(cols)`` takes the output of the kernel,
+    ``_step_paths``: the feedback recurrence or, with ``known`` (an
+    ensemble's paths, whose columns ``cols`` the chunk reads in place), the
+    operator without feedback. EnsembleError if more than
+    FLAGGED_FRACTION_LIMIT of one copy's paths blew up, the copies checked
+    in order.
     """
     etas = np.stack([init.eta for init in inits], axis=1)
     copies = etas.shape[1]
     finite = np.empty((copies, n_paths), dtype=bool)
 
     def worker(cols: slice) -> None:
-        if known is None:
-            ok = _step_paths(tables, p, etas, noise(cols), out(cols))
-        else:
-            ok = _apply_known(tables, p, etas, known[:, :, cols], noise(cols),
-                              out(cols))
+        ok = _step_paths(tables, p, etas, noise(cols), out(cols),
+                         None if known is None else known[:, :, cols])
         finite[:, cols] = ok.reshape(copies, -1)
 
     width = max(CHUNK_PATHS // copies, 1)
@@ -809,11 +767,12 @@ def picard_apply(p: ProblemSpec, init: InitialState, y: PathEnsemble,
     evaluated with the same product quadrature as ``simulate_mild``; the
     stochastic term reuses y's stored increments, and eta is taken from y's
     stored initial values, which must equal ``init.eta`` on every path.
-    The no-feedback kernel ``_apply_known`` reads y's paths in place and
-    holds, per chunk, one block of HISTORY_BLOCK rows of their channels: the
-    memory is the output plus O(one block), whatever n_steps is. ``tables``
-    defaults to the mild ones; any tables are read through their exact
-    weights only, so em tables give the em operator without exponentials.
+    The stepping kernel, given y's paths as ``known``, reads them in place
+    and holds, per chunk, one block of HISTORY_BLOCK rows of their channels;
+    its pending sums are the output itself, so the memory is the output plus
+    O(one block), whatever n_steps is. ``tables`` defaults to the mild ones;
+    em tables give the em operator, read through their exponentials as the
+    feedback route reads them.
     """
     if y.dim != p.dim:
         raise ValidationError(f"ensemble dim {y.dim} != problem dim {p.dim}")

@@ -189,6 +189,31 @@ class TestWeightedNorm:
         w = WeightedNormParams(omega=3.0, alpha=0.75)
         assert math.exp(log_weighted_norm(e1, e2, w)) <= d2.max() * (1 + 1e-12)
 
+    def test_weighted_sup_memory_is_one_block(self):
+        # each time's mean comes from one block of squared distances: the
+        # peak is the (n_t,) means plus one block's temporaries, where the
+        # whole (n_t, n_valid) array was 1.0x of it. Every mean is the same
+        # pairwise sum over the valid paths, so the value is bit for bit
+        # that of the whole array; a flagged path is left out of both
+        rng = np.random.default_rng(5)
+        n_t, n_paths = 2001, 500
+        paths = rng.standard_normal((2, n_t, 2, n_paths))
+        paths[0, 7, 1, 3] = np.inf
+        e1, e2 = (manual_ensemble(np.arange(n_t), x) for x in paths)
+        log_denom = np.linspace(0.0, 3.0, n_t)
+        # the difference (dim 2), its sum and the valid paths' sums
+        block = analysis.SQ_BLOCK_TIMES * 4 * n_paths * 8
+        tracemalloc.start()
+        try:
+            got = analysis._log_weighted_sup(e1, e2, log_denom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n_t * 8 + 1.1 * block
+        whole = analysis._sq_distances(e1, e2)
+        assert whole.shape == (n_t, n_paths - 1)
+        assert got == np.max(np.log(whole.mean(axis=-1)) - log_denom)
+
     def test_grid_mismatch(self, sec6_problem, eta_state):
         d1 = BrownianDriver(seed=2, n_steps=20)
         d2 = BrownianDriver(seed=2, n_steps=40)
@@ -388,15 +413,18 @@ class TestSeparation:
 
     def test_memory_holds_distances_not_paths(self, eta_state):
         # the pair is never stored: the peak is the (N+1, P) distances, the
-        # increments (N, P) and one stacked chunk's working set per column,
-        # the 2B-row history window of [A x; B x + b; sigma dW], the K
-        # exponential states with their update and two (B, dim) accumulators.
-        # The stored pair added two (N+1, dim, P) ensembles and an (N, 3 dim)
-        # history per path: 45.7 MB here, against 14.5 MB measured
+        # increments (N, P) and one stacked chunk's working set per column:
+        # one block of B history rows of [A x; B x + b; sigma dW], the K
+        # exponential states and the product buffer that takes their update,
+        # and two (B, dim) blocks, the block's sums and its squared
+        # differences. The stored pair added two (N+1, dim, P) ensembles and
+        # an (N, 3 dim) history per path: 45.7 MB here, against 13.6 MB
+        # measured (a window of 2B history rows measured 14.5 MB, above this
+        # bound)
         p = self.make_long_problem()
         n_steps, n_paths = 1000, 500
         k = em_kernel_tables(p, n_steps).rates.size
-        per_column = (2 * HISTORY_BLOCK * 3 + 2 * k + 2 * HISTORY_BLOCK) * p.dim * 8
+        per_column = (HISTORY_BLOCK * 3 + 2 * k + 2 * HISTORY_BLOCK) * p.dim * 8
         bound = 2 * (n_steps + 1) * n_paths * 8 + 1.2 * per_column * 2 * n_paths
         drv = BrownianDriver(seed=4, n_steps=n_steps)
         gamma = InitialState([3.5, 5.5])
@@ -539,11 +567,15 @@ class TestSimulateMsNorm:
                               full)
 
     def test_memory_holds_squares_not_paths(self, eta_state):
-        # mild, four chunks: the (N+1, P) squares, one chunk's [b; sigma dW]
-        # history (2*dim per step) and one chunk's increments; no paths and
-        # no (N, P) increments. The rest, the exact slab and the block
-        # accumulators, is a few percent at this N. Storing the ensemble
-        # and all of its increments peaked at 2.3x this bound
+        # mild, four chunks: the (N+1, P) squares, one chunk's pending sums
+        # (dim per step) and one chunk's increments; no paths and no (N, P)
+        # increments. The rest is a few blocks of B = HISTORY_BLOCK rows:
+        # the block of [b; sigma dW] channels (two), the first block's
+        # pending sums, the product buffer and the block's squares; measured
+        # 5.6. A chunk
+        # that kept its whole history (2*dim per step) measured 23.5 blocks
+        # over, and storing the ensemble and all of its increments peaked
+        # at 2.3x the earlier bound, 1.1x that history
         p, n_steps, n_paths = make_problem(horizon=4.0), 600, 4 * self.CHUNK
         drv = BrownianDriver(seed=3, n_steps=n_steps)
         tracemalloc.start()
@@ -552,10 +584,11 @@ class TestSimulateMsNorm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        chunk_history = n_steps * 2 * p.dim * self.CHUNK * 8
+        chunk_pending = n_steps * p.dim * self.CHUNK * 8
         chunk_noise = n_steps * self.CHUNK * 8
-        assert peak <= 1.1 * ((n_steps + 1) * n_paths * 8 + chunk_history
-                              + chunk_noise)
+        block = HISTORY_BLOCK * p.dim * self.CHUNK * 8
+        assert peak <= ((n_steps + 1) * n_paths * 8 + chunk_pending + chunk_noise
+                        + 8 * block)
 
     def test_rejects_three_initial_states(self, sec6_problem, eta_state):
         with pytest.raises(ValidationError, match="one or two initial states"):

@@ -1,14 +1,15 @@
-"""The time-blocked stepping core against a direct O(N^2) per-step loop.
+"""The time-blocked stepping kernel against a direct O(N^2) per-step loop.
 
-The blocked core splits each step's lag sum into a near field inside the
-current block, an exact slab over older history and, for em, exponential
-states that carry every lag beyond HISTORY_BLOCK. The slab and near field
-regroup the direct sum; the exponentials are checked against the exact lag
-weights to SOE_TOL = 1e-13 relative when the tables are built. So the core
-matches the direct sum to 1e-12 * max|x_n| at every step n, also on grids
-where the exponentials carry most of the history.
+The kernel splits each step's lag sum into a near field inside the current
+block, exact products that push each finished block into the later blocks
+and, for em, exponential states that carry every lag beyond HISTORY_BLOCK.
+The pushes and near field regroup the direct sum; the exponentials are
+checked against the exact lag weights to SOE_TOL = 1e-13 relative when the
+tables are built. So the kernel matches the direct sum to 1e-12 * max|x_n|
+at every step n, with and without feedback, also on grids where the
+exponentials carry most of the history.
 
-The direct loop does not read the core's tables. It builds each scheme's lag
+The direct loop does not read the kernel's tables. It builds each scheme's lag
 kernels here, as dense (dim, 3*dim) blocks against the history [x; b; sigma dW],
 straight from the product-quadrature weights.
 """
@@ -25,7 +26,7 @@ from smtde import solvers
 from smtde.errors import NonConvergenceError, ValidationError
 from smtde.mlmatrix import MLParams, QTable, ml_nonperm_grid
 from smtde.solvers import (HISTORY_BLOCK, SOE_TOL, BrownianDriver,
-                           InitialState, _apply_known, _step_paths,
+                           InitialState, _step_paths,
                            constant_ensemble, coupled_pair,
                            em_kernel_tables, kernel_tables, mild_kernel_tables,
                            picard_apply, simulate_em, simulate_mild)
@@ -222,7 +223,7 @@ def test_response_across_exponential_boundary(eta_state, step):
     # With A = B = 0, zero drift and unit diffusion the em recurrence is
     # x_n = x_0 + sum_j k_s(n - j) dW_j exactly, so moving dW_j moves step
     # n > j by k_s(n - j) times the move and nothing before. Row j is read
-    # by the near field, then by the exact slab, then from lag B + 1 on by
+    # by the near field, then by the exact push, then from lag B + 1 on by
     # the exponential states (B = HISTORY_BLOCK); a row summed twice or
     # dropped at a hand-over would show as an error of the size of the
     # response itself
@@ -248,7 +249,7 @@ def test_response_across_exponential_boundary(eta_state, step):
                                   2 * HISTORY_BLOCK, 2 * HISTORY_BLOCK + 1])
 def test_causal_across_block_boundary(sec6_problem, eta_state, step):
     # dW_{B-1} first enters the last step of the first block (near field),
-    # dW_B the first step of the second block (slab), B = HISTORY_BLOCK; the
+    # dW_B the first step of the second block (push), B = HISTORY_BLOCK; the
     # rows of the first block move into the exponentials at step 2B + 1
     rng = np.random.default_rng(1)
     base = rng.normal(size=(3, 70))
@@ -263,10 +264,10 @@ def test_causal_across_block_boundary(sec6_problem, eta_state, step):
 @pytest.mark.parametrize("scheme", ["em", "mild", "picard"])
 def test_finite_mask_is_the_output_check(scheme):
     # a drift that is inf above 9 blows up some paths from (3, 5) and none
-    # from (-5, -3). The feedback core's mask over the two stacked copies,
-    # or the no-feedback kernel's over one copy of picard_apply's operator
-    # (its drift reads stored paths), equals the check of every output
-    # value; so do the flags of the stored ensembles
+    # from (-5, -3). The kernel's mask over the two stacked copies of the
+    # feedback recurrence, or over one copy of picard_apply's operator (its
+    # drift reads stored paths, passed as known), equals the check of every
+    # output value; so do the flags of the stored ensembles
     n_steps, n_paths = 100, 256
     zero = np.zeros((2, 2))
     p = make_problem(a_mat=zero, b_mat=zero, drift=flaky_above(9.0),
@@ -284,7 +285,7 @@ def test_finite_mask_is_the_output_check(scheme):
         known = y.paths.copy()
         known[-1] = np.nan
         out = np.empty((n_steps + 1, p.dim, 1, n_paths))
-        finite = _apply_known(tables, p, etas[:, :1], known, dw, out)
+        finite = _step_paths(tables, p, etas[:, :1], dw, out, known)
     else:
         ensembles = coupled_pair(p, *inits, drv, n_paths, scheme=scheme)
         out = np.empty((n_steps + 1, p.dim, 2, n_paths))
@@ -336,14 +337,18 @@ def test_core_writes_each_block_once(sec6_problem, eta_state, monkeypatch,
         assert np.array_equal(sink.rows[:, :, 0], paths[..., lo:lo + 2])
 
 
-def _core_peak_bytes(p, scheme, n_steps, n_paths):
-    # the core's own peak: the output, one copy of (dim, 1, n_paths) rows,
-    # is the caller's like the inputs
+def _core_peak_bytes(p, scheme, n_steps, n_paths, sink=False):
+    # the core's own peak: the output, one copy of (dim, 1, n_paths) rows or,
+    # with sink, the squared norms that _SqNorms writes, is the caller's like
+    # the inputs
     tables = TABLES[scheme](p, n_steps)
     drv = BrownianDriver(seed=3, n_steps=n_steps)
     dw = drv.increments_block(range(n_paths), p.horizon / n_steps)
     etas = InitialState([3.0, 5.0]).eta[:, None]
-    out = np.empty((n_steps + 1, p.dim, 1, n_paths))
+    if sink:
+        out = solvers._SqNorms(np.empty((n_steps + 1, n_paths)), slice(None))
+    else:
+        out = np.empty((n_steps + 1, p.dim, 1, n_paths))
     tracemalloc.start()
     try:
         _step_paths(tables, p, etas, dw, out)
@@ -352,36 +357,51 @@ def _core_peak_bytes(p, scheme, n_steps, n_paths):
         tracemalloc.stop()
 
 
-def _growth_per_step(p, scheme, n_paths):
-    short = _core_peak_bytes(p, scheme, 100, n_paths)
-    long = _core_peak_bytes(p, scheme, 200, n_paths)
+def _growth_per_step(p, scheme, n_paths, sink=False):
+    short = _core_peak_bytes(p, scheme, 100, n_paths, sink)
+    long = _core_peak_bytes(p, scheme, 200, n_paths, sink)
     return (long - short) / 100
 
 
 def test_memory_grows_by_history_and_paths_only(sec6_problem):
-    # the em history is a window of 2B rows, so from 100 to 200 steps
-    # (same K) nothing grows with the grid; a whole history would add one
-    # [A x; B x + b; sigma dW] row (3*dim) per path and step
+    # the em core holds one block of history and pushes it to the next
+    # block only, so from 100 to 200 steps (same K) nothing grows with the
+    # grid; a whole history would add one [A x; B x + b; sigma dW] row
+    # (3*dim) per path and step
     n_paths = 2048
     row = sec6_problem.dim * n_paths * 8
     assert _growth_per_step(sec6_problem, "em", n_paths) <= 0.1 * row
 
 
-def test_em_history_window_does_not_grow_with_steps(sec6_problem):
-    # the core's peak is the history window, the K exponential states and
-    # the block accumulators. K grows with log N (72 at N = 500, 86 at
-    # N = 4000); a whole history would make the peak 7x larger at 4000
-    short = _core_peak_bytes(sec6_problem, "em", 500, 256)
-    long = _core_peak_bytes(sec6_problem, "em", 4000, 256)
-    assert long <= 1.1 * short
+def test_em_core_holds_one_block_of_history(sec6_problem):
+    # the core's peak is one block of [A x; B x + b; sigma dW] channels
+    # (3 dim per path and step), the K exponential states and the product
+    # buffer that takes their update (one state's size each), and at most
+    # three blocks of output rows for the rest, the exponentials' own
+    # (K, 3B) tables and the grid (1.33 MB against a 1.49 MB bound at
+    # N = 4000); the pending sums are the output. K grows with log N (72 at
+    # N = 500, 86 at N = 4000). A window of 2B history rows adds a second
+    # block of channels and fails this bound at both sizes (1.83 MB at
+    # N = 4000)
+    p, n_paths = sec6_problem, 256
+    rows = HISTORY_BLOCK * p.dim * n_paths * 8
+    for n_steps in (500, 4000):
+        k = em_kernel_tables(p, n_steps).rates.size
+        states = k * p.dim * n_paths * 8
+        peak = _core_peak_bytes(p, "em", n_steps, n_paths)
+        assert peak <= 3 * rows + 2 * states + 3 * rows, n_steps
 
 
-def test_mild_memory_grows_by_history_and_paths_only(sec6_problem):
-    # mild records no x-memory channel and keeps all of its history:
-    # [b; sigma dW] (2*dim) per path and step
+def test_mild_memory_grows_by_pending_rows_only(sec6_problem):
+    # mild pushes each block of [b; sigma dW] channels to every later block.
+    # Into a write-once sink the pending sums of the later rows are the only
+    # thing that grows: dim doubles per path and step (a history kept whole
+    # would be 2*dim). Into an array they are the output itself, and nothing
+    # grows with the grid
     n_paths = 2048
-    per_step = 2 * sec6_problem.dim * n_paths * 8
-    assert _growth_per_step(sec6_problem, "mild", n_paths) <= 1.1 * per_step
+    row = sec6_problem.dim * n_paths * 8
+    assert _growth_per_step(sec6_problem, "mild", n_paths, sink=True) <= 1.1 * row
+    assert _growth_per_step(sec6_problem, "mild", n_paths) <= 0.1 * row
 
 
 def _picard_peak_bytes(p, eta, n_steps, n_paths):
@@ -399,10 +419,10 @@ def _picard_peak_bytes(p, eta, n_steps, n_paths):
 def test_picard_apply_holds_output_and_history_only(sec6_problem, eta_state):
     # two chunks, mild tables: the output (dim per path-step) and, per
     # chunk, O(one block): the [b; sigma dW] channels of B = HISTORY_BLOCK
-    # known rows (two blocks of output rows), the block product and the
-    # initial term (one each); measured 4.3 blocks. The input ensemble is
-    # read in place, and a history of every step (2*dim per step) would be
-    # about 38 blocks more at this N
+    # known rows (two blocks of output rows) and the product buffer (one);
+    # measured 3.3 blocks. Each block is summed in its own output rows, the
+    # input ensemble is read in place, and a history of every step (2*dim
+    # per step) would be about 38 blocks more at this N
     p, n_steps, n_paths = sec6_problem, 600, 2 * solvers.CHUNK_PATHS
     peak = _picard_peak_bytes(p, eta_state, n_steps, n_paths)
     row = p.dim * n_paths * 8
