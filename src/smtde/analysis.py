@@ -38,6 +38,10 @@ from .specfun import gamma_fn, ml_scalar_log, rl_weights
 FIT_WINDOW_START = 1.0
 FITTED_EXPONENT_SLACK = 0.25
 BOOTSTRAP_RESAMPLES = 200
+# Resamples per product of ``_bootstrap_exponents``. With OpenBLAS, batches
+# that start at multiples of 48 rows take the bits of one whole product and
+# fit (batches of 50 did not).
+BOOTSTRAP_BATCH = 48
 SUP_GRID_POINTS = 1000
 # Grid times per block of the squared-norm reducers (_sq_reduce), of the
 # standard errors (_mean_and_se) and of the weighted sup (_log_weighted_sup).
@@ -363,17 +367,28 @@ def _bootstrap_exponents(times: np.ndarray, sq: np.ndarray,
                          rng: np.random.Generator, n_boot: int) -> np.ndarray:
     """Fitted exponents of n_boot path resamples of sq (n_valid, n_t).
 
-    A resample's mean is its row counts times sq over n_valid, so every
-    resampled mean comes from one (n_boot, n_valid) @ (n_valid, n_t) product,
-    and every exponent from one least-squares fit.
+    A resample's mean is its row counts times sq over n_valid, so the means
+    of a batch of BOOTSTRAP_BATCH resamples (the last batch also takes the
+    n_boot % BOOTSTRAP_BATCH left over) come from one (batch, n_valid) @
+    (n_valid, n_t) product, and their exponents from one least-squares fit.
+    Each batch starts at a multiple of BOOTSTRAP_BATCH rows, so where the
+    batches and one whole product run the same BLAS kernel (at every
+    shipped size), the exponents equal one product's and one fit's bit for
+    bit.
     """
     n_valid = sq.shape[0]
-    counts = np.empty((n_boot, n_valid))
-    for i in range(n_boot):
-        counts[i] = np.bincount(rng.integers(0, n_valid, n_valid),
-                                minlength=n_valid)
-    means = (counts @ sq) / n_valid
-    slopes, _ = np.polyfit(np.log(times), np.log(np.sqrt(means.T)), 1)
+    log_t = np.log(times)
+    slopes = np.empty(n_boot)
+    starts = range(0, max(n_boot - BOOTSTRAP_BATCH, 0) + 1, BOOTSTRAP_BATCH)
+    for b0, b1 in zip(starts, [*starts[1:], n_boot]):
+        counts = np.empty((b1 - b0, n_valid))
+        for row in counts:
+            row[:] = np.bincount(rng.integers(0, n_valid, n_valid),
+                                 minlength=n_valid)
+        means = counts @ sq
+        means /= n_valid
+        log_d = np.log(np.sqrt(means, out=means), out=means)
+        slopes[b0:b1] = np.polyfit(log_t, log_d.T, 1)[0]
     return -slopes
 
 

@@ -62,10 +62,13 @@ coupled pair) over one copy of their increments, on the grid
 ``p.grid(n_steps)`` of the increments' row count, and the kernel writes
 the rows as (rows, dim, copies, c) and reports which paths stayed finite.
 The stored routes (``simulate``, ``coupled_pair``, ``picard_apply``) keep
-every row and the increments; ``squared_norms`` keeps only |X|^2 of one
-copy or |X - Y|^2 of two (both routes form them with ``_sum_sq``) and
-draws each chunk's increments in the chunk's worker, so the two routes
-agree bit for bit.
+every row and the increments, drawn at once; ``squared_norms`` keeps only
+|X|^2 of one copy or |X - Y|^2 of two (both routes form them with
+``_sum_sq``), and each chunk's worker draws the chunk's increments one slab
+of NOISE_SLAB steps at a time, as the kernel reads them (``_Slabs``). A
+path's slabs continue its stream, so the two routes agree bit for bit, and
+per path a reduced chunk holds nothing that grows with the grid but the
+pending sums of ``mild``.
 """
 
 from __future__ import annotations
@@ -86,11 +89,14 @@ from .specfun import reciprocal_gamma, rl_weights
 # Paths are simulated in fixed-size chunks regardless of thread count so that
 # results are independent of the parallel partition. A chunk's width sets
 # how much history, how many exponential states and, on the reduced route,
-# how many increments are held at once.
+# how wide a slab of increments is held at once.
 CHUNK_PATHS = 1024
 # Output steps per block of the stepping core: a block reads its older
 # history with one product instead of once per step.
 HISTORY_BLOCK = 32
+# Steps per slab of increments that a chunk of the reduced route draws at
+# once (``_Slabs``): its noise does not grow with the grid.
+NOISE_SLAB = 8 * HISTORY_BLOCK
 # Sum-of-exponentials far field of the em kernels (``_em_far_exponentials``):
 # Gauss-Legendre nodes per log-rate panel (panels of width 2 in ln x),
 # Gauss-Jacobi nodes per power x^-q on the smallest rates, and the relative
@@ -189,7 +195,9 @@ class BrownianDriver:
         self.n_steps = n_steps
         self._local = threading.local()
 
-    def _generator(self, path_id: int, init_region: bool = False) -> np.random.Generator:
+    def _generator(self, path_id: int, init_region: bool = False,
+                   state: dict | None = None) -> np.random.Generator:
+        """This thread's generator at the start of path_id's stream, or at state."""
         local = self._local
         if not hasattr(local, "state"):
             local.generator = np.random.Generator(np.random.Philox(0))
@@ -201,21 +209,34 @@ class BrownianDriver:
                           "key": np.array([self.seed, 0], np.uint64)},
                 "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
                 "has_uint32": 0, "uinteger": 0}
-        local.state["state"]["key"][1] = path_id
         bitgen = local.generator.bit_generator
+        if state is not None:
+            bitgen.state = state
+            return local.generator
+        local.state["state"]["key"][1] = path_id
         bitgen.state = local.state
         if init_region:
             bitgen.advance(2 ** 96)
         return local.generator
 
-    def standard_normals(self, path_id: int) -> np.ndarray:
-        return self._generator(path_id).standard_normal(self.n_steps)
+    def increments_block(self, path_ids, h: float, steps: slice = slice(None),
+                         states: dict | None = None) -> np.ndarray:
+        """Brownian increments dW ~ N(0, h) of the steps ``steps`` (all by
+        default), shape (len(steps), n_paths).
 
-    def increments_block(self, path_ids, h: float) -> np.ndarray:
-        """Brownian increments dW ~ N(0, h) of shape (n_steps, n_paths)."""
-        out = np.empty((self.n_steps, len(path_ids)))
+        A slab of consecutive steps continues each path's stream: one that
+        starts past step 0 resumes path pid from ``states[pid]``, which the
+        slab before it left, and one that ends before n_steps leaves its
+        state there. So a path's slabs, drawn in step order, equal one draw
+        of all its steps bit for bit.
+        """
+        start, stop, _ = steps.indices(self.n_steps)
+        out = np.empty((stop - start, len(path_ids)))
         for i, pid in enumerate(path_ids):
-            out[:, i] = self.standard_normals(pid)
+            gen = self._generator(pid, state=states[pid] if start else None)
+            out[:, i] = gen.standard_normal(stop - start)
+            if stop < self.n_steps:
+                states[pid] = gen.bit_generator.state
         out *= math.sqrt(h)
         return out
 
@@ -483,8 +504,10 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
     * for em, its far field: the pieces older than the previous block live
       in exponential states, state_l = sum_j exp(-rates[l] (n0 - j))
       far_weights[l] @ h_j, read out with one product. After its pushes, a
-      piece is folded into the states (decay by exp(-rates B), then one
-      absorb product), ready for the first block that reads it there.
+      piece is folded into the states (decay by exp(-rates B), then the
+      absorb product, one slab of state columns at a time in the product
+      buffer of one block's rows), ready for the first block that reads it
+      there.
     * its pending rows: each piece is pushed, one product each with weights
       gathered exactly (``_lag_weights``), into every later block that
       starts less than ``tables.far_lag`` after it: the next block for em
@@ -538,8 +561,12 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
     readout = np.kron(np.exp(-np.outer(np.arange(blk), tables.rates)), np.eye(r))
     decay = np.repeat(np.exp(-blk * tables.rates), r)[:, None]
     state = np.zeros((n_exp * r, hist_cols.shape[1]))
-    # every product is formed here: a block's rows or the states' update
-    prod_buf = np.empty(max(blk, n_exp) * nd * x0.shape[1])
+    # every product is formed here: a block's rows, or the states' update in
+    # column slabs that fit (at least 256 columns, a multiple of 8: the
+    # slabs' bits are those of one product)
+    rows_size = blk * nd * x0.shape[1]
+    col_slab = max(256, rows_size // max(n_exp * r, 1) // 8 * 8)
+    prod_buf = np.empty(max(rows_size, state[:, :col_slab].size))
     blocks = _blocks(n_steps)
 
     def sums(n0: int, n1: int) -> np.ndarray:
@@ -574,9 +601,12 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
                     dest[...] = piece
             if blocks[-1][0] >= j0 + tables.far_lag:
                 state *= decay
-                state += np.matmul(absorb[:, (blk - j1 + j0) * cf:],
-                                   hist_cols[:(j1 - j0) * cf],
-                                   out=prod_buf[:state.size].reshape(state.shape))
+                fold = absorb[:, (blk - j1 + j0) * cf:]
+                for c0 in range(0, state.shape[1], col_slab):
+                    cols = state[:, c0:c0 + col_slab]
+                    cols += np.matmul(
+                        fold, hist_cols[:(j1 - j0) * cf, c0:c0 + col_slab],
+                        out=prod_buf[:cols.size].reshape(cols.shape))
             acc += product(tables.init_mats[n0:n1], x0, n1 - n0)
             if known is not None:
                 # given rows: their channels are formed before the near field,
@@ -605,27 +635,53 @@ def _check_dims(p: ProblemSpec, *inits: InitialState) -> None:
 
 
 def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
-          *inits: InitialState) -> Callable[[slice], np.ndarray]:
+          *inits: InitialState) -> Callable[..., np.ndarray]:
     """Checks the initial states and n_paths; returns the experiment's noise.
 
-    ``noise(cols)`` draws the increments of the paths in the column slice
-    ``cols`` of 0..n_paths-1, shape (n_steps, c): a path's increments are a
-    pure function of (seed, path, step), so a chunk can draw its own, and
-    ``noise(slice(None))`` draws them all.
+    ``noise(cols, steps, states)`` draws the increments of the paths in the
+    column slice ``cols`` of 0..n_paths-1 at the steps ``steps`` (all by
+    default), shape (len(steps), c), each path continuing from ``states``
+    (``BrownianDriver.increments_block``). A path's increments are a pure
+    function of (seed, path, step), so ``noise(slice(None))`` draws them
+    all, and a chunk can draw its own, one slab of steps at a time
+    (``_Slabs``).
     """
     _check_dims(p, *inits)
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
     ids, h = range(n_paths), p.horizon / drv.n_steps
 
-    def noise(cols: slice) -> np.ndarray:
-        return drv.increments_block(ids[cols], h)
+    def noise(cols: slice, steps: slice = slice(None),
+              states: dict | None = None) -> np.ndarray:
+        return drv.increments_block(ids[cols], h, steps, states)
 
     return noise
 
 
+class _Slabs:
+    """The increments (n_steps, c) of the column slice ``cols`` of ``noise``
+    (``_draw``), as the stepping kernel reads them: row by row in step order,
+    drawn NOISE_SLAB steps at a time, each slab continuing its paths' streams
+    from the one before. Only the current slab is held."""
+
+    def __init__(self, noise: Callable[..., np.ndarray], cols: slice,
+                 n_steps: int):
+        self._noise, self._cols, self._states = noise, cols, {}
+        self._start = 0
+        self._rows = noise(cols, slice(0, NOISE_SLAB), self._states)
+        self.shape = (n_steps, self._rows.shape[1])
+
+    def __getitem__(self, n: int) -> np.ndarray:
+        if n == self._start + len(self._rows):
+            # the last slab is dropped before the next one is drawn
+            self._start, self._rows = n, None
+            self._rows = self._noise(self._cols, slice(n, n + NOISE_SLAB),
+                                     self._states)
+        return self._rows[n - self._start]
+
+
 def _run(p: ProblemSpec, tables: KernelTables, inits, n_paths: int,
-         noise: Callable[[slice], np.ndarray], out: Callable[[slice], object],
+         noise: Callable[[slice], object], out: Callable[[slice], object],
          threads: int = 1, known: np.ndarray | None = None) -> np.ndarray:
     """Step n_paths paths from each initial state in inits, one copy each;
     returns which paths stayed finite, (copies, n_paths).
@@ -634,7 +690,8 @@ def _run(p: ProblemSpec, tables: KernelTables, inits, n_paths: int,
     ``threads`` is, so the result does not depend on it; ``threads`` > 1
     runs the chunks on a pool. For the chunk of columns ``cols``,
     ``noise(cols)`` gives its increments (n_steps, c), which every copy
-    steps over, and ``out(cols)`` takes the output of the kernel,
+    steps over: an array, or ``_Slabs`` that draw them as the kernel reads
+    them. ``out(cols)`` takes the output of the kernel,
     ``_step_paths``: the feedback recurrence or, with ``known`` (an
     ensemble's paths, whose columns ``cols`` the chunk reads in place), the
     operator without feedback. EnsembleError if more than
@@ -813,12 +870,13 @@ def squared_norms(p: ProblemSpec, inits, drv: BrownianDriver, n_paths: int,
                   threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The grid and, per time and valid path, |X(t)|^2 for one initial state
     or |X(t) - Y(t)|^2 for two coupled ones, shape (n_steps + 1, n_valid),
-    without storing paths or the increments of more than one chunk.
+    without storing paths or more than one slab of increments per chunk.
 
     The chunks are those of ``simulate`` (one initial state) or
-    ``coupled_pair`` (two), each drawing its own increments, and the core's
-    output rows go straight into the squares. So the values equal the
-    squares that ``ms_norm_series`` forms from the ``simulate`` ensemble, or
+    ``coupled_pair`` (two), each drawing its own increments NOISE_SLAB steps
+    at a time, each path's stream continued from slab to slab (``_Slabs``),
+    and the core's output rows go straight into the squares. So the values
+    equal the squares that ``ms_norm_series`` forms from the ``simulate`` ensemble, or
     ``ms_distance_series`` from the ``coupled_pair`` ensembles, bit for bit;
     the paths left out (flagged in either ensemble) and the EnsembleError
     above FLAGGED_FRACTION_LIMIT (the first ensemble checked first) are the
@@ -830,6 +888,7 @@ def squared_norms(p: ProblemSpec, inits, drv: BrownianDriver, n_paths: int,
     tables = kernel_tables(p, drv.n_steps, scheme)
     noise = _draw(p, drv, n_paths, *inits)
     sq = np.empty((drv.n_steps + 1, n_paths))
-    valid = _run(p, tables, inits, n_paths, noise, lambda cols: _SqNorms(sq, cols),
-                 threads).all(axis=0)
+    valid = _run(p, tables, inits, n_paths,
+                 lambda cols: _Slabs(noise, cols, drv.n_steps),
+                 lambda cols: _SqNorms(sq, cols), threads).all(axis=0)
     return p.grid(drv.n_steps), sq if valid.all() else sq.compress(valid, axis=1)

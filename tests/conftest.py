@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -84,21 +86,22 @@ class PresetDriver(BrownianDriver):
         super().__init__(seed=0, n_steps=normals.shape[1])
         self._normals = normals
 
-    def standard_normals(self, path_id):
-        return self._normals[path_id]
+    def increments_block(self, path_ids, h, steps=slice(None), states=None):
+        return self._normals[list(path_ids)].T[steps] * math.sqrt(h)
 
 
 class CountingDriver(BrownianDriver):
-    """Driver that counts the paths whose increments it draws and keeps each
-    draw as (path ids, increments)."""
+    """Driver that counts the paths whose increments it draws (a path once
+    per slab of steps) and keeps each draw as (path ids, steps, increments),
+    the steps as a range of 0..n_steps-1."""
 
     def __init__(self, seed, n_steps):
         super().__init__(seed=seed, n_steps=n_steps)
         self.paths_drawn = 0
         self.draws = []
 
-    def increments_block(self, path_ids, h):
+    def increments_block(self, path_ids, h, steps=slice(None), states=None):
         self.paths_drawn += len(path_ids)
-        block = super().increments_block(path_ids, h)
-        self.draws.append((path_ids, block))
+        block = super().increments_block(path_ids, h, steps, states)
+        self.draws.append((path_ids, range(self.n_steps)[steps], block))
         return block

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smtde import analysis, solvers
+from smtde import analysis, cli, solvers
 from smtde.analysis import (WeightedNormParams,
                             contraction_report, continuity_experiment,
                             init_term_sup_sq, convolution_bound_check,
@@ -14,10 +14,10 @@ from smtde.analysis import (WeightedNormParams,
                             separation_experiment, simulate_ms_norm, zeta_const)
 from smtde.errors import (DegenerateExperimentError, DomainError, EnsembleError,
                           ValidationError)
-from smtde.solvers import (HISTORY_BLOCK, BrownianDriver, InitialState,
-                           PathEnsemble, constant_ensemble, coupled_pair,
-                           em_kernel_tables, picard_apply, simulate_em,
-                           simulate_mild, squared_norms)
+from smtde.solvers import (HISTORY_BLOCK, NOISE_SLAB, BrownianDriver,
+                           InitialState, PathEnsemble, constant_ensemble,
+                           coupled_pair, em_kernel_tables, picard_apply,
+                           simulate_em, simulate_mild, squared_norms)
 
 from conftest import (CountingDriver, flaky_above, make_problem, one_fn,
                       zero_fn)
@@ -412,20 +412,24 @@ class TestSeparation:
         assert np.allclose(report.scaled[win], expected_scaled, rtol=1e-12)
 
     def test_memory_holds_distances_not_paths(self, eta_state):
-        # the pair is never stored: the peak is the (N+1, P) distances, the
-        # increments (N, P) and one stacked chunk's working set per column:
-        # one block of B history rows of [A x; B x + b; sigma dW], the K
-        # exponential states and the product buffer that takes their update,
-        # and two (B, dim) blocks, the block's sums and its squared
-        # differences. The stored pair added two (N+1, dim, P) ensembles and
-        # an (N, 3 dim) history per path: 45.7 MB here, against 13.6 MB
-        # measured (a window of 2B history rows measured 14.5 MB, above this
-        # bound)
+        # the pair is never stored: the peak is the (N+1, P) distances, one
+        # slab of NOISE_SLAB increments per chunk, one bootstrap batch and one
+        # stacked chunk's working set per column: one block of B history rows
+        # of [A x; B x + b; sigma dW], the K exponential states and the
+        # product buffer that takes their update, and two (B, dim) blocks,
+        # the block's sums and its squared differences. The stored pair added
+        # two (N+1, dim, P) ensembles and an (N, 3 dim) history per path:
+        # 45.7 MB here, against 9.8 MB measured. A window of 2B history rows
+        # measured 14.5 MB, and the chunk's whole (N, P) increments with one
+        # bootstrap product of all resamples 13.7 MB, both above this bound
         p = self.make_long_problem()
         n_steps, n_paths = 1000, 500
         k = em_kernel_tables(p, n_steps).rates.size
         per_column = (HISTORY_BLOCK * 3 + 2 * k + 2 * HISTORY_BLOCK) * p.dim * 8
-        bound = 2 * (n_steps + 1) * n_paths * 8 + 1.2 * per_column * 2 * n_paths
+        n_t = int(np.sum(p.grid(n_steps) >= analysis.FIT_WINDOW_START))
+        bound = ((n_steps + 1) * n_paths * 8 + NOISE_SLAB * n_paths * 8
+                 + boot_batch_bytes(analysis.BOOTSTRAP_RESAMPLES, n_paths, n_t)
+                 + 1.2 * per_column * 2 * n_paths)
         drv = BrownianDriver(seed=4, n_steps=n_steps)
         gamma = InitialState([3.5, 5.5])
         tracemalloc.start()
@@ -447,6 +451,28 @@ class TestSeparation:
 
 
 BOOT_REL_TOL = 1e-12
+
+
+def boot_batch_bytes(n_boot, n_valid, n_t):
+    """One bootstrap batch, the largest: its (b, n_valid) counts and three
+    (b, n_t) arrays of means, those of the product and two that the fit
+    copies (measured: 2.1)."""
+    b = n_boot if n_boot < analysis.BOOTSTRAP_BATCH else \
+        analysis.BOOTSTRAP_BATCH + n_boot % analysis.BOOTSTRAP_BATCH
+    return b * (n_valid + 3 * n_t) * 8
+
+
+def whole_bootstrap(times, sq, rng, n_boot):
+    """Reference bootstrap: the counts of every resample in one
+    (n_boot, n_valid) array, one product and one fit."""
+    n_valid = sq.shape[0]
+    counts = np.empty((n_boot, n_valid))
+    for i in range(n_boot):
+        counts[i] = np.bincount(rng.integers(0, n_valid, n_valid),
+                                minlength=n_valid)
+    means = (counts @ sq) / n_valid
+    slopes, _ = np.polyfit(np.log(times), np.log(np.sqrt(means.T)), 1)
+    return -slopes
 
 
 def gather_bootstrap(times, sq, seed, n_boot):
@@ -553,18 +579,47 @@ class TestSimulateMsNorm:
             assert np.array_equal(sq, analysis._sq_norms(ens))
 
     def test_draws_increments_per_chunk(self, eta_state):
-        # each chunk draws its own columns, and together they are the
-        # stored route's one draw
-        p, n_steps, n_paths = make_problem(), 10, 2 * self.CHUNK + 452
+        # each chunk draws its own columns, one slab of NOISE_SLAB steps at a
+        # time in step order, and together they are the stored route's one
+        # draw
+        p, n_steps, n_paths = make_problem(), 600, 2 * self.CHUNK + 452
         drv = CountingDriver(seed=3, n_steps=n_steps)
         squared_norms(p, [eta_state], drv, n_paths)
-        ids = [list(path_ids) for path_ids, _ in drv.draws]
-        assert ids == [list(range(lo, min(lo + self.CHUNK, n_paths)))
-                       for lo in range(0, n_paths, self.CHUNK)]
+        chunks = [range(lo, min(lo + self.CHUNK, n_paths))
+                  for lo in range(0, n_paths, self.CHUNK)]
+        slabs = [range(n0, min(n0 + NOISE_SLAB, n_steps))
+                 for n0 in range(0, n_steps, NOISE_SLAB)]
+        assert [(ids, steps) for ids, steps, _ in drv.draws] == \
+            [(ids, steps) for ids in chunks for steps in slabs]
+        assert drv.paths_drawn == n_paths * len(slabs)
         full = BrownianDriver(seed=3, n_steps=n_steps).increments_block(
             range(n_paths), p.horizon / n_steps)
-        assert np.array_equal(np.concatenate([b for _, b in drv.draws], axis=1),
-                              full)
+        rows = iter(block for _, _, block in drv.draws)
+        got = np.concatenate([np.concatenate([next(rows) for _ in slabs])
+                              for _ in chunks], axis=1)
+        assert np.array_equal(got, full)
+
+    @pytest.mark.parametrize("slab", [NOISE_SLAB, 45, 7])
+    @pytest.mark.parametrize("n_chunks", [1, 2, 3])
+    def test_slab_draws_equal_stored_run(self, eta_state, monkeypatch, slab,
+                                         n_chunks):
+        # 300 steps: the slab edges fall inside blocks of HISTORY_BLOCK
+        # steps, and a 7-step slab leaves each path mid-way through the
+        # generator's buffer of four words; the last chunk is partial, and
+        # two threads run the chunks
+        monkeypatch.setattr(solvers, "NOISE_SLAB", slab)
+        p, n_steps = make_problem(horizon=4.0), 300
+        n_paths = (n_chunks - 1) * self.CHUNK + 100
+        drv = BrownianDriver(seed=6, n_steps=n_steps)
+        ens = solvers.simulate(p, eta_state, drv, n_paths)
+        _, sq = squared_norms(p, [eta_state], drv, n_paths, threads=2)
+        assert np.array_equal(sq, analysis._sq_norms(ens))
+        gamma = InitialState([3.5, 5.5])
+        ref = analysis._sq_distances(*coupled_pair(p, eta_state, gamma, drv,
+                                                   n_paths // 2))
+        _, sq = squared_norms(p, [eta_state, gamma], drv, n_paths // 2,
+                              threads=2)
+        assert np.array_equal(sq, ref)
 
     def test_memory_holds_squares_not_paths(self, eta_state):
         # mild, four chunks: the (N+1, P) squares, one chunk's pending sums
@@ -607,6 +662,36 @@ class TestSeparationBootstrap:
             times, sq, np.random.Generator(np.random.Philox(key=[11, 0xB007])), 200)
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= BOOT_REL_TOL * np.abs(ref))
+
+    def test_batches_equal_one_product(self):
+        # two full batches and a last one that takes the 17 left over, on
+        # the separation-long shape: the (n_valid, n_t) view of time-major
+        # squares. Pinned to one BLAS thread, as the CLI runs
+        n_valid, n_t = 768, 901
+        n_boot = 2 * analysis.BOOTSTRAP_BATCH + 17
+        rng = np.random.default_rng(5)
+        times = np.linspace(1.0, 10.0, n_t)
+        sq = (np.exp(rng.normal(size=(n_t, n_valid)))
+              * times[:, None] ** -1.5).T
+
+        def boot(fn):
+            return fn(times, sq, np.random.Generator(
+                np.random.Philox(key=[4, 0xB007])), n_boot)
+
+        with cli._single_thread_blas():
+            ref = boot(whole_bootstrap)
+            got = boot(analysis._bootstrap_exponents)
+            # one batch's arrays, not all resamples': one whole product
+            # measured 3.2 MB here, above this bound
+            boot(analysis._bootstrap_exponents)   # numpy's one-time buffers
+            tracemalloc.start()
+            try:
+                boot(analysis._bootstrap_exponents)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(got, ref)
+        assert peak <= boot_batch_bytes(n_boot, n_valid, n_t)
 
     def test_ci_matches_gather_loop(self, eta_state):
         p = make_problem(horizon=5.0)

@@ -104,6 +104,24 @@ class TestBrownianDriver:
             assert np.array_equal(inc[:, i], fresh(pid).standard_normal(40) * 0.5)
             assert np.array_equal(init[:, i], fresh(pid, True).standard_normal(3))
 
+    @pytest.mark.parametrize("n_steps, edges, pids", [
+        (600, [256, 512], range(7)),    # n_steps not a multiple of the slab
+        (100, [], range(7)),            # fewer steps than one slab
+        (300, [45, 77], range(7)),      # edges inside a HISTORY_BLOCK
+        (300, [1, 299], [11]),          # one path, one-step slabs at both ends
+    ])
+    def test_slabs_equal_one_draw(self, n_steps, edges, pids):
+        # slab by slab in step order, each path resumes its stream where the
+        # slab before it stopped: the rows are those of one draw, bit for bit
+        drv = BrownianDriver(seed=13, n_steps=n_steps)
+        whole = drv.increments_block(pids, h=0.1)
+        states = {}
+        slabs = [drv.increments_block(pids, 0.1, slice(n0, n1), states)
+                 for n0, n1 in zip([0, *edges], [*edges, n_steps])]
+        assert np.array_equal(np.concatenate(slabs), whole)
+        # one state per path, and none when one slab covers the grid
+        assert sorted(states) == (sorted(set(pids)) if edges else [])
+
     def test_draws_equal_across_threads(self):
         # one driver shared by more threads than cores, switching often: a
         # generator shared between threads would mix their streams
