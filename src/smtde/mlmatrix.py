@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError, TruncationBoundError
 from .linalg import as_matrix, commutator, mat_norm, row_sum_norms
-from .specfun import reciprocal_gamma
+from .specfun import reciprocal_gammas
 
 ML_MATRIX_TOL = 1e-12
 DEFAULT_MAX_DIAGONALS = 200
@@ -185,7 +185,7 @@ def _sum_series(term, dim: int, p: MLParams, ts):
     for d in range(0, DEFAULT_MAX_DIAGONALS + 1):
         ms = np.arange(d + 1)
         exps = (d - ms) * p.rho + ms * p.sigma_exp   # entry m is term (d-m, m)
-        rgs = np.array(list(map(reciprocal_gamma, (exps + p.delta).tolist())))
+        rgs = reciprocal_gammas(exps + p.delta)
         with np.errstate(over="ignore", invalid="ignore"):
             # an overflowing power is left to the non-convergence guard
             powers = t_max ** exps

@@ -33,26 +33,18 @@ provided, both on uniform grids:
   left-point kernel value.
 
 Both schemes and the Picard operator share one stepping kernel,
-``_step_paths``: the same lag sum, computed with feedback (the history is
-the output just computed) or, for ``picard_apply``, without (the history is
-a given ensemble). Each scheme's kernel tables hold one lag table in the
-narrowest form it uses (scalar weights for ``em``, no X-memory block for
-``mild``), so with A = B = 0 the two schemes sum the same terms in
-different groupings and agree to rounding, not bit for bit.
+``stepping._step_paths``: the same lag sum, computed with feedback (the
+history is the output just computed) or, for ``picard_apply``, without (the
+history is a given ensemble). Each scheme's kernel tables hold one lag
+table in the narrowest form it uses (scalar weights for ``em``, no X-memory
+block for ``mild``), so with A = B = 0 the two schemes sum the same terms
+in different groupings and agree to rounding, not bit for bit.
 
-The kernel holds one block of HISTORY_BLOCK history rows and pushes each
-finished block forward. A step's lags fall in three fields: the lags inside
-its own block (near field), the blocks that the tables weigh exactly (one
-product per block of history, pushed into the later blocks), and all older
-history, which enters through a sum of exponentials carried by the tables.
-The ``em`` power-law kernels have one (a few dozen shared rates, checked
-against the exact weights at every far lag), so a block is pushed into the
-next block only, its stepping costs O(N (K + B)) for N steps, K rates and
-block length B, and no history beyond one block is kept. The ``mild``
-tables carry no exponentials: each block is pushed into every later block,
-an O(N^2) sum whose pending sums (dim doubles per step and path) are the
-only thing that grows with the grid, held in the output when it is stored.
-So ``picard_apply`` maps a ``simulate_mild`` ensemble to itself bit for bit.
+The kernel (``stepping``) holds one block of HISTORY_BLOCK history rows and
+reads all older history through exact pushes and the far field that the
+tables carry: a sum of exponentials for ``em``, so its stepping costs
+O(N (K + B)), and for ``mild`` one low-rank basis that every far block
+offset shares, or exact pushes where the basis does not pay.
 
 Paths are stored time first and paths last, (n_steps + 1, dim, n_paths),
 the layout the core computes in. Every ensemble is stepped by one chunk
@@ -82,18 +74,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import EnsembleError, NonConvergenceError, ValidationError
-from .linalg import as_matrix
+from .linalg import as_matrix, pivoted_row_basis
 from .mlmatrix import MLParams, QTable, ml_nonperm_grid
 from .specfun import reciprocal_gamma, rl_weights
+from .stepping import HISTORY_BLOCK, _lag_weights, _step_paths
 
 # Paths are simulated in fixed-size chunks regardless of thread count so that
 # results are independent of the parallel partition. A chunk's width sets
 # how much history, how many exponential states and, on the reduced route,
 # how wide a slab of increments is held at once.
 CHUNK_PATHS = 1024
-# Output steps per block of the stepping core: a block reads its older
-# history with one product instead of once per step.
-HISTORY_BLOCK = 32
 # Steps per slab of increments that a chunk of the reduced route draws at
 # once (``_Slabs``): its noise does not grow with the grid.
 NOISE_SLAB = 8 * HISTORY_BLOCK
@@ -104,6 +94,11 @@ NOISE_SLAB = 8 * HISTORY_BLOCK
 SOE_PANEL_NODES = 14
 SOE_JACOBI_NODES = 8
 SOE_TOL = 1e-13
+# Far lags per block of the build-time far-field check, and far block
+# offsets per group of the mild basis build (``_far_basis``): their working
+# arrays do not grow with the grid.
+FAR_CHECK_LAGS = 1024
+FAR_BASIS_OFFSETS = 8
 FLAGGED_FRACTION_LIMIT = 0.10
 
 
@@ -290,13 +285,27 @@ class KernelTables:
     * ``weights[k]`` (r, n_chan * r) holds the lag-k weights in the narrowest
       form the scheme allows: r = 1 when every channel's weight is a scalar
       times I, r = dim otherwise.
-    * From lag ``far_lag`` on, the kernel reads the weights as the sum of
-      exponentials ``sum_l exp(-rates[l] k) far_weights[l]``, with and
-      without feedback. Building the tables checks that sum against
-      ``weights`` at every such lag and raises ``NonConvergenceError``
-      beyond SOE_TOL relative. far_lag is HISTORY_BLOCK + 1 (em) or, for
-      tables without exponentials (mild), past the grid: every lag stays
-      exact.
+    * ``adjacent`` (derived) holds the weights of a whole block of
+      B = HISTORY_BLOCK steps against the whole block of history before it,
+      gathered once (``_lag_weights``): the weights of every full piece's
+      push into the next block.
+    * From lag ``far_lag`` on, the kernel reads the weights, with and without
+      feedback, through one of two far fields:
+
+      - exponentials (em): ``sum_l exp(-rates[l] k) far_weights[l]``;
+      - a shared basis (mild, ``_far_basis``): the window of the B lags
+        s, s - 1, ..., s - B + 1, ``_lag_weights(weights, s, s + 1, 0, B)``,
+        is ``far_rows[s] @ far_basis`` for every s >= far_lag + B - 1, with
+        ``far_basis`` (k, B * cf) orthonormal rows and ``far_rows``
+        (n_steps + 1, r, k), zero below 2B.
+
+      Building the tables checks the far field against ``weights`` at every
+      far lag and raises ``NonConvergenceError`` beyond SOE_TOL relative:
+      per weight for the exponentials, FAR_CHECK_LAGS lags at a time; per
+      (r, cf) lag block in Frobenius norm for the basis, at every position
+      of the lag in a window, B windows at a time. far_lag is
+      HISTORY_BLOCK + 1 with a far field, past the grid without one: every
+      lag stays exact.
     """
 
     init_mats: np.ndarray         # (n_steps+1, dim, dim)
@@ -305,21 +314,59 @@ class KernelTables:
     rates: np.ndarray             # (K,) decay per step
     far_weights: np.ndarray       # (K, r, n_chan*r)
     far_lag: int
+    far_basis: np.ndarray | None = None   # (k, HISTORY_BLOCK*n_chan*r)
+    far_rows: np.ndarray | None = None    # (n_steps+1, r, k)
+    adjacent: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        lags = np.arange(self.far_lag, self.weights.shape[0])
+        n_steps = self.weights.shape[0] - 1
+        blk = HISTORY_BLOCK
+        object.__setattr__(self, "adjacent", _lag_weights(
+            self.weights, blk + 1, min(2 * blk, n_steps) + 1, 1, blk + 1)
+            if n_steps > blk else None)
+        basis = self.far_basis is not None
+        # one far row is a lag (exponentials) or a window of B lags (basis;
+        # the last lag is read by row 0 alone, exactly)
+        end = n_steps + 1 - basis
+        step = blk if basis else FAR_CHECK_LAGS
+        for lo in range(self.far_lag + basis * (blk - 1), end, step):
+            hi = min(lo + step, end)
+            lags, err, scale = (self._basis_error if basis else
+                                self._exponential_error)(lo, hi)
+            bad = ~(err <= SOE_TOL * scale)
+            if bad.any():
+                i, c = np.argwhere(bad)[0]
+                where = (f"shared-basis far field: lag {lags[i, c]} block" if basis
+                         else f"sum-of-exponentials far field: lag {lags[i, 0]} "
+                         f"weight {c}")
+                raise NonConvergenceError(
+                    f"{where} is off by {err[i, c] / scale[i, c]:.1e} relative "
+                    f"(tolerance {SOE_TOL:.0e})")
+
+    def _exponential_error(self, lo: int, hi: int):
+        """The lags lo..hi-1 (S, 1), and per weight the error of the
+        exponentials and the weight's size, (S, r * cf) each."""
+        lags = np.arange(lo, hi)[:, None]
         size = self.weights[0].size
-        exact = self.weights[self.far_lag:].reshape(lags.size, size)
-        approx = np.exp(-np.outer(lags, self.rates)) @ \
+        exact = self.weights[lo:hi].reshape(hi - lo, size)
+        approx = np.exp(-lags * self.rates) @ \
             self.far_weights.reshape(self.rates.size, size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            err = np.abs(approx - exact) / np.abs(exact)
-        bad = ~(err <= SOE_TOL)
-        if bad.any():
-            i, c = np.argwhere(bad)[0]
-            raise NonConvergenceError(
-                f"sum-of-exponentials far field: lag {lags[i]} weight {c} is "
-                f"off by {err[i, c]:.1e} relative (tolerance {SOE_TOL:.0e})")
+        return lags, np.abs(approx - exact), np.abs(exact)
+
+    def _basis_error(self, lo: int, hi: int):
+        """The lags s - b of the windows s = lo..hi-1 (S, B), and per lag
+        block the Frobenius norms of the basis's error and of the block,
+        (S, B) each."""
+        blk = HISTORY_BLOCK
+        _, r, cf = self.weights.shape
+        exact = _lag_weights(self.weights, lo, hi, 0, blk)
+        err = self.far_rows[lo:hi].reshape(len(exact), -1) @ self.far_basis
+        err -= exact
+        blocks = (hi - lo, r, blk, cf)
+        err_sq = np.square(err, out=err).reshape(blocks).sum(axis=(1, 3))
+        exact_sq = np.square(exact, out=exact).reshape(blocks).sum(axis=(1, 3))
+        return (np.arange(lo, hi)[:, None] - np.arange(blk), np.sqrt(err_sq),
+                np.sqrt(exact_sq))
 
 
 def _gauss_jacobi(q: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -391,7 +438,9 @@ def em_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
     weights[1:, 0, 2] = s[1:] ** (p.alpha - 1.0) * reciprocal_gamma(p.alpha)
 
     f_ab = s ** (p.alpha - p.beta) * reciprocal_gamma(p.alpha - p.beta + 1.0)
-    init_mats = np.eye(p.dim) - f_ab[:, None, None] * p.a_mat
+    # I - f_ab A, formed in the one array it keeps
+    init_mats = f_ab[:, None, None] * -p.a_mat
+    init_mats += np.eye(p.dim)
     rates, far_weights = _em_far_exponentials(p, h, n_steps)
     return KernelTables(init_mats=init_mats, weights=weights,
                         x_map=np.concatenate([p.a_mat, p.b_mat]),
@@ -412,12 +461,74 @@ def mild_init_term(p: ProblemSpec, ts: np.ndarray, e_a1: np.ndarray) -> np.ndarr
     return np.eye(p.dim) + ts[:, None, None] ** p.alpha * (e_a1 @ p.b_mat)
 
 
+def _far_basis(weights: np.ndarray):
+    """(far_basis, far_rows) of the lag table ``weights`` (n_steps + 1, r, cf)
+    (see ``KernelTables``), or (None, None) where a basis would not pay: on
+    grids with no block two blocks back of another, and where k > B cf / 4,
+    B = HISTORY_BLOCK.
+
+    The far windows s = 2B..n_steps-1 (a full piece starts at row 1 or
+    later), each (r, B cf), are scaled per far block offset (the windows
+    s = B Delta .. B Delta + B - 1 of one offset Delta to unit Frobenius
+    norm; the last offset has only the grid's windows). The basis is that
+    of their rows (``pivoted_row_basis``, one offset's rows per product)
+    that leaves every (r, cf) lag block of every window within SOE_TOL / 2
+    of its residual, relative in Frobenius norm. It is built from
+    FAR_BASIS_OFFSETS offsets at a time, in the order of their lags, each
+    group extending the basis of the groups before, so the build holds one
+    group of windows whatever the grid. ``far_rows`` holds the coordinates
+    of the unscaled windows, W far_basis^T.
+    """
+    n_steps, r, cf = weights.shape
+    n_steps -= 1
+    blk = HISTORY_BLOCK
+    first = 2 * blk
+    if n_steps <= first:
+        return None, None
+    # the kept basis is allocated before the temporaries, so it cannot pin
+    # the heap above their freed space
+    basis = np.empty((blk * cf // 4, blk * cf))
+    rows = np.empty((min(FAR_BASIS_OFFSETS * blk, n_steps - first) * r, blk * cf))
+    block_tol = np.empty((len(rows) // r, blk))
+    windows = (-1, r, blk, cf)
+    k = 0
+    for g0 in range(first, n_steps, FAR_BASIS_OFFSETS * blk):
+        g1 = min(g0 + FAR_BASIS_OFFSETS * blk, n_steps)
+        group = rows[:(g1 - g0) * r]
+        for lo in range(g0, g1, blk):
+            hi = min(lo + blk, g1)
+            part = group[(lo - g0) * r:(hi - g0) * r]
+            part[...] = _lag_weights(weights, lo, hi, 0, blk)
+            part /= np.sqrt(np.square(part).sum())
+            # squared tolerances per lag block of each window
+            block_tol[lo - g0:hi - g0] = (SOE_TOL / 2) ** 2 * \
+                np.square(part).reshape(windows).sum(axis=(1, 3))
+        tol = block_tol[:g1 - g0]
+        # a row's residual is at most its window's
+        k = pivoted_row_basis(
+            group, basis, k, tol.sum(axis=1).repeat(r),
+            lambda lo, sq: np.all(sq.reshape(windows).sum(axis=(1, 3))
+                                  <= tol[lo // r:lo // r + len(sq) // r]),
+            blk * r)
+        if k is None:
+            return None, None
+    del rows
+    basis = basis[:k]
+    coords = np.zeros((n_steps + 1, r, k))
+    for lo in range(first, n_steps, blk):
+        hi = min(lo + blk, n_steps)
+        np.matmul(_lag_weights(weights, lo, hi, 0, blk), basis.T,
+                  out=coords[lo:hi].reshape(-1, k))
+    return basis, coords
+
+
 def mild_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
     """Matrix Mittag-Leffler kernel tables for the mild-form scheme.
 
     The mild form has no X-memory term: the channels are [b; sigma dW],
-    weighted by dense (dim, dim) blocks. There are no exponentials yet, so
-    the core sums every lag exactly.
+    weighted by dense (dim, dim) blocks. Lags beyond HISTORY_BLOCK go
+    through one basis that all far blocks share (``_far_basis``) where it
+    pays; otherwise the core sums every lag exactly.
     """
     s = p.grid(n_steps)
     e_a = mild_ml(p, p.alpha, s)               # (n+1, nd, nd)
@@ -428,203 +539,17 @@ def mild_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
     ks = np.zeros_like(kb)
     ks[1:] = (s[1:] ** (p.alpha - 1.0))[:, None, None] * e_a[1:]
     weights = np.concatenate([kb, ks], axis=2)
-    return KernelTables(init_mats=mild_init_term(p, s, e_a1), weights=weights,
-                        x_map=None, rates=np.zeros(0),
-                        far_weights=np.zeros((0,) + weights.shape[1:]),
-                        far_lag=n_steps + 1)
-
-
-def _channels(tables: KernelTables, p: ProblemSpec, t: float, x: np.ndarray,
-              dw: np.ndarray, row: np.ndarray) -> None:
-    """Write the history channels of the values x = X(t), (dim, m), into row,
-    (n_chan, dim, m): ``x_map @ x`` split into its dim-row blocks with the
-    drift added to the last of them (the drift alone without ``x_map``),
-    then sigma(t, x) dW, the increments dw (c,) broadcast over the m // c
-    stacked copies."""
-    if tables.x_map is None:
-        row[0] = p.drift(t, x)
-    else:
-        np.matmul(tables.x_map, x, out=row[:-1].reshape(-1, x.shape[1]))
-        row[-2] += p.drift(t, x)
-    row[-1].reshape(p.dim, -1, dw.size)[...] = dw
-    row[-1] *= p.diffusion(t, x)
-
-
-def _blocks(n_steps: int) -> list[tuple[int, int]]:
-    """The output blocks (n0, n1): steps 1..n_steps in runs of HISTORY_BLOCK."""
-    return [(n0, min(n0 + HISTORY_BLOCK, n_steps + 1))
-            for n0 in range(1, n_steps + 1, HISTORY_BLOCK)]
-
-
-def _lag_weights(tables: KernelTables, n0: int, n1: int, j0: int,
-                 j1: int) -> np.ndarray:
-    """weights[n - j] of the steps n0..n1-1 against the history rows
-    j0..j1-1, gathered in a product's row order, ((n1 - n0) r, (j1 - j0) cf)
-    (the reshape copies nothing)."""
-    r = tables.weights.shape[1]
-    lags = np.arange(n0, n1)[:, None, None] - np.arange(j0, j1)
-    return tables.weights[lags, np.arange(r)[:, None]].reshape((n1 - n0) * r, -1)
-
-
-def _near_row(tables: KernelTables, nd: int) -> np.ndarray:
-    """The weights of lags HISTORY_BLOCK-1 .. 1 side by side: step k of a
-    block reads the last k blocks of columns against its in-block history.
-    The blocks are dense (dim, n_chan dim) even where the weights are
-    scalars: a one-row product runs as gemv, whose bits depend on the
-    number of paths."""
-    near = tables.weights[:HISTORY_BLOCK]
-    if near.shape[1] == 1:
-        near = np.kron(near, np.eye(nd))
-    return np.concatenate(near[:0:-1], axis=1)
-
-
-def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
-                dw: np.ndarray, out, known: np.ndarray | None = None) -> np.ndarray:
-    """The lag sum x_n = init_mats[n] x0 + sum_{j<n} weights[n - j] h_j for
-    one chunk of paths; returns the (copies * c,) mask of the paths whose
-    output stayed finite.
-
-    etas has shape (dim, copies) and dw shape (n_steps, c): the chunk stacks
-    c paths from each initial value side by side, x0 = np.repeat(etas, c,
-    axis=1), on the grid ``p.grid(n_steps)``, and every copy steps over the
-    same increments, broadcast, never copied. The history channels h_j
-    (``_channels``) come from the output row x_j just computed (the feedback
-    recurrence) or, given ``known`` (n_steps + 1, dim, c), from known[j] (the
-    operator without feedback; one history serves every copy). ``out`` takes
-    x0 as ``out[:1]`` and each block of steps n0..n1-1 once: it is a strided
-    view of the caller's ensembles, shape (n_steps + 1, dim, copies, c), in
-    whose rows each block is summed in place, or any other object, which
-    gets each finished block as ``out[n0:n1] = rows``. The mask is checked
-    on x0 and then once per block.
-
-    The kernel holds the channels of one piece of history, row 0 and then
-    the rows of each block of B = HISTORY_BLOCK steps, and pushes each piece
-    forward once it is complete. Block n0..n1-1 sums, in this order:
-
-    * for em, its far field: the pieces older than the previous block live
-      in exponential states, state_l = sum_j exp(-rates[l] (n0 - j))
-      far_weights[l] @ h_j, read out with one product. After its pushes, a
-      piece is folded into the states (decay by exp(-rates B), then the
-      absorb product, one slab of state columns at a time in the product
-      buffer of one block's rows), ready for the first block that reads it
-      there.
-    * its pending rows: each piece is pushed, one product each with weights
-      gathered exactly (``_lag_weights``), into every later block that
-      starts less than ``tables.far_lag`` after it: the next block for em
-      (far_lag = B + 1), every later block for mild (far_lag past the
-      grid). The first piece writes, the others add, in time order.
-    * its initial term, then row by row its near field (the in-block lags),
-      after which the row's channels are formed (given rows have theirs
-      formed before the near field).
-
-    A block is summed in its pending rows: the output rows themselves when
-    ``out`` is an array, otherwise a buffer of the far_lag - 1 rows that a
-    piece can feed (one block for em; for mild the grid, dim doubles per
-    path and step, half its history), reused from block to block.
-
-    The pushes and the near field regroup the direct sum, exact up to
-    rounding; the far field is as exact as the checked exponentials. Each
-    output row takes the same products in the same order with and without
-    ``known``, so without exponentials the operator maps this recurrence's
-    paths to themselves bit for bit.
-    """
-    nd = p.dim
-    _, r, cf = tables.weights.shape     # lag blocks (r, cf), cf = n_chan * r
-    n_chan = cf // r
-    cn = n_chan * nd
-    n_steps, c = dw.shape
-    # x0 and the mask are allocated before the working arrays, so they cannot
-    # pin the heap top above their freed space (that cost 0.7 MB peak RSS on
-    # a 768-path em pair)
-    x0 = np.repeat(etas, c, axis=1)
-    finite = np.isfinite(x0).all(axis=0)
-    times = p.grid(n_steps)
-    stacked = (nd, etas.shape[1], c)
-    blk = HISTORY_BLOCK
-    # one piece of history, read as (rows*cf, dim*width/r) by the products
-    # and as (rows*cn, width) by the near field
-    width = x0.shape[1] if known is None else c
-    hist = np.empty((blk, n_chan, nd, width))
-    hist_cols = hist.reshape(blk * cf, -1)
-    near_hist = hist.reshape(blk * cn, width)
-    near_row = _near_row(tables, nd)
-    stored = isinstance(out, np.ndarray)
-    pending = out[1:] if stored else np.empty(
-        (min(tables.far_lag - 1, n_steps), *stacked))
-    # a piece is folded in at lags far_lag+B-1 .. far_lag before the first
-    # block that reads it from the states; step k of a block reads state_l
-    # with exp(-rates[l] k)
-    n_exp = tables.rates.size
-    into = np.exp(-np.outer(tables.rates, tables.far_lag + blk - 1 - np.arange(blk)))
-    absorb = (into[:, None, :, None] * tables.far_weights[:, :, None, :]
-              ).reshape(n_exp * r, blk * cf)
-    readout = np.kron(np.exp(-np.outer(np.arange(blk), tables.rates)), np.eye(r))
-    decay = np.repeat(np.exp(-blk * tables.rates), r)[:, None]
-    state = np.zeros((n_exp * r, hist_cols.shape[1]))
-    # every product is formed here: a block's rows, or the states' update in
-    # column slabs that fit (at least 256 columns, a multiple of 8: the
-    # slabs' bits are those of one product)
-    rows_size = blk * nd * x0.shape[1]
-    col_slab = max(256, rows_size // max(n_exp * r, 1) // 8 * 8)
-    prod_buf = np.empty(max(rows_size, state[:, :col_slab].size))
-    blocks = _blocks(n_steps)
-
-    def sums(n0: int, n1: int) -> np.ndarray:
-        """The pending sums of steps n0..n1-1, one block."""
-        i = (n0 - 1) % len(pending)
-        return pending[i:i + n1 - n0]
-
-    def product(weights: np.ndarray, x: np.ndarray, rows: int) -> np.ndarray:
-        """weights @ x as ``rows`` output rows, (rows, dim, copies or 1, c)."""
-        shape = (*weights.shape[:-1], x.shape[-1])
-        return np.matmul(weights, x, out=prod_buf[:math.prod(shape)].reshape(shape)
-                         ).reshape(rows, nd, -1, c)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[:1] = x0.reshape(1, *stacked)
-        _channels(tables, p, times[0], x0 if known is None else known[0], dw[0],
-                  hist[0])
-        j0, j1 = 0, 1       # the history rows whose channels hist holds
-        for i, (n0, n1) in enumerate(blocks):
-            acc = sums(n0, n1)
-            if n0 >= tables.far_lag:        # the states hold rows
-                acc[...] = product(readout[:(n1 - n0) * r], state, n1 - n0)
-            for m0, m1 in blocks[i:]:
-                if m0 >= j0 + tables.far_lag:
-                    break
-                piece = product(_lag_weights(tables, m0, m1, j0, j1),
-                                hist_cols[:(j1 - j0) * cf], m1 - m0)
-                dest = sums(m0, m1)
-                if j0:
-                    dest += piece
-                else:
-                    dest[...] = piece
-            if blocks[-1][0] >= j0 + tables.far_lag:
-                state *= decay
-                fold = absorb[:, (blk - j1 + j0) * cf:]
-                for c0 in range(0, state.shape[1], col_slab):
-                    cols = state[:, c0:c0 + col_slab]
-                    cols += np.matmul(
-                        fold, hist_cols[:(j1 - j0) * cf, c0:c0 + col_slab],
-                        out=prod_buf[:cols.size].reshape(cols.shape))
-            acc += product(tables.init_mats[n0:n1], x0, n1 - n0)
-            if known is not None:
-                # given rows: their channels are formed before the near field,
-                # not between its products (measured 5% of picard_apply)
-                for k, n in enumerate(range(n0, min(n1, n_steps))):
-                    _channels(tables, p, times[n], known[n], dw[n], hist[k])
-            for k, n in enumerate(range(n0, n1)):
-                if k:
-                    acc[k] += (near_row[:, -k * cn:] @ near_hist[:k * cn]
-                               ).reshape(nd, -1, c)
-                if known is None and n < n_steps:
-                    _channels(tables, p, times[n], acc[k].reshape(nd, -1), dw[n],
-                              hist[k])
-            if not stored:
-                out[n0:n1] = acc
-            finite &= np.isfinite(acc).all(axis=(0, 1)).ravel()
-            j0, j1 = n0, min(n1, n_steps)
-    return finite
+    tables = dict(init_mats=mild_init_term(p, s, e_a1), weights=weights,
+                  x_map=None, rates=np.zeros(0),
+                  far_weights=np.zeros((0,) + weights.shape[1:]))
+    basis, coords = _far_basis(weights)
+    if basis is not None:
+        try:
+            return KernelTables(**tables, far_lag=HISTORY_BLOCK + 1,
+                                far_basis=basis, far_rows=coords)
+        except NonConvergenceError:
+            pass    # rounding keeps a lag block off: every lag stays exact
+    return KernelTables(**tables, far_lag=n_steps + 1)
 
 
 def _check_dims(p: ProblemSpec, *inits: InitialState) -> None:

@@ -66,6 +66,19 @@ def reciprocal_gamma(x: float) -> float:
     return 1.0 / g if g else math.copysign(math.inf, g)
 
 
+def reciprocal_gammas(xs: np.ndarray) -> np.ndarray:
+    """``reciprocal_gamma`` at every x of a 1-d float array, bit for bit, in
+    one pass: one ``math.gamma`` map and one division where 1e-300 <= x <
+    171 (Gamma is finite and nonzero there), the scalar function elsewhere."""
+    out = np.empty(xs.shape)
+    plain = (xs >= 1e-300) & (xs < 171.0)
+    if plain.all():
+        return np.divide(1.0, list(map(math.gamma, xs.tolist())), out=out)
+    out[plain] = np.divide(1.0, list(map(math.gamma, xs[plain].tolist())))
+    out[~plain] = list(map(reciprocal_gamma, xs[~plain].tolist()))
+    return out
+
+
 def _ml_log_series(alpha: float, z: np.ndarray, tol: float,
                    max_terms: int) -> np.ndarray:
     """log E_alpha(z) for z >= 0 from the power series, summed in log space.

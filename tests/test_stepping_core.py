@@ -1,17 +1,19 @@
 """The time-blocked stepping kernel against a direct O(N^2) per-step loop.
 
 The kernel splits each step's lag sum into a near field inside the current
-block, exact products that push each finished block into the later blocks
-and, for em, exponential states that carry every lag beyond HISTORY_BLOCK.
-The pushes and near field regroup the direct sum; the exponentials are
-checked against the exact lag weights to SOE_TOL = 1e-13 relative when the
-tables are built. So the kernel matches the direct sum to 1e-12 * max|x_n|
-at every step n, with and without feedback, also on grids where the
-exponentials carry most of the history.
+block, exact products that push each finished block into the next block and
+a far field for every lag beyond HISTORY_BLOCK: exponential states for em,
+and for mild pushes through one basis that every far block shares (or exact
+pushes where the basis does not pay). The pushes and near field regroup the
+direct sum; both far fields are checked against the exact lag weights to
+SOE_TOL = 1e-13 relative when the tables are built. So the kernel matches
+the direct sum to 1e-12 * max|x_n| at every step n, with and without
+feedback, also on grids where the far field carries most of the history.
 
 The direct loop does not read the kernel's tables. It builds each scheme's lag
 kernels here, as dense (dim, 3*dim) blocks against the history [x; b; sigma dW],
-straight from the product-quadrature weights.
+straight from the product-quadrature weights, and sums each step's lags in
+one product.
 """
 
 import dataclasses
@@ -22,7 +24,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from smtde import solvers
+from smtde import solvers, stepping
 from smtde.errors import NonConvergenceError, ValidationError
 from smtde.mlmatrix import MLParams, QTable, ml_nonperm_grid
 from smtde.solvers import (HISTORY_BLOCK, SOE_TOL, BrownianDriver,
@@ -91,18 +93,21 @@ def direct_paths(scheme, p, times, x0, dw, known=None):
     """
     n_steps = times.size - 1
     init_mats, kbig = DENSE[scheme](p, n_steps)
+    # K[N], ..., K[0] side by side: K[n - j] for j = 0..n-1 is one slice
+    wide = np.concatenate(kbig[::-1], axis=1)
+    cols = kbig.shape[2]
     x = np.empty((n_steps + 1,) + x0.shape)
     x[0] = x0
     src = x if known is None else known
-    hist = []
+    hist = np.empty((n_steps, cols) + x0.shape[1:])
     for n in range(1, n_steps + 1):
         j = n - 1
         xj = src[j]
-        hist.append(np.concatenate([xj, p.drift(times[j], xj),
-                                    p.diffusion(times[j], xj) * dw[j]]))
-        x[n] = init_mats[n] @ x0
-        for i in range(n):
-            x[n] += kbig[n - i] @ hist[i]
+        hist[j] = np.concatenate([xj, p.drift(times[j], xj),
+                                  p.diffusion(times[j], xj) * dw[j]])
+        # one product over every lag of step n
+        x[n] = init_mats[n] @ x0 + wide[:, (n_steps - n) * cols:n_steps * cols] @ \
+            hist[:n].reshape(n * cols, -1)
     return x
 
 
@@ -482,9 +487,142 @@ def test_near_tables_stop_below_history_block(sec6_problem):
 
 
 def test_mild_tables_carry_no_exponentials(sec6_problem):
+    # mild's far field is a shared basis, not exponentials: at 80 steps the
+    # windows s = 2B..79 (B = HISTORY_BLOCK) of the third block's pushes.
+    # At 64 steps no full piece is two blocks back of another: no far field
+    blk = HISTORY_BLOCK
     tables = mild_kernel_tables(sec6_problem, 80)
     assert tables.rates.size == 0 and tables.far_weights.shape == (0, 2, 4)
-    assert tables.far_lag == 81
+    assert tables.far_lag == blk + 1
+    k = len(tables.far_basis)
+    assert tables.far_basis.shape == (k, blk * 4) and 0 < k <= blk * 4 // 4
+    assert tables.far_rows.shape == (81, 2, k)
+    assert not tables.far_rows[:2 * blk].any() and not tables.far_rows[80].any()
+    short = mild_kernel_tables(sec6_problem, 2 * blk)
+    assert short.far_basis is None and short.far_rows is None
+    assert short.far_lag == 2 * blk + 1
+
+
+def _mild_far_errors(tables):
+    """Per far window s and lag block b: the relative Frobenius error of
+    far_rows[s] @ far_basis against weights[s - b], formed here from the
+    definition, one window at a time."""
+    blk = HISTORY_BLOCK
+    n_steps, r, cf = tables.weights.shape
+    n_steps -= 1
+    errs = []
+    for s in range(2 * blk, n_steps):
+        approx = (tables.far_rows[s] @ tables.far_basis).reshape(r, blk, cf)
+        exact = tables.weights[s - np.arange(blk)].transpose(1, 0, 2)
+        errs.append(np.linalg.norm(approx - exact, axis=(0, 2))
+                    / np.linalg.norm(exact, axis=(0, 2)))
+    return np.array(errs)
+
+
+@pytest.mark.parametrize("horizon, n_steps", [(1.0, 64), (20.0, 64), (1.0, 100),
+                                              (1.0, 1000), (20.0, 1000)])
+def test_mild_basis_holds_every_far_lag(horizon, n_steps):
+    # every far lag at every position in every window that a push reads:
+    # within SOE_TOL relative per (dim, 2 dim) lag block, with an
+    # orthonormal basis of 16 to 20 rows (measured; the limit is B cf / 4 =
+    # 32). At 64 steps there is nothing far to hold
+    p = make_problem(horizon=horizon)
+    tables = mild_kernel_tables(p, n_steps)
+    if n_steps <= 2 * HISTORY_BLOCK:
+        assert tables.far_basis is None
+        return
+    basis = tables.far_basis
+    assert 10 <= len(basis) <= 24
+    assert np.abs(basis @ basis.T - np.eye(len(basis))).max() <= 1e-14
+    errs = _mild_far_errors(tables)
+    assert errs.shape == (n_steps - 2 * HISTORY_BLOCK, HISTORY_BLOCK)
+    assert errs.max() <= SOE_TOL
+
+
+def test_mild_basis_off_raises_and_falls_back(sec6_problem, monkeypatch):
+    # a basis that misses one lag block is refused by the build-time check,
+    # which names the lag; mild_kernel_tables then keeps every lag exact
+    tables = mild_kernel_tables(sec6_problem, 200)
+    rows = tables.far_rows.copy()
+    rows[150, 0] *= 1.0 + 1e-10
+    with pytest.raises(NonConvergenceError,
+                       match=r"shared-basis far field: lag 1[2-5]\d block is off by"):
+        dataclasses.replace(tables, far_rows=rows)
+    monkeypatch.setattr(solvers, "_far_basis",
+                        lambda w: (tables.far_basis, rows))
+    exact = mild_kernel_tables(sec6_problem, 200)
+    assert exact.far_basis is None and exact.far_lag == 201
+
+
+def test_stable_pair_declines_the_basis(eta_state):
+    # A = -[[1, .2], [0, 1]], B = -[[1, 0], [.3, 1]] at T = 5: the decaying
+    # kernels need the full rank B cf = 128, so the tables carry no basis and
+    # every lag is pushed exactly. The paths still match the direct loop,
+    # and the operator maps them to themselves bit for bit
+    p = make_problem(a_mat=-np.array([[1.0, 0.2], [0.0, 1.0]]),
+                     b_mat=-np.array([[1.0, 0.0], [0.3, 1.0]]), horizon=5.0)
+    n_steps = 300
+    tables = mild_kernel_tables(p, n_steps)
+    assert tables.far_basis is None and tables.far_lag == n_steps + 1
+    ens = simulate_mild(p, eta_state, BrownianDriver(seed=3, n_steps=n_steps), 3)
+    assert_close_per_step(ens.paths, direct_paths(
+        "mild", p, ens.grid, ens.paths[0], ens.increments))
+    assert np.array_equal(picard_apply(p, eta_state, ens).paths, ens.paths)
+
+
+@pytest.mark.parametrize("horizon", [1.0, 20.0])
+@pytest.mark.parametrize("n_steps", [400, 1000])
+def test_mild_far_field_matches_direct_loop(eta_state, horizon, n_steps):
+    # most of each step's history is read through the shared basis here,
+    # with feedback and by picard_apply; an exact-push run is the same
+    # recurrence regrouped, to rounding
+    p = make_problem(horizon=horizon)
+    drv = BrownianDriver(seed=6, n_steps=n_steps)
+    tables = mild_kernel_tables(p, n_steps)
+    assert tables.far_basis is not None
+    ens = simulate_mild(p, eta_state, drv, 3)
+    assert_close_per_step(ens.paths, direct_paths(
+        "mild", p, ens.grid, ens.paths[0], ens.increments))
+    y = simulate_em(p, eta_state, drv, 3)
+    out = picard_apply(p, eta_state, y, tables=tables)
+    assert_close_per_step(out.paths, direct_paths(
+        "mild", p, y.grid, y.paths[0], y.increments, known=y.paths))
+    exact = dataclasses.replace(tables, far_lag=n_steps + 1, far_basis=None,
+                                far_rows=None)
+    assert_close_per_step(picard_apply(p, eta_state, y, tables=exact).paths,
+                          out.paths)
+
+
+def test_mild_fixed_point_through_the_basis(sec6_problem, eta_state,
+                                            monkeypatch):
+    # 200 steps: seven blocks, so a piece is pushed through the basis into
+    # up to five later blocks. Each output row takes the same products in
+    # the same order with and without feedback, over three chunks
+    monkeypatch.setattr(solvers, "CHUNK_PATHS", 4)
+    n_steps = 200
+    tables = mild_kernel_tables(sec6_problem, n_steps)
+    assert tables.far_basis is not None
+    assert len(stepping._blocks(n_steps)) - 2 >= 3
+    star = simulate_mild(sec6_problem, eta_state,
+                         BrownianDriver(seed=14, n_steps=n_steps), 10)
+    image = picard_apply(sec6_problem, eta_state, star, tables=tables)
+    assert np.array_equal(image.paths, star.paths)
+
+
+@pytest.mark.parametrize("scheme", sorted(TABLES))
+@pytest.mark.parametrize("n_steps", [33, 50, 64, 200])
+def test_adjacent_weights_are_the_gathered_ones(sec6_problem, scheme, n_steps):
+    # a full piece's push into the next block reads the weights gathered
+    # once per table; they equal, row slice for row slice, the gather of
+    # every such push (also into a short last block), and are C-contiguous
+    # like it, so the products keep their bits
+    tables = TABLES[scheme](sec6_problem, n_steps)
+    blocks = stepping._blocks(n_steps)
+    r = tables.weights.shape[1]
+    for (j0, j1), (m0, m1) in zip(blocks, blocks[1:]):
+        got = tables.adjacent[:(m1 - m0) * r]
+        want = stepping._lag_weights(tables.weights, m0, m1, j0, j1)
+        assert got.flags.c_contiguous and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("q", [0.05, 0.1, 0.5, 0.75, 0.95, 1.3])
@@ -519,6 +657,23 @@ def test_exponentials_hold_every_far_lag(alpha, beta_frac, n_steps):
     approx = np.exp(-np.outer(lags, tables.rates)) @ tables.far_weights[:, 0, 2]
     k_s = (lags * h) ** (alpha - 1.0) * reciprocal_gamma(alpha)
     assert np.all(np.abs(approx - k_s) <= SOE_TOL * k_s)
+
+
+def test_em_table_check_runs_in_lag_blocks():
+    # the far-field check takes FAR_CHECK_LAGS lags at a time, so at
+    # N = 10^5 the build peaks at the tables it keeps (weights and
+    # init_mats, 5.6 MB) plus a few grid-sized vectors: 9.6 MB measured.
+    # Checked all at once, the (N, K) arrays of exponentials made it 168 MB
+    p = make_problem(horizon=3.0)
+    n_steps = 100_000
+    tracemalloc.start()
+    try:
+        tables = em_kernel_tables(p, n_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = tables.weights.nbytes + tables.init_mats.nbytes
+    assert peak <= 2 * kept
 
 
 @pytest.mark.parametrize("constant, value", [("SOE_PANEL_NODES", 4),
