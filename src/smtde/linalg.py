@@ -7,8 +7,6 @@ sparse or structured path anywhere.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 
@@ -40,61 +38,3 @@ def commutator(a, b) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a
 
-
-def pivoted_row_basis(rows: np.ndarray, basis: np.ndarray, k: int,
-                      row_tol: np.ndarray, accept: Callable[[int, np.ndarray], bool],
-                      chunk: int) -> int | None:
-    """Extends the orthonormal rows ``basis[:k]`` by pivoted Gram-Schmidt
-    until they span the rows of ``rows`` (n, m) to the caller's tolerance;
-    returns the new count, or None where the len(basis) rows of the buffer
-    ``basis`` (., m) do not suffice. ``rows`` is overwritten.
-
-    Each new basis row is the largest residual row, orthogonalized against
-    the basis once more. The squared residual norms are downdated by each
-    new coordinate; the residual itself is formed once they have lost half
-    their digits or all claim to be within ``row_tol`` (n,). The basis is
-    accepted when every squared residual norm is within row_tol and
-    ``accept(lo, sq)`` holds for the squared residual entries sq of the
-    rows lo..lo+len(sq)-1 of each run of ``chunk`` rows.
-
-    Every product takes one run of rows, and the inner products with one
-    row are elementwise products and sums: BLAS touches packing buffer in
-    proportion to a product's rows, and a matrix-vector product pages in
-    code of its own, resident memory that the caller need not otherwise
-    touch.
-    """
-    n = len(rows)
-    coef = np.empty((len(basis), n))    # coordinates along basis[k0:k]
-    buf = np.empty((min(chunk, n), rows.shape[1]))
-    runs = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    base_sq = np.empty(n)
-    for lo, hi in runs:
-        base_sq[lo:hi] = np.square(rows[lo:hi], out=buf[:hi - lo]).sum(axis=1)
-        coef[:k, lo:hi] = basis[:k] @ rows[lo:hi].T
-    row_sq = base_sq - np.square(coef[:k]).sum(axis=0)
-    k0 = 0      # rows holds the residual of basis[:k0]
-    while True:
-        if row_sq.max() <= 1e-8 * base_sq.max() or np.all(row_sq <= row_tol):
-            done = True
-            for lo, hi in runs:
-                rows[lo:hi] -= np.matmul(coef[k0:k, lo:hi].T, basis[k0:k],
-                                         out=buf[:hi - lo])
-                sq = np.square(rows[lo:hi], out=buf[:hi - lo])
-                base_sq[lo:hi] = sq.sum(axis=1)
-                done = done and bool(np.all(base_sq[lo:hi] <= row_tol[lo:hi])
-                                     and accept(lo, sq))
-            k0 = k
-            row_sq = base_sq.copy()
-            if done:
-                return k
-        if k == len(basis):
-            return None
-        i = np.argmax(row_sq)
-        v = rows[i] - (coef[k0:k, i, None] * basis[k0:k]).sum(axis=0)
-        v -= ((basis[:k] * v).sum(axis=1)[:, None] * basis[:k]).sum(axis=0)
-        basis[k] = v / np.sqrt(np.square(v).sum())
-        for lo, hi in runs:
-            np.multiply(rows[lo:hi], basis[k], out=buf[:hi - lo]).sum(
-                axis=1, out=coef[k, lo:hi])
-        row_sq -= np.square(coef[k])
-        k += 1

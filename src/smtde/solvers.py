@@ -33,18 +33,30 @@ provided, both on uniform grids:
   left-point kernel value.
 
 Both schemes and the Picard operator share one stepping kernel,
-``stepping._step_paths``: the same lag sum, computed with feedback (the
-history is the output just computed) or, for ``picard_apply``, without (the
-history is a given ensemble). Each scheme's kernel tables hold one lag
-table in the narrowest form it uses (scalar weights for ``em``, no X-memory
-block for ``mild``), so with A = B = 0 the two schemes sum the same terms
-in different groupings and agree to rounding, not bit for bit.
+``_step_paths``: the same lag sum, computed with feedback (the history is
+the output just computed) or, for ``picard_apply``, without (the history is
+a given ensemble). Each scheme's kernel tables hold one lag table in the
+narrowest form it uses (scalar weights for ``em``, no X-memory block for
+``mild``), so with A = B = 0 the two schemes sum the same terms in
+different groupings and agree to rounding, not bit for bit.
 
-The kernel (``stepping``) holds one block of HISTORY_BLOCK history rows and
-reads all older history through exact pushes and the far field that the
-tables carry: a sum of exponentials for ``em``, so its stepping costs
-O(N (K + B)), and for ``mild`` one low-rank basis that every far block
-offset shares, or exact pushes where the basis does not pay.
+The kernel holds one block of HISTORY_BLOCK history rows and pushes each
+finished block forward. A step's lags fall in three fields: the lags inside
+its own block (near field), the previous block (one exact product per block
+of history, pushed into the next block), and all older history (lags from
+B + 1 = far_lag on), which the tables carry in a far field checked against
+the exact weights at every far lag. The ``em`` power-law kernels have a sum
+of exponentials (a few dozen shared rates), so a block is pushed into the
+next block only, its stepping costs O(N (K + B)) for N steps, K rates and
+block length B, and no history beyond one block is kept. The ``mild``
+tables have one basis of k rows (at most 22 measured on sec6) that every
+far block offset shares: a finished block is pushed into every later block
+but the next through its k coordinates, (B dim x k) per push instead of a
+(B dim x 2 B dim) block, still an O(N^2) sum whose pending sums (dim doubles
+per step and path) are the only thing that grows with the grid, held in the
+output when it is stored. Where the basis would cost more than exact pushes
+(``_basis_limit``; decaying kernels), every mild lag stays exact. So
+``picard_apply`` maps a ``simulate_mild`` ensemble to itself bit for bit.
 
 Paths are stored time first and paths last, (n_steps + 1, dim, n_paths),
 the layout the core computes in. Every ensemble is stepped by one chunk
@@ -74,16 +86,18 @@ from typing import Callable
 import numpy as np
 
 from .errors import EnsembleError, NonConvergenceError, ValidationError
-from .linalg import as_matrix, pivoted_row_basis
+from .linalg import as_matrix
 from .mlmatrix import MLParams, QTable, ml_nonperm_grid
 from .specfun import reciprocal_gamma, rl_weights
-from .stepping import HISTORY_BLOCK, _lag_weights, _step_paths
 
 # Paths are simulated in fixed-size chunks regardless of thread count so that
 # results are independent of the parallel partition. A chunk's width sets
 # how much history, how many exponential states and, on the reduced route,
 # how wide a slab of increments is held at once.
 CHUNK_PATHS = 1024
+# Output steps per block of the stepping core: a block reads its older
+# history with one product instead of once per step.
+HISTORY_BLOCK = 32
 # Steps per slab of increments that a chunk of the reduced route draws at
 # once (``_Slabs``): its noise does not grow with the grid.
 NOISE_SLAB = 8 * HISTORY_BLOCK
@@ -325,14 +339,8 @@ class KernelTables:
             self.weights, blk + 1, min(2 * blk, n_steps) + 1, 1, blk + 1)
             if n_steps > blk else None)
         basis = self.far_basis is not None
-        # one far row is a lag (exponentials) or a window of B lags (basis;
-        # the last lag is read by row 0 alone, exactly)
-        end = n_steps + 1 - basis
-        step = blk if basis else FAR_CHECK_LAGS
-        for lo in range(self.far_lag + basis * (blk - 1), end, step):
-            hi = min(lo + step, end)
-            lags, err, scale = (self._basis_error if basis else
-                                self._exponential_error)(lo, hi)
+        for lags, err, scale in (self._basis_errors() if basis else
+                                 self._exponential_errors()):
             bad = ~(err <= SOE_TOL * scale)
             if bad.any():
                 i, c = np.argwhere(bad)[0]
@@ -343,30 +351,55 @@ class KernelTables:
                     f"{where} is off by {err[i, c] / scale[i, c]:.1e} relative "
                     f"(tolerance {SOE_TOL:.0e})")
 
-    def _exponential_error(self, lo: int, hi: int):
-        """The lags lo..hi-1 (S, 1), and per weight the error of the
-        exponentials and the weight's size, (S, r * cf) each."""
-        lags = np.arange(lo, hi)[:, None]
-        size = self.weights[0].size
-        exact = self.weights[lo:hi].reshape(hi - lo, size)
-        approx = np.exp(-lags * self.rates) @ \
-            self.far_weights.reshape(self.rates.size, size)
-        return lags, np.abs(approx - exact), np.abs(exact)
+    def _exponential_errors(self):
+        """Per FAR_CHECK_LAGS far lags: the lags (S, 1), and per weight the
+        error of the exponentials and the weight's size, (S, r * cf) each."""
+        end, size = len(self.weights), self.weights[0].size
+        for lo in range(self.far_lag, end, FAR_CHECK_LAGS):
+            hi = min(lo + FAR_CHECK_LAGS, end)
+            lags = np.arange(lo, hi)[:, None]
+            exact = self.weights[lo:hi].reshape(hi - lo, size)
+            approx = np.exp(-lags * self.rates) @ \
+                self.far_weights.reshape(self.rates.size, size)
+            yield lags, np.abs(approx - exact), np.abs(exact)
 
-    def _basis_error(self, lo: int, hi: int):
-        """The lags s - b of the windows s = lo..hi-1 (S, B), and per lag
-        block the Frobenius norms of the basis's error and of the block,
-        (S, B) each."""
+    def _basis_errors(self):
+        """Per B far windows s (``_far_windows``): the lags s - b (S, B), and
+        per lag block the Frobenius norms of the basis's error and of the
+        block, (S, B) each."""
         blk = HISTORY_BLOCK
         _, r, cf = self.weights.shape
-        exact = _lag_weights(self.weights, lo, hi, 0, blk)
-        err = self.far_rows[lo:hi].reshape(len(exact), -1) @ self.far_basis
-        err -= exact
-        blocks = (hi - lo, r, blk, cf)
-        err_sq = np.square(err, out=err).reshape(blocks).sum(axis=(1, 3))
-        exact_sq = np.square(exact, out=exact).reshape(blocks).sum(axis=(1, 3))
-        return (np.arange(lo, hi)[:, None] - np.arange(blk), np.sqrt(err_sq),
-                np.sqrt(exact_sq))
+        windows = _far_windows(self.weights)
+        for lo in range(0, len(windows), blk):
+            exact = windows[lo:lo + blk].reshape(-1, r, blk, cf)
+            s0, s1 = 2 * blk + lo, 2 * blk + lo + len(exact)
+            err = (self.far_rows[s0:s1].reshape(-1, len(self.far_basis))
+                   @ self.far_basis).reshape(exact.shape)
+            err -= exact
+            yield (np.arange(s0, s1)[:, None] - np.arange(blk),
+                   np.sqrt(_lag_block_sq(err)), np.sqrt(_lag_block_sq(exact)))
+
+
+def _lag_block_sq(windows: np.ndarray) -> np.ndarray:
+    """The squared Frobenius norms of the (r, cf) lag blocks of windows
+    (S, r, B, cf), (S, B): each lag row's product with itself, summed over
+    r, with no temporary of the windows' size."""
+    return (windows[..., None, :] @ windows[..., :, None]).sum(axis=(1, 3, 4))
+
+
+def _far_windows(weights: np.ndarray) -> np.ndarray:
+    """The far windows s = 2B..n_steps-1 of the lag table ``weights``
+    (n_steps + 1, r, cf), B = HISTORY_BLOCK: entry s - 2B is
+    ``_lag_weights(weights, s, s + 1, 0, B)``, the lags s, s - 1, ...,
+    s - B + 1 side by side, (r, B cf). One read-only view of a copy of the
+    table in reverse lag order, in which each window row is one run."""
+    n_steps, r, cf = weights.shape
+    n_steps -= 1
+    rev = np.ascontiguousarray(weights[::-1].transpose(1, 0, 2))
+    return np.lib.stride_tricks.as_strided(
+        rev[:, n_steps - 2 * HISTORY_BLOCK:],
+        (n_steps - 2 * HISTORY_BLOCK, r, HISTORY_BLOCK * cf),
+        (-cf * rev.itemsize, rev.strides[0], rev.itemsize), writeable=False)
 
 
 def _gauss_jacobi(q: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -461,65 +494,137 @@ def mild_init_term(p: ProblemSpec, ts: np.ndarray, e_a1: np.ndarray) -> np.ndarr
     return np.eye(p.dim) + ts[:, None, None] ** p.alpha * (e_a1 @ p.b_mat)
 
 
+def _basis_limit(n_steps: int, r: int, cf: int) -> int:
+    """The most rows k for which a shared basis makes the far pushes of a
+    lag table (n_steps + 1, r, cf) cheaper than exact pushes; 0 where no
+    piece is pushed two blocks on.
+
+    With nb blocks of B = HISTORY_BLOCK steps, the full piece of block i is
+    pushed into the nb - 2 - i blocks two or more blocks later: exactly,
+    one (B r, B cf) product each, or through the basis, one (k, B cf)
+    coordinate product per piece and one (B r, k) product per push. Over
+    the F = (nb - 2)(nb - 1) / 2 far pushes of the P = nb - 2 pieces, the
+    basis takes fewer flops while k (F r + P cf) < F r B cf: k <= 42 with
+    three blocks, 88 at 300 steps, 123 at 4000 on sec6 (r = 2, cf = 4).
+    The flops give the times: against a (64, 128) @ (128, cols) push at
+    256 to 2048 columns (OpenBLAS, one thread), a (64, k) far push took
+    0.50-0.53 of it at k = 64 and 0.98-1.01 at k = 128, and the (k, 128)
+    coordinate product 0.98-1.00 at k = 64.
+    """
+    nb = -(-n_steps // HISTORY_BLOCK)
+    far, pieces = (nb - 2) * (nb - 1) // 2, nb - 2
+    if far <= 0:
+        return 0
+    return (far * r * HISTORY_BLOCK * cf - 1) // (far * r + pieces * cf)
+
+
 def _far_basis(weights: np.ndarray):
     """(far_basis, far_rows) of the lag table ``weights`` (n_steps + 1, r, cf)
-    (see ``KernelTables``), or (None, None) where a basis would not pay: on
-    grids with no block two blocks back of another, and where k > B cf / 4,
-    B = HISTORY_BLOCK.
+    (see ``KernelTables``), or (None, None) where it would take more than
+    ``_basis_limit`` rows.
 
-    The far windows s = 2B..n_steps-1 (a full piece starts at row 1 or
-    later), each (r, B cf), are scaled per far block offset (the windows
-    s = B Delta .. B Delta + B - 1 of one offset Delta to unit Frobenius
-    norm; the last offset has only the grid's windows). The basis is that
-    of their rows (``pivoted_row_basis``, one offset's rows per product)
-    that leaves every (r, cf) lag block of every window within SOE_TOL / 2
-    of its residual, relative in Frobenius norm. It is built from
-    FAR_BASIS_OFFSETS offsets at a time, in the order of their lags, each
+    The basis spans the far windows (``_far_windows``; a full piece starts
+    at row 1 or later) of every far block offset (``_extend_basis``), taken
+    FAR_BASIS_OFFSETS offsets at a time in the order of their lags, each
     group extending the basis of the groups before, so the build holds one
-    group of windows whatever the grid. ``far_rows`` holds the coordinates
-    of the unscaled windows, W far_basis^T.
+    group of windows whatever the grid. A first pass over offsets spread
+    across the grid, whose basis is dropped, declines at once where the
+    lags need more than the limit, instead of after the groups before the
+    one that passes it. ``far_rows`` holds the coordinates of the windows,
+    W far_basis^T.
     """
     n_steps, r, cf = weights.shape
     n_steps -= 1
     blk = HISTORY_BLOCK
-    first = 2 * blk
-    if n_steps <= first:
+    limit = _basis_limit(n_steps, r, cf)
+    if not limit:
         return None, None
     # the kept basis is allocated before the temporaries, so it cannot pin
     # the heap above their freed space
-    basis = np.empty((blk * cf // 4, blk * cf))
-    rows = np.empty((min(FAR_BASIS_OFFSETS * blk, n_steps - first) * r, blk * cf))
-    block_tol = np.empty((len(rows) // r, blk))
-    windows = (-1, r, blk, cf)
+    basis = np.empty((limit, blk * cf))
+    windows = _far_windows(weights)
+    offsets = -(-len(windows) // blk)
+    runs = [range(lo, min(lo + FAR_BASIS_OFFSETS, offsets))
+            for lo in range(0, offsets, FAR_BASIS_OFFSETS)]
+    group = np.empty((min(FAR_BASIS_OFFSETS * blk, len(windows)), r, blk, cf))
+    coef = np.empty((limit, len(group) * r))
+    if len(runs) > 1 and _extend_basis(windows, range(0, offsets, len(runs)),
+                                       basis, 0, group, coef) is None:
+        return None, None
     k = 0
-    for g0 in range(first, n_steps, FAR_BASIS_OFFSETS * blk):
-        g1 = min(g0 + FAR_BASIS_OFFSETS * blk, n_steps)
-        group = rows[:(g1 - g0) * r]
-        for lo in range(g0, g1, blk):
-            hi = min(lo + blk, g1)
-            part = group[(lo - g0) * r:(hi - g0) * r]
-            part[...] = _lag_weights(weights, lo, hi, 0, blk)
-            part /= np.sqrt(np.square(part).sum())
-            # squared tolerances per lag block of each window
-            block_tol[lo - g0:hi - g0] = (SOE_TOL / 2) ** 2 * \
-                np.square(part).reshape(windows).sum(axis=(1, 3))
-        tol = block_tol[:g1 - g0]
-        # a row's residual is at most its window's
-        k = pivoted_row_basis(
-            group, basis, k, tol.sum(axis=1).repeat(r),
-            lambda lo, sq: np.all(sq.reshape(windows).sum(axis=(1, 3))
-                                  <= tol[lo // r:lo // r + len(sq) // r]),
-            blk * r)
+    for run in runs:
+        k = _extend_basis(windows, run, basis, k, group, coef)
         if k is None:
             return None, None
-    del rows
+    del group, coef
     basis = basis[:k]
     coords = np.zeros((n_steps + 1, r, k))
-    for lo in range(first, n_steps, blk):
-        hi = min(lo + blk, n_steps)
-        np.matmul(_lag_weights(weights, lo, hi, 0, blk), basis.T,
-                  out=coords[lo:hi].reshape(-1, k))
+    for lo in range(0, len(windows), blk):
+        part = windows[lo:lo + blk]
+        np.matmul(part.reshape(-1, blk * cf), basis.T,
+                  out=coords[2 * blk + lo:2 * blk + lo + len(part)].reshape(-1, k))
     return basis, coords
+
+
+def _extend_basis(windows: np.ndarray, offsets, basis: np.ndarray, k: int,
+                  group: np.ndarray, coef: np.ndarray) -> int | None:
+    """Extends the orthonormal rows basis[:k] to the far windows of the
+    block offsets ``offsets`` (B = HISTORY_BLOCK entries of ``windows`` per
+    offset, the last offset those the grid has), until every (r, cf) lag
+    block of every window is within SOE_TOL / 2 of its residual, relative
+    in Frobenius norm; returns the new count, or None where that takes
+    more than len(basis) rows. ``group`` (S, r, B, cf) holds the windows,
+    each offset's scaled to unit Frobenius norm, and ``coef`` (len(basis),
+    S r) their coordinates.
+
+    Pivoted Gram-Schmidt on the windows' rows: each new basis row is the
+    largest residual row, orthogonalized against the basis once more. The
+    squared residual norms are downdated by each new coordinate; the
+    residual itself is formed once they have lost half their digits or all
+    claim to be within the tolerance (a row's residual is at most its
+    window's), and its lag blocks decide.
+    """
+    blk = HISTORY_BLOCK
+    n = 0       # windows
+    for off in offsets:
+        src = windows[off * blk:(off + 1) * blk]
+        part = group[n:n + len(src)]
+        part.reshape(src.shape)[...] = src
+        part /= np.sqrt(part.ravel() @ part.ravel())
+        n += len(src)
+    win = group[:n]
+    rows = win.reshape(-1, basis.shape[1])
+    m, run = len(rows), blk * win.shape[1]
+    tol = (SOE_TOL / 2) ** 2 * _lag_block_sq(win)
+    row_tol = tol.sum(axis=1).repeat(win.shape[1])
+    tol_max = row_tol.max()
+    np.matmul(basis[:k], rows.T, out=coef[:k, :m])
+    row_sq = (rows[:, None] @ rows[:, :, None]).ravel()
+    top = row_sq.max()
+    row_sq -= np.square(coef[:k, :m]).sum(axis=0)
+    k0 = 0      # rows holds the residual of basis[:k0]
+    while True:
+        i = np.argmax(row_sq)
+        if row_sq[i] <= 1e-8 * top or (row_sq[i] <= tol_max and
+                                       np.all(row_sq <= row_tol)):
+            # one offset at a time: a temporary of the group's size would
+            # stay on the heap after the build
+            for lo in range(0, m, run):
+                rows[lo:lo + run] -= coef[k0:k, lo:m][:, :run].T @ basis[k0:k]
+            k0 = k
+            row_sq = (rows[:, None] @ rows[:, :, None]).ravel()
+            top = row_sq.max()
+            if np.all(_lag_block_sq(win) <= tol):
+                return k
+            i = np.argmax(row_sq)
+        if k == len(basis):
+            return None
+        v = rows[i] - coef[k0:k, i] @ basis[k0:k]
+        v -= (basis[:k] @ v) @ basis[:k]
+        np.divide(v, np.sqrt(v @ v), out=basis[k])
+        np.matmul(rows, basis[k], out=coef[k, :m])
+        row_sq -= np.square(coef[k, :m])
+        k += 1
 
 
 def mild_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
@@ -550,6 +655,226 @@ def mild_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
         except NonConvergenceError:
             pass    # rounding keeps a lag block off: every lag stays exact
     return KernelTables(**tables, far_lag=n_steps + 1)
+
+
+def _channels(tables: KernelTables, p: ProblemSpec, t: float, x: np.ndarray,
+              dw: np.ndarray, row: np.ndarray) -> None:
+    """Write the history channels of the values x = X(t), (dim, m), into row,
+    (n_chan, dim, m): ``x_map @ x`` split into its dim-row blocks with the
+    drift added to the last of them (the drift alone without ``x_map``),
+    then sigma(t, x) dW, the increments dw (c,) broadcast over the m // c
+    stacked copies."""
+    if tables.x_map is None:
+        row[0] = p.drift(t, x)
+    else:
+        np.matmul(tables.x_map, x, out=row[:-1].reshape(-1, x.shape[1]))
+        row[-2] += p.drift(t, x)
+    row[-1].reshape(p.dim, -1, dw.size)[...] = dw
+    row[-1] *= p.diffusion(t, x)
+
+
+def _blocks(n_steps: int) -> list[tuple[int, int]]:
+    """The output blocks (n0, n1): steps 1..n_steps in runs of HISTORY_BLOCK."""
+    return [(n0, min(n0 + HISTORY_BLOCK, n_steps + 1))
+            for n0 in range(1, n_steps + 1, HISTORY_BLOCK)]
+
+
+def _lag_weights(weights: np.ndarray, n0: int, n1: int, j0: int,
+                 j1: int) -> np.ndarray:
+    """weights[n - j] of the steps n0..n1-1 against the history rows
+    j0..j1-1, gathered in a product's row order, ((n1 - n0) r, (j1 - j0) cf)
+    (the reshape copies nothing)."""
+    r = weights.shape[1]
+    lags = np.arange(n0, n1)[:, None, None] - np.arange(j0, j1)
+    return weights[lags, np.arange(r)[:, None]].reshape((n1 - n0) * r, -1)
+
+
+def _near_row(tables: KernelTables, nd: int) -> np.ndarray:
+    """The weights of lags HISTORY_BLOCK-1 .. 1 side by side: step k of a
+    block reads the last k blocks of columns against its in-block history.
+    The blocks are dense (dim, n_chan dim) even where the weights are
+    scalars: a one-row product runs as gemv, whose bits depend on the
+    number of paths."""
+    near = tables.weights[:HISTORY_BLOCK]
+    if near.shape[1] == 1:
+        near = np.kron(near, np.eye(nd))
+    return np.concatenate(near[:0:-1], axis=1)
+
+
+def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
+                dw: np.ndarray, out, known: np.ndarray | None = None) -> np.ndarray:
+    """The lag sum x_n = init_mats[n] x0 + sum_{j<n} weights[n - j] h_j for
+    one chunk of paths; returns the (copies * c,) mask of the paths whose
+    output stayed finite.
+
+    etas has shape (dim, copies) and dw shape (n_steps, c): the chunk stacks
+    c paths from each initial value side by side, x0 = np.repeat(etas, c,
+    axis=1), on the grid ``p.grid(n_steps)``, and every copy steps over the
+    same increments, broadcast, never copied. The history channels h_j
+    (``_channels``) come from the output row x_j just computed (the feedback
+    recurrence) or, given ``known`` (n_steps + 1, dim, c), from known[j] (the
+    operator without feedback; one history serves every copy). ``out`` takes
+    x0 as ``out[:1]`` and each block of steps n0..n1-1 once: it is a strided
+    view of the caller's ensembles, shape (n_steps + 1, dim, copies, c), in
+    whose rows each block is summed in place, or any other object, which
+    gets each finished block as ``out[n0:n1] = rows``. The mask is checked
+    on x0 and then once per block.
+
+    The kernel holds the channels of one piece of history, row 0 and then
+    the rows of each block of B = HISTORY_BLOCK steps, and pushes each piece
+    forward once it is complete. Row 0 and a block's next block read the
+    exact weights (the next block's gathered once, ``tables.adjacent``), the
+    rest the tables' far field. Block n0..n1-1 sums, in this order:
+
+    * for em, its far field: the pieces older than the previous block live
+      in exponential states, state_l = sum_j exp(-rates[l] (n0 - j))
+      far_weights[l] @ h_j, read out with one product. After its pushes, a
+      piece is folded into the states (decay by exp(-rates B), then the
+      absorb product, one slab of state columns at a time in the product
+      buffer of one block's rows), ready for the first block that reads it
+      there.
+    * its pending rows: each piece is pushed, one product each, into the
+      later blocks that it reaches: the next block for em, whose states
+      carry the rest; for mild every later block, exactly into those that
+      start less than ``tables.far_lag`` after it (all of them for row 0 or
+      without a basis) and otherwise through the basis, ``far_rows`` of the
+      block's lags against the piece's coordinates, formed once per piece
+      with one (k, B cf) product after its exact pushes; the far pushes are
+      formed in hist, whose channels are read by then. The first piece
+      writes, the others add, in time order.
+    * its initial term, then row by row its near field (the in-block lags),
+      after which the row's channels are formed (given rows have theirs
+      formed before the near field).
+
+    A block is summed in its pending rows: the output rows themselves when
+    ``out`` is an array, otherwise a buffer of the rows that a piece can
+    feed (one block for em; for mild the grid, dim doubles per path and
+    step, half its history), reused from block to block.
+
+    The exact pushes and the near field regroup the direct sum, exact up to
+    rounding; the far field is as exact as the checked exponentials or
+    basis. Each output row takes the same products in the same order with
+    and without ``known``, so without exponentials (mild, with or without
+    a basis) the operator maps this recurrence's paths to themselves bit
+    for bit.
+    """
+    nd = p.dim
+    _, r, cf = tables.weights.shape     # lag blocks (r, cf), cf = n_chan * r
+    n_chan = cf // r
+    cn = n_chan * nd
+    n_steps, c = dw.shape
+    # x0 and the mask are allocated before the working arrays, so they cannot
+    # pin the heap top above their freed space (that cost 0.7 MB peak RSS on
+    # a 768-path em pair)
+    x0 = np.repeat(etas, c, axis=1)
+    finite = np.isfinite(x0).all(axis=0)
+    times = p.grid(n_steps)
+    stacked = (nd, etas.shape[1], c)
+    blk = HISTORY_BLOCK
+    # one piece of history, read as (rows*cf, dim*width/r) by the products
+    # and as (rows*cn, width) by the near field
+    width = x0.shape[1] if known is None else c
+    hist = np.empty((blk, n_chan, nd, width))
+    hist_cols = hist.reshape(blk * cf, -1)
+    near_hist = hist.reshape(blk * cn, width)
+    near_row = _near_row(tables, nd)
+    stored = isinstance(out, np.ndarray)
+    # em's exponential states take each piece past far_lag; mild pushes
+    # every piece, exactly or through the shared basis, into every later
+    # block
+    n_exp = tables.rates.size
+    basis = tables.far_basis
+    pending = out[1:] if stored else np.empty(
+        (min(tables.far_lag - 1, n_steps) if n_exp else n_steps, *stacked))
+    # a piece is folded in at lags far_lag+B-1 .. far_lag before the first
+    # block that reads it from the states; step k of a block reads state_l
+    # with exp(-rates[l] k)
+    into = np.exp(-np.outer(tables.rates, tables.far_lag + blk - 1 - np.arange(blk)))
+    absorb = (into[:, None, :, None] * tables.far_weights[:, :, None, :]
+              ).reshape(n_exp * r, blk * cf)
+    readout = np.kron(np.exp(-np.outer(np.arange(blk), tables.rates)), np.eye(r))
+    decay = np.repeat(np.exp(-blk * tables.rates), r)[:, None]
+    state = np.zeros((n_exp * r, hist_cols.shape[1]))
+    # every product is formed here: a block's rows, the states' update in
+    # column slabs that fit (at least 256 columns, a multiple of 8: the
+    # slabs' bits are those of one product), or a full piece's coordinates
+    # in the shared basis, whose far pushes are formed in hist (the piece's
+    # channels are read by then)
+    rows_size = blk * nd * x0.shape[1]
+    col_slab = max(256, rows_size // max(n_exp * r, 1) // 8 * 8)
+    coef_size = 0 if basis is None else len(basis) * hist_cols.shape[1]
+    prod_buf = np.empty(max(rows_size, state[:, :col_slab].size, coef_size))
+    coef = prod_buf[:coef_size].reshape(-1, hist_cols.shape[1])
+    blocks = _blocks(n_steps)
+
+    def sums(n0: int, n1: int) -> np.ndarray:
+        """The pending sums of steps n0..n1-1, one block."""
+        i = (n0 - 1) % len(pending)
+        return pending[i:i + n1 - n0]
+
+    def product(weights: np.ndarray, x: np.ndarray, rows: int,
+                buf: np.ndarray = prod_buf) -> np.ndarray:
+        """weights @ x as ``rows`` output rows, (rows, dim, copies or 1, c)."""
+        shape = (*weights.shape[:-1], x.shape[-1])
+        return np.matmul(weights, x, out=buf[:math.prod(shape)].reshape(shape)
+                         ).reshape(rows, nd, -1, c)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[:1] = x0.reshape(1, *stacked)
+        _channels(tables, p, times[0], x0 if known is None else known[0], dw[0],
+                  hist[0])
+        j0, j1 = 0, 1       # the history rows whose channels hist holds
+        for i, (n0, n1) in enumerate(blocks):
+            acc = sums(n0, n1)
+            if n_exp and n0 >= tables.far_lag:      # the states hold rows
+                acc[...] = product(readout[:(n1 - n0) * r], state, n1 - n0)
+            full = j1 - j0 == blk
+            for m0, m1 in blocks[i:]:
+                if m0 < j0 + tables.far_lag or (basis is not None and not full):
+                    # exact; a full piece's next block reads the weights
+                    # gathered once (the same values, the same bits)
+                    weights = (tables.adjacent[:(m1 - m0) * r]
+                               if full and m0 == j0 + blk else
+                               _lag_weights(tables.weights, m0, m1, j0, j1))
+                    piece = product(weights, hist_cols[:(j1 - j0) * cf], m1 - m0)
+                elif basis is None:
+                    break       # the states carry the rest
+                else:
+                    if m0 == j0 + 2 * blk:      # the first far block
+                        np.matmul(basis, hist_cols, out=coef)
+                    piece = product(tables.far_rows[m0 - j0:m1 - j0].reshape(
+                        -1, len(basis)), coef, m1 - m0, hist.reshape(-1))
+                dest = sums(m0, m1)
+                if j0:
+                    dest += piece
+                else:
+                    dest[...] = piece
+            if n_exp and blocks[-1][0] >= j0 + tables.far_lag:
+                state *= decay
+                fold = absorb[:, (blk - j1 + j0) * cf:]
+                for c0 in range(0, state.shape[1], col_slab):
+                    cols = state[:, c0:c0 + col_slab]
+                    cols += np.matmul(
+                        fold, hist_cols[:(j1 - j0) * cf, c0:c0 + col_slab],
+                        out=prod_buf[:cols.size].reshape(cols.shape))
+            acc += product(tables.init_mats[n0:n1], x0, n1 - n0)
+            if known is not None:
+                # given rows: their channels are formed before the near field,
+                # not between its products (measured 5% of picard_apply)
+                for k, n in enumerate(range(n0, min(n1, n_steps))):
+                    _channels(tables, p, times[n], known[n], dw[n], hist[k])
+            for k, n in enumerate(range(n0, n1)):
+                if k:
+                    acc[k] += (near_row[:, -k * cn:] @ near_hist[:k * cn]
+                               ).reshape(nd, -1, c)
+                if known is None and n < n_steps:
+                    _channels(tables, p, times[n], acc[k].reshape(nd, -1), dw[n],
+                              hist[k])
+            if not stored:
+                out[n0:n1] = acc
+            finite &= np.isfinite(acc).all(axis=(0, 1)).ravel()
+            j0, j1 = n0, min(n1, n_steps)
+    return finite
 
 
 def _check_dims(p: ProblemSpec, *inits: InitialState) -> None:

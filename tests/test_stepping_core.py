@@ -24,7 +24,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from smtde import solvers, stepping
+from smtde import solvers
 from smtde.errors import NonConvergenceError, ValidationError
 from smtde.mlmatrix import MLParams, QTable, ml_nonperm_grid
 from smtde.solvers import (HISTORY_BLOCK, SOE_TOL, BrownianDriver,
@@ -495,7 +495,8 @@ def test_mild_tables_carry_no_exponentials(sec6_problem):
     assert tables.rates.size == 0 and tables.far_weights.shape == (0, 2, 4)
     assert tables.far_lag == blk + 1
     k = len(tables.far_basis)
-    assert tables.far_basis.shape == (k, blk * 4) and 0 < k <= blk * 4 // 4
+    assert tables.far_basis.shape == (k, blk * 4)
+    assert 0 < k <= solvers._basis_limit(80, 2, 4)
     assert tables.far_rows.shape == (81, 2, k)
     assert not tables.far_rows[:2 * blk].any() and not tables.far_rows[80].any()
     short = mild_kernel_tables(sec6_problem, 2 * blk)
@@ -524,8 +525,8 @@ def _mild_far_errors(tables):
 def test_mild_basis_holds_every_far_lag(horizon, n_steps):
     # every far lag at every position in every window that a push reads:
     # within SOE_TOL relative per (dim, 2 dim) lag block, with an
-    # orthonormal basis of 16 to 20 rows (measured; the limit is B cf / 4 =
-    # 32). At 64 steps there is nothing far to hold
+    # orthonormal basis of 16 to 20 rows (measured; the limit is 54 at 100
+    # steps, 113 at 1000). At 64 steps there is nothing far to hold
     p = make_problem(horizon=horizon)
     tables = mild_kernel_tables(p, n_steps)
     if n_steps <= 2 * HISTORY_BLOCK:
@@ -570,6 +571,58 @@ def test_stable_pair_declines_the_basis(eta_state):
     assert np.array_equal(picard_apply(p, eta_state, ens).paths, ens.paths)
 
 
+@pytest.mark.parametrize("n_steps, limit", [(32, 0), (64, 0), (65, 42), (96, 42),
+                                            (300, 88), (4000, 123)])
+def test_basis_limit_is_the_flop_crossover(n_steps, limit):
+    # the largest k for which F far pushes of (B r, k) and P coordinate
+    # products of (k, B cf) take fewer flops than F exact (B r, B cf)
+    # pushes, with r = 2, cf = 4 (sec6 mild) and nb blocks: F = (nb - 2)
+    # (nb - 1) / 2 pushes of P = nb - 2 pieces; none below three blocks
+    blk, r, cf = HISTORY_BLOCK, 2, 4
+    assert solvers._basis_limit(n_steps, r, cf) == limit
+    nb = len(solvers._blocks(n_steps))
+    far, pieces = (nb - 2) * (nb - 1) // 2, nb - 2
+    exact = far * (blk * r) * (blk * cf)
+    cost = lambda k: far * (blk * r) * k + pieces * k * (blk * cf)
+    if limit:
+        assert cost(limit) < exact <= cost(limit + 1)
+
+
+@pytest.mark.parametrize("scheme", sorted(TABLES))
+def test_far_windows_are_the_gathered_ones(sec6_problem, scheme):
+    # the build and check read each far window s as a view; it equals the
+    # window that _lag_weights gathers for one step against B history rows
+    blk = HISTORY_BLOCK
+    tables = TABLES[scheme](sec6_problem, 150)
+    windows = solvers._far_windows(tables.weights)
+    assert len(windows) == 150 - 2 * blk
+    for s in range(2 * blk, 150):
+        assert np.array_equal(windows[s - 2 * blk], solvers._lag_weights(
+            tables.weights, s, s + 1, 0, blk))
+
+
+def test_stable_pair_declines_in_one_pass(monkeypatch):
+    # at 1000 steps (30 far block offsets, four groups) the spread first
+    # pass already needs more than the limit: the build stops there, before
+    # the groups in lag order
+    calls = []
+    extend = solvers._extend_basis
+
+    def spy(windows, offsets, *args):
+        calls.append(list(offsets))
+        return extend(windows, offsets, *args)
+
+    monkeypatch.setattr(solvers, "_extend_basis", spy)
+    p = make_problem(a_mat=-np.array([[1.0, 0.2], [0.0, 1.0]]),
+                     b_mat=-np.array([[1.0, 0.0], [0.3, 1.0]]), horizon=5.0)
+    assert mild_kernel_tables(p, 1000).far_basis is None
+    assert calls == [list(range(0, 30, 4))]
+    calls.clear()
+    tables = mild_kernel_tables(make_problem(), 1000)
+    assert tables.far_basis is not None
+    assert calls[1:] == [list(range(lo, min(lo + 8, 30))) for lo in range(0, 30, 8)]
+
+
 @pytest.mark.parametrize("horizon", [1.0, 20.0])
 @pytest.mark.parametrize("n_steps", [400, 1000])
 def test_mild_far_field_matches_direct_loop(eta_state, horizon, n_steps):
@@ -602,7 +655,7 @@ def test_mild_fixed_point_through_the_basis(sec6_problem, eta_state,
     n_steps = 200
     tables = mild_kernel_tables(sec6_problem, n_steps)
     assert tables.far_basis is not None
-    assert len(stepping._blocks(n_steps)) - 2 >= 3
+    assert len(solvers._blocks(n_steps)) - 2 >= 3
     star = simulate_mild(sec6_problem, eta_state,
                          BrownianDriver(seed=14, n_steps=n_steps), 10)
     image = picard_apply(sec6_problem, eta_state, star, tables=tables)
@@ -617,11 +670,11 @@ def test_adjacent_weights_are_the_gathered_ones(sec6_problem, scheme, n_steps):
     # every such push (also into a short last block), and are C-contiguous
     # like it, so the products keep their bits
     tables = TABLES[scheme](sec6_problem, n_steps)
-    blocks = stepping._blocks(n_steps)
+    blocks = solvers._blocks(n_steps)
     r = tables.weights.shape[1]
     for (j0, j1), (m0, m1) in zip(blocks, blocks[1:]):
         got = tables.adjacent[:(m1 - m0) * r]
-        want = stepping._lag_weights(tables.weights, m0, m1, j0, j1)
+        want = solvers._lag_weights(tables.weights, m0, m1, j0, j1)
         assert got.flags.c_contiguous and np.array_equal(got, want)
 
 
