@@ -18,10 +18,11 @@ Two evaluation routes are provided:
 
 Both routes, and ``ml_nonperm_grid`` on a batch of times, share one
 summation in two phases. A depth scan runs over anti-diagonals k + m = d at
-the largest time only: it reads each anti-diagonal's coefficients with one
-call, keeps the live terms, and stops once four consecutive anti-diagonals
-are negligible relative to the partial sum, so the largest time sets the
-depth for the whole batch. Then every kept term is added at every time in one
+the largest time only: it reads the coefficients of SCAN_BATCH
+anti-diagonals with one call, keeps the live terms, and stops once four
+consecutive anti-diagonals are negligible relative to the partial sum,
+checked one anti-diagonal at a time, so the largest time sets the depth for
+the whole batch of times. Then every kept term is added at every time in one
 product, using t^(k*rho + m*sigma) = t^(k*rho) t^(m*sigma). Terms whose
 scalar weight is zero (a reciprocal-gamma pole, or t = 0 with a positive
 exponent) are never read and contribute exactly zero.
@@ -44,6 +45,9 @@ DEFAULT_MAX_DIAGONALS = 200
 _CONVERGED_RUN = 4
 # Times per matrix product when the kept series terms are summed.
 SERIES_TIME_BLOCK = 128
+# Anti-diagonals per pass of the depth scan (``_sum_series``): one index
+# build, one reciprocal-gamma map, one power and one coefficient read each.
+SCAN_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -165,10 +169,15 @@ def _sum_series(term, dim: int, p: MLParams, ts):
     so every term's magnitude at a smaller time is bounded by its magnitude
     at t_max, and the t_max tail bounds all tails in absolute terms. The
     terms the scan kept are then summed at every time in one product, from
-    t^(k*rho + m*sigma) = t^(k*rho) t^(m*sigma). ``term(ks, ms)`` gives the
-    (n, dim, dim) stack of coefficient matrices for two index arrays; it is
-    called once per anti-diagonal, and only for terms whose scalar weight is
-    nonzero at t_max (then at some time: smaller times only shrink it).
+    t^(k*rho + m*sigma) = t^(k*rho) t^(m*sigma). The scan reads SCAN_BATCH
+    anti-diagonals per pass: ``term(ks, ms)`` gives the (n, dim, dim) stack
+    of coefficient matrices for two index arrays, and it is called once per
+    batch, only for terms whose scalar weight is nonzero at t_max (then at
+    some time: smaller times only shrink it). Each anti-diagonal still gets
+    its own product at t_max, the running total adds them in order, and the
+    overflow check and stopping rule run one anti-diagonal at a time, so the
+    depth and the values do not depend on the batch size; a batch only reads
+    coefficients up to its end, past the depth it finds.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -178,43 +187,58 @@ def _sum_series(term, dim: int, p: MLParams, ts):
         raise DomainError(
             f"t must be finite and nonnegative, got {float(ts[bad][0])!r}")
     t_max = float(ts.max())
-    kept_k, kept_m, kept_g = [], [], []    # live terms and rg * Q, per diagonal
+    kept_k, kept_m, kept_g = [], [], []    # live terms and rg * Q, per batch
     total = np.zeros(dim * dim)
     recent: list[float] = []
     run = 0
-    for d in range(0, DEFAULT_MAX_DIAGONALS + 1):
-        ms = np.arange(d + 1)
-        exps = (d - ms) * p.rho + ms * p.sigma_exp   # entry m is term (d-m, m)
+    for d0 in range(0, DEFAULT_MAX_DIAGONALS + 1, SCAN_BATCH):
+        # the batch's anti-diagonals back to back: d's entry m is term (d-m, m)
+        ds = np.arange(d0, min(d0 + SCAN_BATCH, DEFAULT_MAX_DIAGONALS + 1))
+        starts = (ds * (ds + 1) - d0 * (d0 + 1)) >> 1
+        diag_of = np.repeat(ds, ds + 1)
+        ms = np.arange(diag_of.size) - np.repeat(starts, ds + 1)
+        ks = diag_of - ms
+        exps = ks * p.rho + ms * p.sigma_exp
         rgs = reciprocal_gammas(exps + p.delta)
         with np.errstate(over="ignore", invalid="ignore"):
-            # an overflowing power is left to the non-convergence guard
+            # an overflowing power or norm is left to the non-convergence
+            # guard, which reports the first anti-diagonal it reaches
             powers = t_max ** exps
             live = np.flatnonzero(powers * rgs)
-            if live.size < ms.size:
-                ms, rgs, powers = live, rgs[live], powers[live]
-            diag = np.zeros_like(total)
+            ks, ms, rgs, powers = ks[live], ms[live], rgs[live], powers[live]
+            g = np.zeros((0, dim * dim))
             if ms.size:
-                g = rgs[:, None] * term(d - ms, ms).reshape(ms.size, dim * dim)
-                kept_k.append(d - ms)
-                kept_m.append(ms)
-                kept_g.append(g)
-                diag = powers @ g
-            total += diag
-        diag_norm = float(row_sum_norms(diag.reshape(dim, dim)))
-        total_norm = float(row_sum_norms(total.reshape(dim, dim)))
-        if not (math.isfinite(diag_norm) and math.isfinite(total_norm)):
-            raise NonConvergenceError(
-                f"matrix ml series overflowed at anti-diagonal {d} (t={t_max})")
-        recent.append(diag_norm)
-        if diag_norm <= ML_MATRIX_TOL * total_norm:
-            run += 1
-            if run == _CONVERGED_RUN:
-                tail = 2.0 * sum(recent[-_CONVERGED_RUN:])
-                values = _sum_kept(kept_k, kept_m, kept_g, d, dim, p, ts)
-                return (values.reshape(ts.size, dim, dim),
-                        MLEvalInfo(diagonals_used=d, tail_estimate=tail))
-        else:
-            run = 0
+                g = rgs[:, None] * term(ks, ms).reshape(ms.size, dim * dim)
+            # live entries of anti-diagonal d0 + i: bounds[i] to bounds[i + 1]
+            bounds = np.searchsorted(live, np.append(starts, diag_of.size)).tolist()
+            diags = np.zeros((ds.size, dim * dim))
+            for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                if hi > lo:
+                    diags[i] = powers[lo:hi] @ g[lo:hi]
+            totals = np.cumsum(np.vstack([total, diags]), axis=0)[1:]
+            diag_norms = row_sum_norms(diags.reshape(-1, dim, dim)).tolist()
+            total_norms = row_sum_norms(totals.reshape(-1, dim, dim)).tolist()
+        kept_k.append(ks)
+        kept_m.append(ms)
+        kept_g.append(g)
+        for d, diag_norm, total_norm in zip(ds.tolist(), diag_norms, total_norms):
+            if not (math.isfinite(diag_norm) and math.isfinite(total_norm)):
+                raise NonConvergenceError(
+                    f"matrix ml series overflowed at anti-diagonal {d} (t={t_max})")
+            recent.append(diag_norm)
+            if diag_norm <= ML_MATRIX_TOL * total_norm:
+                run += 1
+                if run == _CONVERGED_RUN:
+                    # drop the terms the batch read past the depth
+                    n = bounds[d - d0 + 1]
+                    kept_k[-1], kept_m[-1], kept_g[-1] = ks[:n], ms[:n], g[:n]
+                    tail = 2.0 * sum(recent[-_CONVERGED_RUN:])
+                    values = _sum_kept(kept_k, kept_m, kept_g, d, dim, p, ts)
+                    return (values.reshape(ts.size, dim, dim),
+                            MLEvalInfo(diagonals_used=d, tail_estimate=tail))
+            else:
+                run = 0
+        total = totals[-1]
     raise NonConvergenceError(
         f"matrix ml series not converged after {DEFAULT_MAX_DIAGONALS} anti-diagonals "
         f"(t={t_max})")

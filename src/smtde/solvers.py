@@ -204,34 +204,27 @@ class BrownianDriver:
         self.n_steps = n_steps
         self._local = threading.local()
 
-    def _generator(self, path_id: int, init_region: bool = False,
-                   state: dict | None = None) -> np.random.Generator:
-        """This thread's generator at the start of path_id's stream, or at state."""
+    def _thread_generator(self) -> tuple[np.random.Generator, dict]:
+        """This thread's generator and the state of a fresh
+        ``Philox(key=[seed, 0])``: zero counter, empty buffer. Only the key's
+        second word changes per path, so writing path_id there and setting
+        the state puts the generator at the start of that path's stream."""
         local = self._local
         if not hasattr(local, "state"):
             local.generator = np.random.Generator(np.random.Philox(0))
-            # the state of a fresh Philox(key=[seed, path_id]): zero counter,
-            # empty buffer; only the key's second word changes per path
             local.state = {
                 "bit_generator": "Philox",
                 "state": {"counter": np.zeros(4, np.uint64),
                           "key": np.array([self.seed, 0], np.uint64)},
                 "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
                 "has_uint32": 0, "uinteger": 0}
-        bitgen = local.generator.bit_generator
-        if state is not None:
-            bitgen.state = state
-            return local.generator
-        local.state["state"]["key"][1] = path_id
-        bitgen.state = local.state
-        if init_region:
-            bitgen.advance(2 ** 96)
-        return local.generator
+        return local.generator, local.state
 
     def increments_block(self, path_ids, h: float, steps: slice = slice(None),
                          states: dict | None = None) -> np.ndarray:
         """Brownian increments dW ~ N(0, h) of the steps ``steps`` (all by
-        default), shape (len(steps), n_paths).
+        default), shape (len(steps), n_paths): the transposed view of a
+        path-major (n_paths, len(steps)) array, each path's steps contiguous.
 
         A slab of consecutive steps continues each path's stream: one that
         starts past step 0 resumes path pid from ``states[pid]``, which the
@@ -240,21 +233,37 @@ class BrownianDriver:
         of all its steps bit for bit.
         """
         start, stop, _ = steps.indices(self.n_steps)
-        out = np.empty((stop - start, len(path_ids)))
-        for i, pid in enumerate(path_ids):
-            gen = self._generator(pid, state=states[pid] if start else None)
-            out[:, i] = gen.standard_normal(stop - start)
+        if start and states is None:
+            raise ValidationError(
+                f"increments from step {start} continue each path's stream "
+                f"from the states the slab before them left; none were given")
+        gen, fresh = self._thread_generator()
+        bitgen, key = gen.bit_generator, fresh["state"]["key"]
+        out = np.empty((len(path_ids), stop - start))
+        for row, pid in zip(out, path_ids):
+            if start:
+                bitgen.state = states[pid]
+            else:
+                key[1] = pid
+                bitgen.state = fresh
+            gen.standard_normal(out=row)
             if stop < self.n_steps:
-                states[pid] = gen.bit_generator.state
+                states[pid] = bitgen.state
         out *= math.sqrt(h)
-        return out
+        return out.T
 
     def initial_normals(self, path_ids, count: int) -> np.ndarray:
-        """Standard normals of shape (count, n_paths)."""
-        out = np.empty((count, len(path_ids)))
-        for i, pid in enumerate(path_ids):
-            out[:, i] = self._generator(pid, init_region=True).standard_normal(count)
-        return out
+        """Standard normals of shape (count, n_paths), the transposed view of
+        a path-major array like ``increments_block``'s."""
+        gen, fresh = self._thread_generator()
+        bitgen, key = gen.bit_generator, fresh["state"]["key"]
+        out = np.empty((len(path_ids), count))
+        for row, pid in zip(out, path_ids):
+            key[1] = pid
+            bitgen.state = fresh
+            bitgen.advance(2 ** 96)
+            gen.standard_normal(out=row)
+        return out.T
 
 
 @dataclass
@@ -263,8 +272,9 @@ class PathEnsemble:
 
     Time comes first and paths last, the layout the stepping core writes:
     ``paths`` has shape (n_steps + 1, dim, n_paths) and ``increments`` shape
-    (n_steps, n_paths). ``flags`` (n_paths,) marks paths that blew up
-    (non-finite values anywhere along the trajectory).
+    (n_steps, n_paths), the transposed view of the path-major array that
+    ``BrownianDriver.increments_block`` draws. ``flags`` (n_paths,) marks
+    paths that blew up (non-finite values anywhere along the trajectory).
     """
 
     grid: np.ndarray
@@ -922,11 +932,17 @@ class _Slabs:
         self.shape = (n_steps, self._rows.shape[1])
 
     def __getitem__(self, n: int) -> np.ndarray:
-        if n == self._start + len(self._rows):
+        end = self._start + len(self._rows)
+        if n == end < self.shape[0]:
             # the last slab is dropped before the next one is drawn
             self._start, self._rows = n, None
             self._rows = self._noise(self._cols, slice(n, n + NOISE_SLAB),
                                      self._states)
+        elif not self._start <= n < end:
+            raise IndexError(
+                f"step {n} not readable: the increments have steps 0 to "
+                f"{self.shape[0] - 1}, read in step order, and the slab held "
+                f"covers steps {self._start} to {end - 1}")
         return self._rows[n - self._start]
 
 

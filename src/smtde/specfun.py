@@ -69,13 +69,17 @@ def reciprocal_gamma(x: float) -> float:
 def reciprocal_gammas(xs: np.ndarray) -> np.ndarray:
     """``reciprocal_gamma`` at every x of a 1-d float array, bit for bit, in
     one pass: one ``math.gamma`` map and one division where 1e-300 <= x <
-    171 (Gamma is finite and nonzero there), the scalar function elsewhere."""
-    out = np.empty(xs.shape)
+    171 (Gamma is finite and nonzero there), the scalar function elsewhere.
+    ``np.fromiter`` takes each value as it is made, so no list of Python
+    floats as long as ``xs`` is ever built: the object-arena pages such a
+    list touches stay resident after it is freed."""
     plain = (xs >= 1e-300) & (xs < 171.0)
     if plain.all():
-        return np.divide(1.0, list(map(math.gamma, xs.tolist())), out=out)
-    out[plain] = np.divide(1.0, list(map(math.gamma, xs[plain].tolist())))
-    out[~plain] = list(map(reciprocal_gamma, xs[~plain].tolist()))
+        gammas = np.fromiter(map(math.gamma, xs.tolist()), float, xs.size)
+        return np.divide(1.0, gammas, out=gammas)
+    out = np.empty(xs.shape)
+    out[plain] = 1.0 / np.fromiter(map(math.gamma, xs[plain].tolist()), float)
+    out[~plain] = np.fromiter(map(reciprocal_gamma, xs[~plain].tolist()), float)
     return out
 
 

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -215,12 +216,15 @@ class TestMlNonperm:
                 ml_nonperm_grid(q, KERNEL_PARAMS, ts)
 
     def test_grid_reads_each_coefficient_once(self):
-        # one pass over the series: the depth is not learned by a first sum
+        # one pass over the series: the depth is not learned by a first sum.
+        # The scan reads whole batches, so it reads every anti-diagonal
+        # through the end of the batch that holds the depth, each term once
         q = QTable(SEC6_A, SEC6_B)
         calls = count_coeff_calls(q)
         _, info = ml_nonperm_grid(q, KERNEL_PARAMS, np.linspace(0.0, 20.0, 201))
-        d = info.diagonals_used
-        assert len(calls) == (d + 1) * (d + 2) // 2
+        end = scan_end(info.diagonals_used)
+        assert (info.diagonals_used, end) == (100, 111)
+        assert len(calls) == (end + 1) * (end + 2) // 2
         assert max(calls.values()) == 1
 
     def test_unsorted_grid_depth_set_by_largest_time(self):
@@ -266,6 +270,92 @@ class TestSeriesAgainstPerDiagonalSum:
         assert np.all(err <= 1e-13 * scale)
 
 
+class TestBatchedScanAgainstPerDiagonalScan:
+    """The batched depth scan against the scan one anti-diagonal at a time,
+    bit for bit: values, depth, tail estimate and failures."""
+
+    @pytest.mark.parametrize("delta", [0.75, 1.75, -1.0, -2.5])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 20.0])
+    def test_sec6_bit_equal(self, monkeypatch, t, delta):
+        # delta = -1.0 and -2.5 put terms on reciprocal-gamma poles
+        p = MLParams(rho=0.5, sigma_exp=0.75, delta=delta)
+        for ts in ([t], np.linspace(0.0, t, 201)):
+            got = ml_nonperm_grid(QTable(SEC6_A, SEC6_B), p, ts)
+            monkeypatch.setattr(mlmatrix, "_sum_series", per_diagonal_scan)
+            expected = ml_nonperm_grid(QTable(SEC6_A, SEC6_B), p, ts)
+            monkeypatch.undo()
+            assert got[0].tobytes() == expected[0].tobytes()
+            assert got[1] == expected[1]
+
+    @pytest.mark.parametrize("delta", [0.75, -1.0])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 5.0])
+    def test_perm_bit_equal(self, monkeypatch, t, delta):
+        a, b = random_pair(np.random.default_rng(7), commuting=True)
+        p = MLParams(rho=0.5, sigma_exp=0.75, delta=delta)
+        got = ml_perm(a, b, p, t)
+        monkeypatch.setattr(mlmatrix, "_sum_series", per_diagonal_scan)
+        assert got.tobytes() == ml_perm(a, b, p, t).tobytes()
+
+    @pytest.mark.parametrize("t, message", [
+        (60.0, "not converged after 200 anti-diagonals"),
+        (100.0, "not converged after 200 anti-diagonals"),
+        (1e6, "overflowed at anti-diagonal 69 ")])
+    def test_same_failures_without_warnings(self, monkeypatch, t, message):
+        p = MLParams(rho=0.5, sigma_exp=0.75, delta=0.75)
+        errors = []
+        for scan in (mlmatrix._sum_series, per_diagonal_scan):
+            monkeypatch.setattr(mlmatrix, "_sum_series", scan)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonConvergenceError, match=message) as err:
+                    ml_nonperm_info(QTable(SEC6_A, SEC6_B), p, t)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
+
+def per_diagonal_scan(term, dim, p, ts):
+    """``mlmatrix._sum_series`` one anti-diagonal at a time: each reads its
+    own weights and coefficients, adds its product at t_max to the total and
+    applies the overflow check and the stopping rule. The kept terms are
+    summed by ``mlmatrix._sum_kept``."""
+    ts = np.asarray(ts, dtype=float)
+    t_max = float(ts.max())
+    kept_k, kept_m, kept_g = [], [], []
+    total = np.zeros(dim * dim)
+    recent, run = [], 0
+    for d in range(mlmatrix.DEFAULT_MAX_DIAGONALS + 1):
+        ms = np.arange(d + 1)
+        exps = (d - ms) * p.rho + ms * p.sigma_exp
+        rgs = np.array([reciprocal_gamma(e + p.delta) for e in exps])
+        diag = np.zeros_like(total)
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = t_max ** exps
+            live = np.flatnonzero(powers * rgs)
+            ms, rgs, powers = ms[live], rgs[live], powers[live]
+            if ms.size:
+                g = rgs[:, None] * term(d - ms, ms).reshape(ms.size, dim * dim)
+                kept_k.append(d - ms)
+                kept_m.append(ms)
+                kept_g.append(g)
+                diag = powers @ g
+            total += diag
+            diag_norm = float(np.abs(diag.reshape(dim, dim)).sum(axis=1).max())
+            total_norm = float(np.abs(total.reshape(dim, dim)).sum(axis=1).max())
+        if not (math.isfinite(diag_norm) and math.isfinite(total_norm)):
+            raise NonConvergenceError(
+                f"matrix ml series overflowed at anti-diagonal {d} (t={t_max})")
+        recent.append(diag_norm)
+        run = run + 1 if diag_norm <= mlmatrix.ML_MATRIX_TOL * total_norm else 0
+        if run == 4:
+            values = mlmatrix._sum_kept(kept_k, kept_m, kept_g, d, dim, p, ts)
+            return (values.reshape(ts.size, dim, dim),
+                    mlmatrix.MLEvalInfo(diagonals_used=d,
+                                        tail_estimate=2.0 * sum(recent[-4:])))
+    raise NonConvergenceError(
+        f"matrix ml series not converged after {mlmatrix.DEFAULT_MAX_DIAGONALS} "
+        f"anti-diagonals (t={t_max})")
+
+
 def per_diagonal_sum(q, p, ts, depth):
     """The series to anti-diagonal ``depth`` at every time of ``ts``, one
     anti-diagonal at a time: each term's weight t^(k rho + m sigma) /
@@ -279,6 +369,12 @@ def per_diagonal_sum(q, p, ts, depth):
         coeffs = np.array([q.coeff(int(d - m), int(m)) for m in ms])
         total += np.einsum("tm,mjk->tjk", weights, coeffs)
     return total
+
+
+def scan_end(depth):
+    """The last anti-diagonal the depth scan reads when it stops at depth."""
+    batch = mlmatrix.SCAN_BATCH
+    return min(depth // batch * batch + batch - 1, mlmatrix.DEFAULT_MAX_DIAGONALS)
 
 
 def count_coeff_calls(q):

@@ -57,12 +57,13 @@ class TestProblemSpec:
         assert grid.tobytes() == picard_apply(p, eta_state, y).grid.tobytes()
 
     def test_mild_tables_fill_one_q_table_once(self, q_fills):
-        # E_a and E_{a+1} at T = 20, N = 200 read anti-diagonals up to 100 and
-        # 98: the problem's one table fills each of them once
+        # E_a and E_{a+1} at T = 20, N = 200 stop at anti-diagonals 100 and
+        # 98, and the depth scan reads through the end of the batch that
+        # holds them, 111: the problem's one table fills each of them once
         p = make_problem(horizon=20.0)
         solvers.mild_kernel_tables(p, 200)
         assert all(table is p.q_table for table, _ in q_fills)
-        assert sum(added for _, added in q_fills) == 100
+        assert sum(added for _, added in q_fills) == 111
 
 
 class TestBrownianDriver:
@@ -122,6 +123,18 @@ class TestBrownianDriver:
         # one state per path, and none when one slab covers the grid
         assert sorted(states) == (sorted(set(pids)) if edges else [])
 
+    def test_increments_are_a_view_of_path_major_rows(self):
+        # each path's steps are one contiguous row, read as (steps, paths)
+        inc = BrownianDriver(seed=2, n_steps=12).increments_block(range(5), h=0.1)
+        assert inc.shape == (12, 5) and inc.T.flags.c_contiguous
+        assert BrownianDriver(seed=2, n_steps=12).initial_normals(
+            range(5), 3).T.flags.c_contiguous
+
+    def test_slab_past_step_zero_needs_states(self):
+        drv = BrownianDriver(seed=2, n_steps=40)
+        with pytest.raises(ValidationError, match="from step 16 "):
+            drv.increments_block(range(3), 0.1, slice(16, 32))
+
     def test_draws_equal_across_threads(self):
         # one driver shared by more threads than cores, switching often: a
         # generator shared between threads would mix their streams
@@ -142,6 +155,26 @@ class TestBrownianDriver:
             BrownianDriver(seed=-1, n_steps=10)
         with pytest.raises(ValidationError):
             BrownianDriver(seed=1, n_steps=0)
+
+
+class TestSlabs:
+    def test_reads_follow_step_order(self):
+        # rows equal the one draw; a row behind the held slab, one past the
+        # next slab's start or one past the grid names the step it was asked
+        n_steps, slab = 600, solvers.NOISE_SLAB
+        drv = BrownianDriver(seed=3, n_steps=n_steps)
+        noise = solvers._draw(make_problem(), drv, 4, InitialState([3.0, 5.0]))
+        rows = solvers._Slabs(noise, slice(None), n_steps)
+        whole = noise(slice(None))
+        for n in range(slab + 3):
+            assert np.array_equal(rows[n], whole[n])
+        for n in (slab - 1, 0, 2 * slab + 1):
+            with pytest.raises(IndexError, match=f"^step {n} not readable"):
+                rows[n]
+        for n in range(slab + 3, n_steps):
+            assert np.array_equal(rows[n], whole[n])
+        with pytest.raises(IndexError, match=f"^step {n_steps} not readable"):
+            rows[n_steps]
 
 
 class TestInitialState:
