@@ -392,6 +392,22 @@ def _bootstrap_exponents(times: np.ndarray, sq: np.ndarray,
     return -slopes
 
 
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` of a 1-D array, 0 <= q <= 1, bit for bit:
+    numpy's default ``linear`` rule on the sorted values, at v = (n - 1) q
+    and interpolated as numpy's ``_lerp`` does. ``np.quantile`` itself
+    calls ``np.unique``, whose first call imports ``numpy.ma``."""
+    v = np.sort(values)
+    n = v.size
+    virtual = (n - 1) * q
+    if math.isnan(v[-1]) or virtual >= n - 1:
+        return float(v[-1])
+    i = math.floor(virtual)
+    t = virtual - i
+    diff = v[i + 1] - v[i]
+    return float(v[i + 1] - diff * (1 - t) if t >= 0.5 else v[i] + diff * t)
+
+
 def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState,
                           drv: BrownianDriver, scaling_exponent: float,
                           n_paths: int, scheme: str = "em",
@@ -427,7 +443,7 @@ def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState
 
     rng = np.random.Generator(np.random.Philox(key=[drv.seed, 0xB007]))
     boot = _bootstrap_exponents(t_win, sq[window].T, rng, BOOTSTRAP_RESAMPLES)
-    ci = (float(np.quantile(boot, 0.025)), float(np.quantile(boot, 0.975)))
+    ci = (_quantile(boot, 0.025), _quantile(boot, 0.975))
 
     with np.errstate(invalid="ignore", over="ignore"):
         scaled = times ** scaling_exponent * np.sqrt(d2)

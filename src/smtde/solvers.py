@@ -88,7 +88,8 @@ import numpy as np
 from .errors import EnsembleError, NonConvergenceError, ValidationError
 from .linalg import as_matrix
 from .mlmatrix import MLParams, QTable, ml_nonperm_grid
-from .specfun import reciprocal_gamma, rl_weights
+from .specfun import (gauss_jacobi, gauss_legendre, reciprocal_gamma,
+                      rl_weights)
 
 # Paths are simulated in fixed-size chunks regardless of thread count so that
 # results are independent of the parallel partition. A chunk's width sets
@@ -98,6 +99,10 @@ CHUNK_PATHS = 1024
 # Output steps per block of the stepping core: a block reads its older
 # history with one product instead of once per step.
 HISTORY_BLOCK = 32
+# Rows per near piece of a block's near field: a finished near piece is
+# pushed into the rest of its block with one product, so a row's own
+# product reads at most NEAR_PIECE - 1 lags (8 timed fastest of 4, 8, 16).
+NEAR_PIECE = 8
 # Steps per slab of increments that a chunk of the reduced route draws at
 # once (``_Slabs``): its noise does not grow with the grid.
 NOISE_SLAB = 8 * HISTORY_BLOCK
@@ -412,19 +417,6 @@ def _far_windows(weights: np.ndarray) -> np.ndarray:
         (-cf * rev.itemsize, rev.strides[0], rev.itemsize), writeable=False)
 
 
-def _gauss_jacobi(q: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss rule for int_0^1 x^-q f(x) dx,
-    0 < q < 1 (Golub-Welsch on the Jacobi recurrence of (1+t)^-q on [-1, 1])."""
-    b = -q
-    k = np.arange(n, dtype=float)
-    s = 2.0 * k + b
-    diag = b * b / (s * (s + 2.0))
-    k, s = k[1:], s[1:]
-    off = np.sqrt(4.0 * k * k * (k + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
-    t, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return (t + 1.0) / 2.0, vecs[0] ** 2 / (1.0 - q)
-
-
 def _em_far_exponentials(p: ProblemSpec, h: float,
                          n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Rates (K,) and weights (K, 1, 3) of the exponentials that carry the em
@@ -444,7 +436,7 @@ def _em_far_exponentials(p: ProblemSpec, h: float,
     a, ab = p.alpha, p.alpha - p.beta
     lo, hi = -math.log(n_steps), math.log(40.0 / (HISTORY_BLOCK + 1))
     n_pan = math.ceil((hi - lo) / 2.0)
-    t, g = np.polynomial.legendre.leggauss(SOE_PANEL_NODES)
+    t, g = gauss_legendre(SOE_PANEL_NODES)
     half = (hi - lo) / (2 * n_pan)
     x = np.exp(lo + half * (2 * np.arange(n_pan)[:, None] + 1 + t)).ravel()
     rates = [x]
@@ -452,7 +444,7 @@ def _em_far_exponentials(p: ProblemSpec, h: float,
     gx = np.tile(half * g, n_pan) * x
     dens = [gx[:, None] * x[:, None] ** -np.array([ab, a, a])]
     for q, channels in ((ab, [1.0, 0.0, 0.0]), (a, [0.0, 1.0, 1.0])):
-        y, w = _gauss_jacobi(q, SOE_JACOBI_NODES)
+        y, w = gauss_jacobi(q, SOE_JACOBI_NODES)
         rates.append(y / n_steps)
         dens.append(np.outer(w * float(n_steps) ** (q - 1.0), channels))
     rates = np.concatenate(rates)
@@ -699,16 +691,27 @@ def _lag_weights(weights: np.ndarray, n0: int, n1: int, j0: int,
     return weights[lags, np.arange(r)[:, None]].reshape((n1 - n0) * r, -1)
 
 
-def _near_row(tables: KernelTables, nd: int) -> np.ndarray:
-    """The weights of lags HISTORY_BLOCK-1 .. 1 side by side: step k of a
-    block reads the last k blocks of columns against its in-block history.
-    The blocks are dense (dim, n_chan dim) even where the weights are
-    scalars: a one-row product runs as gemv, whose bits depend on the
-    number of paths."""
-    near = tables.weights[:HISTORY_BLOCK]
+def _near_weights(tables: KernelTables, nd: int) -> tuple[np.ndarray, np.ndarray]:
+    """(own, push): a block's near-field weights in near pieces of P =
+    NEAR_PIECE rows, gathered once per call as dense (dim, n_chan dim) lag
+    blocks, ``kron(w, I)`` for scalar weights. Against the history as
+    ``near_hist`` holds it, every product then has dim rows and one column
+    per path; scalar weights against ``hist_cols`` would give one-row
+    products over dim columns per path, whose bits moved with the number
+    of paths (``test_paths_independent_of_ensemble_size``).
+
+    ``own`` (dim, (P - 1) n_chan dim) holds lags P - 1 .. 1 side by side:
+    row m of a near piece reads its last m lag blocks against the piece's
+    first m rows. ``push`` ((B - P) dim, P n_chan dim), B = HISTORY_BLOCK,
+    holds the B - P rows after a near piece against that piece: the rows
+    after any near piece of a block are a prefix."""
+    # lags past a short grid are never read
+    near = np.zeros((HISTORY_BLOCK, *tables.weights.shape[1:]))
+    near[:len(tables.weights)] = tables.weights[:HISTORY_BLOCK]
     if near.shape[1] == 1:
         near = np.kron(near, np.eye(nd))
-    return np.concatenate(near[:0:-1], axis=1)
+    return (_lag_weights(near, NEAR_PIECE - 1, NEAR_PIECE, 0, NEAR_PIECE - 1),
+            _lag_weights(near, NEAR_PIECE, HISTORY_BLOCK, 0, NEAR_PIECE))
 
 
 def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
@@ -752,9 +755,12 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
       with one (k, B cf) product after its exact pushes; the far pushes are
       formed in hist, whose channels are read by then. The first piece
       writes, the others add, in time order.
-    * its initial term, then row by row its near field (the in-block lags),
-      after which the row's channels are formed (given rows have theirs
-      formed before the near field).
+    * its initial term, then row by row its near field (the in-block lags)
+      in near pieces of P = NEAR_PIECE rows (``_near_weights``): at the
+      first row of a near piece, the one before it is pushed into the rest
+      of the block with one product; every other row adds its own product
+      over the lags inside its near piece. Then the row's channels are
+      formed (given rows have theirs formed before the near field).
 
     A block is summed in its pending rows: the output rows themselves when
     ``out`` is an array, otherwise a buffer of the rows that a piece can
@@ -787,7 +793,7 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
     hist = np.empty((blk, n_chan, nd, width))
     hist_cols = hist.reshape(blk * cf, -1)
     near_hist = hist.reshape(blk * cn, width)
-    near_row = _near_row(tables, nd)
+    own, push = _near_weights(tables, nd)
     stored = isinstance(out, np.ndarray)
     # em's exponential states take each piece past far_lag; mild pushes
     # every piece, exactly or through the shared basis, into every later
@@ -815,6 +821,8 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
     coef_size = 0 if basis is None else len(basis) * hist_cols.shape[1]
     prod_buf = np.empty(max(rows_size, state[:, :col_slab].size, coef_size))
     coef = prod_buf[:coef_size].reshape(-1, hist_cols.shape[1])
+    # a row's own near product, (dim, width) in prod_buf
+    own_out = prod_buf[:nd * width].reshape(nd, width)
     blocks = _blocks(n_steps)
 
     def sums(n0: int, n1: int) -> np.ndarray:
@@ -874,9 +882,15 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
                 for k, n in enumerate(range(n0, min(n1, n_steps))):
                     _channels(tables, p, times[n], known[n], dw[n], hist[k])
             for k, n in enumerate(range(n0, n1)):
-                if k:
-                    acc[k] += (near_row[:, -k * cn:] @ near_hist[:k * cn]
-                               ).reshape(nd, -1, c)
+                m = k % NEAR_PIECE
+                if m:       # the lags inside the row's near piece
+                    np.matmul(own[:, -m * cn:], near_hist[(k - m) * cn:k * cn],
+                              out=own_out)
+                    acc[k] += own_out.reshape(nd, -1, c)
+                elif k:     # the near piece before, into the rest of the block
+                    acc[k:] += product(push[:(n1 - n0 - k) * nd],
+                                       near_hist[(k - NEAR_PIECE) * cn:k * cn],
+                                       n1 - n0 - k)
                 if known is None and n < n_steps:
                     _channels(tables, p, times[n], acc[k].reshape(nd, -1), dw[n],
                               hist[k])

@@ -12,6 +12,9 @@ exactly, giving the weights [(t-t_j)^a - (t-t_{j+1})^a] / Gamma(a+1). On a
 uniform grid they depend on the lag m only; ``rl_weights`` is their one
 owner, formed as -expm1(a log1p(-1/m)) (m h)^a / Gamma(a+1) without the
 cancellation of the difference of powers.
+
+The Gauss rules behind the em far field's exponentials (``gauss_legendre``,
+``gauss_jacobi``) come from one Golub-Welsch eigenproblem each.
 """
 
 from __future__ import annotations
@@ -217,6 +220,38 @@ class SampledFunction:
         """Whether the grid is t_n = (T/N) n up to the rounding of its points."""
         ref = np.linspace(0.0, self.grid[-1], self.grid.size)
         return bool(np.all(np.abs(self.grid - ref) <= UNIFORM_GRID_EPS * self.grid[-1]))
+
+
+def _golub_welsch(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of the Gauss rule with the Jacobi matrix of diagonal
+    ``diag`` and off-diagonal ``off``, and the squared first components of
+    its eigenvectors: the weights over the weight function's total mass
+    (Golub & Welsch, 1969)."""
+    t, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return t, vecs[0] ** 2
+
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]
+    (mass 2), symmetrized about 0 as the rule is: within 1e-15 of
+    ``np.polynomial.legendre.leggauss``, without loading
+    ``numpy.polynomial``."""
+    k = np.arange(1.0, n)
+    t, w = _golub_welsch(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0))
+    return (t - t[::-1]) / 2.0, w + w[::-1]
+
+
+def gauss_jacobi(q: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule for int_0^1 x^-q f(x) dx,
+    0 < q < 1 (the Jacobi recurrence of (1+t)^-q on [-1, 1])."""
+    b = -q
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + b
+    diag = b * b / (s * (s + 2.0))
+    k, s = k[1:], s[1:]
+    off = np.sqrt(4.0 * k * k * (k + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    t, w = _golub_welsch(diag, off)
+    return (t + 1.0) / 2.0, w / (1.0 - q)
 
 
 def rl_weights(q: float, h: float, n: int) -> np.ndarray:

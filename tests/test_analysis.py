@@ -693,6 +693,18 @@ class TestSeparationBootstrap:
         assert np.array_equal(got, ref)
         assert peak <= boot_batch_bytes(n_boot, n_valid, n_t)
 
+    @pytest.mark.parametrize("q", [0.0, 0.025, 0.5, 0.975, 1.0])
+    def test_quantile_is_numpys_bit_for_bit(self, q):
+        # the CI's quantiles, without np.quantile's import of numpy.ma;
+        # every other size has ties
+        rng = np.random.default_rng(8)
+        for n in range(1, 401):
+            values = (rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3) if n % 2
+                      else rng.integers(-4, 5, n).astype(float))
+            got = np.float64(analysis._quantile(values, q))
+            assert got.tobytes() == np.quantile(values, q).tobytes(), (n, q)
+        assert math.isnan(analysis._quantile(np.array([1.0, np.nan, 2.0]), q))
+
     def test_ci_matches_gather_loop(self, eta_state):
         p = make_problem(horizon=5.0)
         gamma = InitialState([3.5, 5.5])

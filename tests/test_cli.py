@@ -329,6 +329,28 @@ class TestRunOutputs:
 
         assert run_cli(1) == run_cli(2)
 
+    def test_run_loads_no_numpy_submodule(self, tmp_path):
+        # np.quantile (through np.unique) imports numpy.ma and leggauss
+        # numpy.polynomial on their first call, inside a fresh process's
+        # timed run
+        cfg = base_config(experiment="separation",
+                          params={"eta": [3.0, 5.0], "gamma": [3.5, 5.5],
+                                  "lambda": 0.75})
+        cfg["grid"] = {"horizon": 5.0, "n_steps": 40}
+        cfg["monte_carlo"]["n_paths"] = 16
+        config = write_config(tmp_path, cfg)
+        package_root = str(Path(smtde.__file__).resolve().parent.parent)
+        code = ("import sys\nfrom smtde import cli\n"
+                f"assert cli.run({str(config)!r}, {str(tmp_path / 'out')!r}) == 0\n"
+                "print([m for m in ('numpy.ma', 'numpy.polynomial')\n"
+                "       if m in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(
+            None, [package_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("experiment", sorted(DROPPING_RUNS))
     def test_counts_dropped_paths(self, tmp_path, monkeypatch, experiment):
         # the drift is non-finite outside [-10, 10], so a few paths blow up

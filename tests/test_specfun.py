@@ -8,8 +8,9 @@ from smtde import specfun
 from smtde.errors import DomainError, NonConvergenceError, ValidationError
 from smtde.specfun import (ML_ASYMPTOTIC_U0, ML_MAX_TERMS, ML_SERIES_TOL,
                            SampledFunction, caputo_identity_residual, gamma_fn,
-                           ml_scalar, ml_scalar_log, reciprocal_gamma,
-                           rl_integral, rl_integral_all)
+                           gauss_jacobi, gauss_legendre, ml_scalar,
+                           ml_scalar_log, reciprocal_gamma, rl_integral,
+                           rl_integral_all)
 
 
 class TestGamma:
@@ -318,3 +319,27 @@ class TestCaputoIdentity:
         g = SampledFunction(np.linspace(0, 1, 21), np.zeros(21))
         with pytest.raises(ValueError):
             caputo_identity_residual(0.5, f, g)
+
+
+class TestGaussRules:
+    def test_legendre_matches_numpy(self):
+        # the em far field's panel rule, without loading numpy.polynomial
+        t, w = gauss_legendre(14)
+        ref_t, ref_w = np.polynomial.legendre.leggauss(14)
+        assert np.abs(t - ref_t).max() <= 1e-15
+        assert np.abs(w - ref_w).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 14])
+    def test_legendre_integrates_polynomials_exactly(self, n):
+        t, w = gauss_legendre(n)
+        for m in range(2 * n):
+            assert w @ t ** m == pytest.approx((1 + (-1) ** m) / (m + 1),
+                                               rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("q", [0.05, 0.25, 0.5, 0.75, 0.95])
+    def test_jacobi_integrates_weighted_polynomials_exactly(self, q):
+        # int_0^1 x^-q x^m dx = 1 / (m + 1 - q) for m up to 2n - 1
+        x, w = gauss_jacobi(q, 8)
+        assert np.all((0 < x) & (x < 1))
+        for m in range(16):
+            assert w @ x ** m == pytest.approx(1.0 / (m + 1 - q), rel=1e-13)

@@ -38,7 +38,8 @@ from conftest import (PresetDriver, flaky_above, make_problem, one_fn,
                       zero_fn)
 
 REL_TOL = 1e-12
-STEP_COUNTS = (1, 31, 32, 33, 67)
+# block and near-field piece (NEAR_PIECE = 8) boundaries
+STEP_COUNTS = (1, 7, 8, 9, 17, 25, 31, 32, 33, 67)
 # grids on which the em exponentials carry most of each step's history
 LONG_STEP_COUNTS = (160, 400)
 SIMULATORS = {"em": simulate_em, "mild": simulate_mild}
@@ -250,9 +251,12 @@ def test_response_across_exponential_boundary(eta_state, step):
     assert np.all(err <= REL_TOL * np.abs(base.paths[step + 1:]).max(axis=(1, 2)))
 
 
-@pytest.mark.parametrize("step", [HISTORY_BLOCK - 1, HISTORY_BLOCK,
+@pytest.mark.parametrize("step", [7, 8, 9, HISTORY_BLOCK - 1, HISTORY_BLOCK,
                                   2 * HISTORY_BLOCK, 2 * HISTORY_BLOCK + 1])
 def test_causal_across_block_boundary(sec6_problem, eta_state, step):
+    # the first near piece (NEAR_PIECE = 8) holds steps 1..8: dW_7 first
+    # enters step 8 (its own product), dW_8 step 9 (the piece's push) and
+    # dW_9 step 10 (the own product of the next near piece);
     # dW_{B-1} first enters the last step of the first block (near field),
     # dW_B the first step of the second block (push), B = HISTORY_BLOCK; the
     # rows of the first block move into the exponentials at step 2B + 1
