@@ -105,18 +105,28 @@ def _sq_reduce(mask: np.ndarray, *paths: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mean_and_se(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-time mean and standard error of a C-ordered (n_t, n_valid) array:
-    each time's sum over paths is numpy's pairwise sum. The deviations from
-    the mean are formed SQ_BLOCK_TIMES times at a time, not for all of sq."""
-    est = sq.mean(axis=-1)
+def _mean_and_se(sq: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-time mean and standard error of a C-ordered (n_t, n_valid) array
+    at the grid times ``times`` (n_t,): each time's sum over paths is numpy's
+    pairwise sum. The deviations from the mean are formed SQ_BLOCK_TIMES
+    times at a time, not for all of sq. ValidationError, naming the first
+    such time, where a mean or standard error is not finite: the paths are
+    finite, but their squares or the squares' spread overflow."""
     n_valid = sq.shape[-1]
-    se = np.zeros_like(est)
-    if n_valid > 1:
-        for lo in range(0, sq.shape[0], SQ_BLOCK_TIMES):
-            rows = slice(lo, lo + SQ_BLOCK_TIMES)
-            se[rows] = sq[rows].std(axis=-1, ddof=1)
-        se /= math.sqrt(n_valid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = sq.mean(axis=-1)
+        se = np.zeros_like(est)
+        if n_valid > 1:
+            for lo in range(0, sq.shape[0], SQ_BLOCK_TIMES):
+                rows = slice(lo, lo + SQ_BLOCK_TIMES)
+                se[rows] = sq[rows].std(axis=-1, ddof=1)
+            se /= math.sqrt(n_valid)
+    bad = ~(np.isfinite(est) & np.isfinite(se))
+    if bad.any():
+        raise ValidationError(
+            f"the mean square or its standard error is not finite from "
+            f"t = {float(times[bad.argmax()]):g}: the squares of finite paths "
+            f"overflow float64")
     return est, se
 
 
@@ -125,13 +135,13 @@ def ms_norm(e: PathEnsemble, t_index: int) -> tuple[float, float]:
     n = int(t_index)
     if n < 0 or n > e.n_steps:
         raise ValidationError(f"t_index {t_index} outside grid")
-    est, se = _mean_and_se(_sq_norms(e, slice(n, n + 1)))
+    est, se = _mean_and_se(_sq_norms(e, slice(n, n + 1)), e.grid[n:n + 1])
     return float(est[0]), float(se[0])
 
 
 def ms_norm_series(e: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
     """Per-time mean of |X(t)|^2 with standard errors."""
-    return _mean_and_se(_sq_norms(e))
+    return _mean_and_se(_sq_norms(e), e.grid)
 
 
 def simulate_ms_norm(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
@@ -142,12 +152,12 @@ def simulate_ms_norm(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
     values of ``ms_norm_series(simulate(...))`` bit for bit."""
     _check_ms_paths(n_paths)
     grid, sq = squared_norms(p, [init], drv, n_paths, scheme, threads)
-    return (grid, *_mean_and_se(sq), n_paths - sq.shape[1])
+    return (grid, *_mean_and_se(sq, grid), n_paths - sq.shape[1])
 
 
 def ms_distance_series(e: PathEnsemble, e2: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
     """Per-time mean of |X(t) - Y(t)|^2 with standard errors."""
-    return _mean_and_se(_sq_distances(e, e2))
+    return _mean_and_se(_sq_distances(e, e2), e.grid)
 
 
 # Large contraction weights push the discounting denominators far beyond
@@ -430,7 +440,7 @@ def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState
 
     times, sq = squared_norms(p, [eta, gamma], drv, n_paths, scheme=scheme,
                               threads=threads)
-    d2, se = _mean_and_se(sq)
+    d2, se = _mean_and_se(sq, times)
     if not np.any(d2 > 0):
         raise DegenerateExperimentError("coupled distance is identically zero")
 
@@ -512,8 +522,11 @@ def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
         shifted, = _ensembles(p, tables, [gamma], dw, threads)
         # squared distances near the top of the float range overflow their
         # sum over paths
-        with np.errstate(over="ignore", invalid="ignore"):
+        try:
             sup_d2 = float(np.max(ms_distance_series(base, shifted)[0]))
+        except ValidationError as exc:
+            raise ValidationError(
+                f"offset {off!r}: the distance ratio overflows ({exc})") from None
         ratio = sup_d2 / off ** 2
         if not math.isfinite(ratio):
             raise ValidationError(

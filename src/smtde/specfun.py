@@ -70,19 +70,27 @@ def reciprocal_gamma(x: float) -> float:
 
 
 def reciprocal_gammas(xs: np.ndarray) -> np.ndarray:
-    """``reciprocal_gamma`` at every x of a 1-d float array, bit for bit, in
-    one pass: one ``math.gamma`` map and one division where 1e-300 <= x <
-    171 (Gamma is finite and nonzero there), the scalar function elsewhere.
-    ``np.fromiter`` takes each value as it is made, so no list of Python
-    floats as long as ``xs`` is ever built: the object-arena pages such a
-    list touches stay resident after it is freed."""
-    plain = (xs >= 1e-300) & (xs < 171.0)
-    if plain.all():
-        gammas = np.fromiter(map(math.gamma, xs.tolist()), float, xs.size)
-        return np.divide(1.0, gammas, out=gammas)
+    """``reciprocal_gamma`` at every x of a 1-d float array, bit for bit,
+    evaluated once per distinct x: sorted, a value that differs from its
+    left neighbour starts a run (a NaN always does), and each run's result
+    is scattered back to its positions. No ``np.unique``: its first call
+    imports ``numpy.ma``. One ``math.gamma`` map and one division where
+    1e-300 <= x < 171 (Gamma is finite and nonzero there), the scalar
+    function elsewhere. ``np.fromiter`` takes each value as it is made, so
+    no list of Python float results is ever built: the object-arena pages
+    such a list touches stay resident after it is freed."""
+    order = np.argsort(xs)
+    xs_sorted = xs[order]
+    starts = np.empty(xs.shape, dtype=bool)
+    starts[:1] = True
+    np.not_equal(xs_sorted[1:], xs_sorted[:-1], out=starts[1:])
+    vals = xs_sorted[starts]
+    plain = (vals >= 1e-300) & (vals < 171.0)
+    rgs = np.empty(vals.shape)
+    rgs[plain] = 1.0 / np.fromiter(map(math.gamma, vals[plain].tolist()), float)
+    rgs[~plain] = np.fromiter(map(reciprocal_gamma, vals[~plain].tolist()), float)
     out = np.empty(xs.shape)
-    out[plain] = 1.0 / np.fromiter(map(math.gamma, xs[plain].tolist()), float)
-    out[~plain] = np.fromiter(map(reciprocal_gamma, xs[~plain].tolist()), float)
+    out[order] = rgs[np.cumsum(starts) - 1]
     return out
 
 

@@ -125,13 +125,28 @@ class TestMsNorm:
         block = (analysis.SQ_BLOCK_TIMES * n_valid + np.getbufsize()) * 8
         tracemalloc.start()
         try:
-            est, se = analysis._mean_and_se(sq)
+            est, se = analysis._mean_and_se(sq, np.arange(n_t))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= est.nbytes + se.nbytes + 1.1 * block
         assert np.array_equal(est, sq.mean(axis=-1))
         assert np.array_equal(se, sq.std(axis=-1, ddof=1) / math.sqrt(n_valid))
+
+    @pytest.mark.parametrize("row, values", [
+        (2, [1.7e308, 1.7e308, 1.0, 1.0]),     # the mean overflows
+        (3, [1e200, 2e200, 0.0, 1.0]),         # the spread's squares overflow
+    ])
+    def test_overflowing_mean_square_raises(self, row, values):
+        # finite squares whose mean or standard error is not finite fail
+        # loudly, naming the first such time, with no numpy warning first
+        sq = np.ones((5, 4))
+        sq[row] = values
+        sq[4] = values
+        with np.errstate(all="raise"):
+            with pytest.raises(ValidationError,
+                               match=rf"not finite from t = 0\.{row}:"):
+                analysis._mean_and_se(sq, np.arange(5) / 10)
 
     def test_all_flagged_is_error(self):
         grid = np.array([0.0, 1.0])

@@ -47,6 +47,20 @@ def write_config(tmp_path, cfg, name="config.json"):
     return path
 
 
+def loaded_in_fresh_process(code, *modules):
+    """Which of ``modules`` a fresh interpreter has loaded after ``code``,
+    with this smtde first on its path."""
+    package_root = str(Path(smtde.__file__).resolve().parent.parent)
+    code += ("import json, sys\n"
+             f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(
+        None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def read_rows(out_dir):
     with open(Path(out_dir) / "results.csv", newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -172,6 +186,25 @@ class TestValidation:
         assert status == 2
         err = capsys.readouterr().err
         assert err.startswith("validation failed: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_mean_square_rejected(self, tmp_path, capsys):
+        # explicit em is unstable on this decaying pair at h = 0.1: the paths
+        # stay finite, but late in the run the spread of their squared
+        # distances overflows, which must not pass as an inf standard error
+        cfg = base_config(experiment="separation",
+                          params={"eta": [3.0, 5.0], "gamma": [3.5, 5.5],
+                                  "lambda": 0.75},
+                          grid={"horizon": 100.0, "n_steps": 1000})
+        cfg["problem"].update(a_mat=[[-3.0, -0.6], [0.0, -3.0]],
+                              b_mat=[[-3.0, 0.0], [-0.9, -3.0]])
+        cfg["monte_carlo"]["n_paths"] = 64
+        status = run(str(write_config(tmp_path, cfg)), str(tmp_path / "out"))
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation failed: ")
+        assert "standard error is not finite from t = " in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", [0, -1])
@@ -339,17 +372,15 @@ class TestRunOutputs:
         cfg["grid"] = {"horizon": 5.0, "n_steps": 40}
         cfg["monte_carlo"]["n_paths"] = 16
         config = write_config(tmp_path, cfg)
-        package_root = str(Path(smtde.__file__).resolve().parent.parent)
-        code = ("import sys\nfrom smtde import cli\n"
-                f"assert cli.run({str(config)!r}, {str(tmp_path / 'out')!r}) == 0\n"
-                "print([m for m in ('numpy.ma', 'numpy.polynomial')\n"
-                "       if m in sys.modules])")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(
-            None, [package_root, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        code = ("from smtde import cli\n"
+                f"assert cli.run({str(config)!r}, {str(tmp_path / 'out')!r}) == 0\n")
+        assert loaded_in_fresh_process(code, "numpy.ma", "numpy.polynomial") == []
+
+    def test_import_loads_no_thread_pool(self):
+        # concurrent.futures (and the logging it loads) is imported only
+        # where a run starts a pool
+        assert loaded_in_fresh_process("import smtde.cli\n", "concurrent.futures",
+                                       "logging") == []
 
     @pytest.mark.parametrize("experiment", sorted(DROPPING_RUNS))
     def test_counts_dropped_paths(self, tmp_path, monkeypatch, experiment):

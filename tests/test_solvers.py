@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import sys
@@ -143,7 +144,7 @@ class TestBrownianDriver:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with solvers.ThreadPoolExecutor(max_workers=4) as pool:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
                 blocks = list(pool.map(lambda lo: drv.increments_block(range(lo, lo + 8), 0.1),
                                        range(0, 128, 8), timeout=60))
         finally:
@@ -252,12 +253,13 @@ class TestSimulateEm:
         monkeypatch.setattr(solvers, "CHUNK_PATHS", 12)
         pools = []
 
-        class CountingPool(solvers.ThreadPoolExecutor):
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(solvers, "ThreadPoolExecutor", CountingPool)
+        # the chunk loop imports the pool class when a pool runs
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
         drv = BrownianDriver(seed=10, n_steps=25)
         gamma = InitialState([3.5, 5.5])
 

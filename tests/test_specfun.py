@@ -4,13 +4,16 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from smtde import specfun
+from smtde import mlmatrix, specfun
 from smtde.errors import DomainError, NonConvergenceError, ValidationError
 from smtde.specfun import (ML_ASYMPTOTIC_U0, ML_MAX_TERMS, ML_SERIES_TOL,
                            SampledFunction, caputo_identity_residual, gamma_fn,
                            gauss_jacobi, gauss_legendre, ml_scalar,
-                           ml_scalar_log, reciprocal_gamma, rl_integral,
-                           rl_integral_all)
+                           ml_scalar_log, reciprocal_gamma, reciprocal_gammas,
+                           rl_integral, rl_integral_all)
+from smtde.solvers import mild_ml
+
+from conftest import make_problem
 
 
 class TestGamma:
@@ -48,6 +51,41 @@ class TestGamma:
         # Gamma is subnormal at -171.5 and a signed zero below about -177.6; its
         # reciprocal is inf with the sign of Gamma, (-1)^n on (-n, -n+1)
         assert reciprocal_gamma(x) == sign * math.inf
+
+
+class TestReciprocalGammas:
+    @staticmethod
+    def scalar_map(xs):
+        return np.array([reciprocal_gamma(x) for x in xs.tolist()])
+
+    def test_sec6_batches_are_the_scalar_map(self, monkeypatch):
+        # the series scans' batches repeat many exponents: one math.gamma per
+        # distinct value gives the bits of the per-term map
+        batches = []
+
+        def spy(xs):
+            batches.append(xs.copy())
+            return reciprocal_gammas(xs)
+
+        monkeypatch.setattr(mlmatrix, "reciprocal_gammas", spy)
+        p = make_problem()
+        ts = np.linspace(0.0, 10.0, 11)
+        for delta in (p.alpha, p.alpha + 1.0):
+            mild_ml(p, delta, ts)
+        assert len(batches) > 2
+        for xs in batches:
+            assert np.unique(xs).size < xs.size
+            assert reciprocal_gammas(xs).tobytes() == self.scalar_map(xs).tobytes()
+
+    def test_scalar_branch_is_the_scalar_map(self):
+        # below 1e-300, from 171 on, the poles, Gamma's underflow and NaN,
+        # shuffled among plain values and repeated
+        special = [0.0, -0.0, -1.0, -3.0, 5e-324, 1e-310, 1e-301, 171.0, 171.5,
+                   171.7, 200.0, 1e5, -0.5, -171.5, -200.5, -201.5, math.nan]
+        xs = np.array(special * 3 + [0.25, 0.5, 2.5, 170.9, 0.5, 1e-300])
+        np.random.default_rng(3).shuffle(xs)
+        assert reciprocal_gammas(xs).tobytes() == self.scalar_map(xs).tobytes()
+        assert reciprocal_gammas(np.zeros(0)).shape == (0,)
 
 
 class TestMlScalar:
@@ -323,7 +361,7 @@ class TestCaputoIdentity:
 
 class TestGaussRules:
     def test_legendre_matches_numpy(self):
-        # the em far field's panel rule, without loading numpy.polynomial
+        # the em far field's rule, without loading numpy.polynomial
         t, w = gauss_legendre(14)
         ref_t, ref_w = np.polynomial.legendre.leggauss(14)
         assert np.abs(t - ref_t).max() <= 1e-15

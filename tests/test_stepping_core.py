@@ -733,7 +733,24 @@ def test_em_table_check_runs_in_lag_blocks():
     assert peak <= 2 * kept
 
 
-@pytest.mark.parametrize("constant, value", [("SOE_PANEL_NODES", 4),
+@pytest.mark.parametrize("n_steps, n_rates", [(40, 36), (300, 48), (1000, 55),
+                                              (10_000, 69)])
+def test_exponentials_keep_a_tenfold_margin(n_steps, n_rates):
+    # one Gauss-Legendre rule of SOE_LOG_NODES nodes per unit of ln x, and
+    # two Gauss-Jacobi rules: K = ceil(6 ln(40 N / 33)) + 12 rates hold every
+    # far lag weight to SOE_TOL / 10 over the whole range of orders (the
+    # worst measured is 4e-15; 5.5 nodes per unit reach 3e-14)
+    margin = SOE_TOL / 10
+    for alpha in (0.51, 0.75, 0.99):
+        for beta in (0.01, alpha / 2, alpha - 0.01):
+            p = make_problem(alpha=alpha, beta=beta, horizon=3.0)
+            tables = em_kernel_tables(p, n_steps)
+            assert tables.rates.size == n_rates
+            for _, err, scale in tables._exponential_errors():
+                assert np.all(err <= margin * scale)
+
+
+@pytest.mark.parametrize("constant, value", [("SOE_LOG_NODES", 2.0),
                                              ("SOE_JACOBI_NODES", 1)])
 def test_coarse_exponentials_raise(sec6_problem, monkeypatch, constant, value):
     monkeypatch.setattr(solvers, constant, value)
