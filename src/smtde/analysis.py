@@ -43,7 +43,7 @@ BOOTSTRAP_RESAMPLES = 200
 # fit (batches of 50 did not).
 BOOTSTRAP_BATCH = 48
 SUP_GRID_POINTS = 1000
-# Grid times per block of the squared-norm reducers (_sq_reduce), of the
+# Grid times per block of the squared-norm reducer (_sq_reduce), of the
 # standard errors (_mean_and_se) and of the weighted sup (_log_weighted_sup).
 SQ_BLOCK_TIMES = 64
 
@@ -60,48 +60,38 @@ class WeightedNormParams:
             raise DomainError(f"alpha must be in (1/2, 1), got {self.alpha!r}")
 
 
-def _joint_valid(*ensembles: PathEnsemble) -> np.ndarray:
-    mask = ~ensembles[0].flags
-    for e in ensembles[1:]:
-        mask = mask & ~e.flags
+def _check_two_paths(n_paths: int) -> None:
+    """The two-path rule: a mean over paths is reported with its standard
+    error, which one path cannot give. (A count below 1 is rejected where
+    the paths are drawn.)"""
+    if n_paths == 1:
+        raise ValidationError("the two-path rule: a mean over paths needs at "
+                              "least 2 paths for its standard error, got 1")
+
+
+def _sq_reduce(ensembles: tuple[PathEnsemble, ...], rows=slice(None)) -> np.ndarray:
+    """|X(t)|^2 of one ensemble, or |X(t) - Y(t)|^2 of two on one grid, per
+    time in ``rows`` and jointly valid path, shape (n_t, n_valid), formed
+    SQ_BLOCK_TIMES times at a time: the temporaries are one block, not a
+    whole ensemble. ValidationError for two ensembles of different grids or
+    shapes and under the two-path rule; EnsembleError if every path is
+    flagged."""
+    e = ensembles[0]
+    mask = ~e.flags
+    for e2 in ensembles[1:]:
+        if e.paths.shape != e2.paths.shape or not np.array_equal(e.grid, e2.grid):
+            raise ValidationError("ensembles must share the same grid and shape")
+        mask &= ~e2.flags
+    _check_two_paths(e.n_paths)
     if not mask.any():
         raise EnsembleError("all paths flagged; no valid statistics")
-    return mask
-
-
-def _check_ms_paths(n_paths: int) -> None:
-    if n_paths < 2:
-        raise ValidationError("ms_norm needs an ensemble with at least 2 paths")
-
-
-def _sq_norms(e: PathEnsemble, times=slice(None)) -> np.ndarray:
-    """|X(t)|^2 per time in ``times`` and valid path, shape (n_t, n_valid)."""
-    _check_ms_paths(e.n_paths)
-    return _sq_reduce(_joint_valid(e), e.paths[times])
-
-
-def _pair_valid(e: PathEnsemble, e2: PathEnsemble) -> np.ndarray:
-    """The jointly valid paths of two ensembles on one grid."""
-    if e.paths.shape != e2.paths.shape or not np.array_equal(e.grid, e2.grid):
-        raise ValidationError("ensembles must share the same grid and shape")
-    return _joint_valid(e, e2)
-
-
-def _sq_distances(e: PathEnsemble, e2: PathEnsemble) -> np.ndarray:
-    """|X(t) - Y(t)|^2 per time and jointly valid path, shape (n_t, n_valid)."""
-    return _sq_reduce(_pair_valid(e, e2), e.paths, e2.paths)
-
-
-def _sq_reduce(mask: np.ndarray, *paths: np.ndarray) -> np.ndarray:
-    """``_sum_sq`` of one or two (n_t, dim, n_paths) path arrays for the
-    paths in ``mask``, shape (n_t, n_valid), formed SQ_BLOCK_TIMES times at
-    a time: the temporaries are one block, not a whole ensemble."""
+    paths = [x.paths[rows] for x in ensembles]
     out = np.empty((paths[0].shape[0], int(np.count_nonzero(mask))))
     # flagged paths may hold inf/nan; they are dropped after the reduction
     with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(0, out.shape[0], SQ_BLOCK_TIMES):
-            rows = slice(lo, lo + SQ_BLOCK_TIMES)
-            _sum_sq(*(x[rows] for x in paths)).compress(mask, axis=1, out=out[rows])
+            block = slice(lo, lo + SQ_BLOCK_TIMES)
+            _sum_sq(*(x[block] for x in paths)).compress(mask, axis=1, out=out[block])
     return out
 
 
@@ -135,13 +125,13 @@ def ms_norm(e: PathEnsemble, t_index: int) -> tuple[float, float]:
     n = int(t_index)
     if n < 0 or n > e.n_steps:
         raise ValidationError(f"t_index {t_index} outside grid")
-    est, se = _mean_and_se(_sq_norms(e, slice(n, n + 1)), e.grid[n:n + 1])
+    est, se = _mean_and_se(_sq_reduce((e,), slice(n, n + 1)), e.grid[n:n + 1])
     return float(est[0]), float(se[0])
 
 
 def ms_norm_series(e: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
     """Per-time mean of |X(t)|^2 with standard errors."""
-    return _mean_and_se(_sq_norms(e), e.grid)
+    return _mean_and_se(_sq_reduce((e,)), e.grid)
 
 
 def simulate_ms_norm(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
@@ -150,14 +140,14 @@ def simulate_ms_norm(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
     """The grid, per-time mean of |X(t)|^2 with standard errors, and the
     number of paths left out (flagged), of a run that stores no paths: the
     values of ``ms_norm_series(simulate(...))`` bit for bit."""
-    _check_ms_paths(n_paths)
+    _check_two_paths(n_paths)
     grid, sq = squared_norms(p, [init], drv, n_paths, scheme, threads)
     return (grid, *_mean_and_se(sq, grid), n_paths - sq.shape[1])
 
 
 def ms_distance_series(e: PathEnsemble, e2: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
     """Per-time mean of |X(t) - Y(t)|^2 with standard errors."""
-    return _mean_and_se(_sq_distances(e, e2), e.grid)
+    return _mean_and_se(_sq_reduce((e, e2)), e.grid)
 
 
 # Large contraction weights push the discounting denominators far beyond
@@ -173,11 +163,10 @@ def _log_weighted_sup(e: PathEnsemble, e2: PathEnsemble,
     """max over t of log E|X(t) - Y(t)|^2 - log_denom(t). Each time's mean is
     taken from one SQ_BLOCK_TIMES block of squared distances at a time, the
     same pairwise sum as over the whole (n_t, n_valid) array."""
-    mask = _pair_valid(e, e2)
     d2 = np.empty(e.paths.shape[0])
     for lo in range(0, d2.size, SQ_BLOCK_TIMES):
         rows = slice(lo, lo + SQ_BLOCK_TIMES)
-        d2[rows] = _sq_reduce(mask, e.paths[rows], e2.paths[rows]).mean(axis=-1)
+        d2[rows] = _sq_reduce((e, e2), rows).mean(axis=-1)
     with np.errstate(divide="ignore"):
         return float(np.max(np.log(d2) - log_denom))
 
@@ -310,6 +299,7 @@ def contraction_report(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
     """
     if n_iter < 3:
         raise ValidationError("n_iter must be >= 3")
+    _check_two_paths(n_paths)
     m_sup, _ = ml_sup_norm(p)
     omega_min = omega_threshold(p, m_sup)
     omega_used = float(omega) if omega is not None else omega_min
@@ -437,6 +427,7 @@ def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState
                               "for a meaningful fit window")
     if np.array_equal(eta.eta, gamma.eta):
         raise DegenerateExperimentError("eta == gamma yields zero separation")
+    _check_two_paths(n_paths)
 
     times, sq = squared_norms(p, [eta, gamma], drv, n_paths, scheme=scheme,
                               threads=threads)
@@ -511,6 +502,7 @@ def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
             raise ValidationError(
                 f"offset {off!r}: its square is not a finite normal float")
     _check_dims(p, eta)
+    _check_two_paths(n_paths)
 
     u = np.ones(p.dim) / math.sqrt(p.dim)
     gammas = [InitialState(eta.eta + off * u) for off in offsets]

@@ -20,7 +20,8 @@ Exit codes: 0 success, 2 config parse/validation error (also for values only
 an experiment checks, e.g. ``n_iter < 3``, for values whose arithmetic
 overflows: a continuity offset without a finite normal square or whose
 mean-square distance overflows, a Picard contraction threshold, a
-non-finite ``check-identity`` sample; for
+non-finite ``check-identity`` sample; for ``monte_carlo.n_paths`` 1 in an
+experiment that reports a mean over paths, the two-path rule; for
 ``--threads`` below 1, and for an ``--out`` that exists, even as a dangling
 symlink, and is not a directory),
 3 runtime/numerical error or an error creating or writing the outputs

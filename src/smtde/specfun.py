@@ -56,8 +56,9 @@ def reciprocal_gamma(x: float) -> float:
     """1/Gamma(x) for finite x, extended by zero at the poles x = 0, -1, -2, ...
 
     Where Gamma overflows (x above ~171.62) it is exp(-lgamma(x)), subnormal
-    and then 0.0; where Gamma underflows to a signed zero (x below about
-    -177.6) it is inf with the sign of Gamma.
+    and then 0.0, also past ~2.6e305 where lgamma overflows too; where Gamma
+    underflows to a signed zero (x below about -177.6) it is inf with the
+    sign of Gamma.
     """
     x = float(x)
     if x <= 0.0 and x == int(x):
@@ -65,7 +66,10 @@ def reciprocal_gamma(x: float) -> float:
     try:
         g = math.gamma(x)
     except OverflowError:
-        return math.exp(-math.lgamma(x))
+        try:
+            return math.exp(-math.lgamma(x))
+        except OverflowError:
+            return 0.0
     return 1.0 / g if g else math.copysign(math.inf, g)
 
 

@@ -105,7 +105,7 @@ class TestMsNorm:
         block = analysis.SQ_BLOCK_TIMES * 3 * n_paths * 8   # difference + its sum
         tracemalloc.start()
         try:
-            sq = analysis._sq_distances(e1, e2)
+            sq = analysis._sq_reduce((e1, e2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -147,6 +147,16 @@ class TestMsNorm:
             with pytest.raises(ValidationError,
                                match=rf"not finite from t = 0\.{row}:"):
                 analysis._mean_and_se(sq, np.arange(5) / 10)
+
+    def test_one_path_rejected(self):
+        # the two-path rule: no mean over paths without its standard error
+        ens = manual_ensemble([0.0, 1.0], np.ones((2, 2, 1)))
+        w = WeightedNormParams(omega=1.0, alpha=0.75)
+        for stat in (lambda: ms_norm(ens, 1), lambda: ms_norm_series(ens),
+                     lambda: ms_distance_series(ens, ens),
+                     lambda: log_weighted_norm(ens, ens, w)):
+            with pytest.raises(ValidationError, match="at least 2 paths"):
+                stat()
 
     def test_all_flagged_is_error(self):
         grid = np.array([0.0, 1.0])
@@ -225,7 +235,7 @@ class TestWeightedNorm:
         finally:
             tracemalloc.stop()
         assert peak <= n_t * 8 + 1.1 * block
-        whole = analysis._sq_distances(e1, e2)
+        whole = analysis._sq_reduce((e1, e2))
         assert whole.shape == (n_t, n_paths - 1)
         assert got == np.max(np.log(whole.mean(axis=-1)) - log_denom)
 
@@ -530,7 +540,7 @@ class TestCoupledSqDistances:
                                 horizon):
         p = make_problem(horizon=horizon)
         drv = BrownianDriver(seed=1, n_steps=n_steps)
-        ref = analysis._sq_distances(*coupled_pair(
+        ref = analysis._sq_reduce(coupled_pair(
             p, eta_state, self.GAMMA, drv, n_paths, scheme=scheme))
         for threads in (1, 2):
             grid, sq = squared_norms(p, [eta_state, self.GAMMA], drv, n_paths,
@@ -546,7 +556,7 @@ class TestCoupledSqDistances:
         drv = BrownianDriver(seed=7, n_steps=100)
         e1, e2 = coupled_pair(p, eta_state, gamma, drv, 256)
         assert e1.flags.sum() > 0 and not e2.flags.any()
-        ref = analysis._sq_distances(e1, e2)
+        ref = analysis._sq_reduce((e1, e2))
         _, sq = squared_norms(p, [eta_state, gamma], drv, 256)
         assert np.array_equal(sq, ref)
         report = separation_experiment(p, eta_state, gamma, drv, 1.0, 256)
@@ -591,7 +601,7 @@ class TestSimulateMsNorm:
             assert grid.tobytes() == ens.grid.tobytes() and dropped == 0
             _, sq = squared_norms(p, [eta_state], drv, n_paths, scheme=scheme,
                                   threads=threads)
-            assert np.array_equal(sq, analysis._sq_norms(ens))
+            assert np.array_equal(sq, analysis._sq_reduce((ens,)))
 
     def test_draws_increments_per_chunk(self, eta_state):
         # each chunk draws its own columns, one slab of NOISE_SLAB steps at a
@@ -628,10 +638,10 @@ class TestSimulateMsNorm:
         drv = BrownianDriver(seed=6, n_steps=n_steps)
         ens = solvers.simulate(p, eta_state, drv, n_paths)
         _, sq = squared_norms(p, [eta_state], drv, n_paths, threads=2)
-        assert np.array_equal(sq, analysis._sq_norms(ens))
+        assert np.array_equal(sq, analysis._sq_reduce((ens,)))
         gamma = InitialState([3.5, 5.5])
-        ref = analysis._sq_distances(*coupled_pair(p, eta_state, gamma, drv,
-                                                   n_paths // 2))
+        ref = analysis._sq_reduce(coupled_pair(p, eta_state, gamma, drv,
+                                               n_paths // 2))
         _, sq = squared_norms(p, [eta_state, gamma], drv, n_paths // 2,
                               threads=2)
         assert np.array_equal(sq, ref)
@@ -727,7 +737,7 @@ class TestSeparationBootstrap:
         report = separation_experiment(p, eta_state, gamma, drv, 1.0, 300)
         e1, e2 = coupled_pair(p, eta_state, gamma, drv, 300)
         window = e1.grid >= analysis.FIT_WINDOW_START
-        sq = analysis._sq_distances(e1, e2)[window].T
+        sq = analysis._sq_reduce((e1, e2))[window].T
         ref = gather_bootstrap(e1.grid[window], sq, drv.seed,
                                analysis.BOOTSTRAP_RESAMPLES)
         ci = np.quantile(ref, [0.025, 0.975])
@@ -865,3 +875,23 @@ def test_wrong_dim_initial_state_rejected(eta_state, route):
     drv = BrownianDriver(seed=3, n_steps=10)
     with pytest.raises(ValidationError, match="initial state dim 3 != problem dim 2"):
         WRONG_DIM_ROUTES[route](p, eta_state, bad, drv)
+
+
+# every experiment that reports a mean over paths, given one path
+ONE_PATH_ROUTES = {
+    "simulate_ms_norm": lambda p, eta, drv: simulate_ms_norm(p, eta, drv, 1),
+    "separation_experiment": lambda p, eta, drv: separation_experiment(
+        p, eta, InitialState([3.5, 5.5]), drv, 0.75, 1),
+    "continuity_experiment": lambda p, eta, drv: continuity_experiment(
+        p, eta, [0.1], drv, 1),
+    "contraction_report": lambda p, eta, drv: contraction_report(p, eta, drv, 3, 1),
+}
+
+
+@pytest.mark.parametrize("route", list(ONE_PATH_ROUTES))
+def test_one_path_rejected_before_drawing(eta_state, route):
+    # the two-path rule is checked before any increment is drawn
+    drv = CountingDriver(seed=3, n_steps=10)
+    with pytest.raises(ValidationError, match="the two-path rule"):
+        ONE_PATH_ROUTES[route](make_problem(horizon=5.0), eta_state, drv)
+    assert drv.paths_drawn == 0

@@ -174,6 +174,14 @@ class TestValidation:
          {"grid": {"horizon": 1.0, "n_steps": 20},
           "monte_carlo": {"n_paths": 50, "seed": 7}},
          "offset 1e+154: the distance ratio overflows"),
+        # the two-path rule: a mean over paths needs a standard error
+        ("separation", {"eta": [3.0, 5.0], "gamma": [3.5, 5.5], "lambda": 0.75},
+         {"grid": {"horizon": 10.0, "n_steps": 200},
+          "monte_carlo": {"n_paths": 1, "seed": 7}}, "at least 2 paths"),
+        ("continuity", {"eta": [3.0, 5.0], "offsets": [0.1]},
+         {"monte_carlo": {"n_paths": 1, "seed": 7}}, "at least 2 paths"),
+        ("picard", {"eta": [3.0, 5.0]},
+         {"monte_carlo": {"n_paths": 1, "seed": 7}}, "at least 2 paths"),
     ])
     # an overflow is reported by the check, not by a numpy warning first
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -573,12 +581,15 @@ class TestExperiments:
                   if r["quantity"] == "scaled_distance" and float(r["time"]) > 1.0]
         assert scaled and all(v == math.inf for v in scaled)
 
-    @pytest.mark.parametrize("delta, converged", [(172.5, 1.0), (-200.5, 0.0)])
+    @pytest.mark.parametrize("delta, converged", [(172.5, 1.0), (-200.5, 0.0),
+                                                  (1e306, 1.0)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_ml_eval_offsets_beyond_gamma_range(self, tmp_path, delta, converged):
         # every Gamma(k rho + m sigma + delta) of the shipped config's series
-        # overflows at 172.5; at -200.5 the first ones underflow to a signed
-        # zero, so their reciprocals are infinite and the series cannot
-        # converge. Both are rows of a finished run, not a crash
+        # overflows at 172.5, and its lgamma too at 1e306; at -200.5 the first
+        # ones underflow to a signed zero, so their reciprocals are infinite
+        # and the series cannot converge. All are rows of a finished run,
+        # not a crash or a numpy warning
         cfg = json.loads((CONFIG_DIR / "ml_eval_sec6.json").read_text())
         cfg["params"]["delta"] = delta
         out = tmp_path / "out"

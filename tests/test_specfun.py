@@ -45,6 +45,11 @@ class TestGamma:
         assert reciprocal_gamma(x) == math.exp(-math.lgamma(x))
         assert (reciprocal_gamma(x) > 0.0) == (x < 172.0)
 
+    @pytest.mark.parametrize("x", [2.6e305, 3e305, 1e306, 1.7e308, math.inf])
+    def test_reciprocal_beyond_lgamma_overflow(self, x):
+        # from ~2.6e305 on, math.lgamma overflows too: 1/Gamma is 0.0
+        assert reciprocal_gamma(x) == 0.0
+
     @pytest.mark.parametrize("x, sign", [(-171.5, 1.0), (-200.5, -1.0),
                                          (-201.5, 1.0)])
     def test_reciprocal_where_gamma_underflows(self, x, sign):
@@ -78,10 +83,12 @@ class TestReciprocalGammas:
             assert reciprocal_gammas(xs).tobytes() == self.scalar_map(xs).tobytes()
 
     def test_scalar_branch_is_the_scalar_map(self):
-        # below 1e-300, from 171 on, the poles, Gamma's underflow and NaN,
-        # shuffled among plain values and repeated
+        # below 1e-300, from 171 on (either side of lgamma's overflow at
+        # ~2.6e305 too), the poles, Gamma's underflow and NaN, shuffled among
+        # plain values and repeated
         special = [0.0, -0.0, -1.0, -3.0, 5e-324, 1e-310, 1e-301, 171.0, 171.5,
-                   171.7, 200.0, 1e5, -0.5, -171.5, -200.5, -201.5, math.nan]
+                   171.7, 200.0, 1e5, 2.5e305, 2.6e305, 1e306, 1.7e308, -0.5,
+                   -171.5, -200.5, -201.5, math.nan]
         xs = np.array(special * 3 + [0.25, 0.5, 2.5, 170.9, 0.5, 1e-300])
         np.random.default_rng(3).shuffle(xs)
         assert reciprocal_gammas(xs).tobytes() == self.scalar_map(xs).tobytes()
