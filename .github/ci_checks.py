@@ -98,7 +98,8 @@ ROWS = {
     "mild-rss": Row("mild_sec6", {}, 1, False, "rss-over-base", 33,
                     "chunks stream into |X|^2: ~19 (~42 with every path stored)"),
     "picard-1500-rss": Row("picard_sec6", {"grid.n_steps": 1500}, 1, False, "rss-over-base",
-                           90, "a block of history per chunk: ~66 (~122 whole history)"),
+                           63, "no iterate stored, a chunk's 4 iterates' pending rows, squared "
+                           "differences and increments: ~46 (~66 with two iterates stored)"),
     "mild-1000-rss": Row("mild_sec6", {"grid.n_steps": 1000}, 1, False, "rss-over-base", 70,
                          "a block of history per chunk: ~58 (~78 whole 2 * dim history)"),
     "ml-eval-far": Row("ml_eval_sec6", {"params.t_grid": [0, 0.5, 20, 60, 100, 1e6]}, 1, True,
@@ -116,7 +117,7 @@ ROWS = {
     "threads-continuity-4096": Row("continuity_sec6", {"monte_carlo.n_paths": 4096}, 2,
                                    False, "threads", ["results.csv"], "4 chunks an ensemble"),
     "threads-picard-4096": Row("picard_sec6", {"monte_carlo.n_paths": 4096}, 2, False,
-                               "threads", ["results.csv"], "4 chunks, no-feedback route"),
+                               "threads", ["results.csv"], "16 chunks of 4 stacked iterates"),
 }
 
 

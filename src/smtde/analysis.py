@@ -30,9 +30,8 @@ from .errors import (DegenerateExperimentError, DomainError, EnsembleError,
                      ValidationError)
 from .linalg import row_sum_norms
 from .solvers import (BrownianDriver, InitialState, PathEnsemble, ProblemSpec,
-                      _check_dims, _draw, _ensembles, _sum_sq, constant_ensemble,
-                      kernel_tables, mild_init_term, mild_kernel_tables, mild_ml,
-                      picard_apply, squared_norms)
+                      _check_dims, _draw, _ensembles, _run, _sum_sq, kernel_tables,
+                      mild_init_term, mild_kernel_tables, mild_ml, squared_norms)
 from .specfun import gamma_fn, ml_scalar_log, rl_weights
 
 FIT_WINDOW_START = 1.0
@@ -69,13 +68,10 @@ def _check_two_paths(n_paths: int) -> None:
                               "least 2 paths for its standard error, got 1")
 
 
-def _sq_reduce(ensembles: tuple[PathEnsemble, ...], rows=slice(None)) -> np.ndarray:
-    """|X(t)|^2 of one ensemble, or |X(t) - Y(t)|^2 of two on one grid, per
-    time in ``rows`` and jointly valid path, shape (n_t, n_valid), formed
-    SQ_BLOCK_TIMES times at a time: the temporaries are one block, not a
-    whole ensemble. ValidationError for two ensembles of different grids or
-    shapes and under the two-path rule; EnsembleError if every path is
-    flagged."""
+def _joint_mask(ensembles: tuple[PathEnsemble, ...]) -> np.ndarray:
+    """The paths valid in every ensemble, (n_paths,). ValidationError for
+    two ensembles of different grids or shapes and under the two-path rule;
+    EnsembleError if every path is flagged."""
     e = ensembles[0]
     mask = ~e.flags
     for e2 in ensembles[1:]:
@@ -85,6 +81,15 @@ def _sq_reduce(ensembles: tuple[PathEnsemble, ...], rows=slice(None)) -> np.ndar
     _check_two_paths(e.n_paths)
     if not mask.any():
         raise EnsembleError("all paths flagged; no valid statistics")
+    return mask
+
+
+def _sq_reduce(ensembles: tuple[PathEnsemble, ...], rows=slice(None)) -> np.ndarray:
+    """|X(t)|^2 of one ensemble, or |X(t) - Y(t)|^2 of two on one grid, per
+    time in ``rows`` and jointly valid path (``_joint_mask``), shape (n_t,
+    n_valid), formed SQ_BLOCK_TIMES times at a time: the temporaries are one
+    block, not a whole ensemble."""
+    mask = _joint_mask(ensembles)
     paths = [x.paths[rows] for x in ensembles]
     out = np.empty((paths[0].shape[0], int(np.count_nonzero(mask))))
     # flagged paths may hold inf/nan; they are dropped after the reduction
@@ -93,6 +98,12 @@ def _sq_reduce(ensembles: tuple[PathEnsemble, ...], rows=slice(None)) -> np.ndar
             block = slice(lo, lo + SQ_BLOCK_TIMES)
             _sum_sq(*(x[block] for x in paths)).compress(mask, axis=1, out=out[block])
     return out
+
+
+def _valid_sums(sq: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per row of sq (rows, paths), numpy's pairwise sum over the paths in
+    mask (paths,), the flagged ones compressed out first (none, no copy)."""
+    return (sq if mask.all() else sq.compress(mask, axis=-1)).sum(axis=-1)
 
 
 def _mean_and_se(sq: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,17 +169,26 @@ def _log_weight_denominators(w: WeightedNormParams, times: np.ndarray) -> np.nda
     return ml_scalar_log(order, w.omega * times ** order)
 
 
-def _log_weighted_sup(e: PathEnsemble, e2: PathEnsemble,
-                      log_denom: np.ndarray) -> float:
-    """max over t of log E|X(t) - Y(t)|^2 - log_denom(t). Each time's mean is
-    taken from one SQ_BLOCK_TIMES block of squared distances at a time, the
-    same pairwise sum as over the whole (n_t, n_valid) array."""
-    d2 = np.empty(e.paths.shape[0])
-    for lo in range(0, d2.size, SQ_BLOCK_TIMES):
-        rows = slice(lo, lo + SQ_BLOCK_TIMES)
-        d2[rows] = _sq_reduce((e, e2), rows).mean(axis=-1)
+def _log_sup(d2: np.ndarray, log_denom: np.ndarray) -> float:
+    """max over t of log d2(t) - log_denom(t); a zero d2 is -inf."""
     with np.errstate(divide="ignore"):
         return float(np.max(np.log(d2) - log_denom))
+
+
+def _log_weighted_sup(e: PathEnsemble, e2: PathEnsemble,
+                      log_denom: np.ndarray) -> float:
+    """max over t of log E|X(t) - Y(t)|^2 - log_denom(t). The ensembles are
+    checked and their joint mask formed once; then each time's mean is
+    taken from one SQ_BLOCK_TIMES block of squared distances at a time, the
+    same pairwise sum as over the whole (n_t, n_valid) array."""
+    mask = _joint_mask((e, e2))
+    n_valid = np.count_nonzero(mask)
+    d2 = np.empty(e.paths.shape[0])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, d2.size, SQ_BLOCK_TIMES):
+            rows = slice(lo, lo + SQ_BLOCK_TIMES)
+            d2[rows] = _valid_sums(_sum_sq(e.paths[rows], e2.paths[rows]), mask)
+    return _log_sup(d2 / n_valid, log_denom)
 
 
 def log_weighted_norm(e: PathEnsemble, e2: PathEnsemble,
@@ -291,11 +311,56 @@ class ContractionReport:
     n_dropped: int = 0
 
 
+class _IterateDistances:
+    """Write-only output of a chunk of c paths of stacked Picard iterates
+    Y_1..Y_n (n = n_iter), one copy each: rows of shape (rows, dim, n, c)
+    become |Y_{k+1} - Y_k|^2 in ``sq`` (n_steps + 1, n, c), Y_0 = eta. Once
+    the kernel returns the chunk's mask, ``done`` sums each pair's rows over
+    the paths valid in both iterates and adds them to ``totals``: the per-row
+    sums (n_steps + 1, n) and the paths summed (n,)."""
+
+    def __init__(self, eta: np.ndarray, n_rows: int, n_iter: int, c: int,
+                 totals: list):
+        self.eta, self.totals = eta[:, None, None], totals
+        self.sq = np.empty((n_rows, n_iter, c))
+
+    def __setitem__(self, rows: slice, x: np.ndarray) -> None:
+        _sum_sq(x[:, :, :1], self.eta, out=self.sq[rows, :1])
+        _sum_sq(x[:, :, 1:], x[:, :, :-1], out=self.sq[rows, 1:])
+
+    def done(self, ok: np.ndarray) -> None:
+        both = ok.copy()
+        both[1:] &= ok[:-1]     # Y_0 = eta is never flagged
+        # dropped here: the caller still holds this sink while the next
+        # chunk runs
+        sq, self.sq = self.sq, None
+        with np.errstate(over="ignore"):
+            self.totals[0] += np.stack([_valid_sums(sq[:, k], mask)
+                                        for k, mask in enumerate(both)], axis=1)
+        self.totals[1] += both.sum(axis=1)
+
+
 def contraction_report(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
                        n_iter: int, n_paths: int, omega: float | None = None,
                        threads: int = 1) -> ContractionReport:
     """Run Picard iterates Y_{k+1} = T Y_k from the constant path Y_0 = eta
     and record successive weighted-norm ratios against the analytic constant.
+
+    Row n of T Y reads only rows 0..n-1 of Y, so all n_iter iterates are
+    stepped in one pass of the mild kernel, as n_iter stacked copies of one
+    chunk: copy 0 reads Y_0 = eta (a broadcast view, never stored), copy k
+    the row of copy k - 1 just computed. Each chunk draws its own
+    increments, which every iterate's stochastic term reuses, and keeps
+    |Y_{k+1} - Y_k|^2 per row, iterate and path (``_IterateDistances``), so
+    no iterate is stored: a chunk of CHUNK_PATHS // n_iter paths holds
+    those, its increments and the kernel's pending rows, (dim n_iter +
+    n_iter + 1) doubles per path and step. The per-row sums of the chunks
+    are added in chunk order, so the report does not depend on ``threads``.
+    The values are those of ``log_weighted_norm`` over ``picard_apply``
+    iterates from ``constant_ensemble`` to rounding: the iterates are the
+    same sums in wider products, and the means sum per chunk. ``n_dropped``
+    and the EnsembleError above FLAGGED_FRACTION_LIMIT (the first iterate
+    checked first) are the same.
     """
     if n_iter < 3:
         raise ValidationError("n_iter must be >= 3")
@@ -308,19 +373,21 @@ def contraction_report(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
     w = WeightedNormParams(omega=omega_used, alpha=p.alpha)
 
     tables = mild_kernel_tables(p, drv.n_steps)
-    current = constant_ensemble(p, init, drv, n_paths)
-    log_denom = _log_weight_denominators(w, current.grid)  # same for every iterate
-    log_diffs: list[float] = []
-    n_dropped = 0
-    for _ in range(n_iter):
-        nxt = picard_apply(p, init, current, threads=threads, tables=tables)
-        log_diffs.append(_log_weighted_sup(nxt, current, log_denom))
-        n_dropped = max(n_dropped, int((nxt.flags | current.flags).sum()))
-        current = nxt
-
+    noise = _draw(p, drv, n_paths, init)
+    grid = p.grid(drv.n_steps)
+    totals = [0, 0]     # per-row sums and paths summed, in chunk order
+    y0 = np.broadcast_to(init.eta[:, None], (grid.size, p.dim, n_paths))
+    _run(p, tables, [init] * n_iter, n_paths, noise,
+         lambda cols: _IterateDistances(init.eta, grid.size, n_iter,
+                                        len(range(n_paths)[cols]), totals),
+         threads, known=y0)
+    sums, counts = totals
+    log_denom = _log_weight_denominators(w, grid)  # same for every iterate
+    log_diffs = [_log_sup(d2, log_denom) for d2 in (sums / counts).T]
     report = ContractionReport(m_sup=m_sup, omega_min=omega_min,
                                omega_used=omega_used, zeta=zeta, c_const=c_const,
-                               log_weighted_diffs=log_diffs, n_dropped=n_dropped)
+                               log_weighted_diffs=log_diffs,
+                               n_dropped=int(n_paths - counts.min()))
     if log_diffs[0] == -math.inf:
         report.immediate_convergence = True
         return report

@@ -34,11 +34,15 @@ provided, both on uniform grids:
 
 Both schemes and the Picard operator share one stepping kernel,
 ``_step_paths``: the same lag sum, computed with feedback (the history is
-the output just computed) or, for ``picard_apply``, without (the history is
-a given ensemble). Each scheme's kernel tables hold one lag table in the
-narrowest form it uses (scalar weights for ``em``, no X-memory block for
-``mild``), so with A = B = 0 the two schemes sum the same terms in
-different groupings and agree to rounding, not bit for bit.
+the output just computed) or without, for the Picard operator: the first
+copy of a chunk reads a given ensemble (``picard_apply``), and each further
+copy the row that the copy before it has just computed. Row n of T Y reads
+rows 0..n-1 of Y only, so n stacked copies step the Picard iterates
+Y_1..Y_n in one pass (``analysis.contraction_report``). Each scheme's
+kernel tables hold one lag table in the narrowest form it uses (scalar
+weights for ``em``, no X-memory block for ``mild``), so with A = B = 0 the
+two schemes sum the same terms in different groupings and agree to
+rounding, not bit for bit.
 
 The kernel holds one block of HISTORY_BLOCK history rows and pushes each
 finished block forward. A step's lags fall in three fields: the lags inside
@@ -73,7 +77,10 @@ every row and the increments, drawn at once; ``squared_norms`` keeps only
 of NOISE_SLAB steps at a time, as the kernel reads them (``_Slabs``). A
 path's slabs continue its stream, so the two routes agree bit for bit, and
 per path a reduced chunk holds nothing that grows with the grid but the
-pending sums of ``mild``.
+pending sums of ``mild``. The one-pass Picard iterates store no iterate
+either: a chunk draws its increments at once and keeps the squared
+differences of successive iterates, which it sums over its paths once the
+kernel returns.
 """
 
 from __future__ import annotations
@@ -217,11 +224,13 @@ class BrownianDriver:
         local = self._local
         if not hasattr(local, "state"):
             local.generator = np.random.Generator(np.random.Philox(0))
+            # plain ints: the state setter reads them faster than uint64
+            # arrays (timed 0.46 against 1.05 us per re-key), to the same
+            # bits
             local.state = {
                 "bit_generator": "Philox",
-                "state": {"counter": np.zeros(4, np.uint64),
-                          "key": np.array([self.seed, 0], np.uint64)},
-                "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                "state": {"counter": [0] * 4, "key": [self.seed, 0]},
+                "buffer": [0] * 4, "buffer_pos": 4,
                 "has_uint32": 0, "uinteger": 0}
         return local.generator, local.state
 
@@ -725,15 +734,17 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
     etas has shape (dim, copies) and dw shape (n_steps, c): the chunk stacks
     c paths from each initial value side by side, x0 = np.repeat(etas, c,
     axis=1), on the grid ``p.grid(n_steps)``, and every copy steps over the
-    same increments, broadcast, never copied. The history channels h_j
-    (``_channels``) come from the output row x_j just computed (the feedback
-    recurrence) or, given ``known`` (n_steps + 1, dim, c), from known[j] (the
-    operator without feedback; one history serves every copy). ``out`` takes
-    x0 as ``out[:1]`` and each block of steps n0..n1-1 once: it is a strided
-    view of the caller's ensembles, shape (n_steps + 1, dim, copies, c), in
-    whose rows each block is summed in place, or any other object, which
-    gets each finished block as ``out[n0:n1] = rows``. The mask is checked
-    on x0 and then once per block.
+    same increments, broadcast, never copied. Each copy's history channels
+    h_j (``_channels``) come from its own output row x_j just computed (the
+    feedback recurrence) or, given ``known`` (n_steps + 1, dim, c), from
+    known[j] for copy 0 and from copy k - 1's output row x_j for copy k: the
+    operator without feedback applied ``copies`` times in one pass, which
+    row n of each application allows, as it reads rows 0..n-1 only.
+    ``out`` takes x0 as ``out[:1]`` and each block of steps n0..n1-1 once:
+    it is a strided view of the caller's ensembles, shape (n_steps + 1,
+    dim, copies, c), in whose rows each block is summed in place, or any
+    other object, which gets each finished block as ``out[n0:n1] = rows``.
+    The mask is checked on x0 and then once per block.
 
     The kernel holds the channels of one piece of history, row 0 and then
     the rows of each block of B = HISTORY_BLOCK steps, and pushes each piece
@@ -762,7 +773,7 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
       first row of a near piece, the one before it is pushed into the rest
       of the block with one product; every other row adds its own product
       over the lags inside its near piece. Then the row's channels are
-      formed (given rows have theirs formed before the near field).
+      formed.
 
     A block is summed in its pending rows: the output rows themselves when
     ``out`` is an array, otherwise a buffer of the rows that a piece can
@@ -774,7 +785,9 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
     basis. Each output row takes the same products in the same order with
     and without ``known``, so without exponentials (mild, with or without
     a basis) the operator maps this recurrence's paths to themselves bit
-    for bit.
+    for bit. Stacked applications run each product over ``copies`` times
+    the columns, which can move a path's last bits, as the width of its
+    chunk can.
     """
     nd = p.dim
     _, r, cf = tables.weights.shape     # lag blocks (r, cf), cf = n_chan * r
@@ -791,7 +804,9 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
     blk = HISTORY_BLOCK
     # one piece of history, read as (rows*cf, dim*width/r) by the products
     # and as (rows*cn, width) by the near field
-    width = x0.shape[1] if known is None else c
+    width = x0.shape[1]
+    # the values whose channels one history row holds, given known
+    src = None if known is None else np.empty(stacked)
     hist = np.empty((blk, n_chan, nd, width))
     hist_cols = hist.reshape(blk * cf, -1)
     near_hist = hist.reshape(blk * cn, width)
@@ -832,17 +847,25 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
         i = (n0 - 1) % len(pending)
         return pending[i:i + n1 - n0]
 
+    def given(n: int, x: np.ndarray) -> np.ndarray:
+        """The values whose channels history row n holds, (dim, width), from
+        the output rows x_n (dim, copies, c): each copy's own, or with
+        ``known`` known[n] for copy 0 and copy k - 1's for copy k."""
+        if known is not None:
+            src[:, 0], src[:, 1:] = known[n], x[:, :-1]
+            x = src
+        return x.reshape(nd, -1)
+
     def product(weights: np.ndarray, x: np.ndarray, rows: int,
                 buf: np.ndarray = prod_buf) -> np.ndarray:
-        """weights @ x as ``rows`` output rows, (rows, dim, copies or 1, c)."""
+        """weights @ x as ``rows`` output rows, (rows, dim, copies, c)."""
         shape = (*weights.shape[:-1], x.shape[-1])
         return np.matmul(weights, x, out=buf[:math.prod(shape)].reshape(shape)
                          ).reshape(rows, nd, -1, c)
 
     with np.errstate(over="ignore", invalid="ignore"):
         out[:1] = x0.reshape(1, *stacked)
-        _channels(tables, p, times[0], x0 if known is None else known[0], dw[0],
-                  hist[0])
+        _channels(tables, p, times[0], given(0, x0.reshape(stacked)), dw[0], hist[0])
         j0, j1 = 0, 1       # the history rows whose channels hist holds
         for i, (n0, n1) in enumerate(blocks):
             acc = sums(n0, n1)
@@ -878,11 +901,6 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
                         fold, hist_cols[:(j1 - j0) * cf, c0:c0 + col_slab],
                         out=prod_buf[:cols.size].reshape(cols.shape))
             acc += product(tables.init_mats[n0:n1], x0, n1 - n0)
-            if known is not None:
-                # given rows: their channels are formed before the near field,
-                # not between its products (measured 5% of picard_apply)
-                for k, n in enumerate(range(n0, min(n1, n_steps))):
-                    _channels(tables, p, times[n], known[n], dw[n], hist[k])
             for k, n in enumerate(range(n0, n1)):
                 m = k % NEAR_PIECE
                 if m:       # the lags inside the row's near piece
@@ -893,9 +911,8 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
                     acc[k:] += product(push[:(n1 - n0 - k) * nd],
                                        near_hist[(k - NEAR_PIECE) * cn:k * cn],
                                        n1 - n0 - k)
-                if known is None and n < n_steps:
-                    _channels(tables, p, times[n], acc[k].reshape(nd, -1), dw[n],
-                              hist[k])
+                if n < n_steps:
+                    _channels(tables, p, times[n], given(n, acc[k]), dw[n], hist[k])
             if not stored:
                 out[n0:n1] = acc
             finite &= np.isfinite(acc).all(axis=(0, 1)).ravel()
@@ -976,7 +993,10 @@ def _run(p: ProblemSpec, tables: KernelTables, inits, n_paths: int,
     them. ``out(cols)`` takes the output of the kernel,
     ``_step_paths``: the feedback recurrence or, with ``known`` (an
     ensemble's paths, whose columns ``cols`` the chunk reads in place), the
-    operator without feedback. EnsembleError if more than
+    operator without feedback, applied to known by copy 0 and to copy k - 1
+    by copy k. An output with a ``done`` method gets the chunk's mask
+    (copies, c) once the kernel returns, in chunk order and in the calling
+    thread whatever ``threads`` is. EnsembleError if more than
     FLAGGED_FRACTION_LIMIT of one copy's paths blew up, the copies checked
     in order.
     """
@@ -984,10 +1004,17 @@ def _run(p: ProblemSpec, tables: KernelTables, inits, n_paths: int,
     copies = etas.shape[1]
     finite = np.empty((copies, n_paths), dtype=bool)
 
-    def worker(cols: slice) -> None:
-        ok = _step_paths(tables, p, etas, noise(cols), out(cols),
-                         None if known is None else known[:, :, cols])
-        finite[:, cols] = ok.reshape(copies, -1)
+    def worker(cols: slice) -> tuple:
+        sink = out(cols)
+        ok = finite[:, cols] = _step_paths(
+            tables, p, etas, noise(cols), sink,
+            None if known is None else known[:, :, cols]).reshape(copies, -1)
+        return sink, ok
+
+    def finish(results) -> None:
+        for sink, ok in results:
+            if hasattr(sink, "done"):
+                sink.done(ok)
 
     width = max(CHUNK_PATHS // copies, 1)
     chunks = [slice(lo, lo + width) for lo in range(0, n_paths, width)]
@@ -995,9 +1022,9 @@ def _run(p: ProblemSpec, tables: KernelTables, inits, n_paths: int,
         # imported here: concurrent.futures loads logging, ~3 ms per import
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(worker, chunks))
+            finish(pool.map(worker, chunks))
     else:
-        list(map(worker, chunks))
+        finish(map(worker, chunks))
     for flags in ~finite:
         frac = float(flags.mean()) if flags.size else 0.0
         if frac > FLAGGED_FRACTION_LIMIT:
@@ -1111,7 +1138,9 @@ def picard_apply(p: ProblemSpec, init: InitialState, y: PathEnsemble,
     The stepping kernel, given y's paths as ``known``, reads them in place
     and holds, per chunk, one block of HISTORY_BLOCK rows of their channels;
     its pending sums are the output itself, so the memory is the output plus
-    O(one block), whatever n_steps is. ``tables`` defaults to the mild ones;
+    O(one block), whatever n_steps is. This is the one-copy case of the
+    stacked iterates of ``analysis.contraction_report``, which apply the
+    operator n_iter times in one pass. ``tables`` defaults to the mild ones;
     em tables give the em operator, read through their exponentials as the
     feedback route reads them.
     """

@@ -396,6 +396,114 @@ class TestContractionReport:
             contraction_report(sec6_problem, eta_state, drv, n_iter=3, n_paths=0)
 
 
+def sequential_report(p, eta, drv, n_iter, n_paths, omega):
+    """(log weighted diffs, most paths dropped) of Picard iterates applied
+    one at a time to stored ensembles, from the constant path Y_0 = eta."""
+    w = WeightedNormParams(omega=omega, alpha=p.alpha)
+    tables = solvers.mild_kernel_tables(p, drv.n_steps)
+    current = constant_ensemble(p, eta, drv, n_paths)
+    diffs, dropped = [], 0
+    for _ in range(n_iter):
+        nxt = picard_apply(p, eta, current, tables=tables)
+        diffs.append(log_weighted_norm(nxt, current, w))
+        dropped = max(dropped, int((nxt.flags | current.flags).sum()))
+        current = nxt
+    return diffs, dropped
+
+
+class TestOnePassIterates:
+    """contraction_report steps its iterates as stacked copies of one kernel
+    run; picard_apply on stored ensembles is its oracle."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # 16 (n_iter 4) or 21 (n_iter 3) paths a chunk: 3 to 7 chunks
+        monkeypatch.setattr(solvers, "CHUNK_PATHS", 64)
+
+    # block boundaries at rows 33 and 65; the mild basis carries the far
+    # field from 65 steps on
+    @pytest.mark.parametrize("n_steps", [50, 70])
+    @pytest.mark.parametrize("n_iter", [3, 4])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_sequential_iterates(self, sec6_problem, eta_state, n_steps,
+                                         n_iter, threads):
+        drv = BrownianDriver(seed=12, n_steps=n_steps)
+        report = contraction_report(sec6_problem, eta_state, drv, n_iter=n_iter,
+                                    n_paths=100, threads=threads)
+        diffs, dropped = sequential_report(sec6_problem, eta_state, drv, n_iter,
+                                           100, report.omega_used)
+        assert report.n_dropped == dropped == 0
+        assert np.allclose(report.log_weighted_diffs, diffs, rtol=1e-12, atol=0)
+        if threads > 1:     # the chunks' sums add in chunk order
+            assert report == contraction_report(sec6_problem, eta_state, drv,
+                                                n_iter=n_iter, n_paths=100)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_drops_the_sequential_paths(self, eta_state, threads):
+        # iterate 1 stays finite; iterates 2 on read it through the drift,
+        # which is infinite above 9: 8 of 200 paths blow up
+        p = make_problem(a_mat=ZERO2, b_mat=ZERO2, drift=flaky_above(9.0),
+                         diffusion=one_fn, horizon=5.0)
+        drv = BrownianDriver(seed=7, n_steps=70)
+        report = contraction_report(p, eta_state, drv, n_iter=4, n_paths=200,
+                                    threads=threads)
+        diffs, dropped = sequential_report(p, eta_state, drv, 4, 200,
+                                           report.omega_used)
+        assert report.n_dropped == dropped > 0
+        assert np.allclose(report.log_weighted_diffs, diffs, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_same_iterate_raises(self, eta_state, threads):
+        # above 8, 12.0% of iterate 2's paths blow up (more of iterate 3's)
+        p = make_problem(a_mat=ZERO2, b_mat=ZERO2, drift=flaky_above(8.0),
+                         diffusion=one_fn, horizon=5.0)
+        drv = BrownianDriver(seed=7, n_steps=70)
+        with pytest.raises(EnsembleError) as sequential:
+            sequential_report(p, eta_state, drv, 4, 200, 1.0)
+        with pytest.raises(EnsembleError) as one_pass:
+            contraction_report(p, eta_state, drv, n_iter=4, n_paths=200,
+                               threads=threads)
+        assert str(one_pass.value) == str(sequential.value) == \
+            "12.0% of paths blew up (limit 10%)"
+
+    def test_memory_grows_by_live_chunk_only(self, sec6_problem, eta_state,
+                                             monkeypatch):
+        # from 600 to 2400 steps the peak grows by what the live chunk of c
+        # paths holds per step: the kernel's pending rows of the n_iter
+        # iterates (dim n_iter), their squared differences (n_iter) and the
+        # chunk's increments (1). The 2% covers the report's own rows (the
+        # grid, the kernel's times and the running sums, n_iter + 2 doubles;
+        # measured 1.015). Four chunks: any (N + 1, dim, n_paths) array, such
+        # as one stored iterate, would add 62% more. The tables and the
+        # grid-free constants, whose peak would hide the smaller run's, are
+        # formed untraced, and a first run untraced takes the allocations
+        # made once per process (0.75 MB)
+        monkeypatch.setattr(solvers, "CHUNK_PATHS", 128)
+        p, n_iter, n_paths = sec6_problem, 4, 128
+        c = solvers.CHUNK_PATHS // n_iter
+        contraction_report(p, eta_state, BrownianDriver(seed=3, n_steps=40),
+                           n_iter, n_paths)
+        for name in ("ml_sup_norm", "init_term_sup_sq"):
+            value = getattr(analysis, name)(p)
+            monkeypatch.setattr(analysis, name, lambda _, value=value: value)
+
+        def peak(n_steps):
+            tables = solvers.mild_kernel_tables(p, n_steps)
+            monkeypatch.setattr(analysis, "mild_kernel_tables",
+                                lambda *args: tables)
+            drv = BrownianDriver(seed=3, n_steps=n_steps)
+            tracemalloc.start()
+            try:
+                contraction_report(p, eta_state, drv, n_iter, n_paths)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(600)
+        growth = peak(2400) - small
+        assert growth <= 1.02 * 1800 * (p.dim * n_iter + n_iter + 1) * c * 8
+
+
 class TestSeparation:
     def make_long_problem(self, **kw):
         return make_problem(horizon=5.0, **kw)
