@@ -100,6 +100,10 @@ ROWS = {
     "picard-1500-rss": Row("picard_sec6", {"grid.n_steps": 1500}, 1, False, "rss-over-base",
                            63, "no iterate stored, a chunk's 4 iterates' pending rows, squared "
                            "differences and increments: ~46 (~66 with two iterates stored)"),
+    "continuity-1000-rss": Row(
+        "continuity_sec6", {"grid.n_steps": 1000}, 1, False, "rss-over-base", 24,
+        "base and shifted runs stacked, a chunk's squared distances and increments: ~18 "
+        "(~101 with the base and a shifted ensemble stored)"),
     "mild-1000-rss": Row("mild_sec6", {"grid.n_steps": 1000}, 1, False, "rss-over-base", 70,
                          "a block of history per chunk: ~58 (~78 whole 2 * dim history)"),
     "ml-eval-far": Row("ml_eval_sec6", {"params.t_grid": [0, 0.5, 20, 60, 100, 1e6]}, 1, True,
@@ -115,7 +119,7 @@ ROWS = {
     "threads-mild-1000": Row("mild_sec6", {"grid.n_steps": 1000}, 2, False, "threads",
                              ["results.csv"], "most pushes go through the shared basis"),
     "threads-continuity-4096": Row("continuity_sec6", {"monte_carlo.n_paths": 4096}, 2,
-                                   False, "threads", ["results.csv"], "4 chunks an ensemble"),
+                                   False, "threads", ["results.csv"], "16 chunks of 4 stacked copies"),
     "threads-picard-4096": Row("picard_sec6", {"monte_carlo.n_paths": 4096}, 2, False,
                                "threads", ["results.csv"], "16 chunks of 4 stacked iterates"),
 }

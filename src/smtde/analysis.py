@@ -30,7 +30,7 @@ from .errors import (DegenerateExperimentError, DomainError, EnsembleError,
                      ValidationError)
 from .linalg import row_sum_norms
 from .solvers import (BrownianDriver, InitialState, PathEnsemble, ProblemSpec,
-                      _check_dims, _draw, _ensembles, _run, _sum_sq, kernel_tables,
+                      _check_dims, _draw, _run, _sum_sq, kernel_tables,
                       mild_init_term, mild_kernel_tables, mild_ml, squared_norms)
 from .specfun import gamma_fn, ml_scalar_log, rl_weights
 
@@ -311,26 +311,34 @@ class ContractionReport:
     n_dropped: int = 0
 
 
-class _IterateDistances:
-    """Write-only output of a chunk of c paths of stacked Picard iterates
-    Y_1..Y_n (n = n_iter), one copy each: rows of shape (rows, dim, n, c)
-    become |Y_{k+1} - Y_k|^2 in ``sq`` (n_steps + 1, n, c), Y_0 = eta. Once
-    the kernel returns the chunk's mask, ``done`` sums each pair's rows over
-    the paths valid in both iterates and adds them to ``totals``: the per-row
-    sums (n_steps + 1, n) and the paths summed (n,)."""
+class _CopyDistances:
+    """Write-only output of a chunk of c paths of stacked copies, rows of
+    shape (rows, dim, copies, c), kept as n squared distances per row and
+    path in ``sq`` (n_steps + 1, n, c). Given eta, the copies are Picard
+    iterates Y_1..Y_n and the distances |Y_{k+1} - Y_k|^2, Y_0 = eta;
+    without, they are X_0..X_n and the distances |X_k - X_0|^2, k >= 1.
+    Once the kernel returns the chunk's mask, ``done`` sums each distance's
+    rows over the paths valid in both copies and adds them to ``totals``:
+    the per-row sums (n_steps + 1, n) and the paths summed (n,)."""
 
-    def __init__(self, eta: np.ndarray, n_rows: int, n_iter: int, c: int,
-                 totals: list):
-        self.eta, self.totals = eta[:, None, None], totals
-        self.sq = np.empty((n_rows, n_iter, c))
+    def __init__(self, n_rows: int, n: int, c: int, totals: list,
+                 eta: np.ndarray | None = None):
+        self.eta, self.totals = eta, totals
+        self.sq = np.empty((n_rows, n, c))
 
     def __setitem__(self, rows: slice, x: np.ndarray) -> None:
-        _sum_sq(x[:, :, :1], self.eta, out=self.sq[rows, :1])
-        _sum_sq(x[:, :, 1:], x[:, :, :-1], out=self.sq[rows, 1:])
+        if self.eta is None:
+            _sum_sq(x[:, :, 1:], x[:, :, :1], out=self.sq[rows])
+        else:
+            _sum_sq(x[:, :, :1], self.eta[:, None, None], out=self.sq[rows, :1])
+            _sum_sq(x[:, :, 1:], x[:, :, :-1], out=self.sq[rows, 1:])
 
     def done(self, ok: np.ndarray) -> None:
-        both = ok.copy()
-        both[1:] &= ok[:-1]     # Y_0 = eta is never flagged
+        if self.eta is None:
+            both = ok[1:] & ok[0]
+        else:
+            both = ok.copy()
+            both[1:] &= ok[:-1]     # Y_0 = eta is never flagged
         # dropped here: the caller still holds this sink while the next
         # chunk runs
         sq, self.sq = self.sq, None
@@ -351,11 +359,12 @@ def contraction_report(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
     chunk: copy 0 reads Y_0 = eta (a broadcast view, never stored), copy k
     the row of copy k - 1 just computed. Each chunk draws its own
     increments, which every iterate's stochastic term reuses, and keeps
-    |Y_{k+1} - Y_k|^2 per row, iterate and path (``_IterateDistances``), so
-    no iterate is stored: a chunk of CHUNK_PATHS // n_iter paths holds
-    those, its increments and the kernel's pending rows, (dim n_iter +
-    n_iter + 1) doubles per path and step. The per-row sums of the chunks
-    are added in chunk order, so the report does not depend on ``threads``.
+    |Y_{k+1} - Y_k|^2 per row, iterate and path (``_CopyDistances``, the
+    sink of ``continuity_experiment`` too), so no iterate is stored: a
+    chunk of CHUNK_PATHS // n_iter paths holds those, its increments and
+    the kernel's pending rows, (dim n_iter + n_iter + 1) doubles per path
+    and step. The per-row sums of the chunks are added in chunk order, so
+    the report does not depend on ``threads``.
     The values are those of ``log_weighted_norm`` over ``picard_apply``
     iterates from ``constant_ensemble`` to rounding: the iterates are the
     same sums in wider products, and the means sum per chunk. ``n_dropped``
@@ -377,10 +386,9 @@ def contraction_report(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
     grid = p.grid(drv.n_steps)
     totals = [0, 0]     # per-row sums and paths summed, in chunk order
     y0 = np.broadcast_to(init.eta[:, None], (grid.size, p.dim, n_paths))
-    _run(p, tables, [init] * n_iter, n_paths, noise,
-         lambda cols: _IterateDistances(init.eta, grid.size, n_iter,
-                                        len(range(n_paths)[cols]), totals),
-         threads, known=y0)
+    _run(p, tables, [init] * n_iter, n_paths, noise, lambda cols: _CopyDistances(
+        grid.size, n_iter, len(range(n_paths)[cols]), totals, init.eta),
+        threads, known=y0)
     sums, counts = totals
     log_denom = _log_weight_denominators(w, grid)  # same for every iterate
     log_diffs = [_log_sup(d2, log_denom) for d2 in (sums / counts).T]
@@ -549,11 +557,20 @@ def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
     eta + offset * u along the unit diagonal u (eta's dim is checked before
     any is formed); the reported ratio sup_t d^2 / |eta - gamma|^2
     should stay bounded across offsets when the solution map is continuous in
-    the initial data. The noise is drawn once; the base ensemble is stepped
-    first, then one shifted ensemble at a time, so the memory held does not
-    grow with the number of offsets. ValidationError unless each offset's
-    square, which the ratio divides by, is a finite normal float, and
-    unless each mean-square distance and ratio is finite.
+    the initial data. The base and every shifted run are stepped in one
+    pass, as stacked copies [eta, *gammas] of each chunk over the chunk's
+    increments, drawn once; the chunk keeps |X_k - X_0|^2 per row, offset
+    and path (``_CopyDistances``) and sums them over the paths valid in both
+    copies once the kernel returns, so no path is stored. A chunk of
+    CHUNK_PATHS // (offsets + 1) paths holds those, its increments and the
+    stacked rows of one block, so while offsets + 1 <= CHUNK_PATHS the
+    memory does not grow with the number of offsets. The per-row sums of
+    the chunks are added in chunk order, so the points do not depend on
+    ``threads``. They equal ``max(ms_distance_series(*coupled_pair(...))[0])``
+    per offset to rounding, and ``n_dropped`` (the paths flagged in either
+    copy) is the same. ValidationError unless each offset's square, which
+    the ratio divides by, is a finite normal float, and unless each sup
+    mean-square distance and ratio is finite.
     """
     offsets = [float(o) for o in offsets]
     if not offsets or any(o <= 0 for o in offsets):
@@ -574,25 +591,20 @@ def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
     u = np.ones(p.dim) / math.sqrt(p.dim)
     gammas = [InitialState(eta.eta + off * u) for off in offsets]
     tables = kernel_tables(p, drv.n_steps, scheme)
-    dw = _draw(p, drv, n_paths, eta, *gammas)(slice(None))
-    base, = _ensembles(p, tables, [eta], dw, threads)
-
-    def point(off: float, gamma: InitialState) -> ContinuityPoint:
-        shifted, = _ensembles(p, tables, [gamma], dw, threads)
+    noise = _draw(p, drv, n_paths, eta, *gammas)
+    totals = [0, 0]     # per-row sums and paths summed, in chunk order
+    _run(p, tables, [eta, *gammas], n_paths, noise, lambda cols: _CopyDistances(
+        drv.n_steps + 1, len(offsets), len(range(n_paths)[cols]), totals), threads)
+    sums, counts = totals
+    # Python floats: a ratio that overflows is inf, with no numpy warning
+    sup_d2s = (sums / counts).max(axis=0).tolist()
+    for off, sup_d2 in zip(offsets, sup_d2s):
         # squared distances near the top of the float range overflow their
         # sum over paths
-        try:
-            sup_d2 = float(np.max(ms_distance_series(base, shifted)[0]))
-        except ValidationError as exc:
-            raise ValidationError(
-                f"offset {off!r}: the distance ratio overflows ({exc})") from None
-        ratio = sup_d2 / off ** 2
-        if not math.isfinite(ratio):
+        if not math.isfinite(sup_d2 / off ** 2):
             raise ValidationError(
                 f"offset {off!r}: the distance ratio overflows (sup mean-square "
                 f"distance {sup_d2!r})")
-        return ContinuityPoint(
-            offset=off, sup_ms_distance=sup_d2, ratio=ratio,
-            n_dropped=int((base.flags | shifted.flags).sum()))
-
-    return [point(off, gamma) for off, gamma in zip(offsets, gammas)]
+    return [ContinuityPoint(offset=off, sup_ms_distance=sup_d2, ratio=sup_d2 / off ** 2,
+                            n_dropped=int(n_paths - count))
+            for off, sup_d2, count in zip(offsets, sup_d2s, counts)]

@@ -77,10 +77,12 @@ every row and the increments, drawn at once; ``squared_norms`` keeps only
 of NOISE_SLAB steps at a time, as the kernel reads them (``_Slabs``). A
 path's slabs continue its stream, so the two routes agree bit for bit, and
 per path a reduced chunk holds nothing that grows with the grid but the
-pending sums of ``mild``. The one-pass Picard iterates store no iterate
-either: a chunk draws its increments at once and keeps the squared
-differences of successive iterates, which it sums over its paths once the
-kernel returns.
+pending sums of ``mild``. The one-pass Picard iterates and continuity
+runs store no path either: a chunk draws its increments at once and keeps
+the squared distances between its stacked copies (successive iterates, or
+each shifted run and the base), which it sums over its paths once the
+kernel returns. So only the library calls that return a ``PathEnsemble``
+store paths.
 """
 
 from __future__ import annotations
@@ -239,6 +241,8 @@ class BrownianDriver:
         """Brownian increments dW ~ N(0, h) of the steps ``steps`` (all by
         default), shape (len(steps), n_paths): the transposed view of a
         path-major (n_paths, len(steps)) array, each path's steps contiguous.
+        ValidationError, naming the slice, unless it is consecutive steps
+        (stride 1, stop >= start).
 
         A slab of consecutive steps continues each path's stream: one that
         starts past step 0 resumes path pid from ``states[pid]``, which the
@@ -246,7 +250,10 @@ class BrownianDriver:
         state there. So a path's slabs, drawn in step order, equal one draw
         of all its steps bit for bit.
         """
-        start, stop, _ = steps.indices(self.n_steps)
+        start, stop, stride = steps.indices(self.n_steps)
+        if stride != 1 or stop < start:
+            raise ValidationError(f"steps {steps!r} of {self.n_steps}: a slab is "
+                                  f"consecutive steps, stride 1 and stop >= start")
         if start and states is None:
             raise ValidationError(
                 f"increments from step {start} continue each path's stream "

@@ -894,6 +894,7 @@ class TestContinuity:
         assert max(ratios) / min(ratios) <= 3.0
 
     def test_noise_drawn_once(self, sec6_problem, eta_state):
+        # the base and every shifted copy of a chunk step over one draw
         drv = CountingDriver(seed=5, n_steps=20)
         continuity_experiment(sec6_problem, eta_state, [1e-1, 1e-2, 1e-3], drv, 7)
         assert drv.paths_drawn == 7
@@ -912,8 +913,10 @@ class TestContinuity:
         assert max(row.n_dropped for row in rows) > 0
 
     def test_memory_holds_one_shifted_ensemble(self, sec6_problem, eta_state):
-        # the shifted ensembles are stepped one at a time, so the peak does
-        # not grow with the number of offsets (one ensemble here is ~0.8 MB)
+        # a chunk of CHUNK_PATHS // (offsets + 1) paths holds its increments
+        # and one squared distance per offset, ~CHUNK_PATHS doubles per step
+        # whatever the number of offsets, so the peak does not grow with it
+        # (one stored ensemble here would be ~0.8 MB)
         def peak(n_offsets):
             drv = BrownianDriver(seed=5, n_steps=100)
             offsets = [10.0 ** -k for k in range(1, n_offsets + 1)]
@@ -925,6 +928,41 @@ class TestContinuity:
                 tracemalloc.stop()
 
         assert peak(6) <= 1.1 * peak(2)
+
+    def test_memory_grows_by_live_chunk_only(self, sec6_problem, eta_state,
+                                             monkeypatch):
+        # from 200 to 800 steps the peak grows by what the live chunk of c
+        # paths holds per step: its squared distances (one per offset) and
+        # its increments (1). The 2% covers the report's own rows (the grid,
+        # the kernel's times and the per-row sums, a few doubles per offset;
+        # measured 1.007), and ``states`` the em far field's exponential
+        # states of the stacked chunk, one row per rate and dim, which grow
+        # with ln N (45 rates at 200 steps, 54 at 800). Eight chunks: one
+        # stored (N + 1, dim, n_paths) ensemble would add 4x the bound. The
+        # tables, whose peak would hide the smaller run's, are formed
+        # untraced, and a first run untraced takes the allocations made once
+        # per process
+        p, offsets, n_paths = sec6_problem, [1e-1, 1e-2, 1e-3], 2048
+        copies = len(offsets) + 1
+        c = solvers.CHUNK_PATHS // copies
+        continuity_experiment(p, eta_state, offsets,
+                              BrownianDriver(seed=3, n_steps=40), n_paths)
+        tables = {n: solvers.em_kernel_tables(p, n) for n in (200, 800)}
+
+        def peak(n_steps):
+            monkeypatch.setattr(analysis, "kernel_tables",
+                                lambda *args: tables[n_steps])
+            drv = BrownianDriver(seed=3, n_steps=n_steps)
+            tracemalloc.start()
+            try:
+                continuity_experiment(p, eta_state, offsets, drv, n_paths)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        growth = peak(800) - peak(200)
+        states = (tables[800].rates.size - tables[200].rates.size) * p.dim * copies * c * 8
+        assert growth <= 1.02 * 600 * copies * c * 8 + states
 
     @pytest.mark.parametrize("offset", [1e-300, 1e-170, 1e-160, 1e300, math.inf])
     def test_offset_square_must_be_normal(self, sec6_problem, eta_state, offset):
@@ -954,6 +992,81 @@ class TestContinuity:
             continuity_experiment(sec6_problem, eta_state, [1e-3, 1e-2], drv, 5)
         with pytest.raises(ValidationError):
             continuity_experiment(sec6_problem, eta_state, [0.1, -0.2], drv, 5)
+
+
+def stored_points(p, eta, offsets, drv, n_paths, scheme):
+    """(sup mean-square distance, paths dropped) per offset, from the stored
+    coupled pair of eta and each shifted initial value."""
+    u = np.ones(p.dim) / math.sqrt(p.dim)
+    points = []
+    for off in offsets:
+        e1, e2 = coupled_pair(p, eta, InitialState(eta.eta + off * u), drv,
+                              n_paths, scheme)
+        points.append((float(np.max(ms_distance_series(e1, e2)[0])),
+                       int((e1.flags | e2.flags).sum())))
+    return points
+
+
+class TestOnePassContinuity:
+    """continuity_experiment steps the base and shifted runs as stacked
+    copies of one kernel run; the stored coupled pairs are its oracle."""
+
+    # A distance of size eps scales a path's rounding by |X| / eps: the
+    # stacked products are wider, which can move a path's last bits. At
+    # eps = 1e-6 the points moved 5e-12 to 1.8e-10 relative (sec6, 100 to
+    # 300 steps); down to 1e-3 they move ~4e-16, so the offsets stop there
+    OFFSETS = [1e-1, 1e-2, 1e-3]
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # 16 paths a chunk of 4 copies: 7 chunks of 100 paths, the last 4
+        monkeypatch.setattr(solvers, "CHUNK_PATHS", 64)
+
+    # block boundaries at rows 33 and 65; the mild basis carries the far
+    # field from 65 steps on
+    @pytest.mark.parametrize("scheme", ["em", "mild"])
+    @pytest.mark.parametrize("n_steps", [50, 70])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_coupled_pairs(self, sec6_problem, eta_state, scheme,
+                                   n_steps, threads):
+        drv = BrownianDriver(seed=12, n_steps=n_steps)
+        points = continuity_experiment(sec6_problem, eta_state, self.OFFSETS,
+                                       drv, 100, scheme, threads)
+        stored = stored_points(sec6_problem, eta_state, self.OFFSETS, drv, 100,
+                               scheme)
+        for point, (sup_d2, dropped) in zip(points, stored):
+            assert point.sup_ms_distance == pytest.approx(sup_d2, rel=1e-12, abs=0)
+            assert point.n_dropped == dropped == 0
+        if threads > 1:     # the chunks' sums add in chunk order
+            assert points == continuity_experiment(
+                sec6_problem, eta_state, self.OFFSETS, drv, 100, scheme)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_drops_the_stored_paths(self, eta_state, threads):
+        p = make_problem(a_mat=ZERO2, b_mat=ZERO2, drift=flaky_drift,
+                         diffusion=one_fn, horizon=5.0)
+        drv = BrownianDriver(seed=7, n_steps=100)
+        points = continuity_experiment(p, eta_state, self.OFFSETS, drv, 200,
+                                       threads=threads)
+        stored = stored_points(p, eta_state, self.OFFSETS, drv, 200, "em")
+        for point, (sup_d2, dropped) in zip(points, stored):
+            assert point.sup_ms_distance == pytest.approx(sup_d2, rel=1e-12, abs=0)
+            assert point.n_dropped == dropped
+        assert max(point.n_dropped for point in points) > 0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_same_copy_raises(self, eta_state, threads):
+        # above 8, more than 10% of eta's paths blow up: the base copy is
+        # checked first on both routes
+        p = make_problem(a_mat=ZERO2, b_mat=ZERO2, drift=flaky_above(8.0),
+                         diffusion=one_fn, horizon=5.0)
+        drv = BrownianDriver(seed=7, n_steps=100)
+        with pytest.raises(EnsembleError) as stored:
+            stored_points(p, eta_state, self.OFFSETS[:1], drv, 256, "em")
+        with pytest.raises(EnsembleError) as one_pass:
+            continuity_experiment(p, eta_state, self.OFFSETS, drv, 256,
+                                  threads=threads)
+        assert str(one_pass.value) == str(stored.value)
 
 
 # every route that takes initial states, given one of dim 3 (bad) on the

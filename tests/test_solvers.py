@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -135,6 +136,14 @@ class TestBrownianDriver:
         drv = BrownianDriver(seed=2, n_steps=40)
         with pytest.raises(ValidationError, match="from step 16 "):
             drv.increments_block(range(3), 0.1, slice(16, 32))
+
+    @pytest.mark.parametrize("steps", [slice(0, 10, 2), slice(5, 3)])
+    def test_slab_must_be_consecutive_steps(self, steps):
+        # a stride would be dropped (10 rows, not len(steps) = 5), and stop
+        # below start would reach numpy as a negative dimension
+        drv = BrownianDriver(seed=2, n_steps=40)
+        with pytest.raises(ValidationError, match=re.escape(f"steps {steps!r} of 40")):
+            drv.increments_block(range(3), 0.1, steps, {})
 
     def test_draws_equal_across_threads(self):
         # one driver shared by more threads than cores, switching often: a
