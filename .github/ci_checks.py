@@ -98,12 +98,14 @@ ROWS = {
     "mild-rss": Row("mild_sec6", {}, 1, False, "rss-over-base", 33,
                     "chunks stream into |X|^2: ~19 (~42 with every path stored)"),
     "picard-1500-rss": Row("picard_sec6", {"grid.n_steps": 1500}, 1, False, "rss-over-base",
-                           63, "no iterate stored, a chunk's 4 iterates' pending rows, squared "
-                           "differences and increments: ~46 (~66 with two iterates stored)"),
+                           60, "no iterate stored, a chunk's 4 iterates' pending rows and squared "
+                           "differences, one slab of increments: ~44 (~46 with a chunk's whole "
+                           "increments, ~66 with two iterates stored)"),
     "continuity-1000-rss": Row(
-        "continuity_sec6", {"grid.n_steps": 1000}, 1, False, "rss-over-base", 24,
-        "base and shifted runs stacked, a chunk's squared distances and increments: ~18 "
-        "(~101 with the base and a shifted ensemble stored)"),
+        "continuity_sec6", {"grid.n_steps": 1000}, 1, False, "rss-over-base", 22,
+        "base and shifted runs stacked, a chunk's squared distances, one slab of increments: "
+        "~16.6 (~18 with a chunk's whole increments, ~101 with the base and a shifted "
+        "ensemble stored)"),
     "mild-1000-rss": Row("mild_sec6", {"grid.n_steps": 1000}, 1, False, "rss-over-base", 70,
                          "a block of history per chunk: ~58 (~78 whole 2 * dim history)"),
     "ml-eval-far": Row("ml_eval_sec6", {"params.t_grid": [0, 0.5, 20, 60, 100, 1e6]}, 1, True,

@@ -16,6 +16,24 @@ contraction constant
     zeta = 3 Gamma(2a-1) M^2 (1 + L_b^2 T + L_s^2) / w
 
 equals 3/4 by construction.
+
+The paper's three checks step stacked copies of one kernel run
+(``solvers._run``) and reduce them to squared distances in one sink,
+``_SqDistances``, which measures each copy from one reference: the copy
+before it (the Picard iterates Y_1..Y_n), copy 0 (continuity's shifted
+runs, and the separation pair) or a fixed vector (eta for Y_1, so Y_0 =
+eta is never stored, and 0 for ``simulate``'s one copy: |X|^2). The
+separation experiment and ``simulate_ms_norm`` keep every path's rows in
+one (n_steps + 1, n_paths) array (``squared_norms``), which the standard
+errors and the bootstrap read. Continuity and Picard keep a chunk's rows
+until the kernel returns its mask, then sum them over the paths valid in
+both copies, the chunks in chunk order, so no result depends on
+``threads``. Every one of them hands ``_run`` the noise function of
+``solvers._draw``, so a chunk draws its increments one slab of NOISE_SLAB
+steps at a time (``solvers._Slabs``), each path's slabs continuing its
+stream: the squares equal those of the stored ensembles bit for bit, and
+a chunk holds no increments that grow with the grid. So only the library
+calls of ``solvers`` that return a ``PathEnsemble`` store paths.
 """
 
 from __future__ import annotations
@@ -30,8 +48,8 @@ from .errors import (DegenerateExperimentError, DomainError, EnsembleError,
                      ValidationError)
 from .linalg import row_sum_norms
 from .solvers import (BrownianDriver, InitialState, PathEnsemble, ProblemSpec,
-                      _check_dims, _draw, _run, _sum_sq, kernel_tables,
-                      mild_init_term, mild_kernel_tables, mild_ml, squared_norms)
+                      _check_dims, _draw, _run, kernel_tables, mild_init_term,
+                      mild_kernel_tables, mild_ml)
 from .specfun import gamma_fn, ml_scalar_log, rl_weights
 
 FIT_WINDOW_START = 1.0
@@ -84,6 +102,89 @@ def _joint_mask(ensembles: tuple[PathEnsemble, ...]) -> np.ndarray:
     return mask
 
 
+def _sum_sq(x: np.ndarray, y: np.ndarray | None = None, out=None) -> np.ndarray:
+    """Sum over dim of x^2 or (x - y)^2, (rows, dim, ...) -> (rows, ...):
+    the squared norms of the core's blocks and of stored ensembles alike."""
+    if y is None:
+        sq = np.square(x)
+    else:
+        sq = np.subtract(x, y)
+        np.square(sq, out=sq)
+    return np.sum(sq, axis=1, out=out)
+
+
+def _valid_sums(sq: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per row of sq (rows, paths), numpy's pairwise sum over the paths in
+    mask (paths,), the flagged ones compressed out first (none, no copy)."""
+    return (sq if mask.all() else sq.compress(mask, axis=-1)).sum(axis=-1)
+
+
+class _SqDistances:
+    """Write-only output of a chunk of c paths of stacked copies, rows of
+    shape (rows, dim, copies, c), kept as each copy's squared distance from
+    its reference in ``sq`` (n_steps + 1, n, c). With ``chain`` copy 0 is
+    measured from ``origin`` (dim, 1, 1) (None: 0, so |X|^2) and copy k from
+    copy k - 1, n = copies; without, copy k >= 1 from copy 0, n = copies - 1.
+
+    ``sq`` is a view of the caller's (n_steps + 1, n_paths) array, which
+    keeps every path's rows (one distance), or, given ``totals``, the
+    chunk's own block: once the kernel returns the chunk's mask, ``done``
+    sums each distance's rows over the paths valid in both copies and adds
+    them to ``totals``, the per-row sums (n_steps + 1, n) and the paths
+    summed (n,)."""
+
+    def __init__(self, sq: np.ndarray, chain: bool = False,
+                 origin: np.ndarray | None = None, totals: list | None = None):
+        self.sq, self.chain, self.origin, self.totals = sq, chain, origin, totals
+
+    def __setitem__(self, rows: slice, x: np.ndarray) -> None:
+        if self.chain:
+            _sum_sq(x[:, :, :1], self.origin, out=self.sq[rows, :1])
+            _sum_sq(x[:, :, 1:], x[:, :, :-1], out=self.sq[rows, 1:])
+        else:
+            _sum_sq(x[:, :, 1:], x[:, :, :1], out=self.sq[rows])
+
+    def done(self, ok: np.ndarray) -> None:
+        if self.totals is None:
+            return
+        # each copy's validity and its reference's: copy 0's own in a chain,
+        # as the origin is never flagged
+        both = ok & np.vstack([ok[:1], ok[:-1]]) if self.chain else ok[1:] & ok[0]
+        # dropped here: the caller still holds this sink while the next
+        # chunk runs
+        sq, self.sq = self.sq, None
+        with np.errstate(over="ignore"):
+            self.totals[0] += np.stack([_valid_sums(sq[:, k], mask)
+                                        for k, mask in enumerate(both)], axis=1)
+        self.totals[1] += both.sum(axis=1)
+
+
+def squared_norms(p: ProblemSpec, inits, drv: BrownianDriver, n_paths: int,
+                  scheme: str = "em",
+                  threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The grid and, per time and valid path, |X(t)|^2 for one initial state
+    or |X(t) - Y(t)|^2 for two coupled ones, shape (n_steps + 1, n_valid),
+    without storing paths or more than one slab of increments per chunk.
+
+    The chunks are those of ``simulate`` (one initial state) or
+    ``coupled_pair`` (two), and the core's output rows go straight into the
+    squares. So the values equal the squares that ``ms_norm_series`` forms
+    from the ``simulate`` ensemble, or ``ms_distance_series`` from the
+    ``coupled_pair`` ensembles, bit for bit; the paths left out (flagged in
+    either ensemble) and the EnsembleError above FLAGGED_FRACTION_LIMIT
+    (the first ensemble checked first) are the same.
+    """
+    if len(inits) not in (1, 2):
+        raise ValidationError(
+            f"squared_norms takes one or two initial states, got {len(inits)}")
+    tables = kernel_tables(p, drv.n_steps, scheme)
+    noise = _draw(p, drv, n_paths, *inits)
+    sq = np.empty((drv.n_steps + 1, n_paths))
+    valid = _run(p, tables, inits, n_paths, noise, lambda cols: _SqDistances(
+        sq[:, None, cols], chain=len(inits) == 1), threads).all(axis=0)
+    return p.grid(drv.n_steps), sq if valid.all() else sq.compress(valid, axis=1)
+
+
 def _sq_reduce(ensembles: tuple[PathEnsemble, ...], rows=slice(None)) -> np.ndarray:
     """|X(t)|^2 of one ensemble, or |X(t) - Y(t)|^2 of two on one grid, per
     time in ``rows`` and jointly valid path (``_joint_mask``), shape (n_t,
@@ -98,12 +199,6 @@ def _sq_reduce(ensembles: tuple[PathEnsemble, ...], rows=slice(None)) -> np.ndar
             block = slice(lo, lo + SQ_BLOCK_TIMES)
             _sum_sq(*(x[block] for x in paths)).compress(mask, axis=1, out=out[block])
     return out
-
-
-def _valid_sums(sq: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per row of sq (rows, paths), numpy's pairwise sum over the paths in
-    mask (paths,), the flagged ones compressed out first (none, no copy)."""
-    return (sq if mask.all() else sq.compress(mask, axis=-1)).sum(axis=-1)
 
 
 def _mean_and_se(sq: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,6 +228,8 @@ def _mean_and_se(sq: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def ms_norm(e: PathEnsemble, t_index: int) -> tuple[float, float]:
     """Sample mean of |X(t)|^2 across paths and its standard error."""
+    if not isinstance(t_index, (int, np.integer)):
+        raise ValidationError(f"t_index must be an integer, got {t_index!r}")
     n = int(t_index)
     if n < 0 or n > e.n_steps:
         raise ValidationError(f"t_index {t_index} outside grid")
@@ -311,43 +408,6 @@ class ContractionReport:
     n_dropped: int = 0
 
 
-class _CopyDistances:
-    """Write-only output of a chunk of c paths of stacked copies, rows of
-    shape (rows, dim, copies, c), kept as n squared distances per row and
-    path in ``sq`` (n_steps + 1, n, c). Given eta, the copies are Picard
-    iterates Y_1..Y_n and the distances |Y_{k+1} - Y_k|^2, Y_0 = eta;
-    without, they are X_0..X_n and the distances |X_k - X_0|^2, k >= 1.
-    Once the kernel returns the chunk's mask, ``done`` sums each distance's
-    rows over the paths valid in both copies and adds them to ``totals``:
-    the per-row sums (n_steps + 1, n) and the paths summed (n,)."""
-
-    def __init__(self, n_rows: int, n: int, c: int, totals: list,
-                 eta: np.ndarray | None = None):
-        self.eta, self.totals = eta, totals
-        self.sq = np.empty((n_rows, n, c))
-
-    def __setitem__(self, rows: slice, x: np.ndarray) -> None:
-        if self.eta is None:
-            _sum_sq(x[:, :, 1:], x[:, :, :1], out=self.sq[rows])
-        else:
-            _sum_sq(x[:, :, :1], self.eta[:, None, None], out=self.sq[rows, :1])
-            _sum_sq(x[:, :, 1:], x[:, :, :-1], out=self.sq[rows, 1:])
-
-    def done(self, ok: np.ndarray) -> None:
-        if self.eta is None:
-            both = ok[1:] & ok[0]
-        else:
-            both = ok.copy()
-            both[1:] &= ok[:-1]     # Y_0 = eta is never flagged
-        # dropped here: the caller still holds this sink while the next
-        # chunk runs
-        sq, self.sq = self.sq, None
-        with np.errstate(over="ignore"):
-            self.totals[0] += np.stack([_valid_sums(sq[:, k], mask)
-                                        for k, mask in enumerate(both)], axis=1)
-        self.totals[1] += both.sum(axis=1)
-
-
 def contraction_report(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
                        n_iter: int, n_paths: int, omega: float | None = None,
                        threads: int = 1) -> ContractionReport:
@@ -358,13 +418,13 @@ def contraction_report(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
     stepped in one pass of the mild kernel, as n_iter stacked copies of one
     chunk: copy 0 reads Y_0 = eta (a broadcast view, never stored), copy k
     the row of copy k - 1 just computed. Each chunk draws its own
-    increments, which every iterate's stochastic term reuses, and keeps
-    |Y_{k+1} - Y_k|^2 per row, iterate and path (``_CopyDistances``, the
-    sink of ``continuity_experiment`` too), so no iterate is stored: a
-    chunk of CHUNK_PATHS // n_iter paths holds those, its increments and
-    the kernel's pending rows, (dim n_iter + n_iter + 1) doubles per path
-    and step. The per-row sums of the chunks are added in chunk order, so
-    the report does not depend on ``threads``.
+    increments one slab at a time, which every iterate's stochastic term
+    reuses, and keeps |Y_{k+1} - Y_k|^2 per row, iterate and path
+    (``_SqDistances``), so no iterate is stored: a chunk of CHUNK_PATHS //
+    n_iter paths holds those and the kernel's pending rows, (dim n_iter +
+    n_iter) doubles per path and step, and one slab of increments. The
+    per-row sums of the chunks are added in chunk order, so the report does
+    not depend on ``threads``.
     The values are those of ``log_weighted_norm`` over ``picard_apply``
     iterates from ``constant_ensemble`` to rounding: the iterates are the
     same sums in wider products, and the means sum per chunk. ``n_dropped``
@@ -386,9 +446,9 @@ def contraction_report(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
     grid = p.grid(drv.n_steps)
     totals = [0, 0]     # per-row sums and paths summed, in chunk order
     y0 = np.broadcast_to(init.eta[:, None], (grid.size, p.dim, n_paths))
-    _run(p, tables, [init] * n_iter, n_paths, noise, lambda cols: _CopyDistances(
-        grid.size, n_iter, len(range(n_paths)[cols]), totals, init.eta),
-        threads, known=y0)
+    _run(p, tables, [init] * n_iter, n_paths, noise, lambda cols: _SqDistances(
+        np.empty((grid.size, n_iter, len(range(n_paths)[cols]))), chain=True,
+        origin=init.eta[:, None, None], totals=totals), threads, known=y0)
     sums, counts = totals
     log_denom = _log_weight_denominators(w, grid)  # same for every iterate
     log_diffs = [_log_sup(d2, log_denom) for d2 in (sums / counts).T]
@@ -559,16 +619,17 @@ def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
     should stay bounded across offsets when the solution map is continuous in
     the initial data. The base and every shifted run are stepped in one
     pass, as stacked copies [eta, *gammas] of each chunk over the chunk's
-    increments, drawn once; the chunk keeps |X_k - X_0|^2 per row, offset
-    and path (``_CopyDistances``) and sums them over the paths valid in both
-    copies once the kernel returns, so no path is stored. A chunk of
-    CHUNK_PATHS // (offsets + 1) paths holds those, its increments and the
-    stacked rows of one block, so while offsets + 1 <= CHUNK_PATHS the
-    memory does not grow with the number of offsets. The per-row sums of
-    the chunks are added in chunk order, so the points do not depend on
-    ``threads``. They equal ``max(ms_distance_series(*coupled_pair(...))[0])``
-    per offset to rounding, and ``n_dropped`` (the paths flagged in either
-    copy) is the same. ValidationError unless each offset's square, which
+    increments, drawn once, one slab at a time; the chunk keeps |X_k -
+    X_0|^2 per row, offset and path (``_SqDistances``) and sums them over
+    the paths valid in both copies once the kernel returns, so no path is
+    stored. A chunk of CHUNK_PATHS // (offsets + 1) paths holds those, one
+    slab of its increments and the stacked rows of one block, so while
+    offsets + 1 <= CHUNK_PATHS the memory does not grow with the number of
+    offsets. The per-row sums of the chunks are added in chunk order, so
+    the points do not depend on ``threads``. They equal
+    ``max(ms_distance_series(*coupled_pair(...))[0])`` per offset to
+    rounding, and ``n_dropped`` (the paths flagged in either copy) is the
+    same. ValidationError unless each offset's square, which
     the ratio divides by, is a finite normal float, and unless each sup
     mean-square distance and ratio is finite.
     """
@@ -593,8 +654,9 @@ def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
     tables = kernel_tables(p, drv.n_steps, scheme)
     noise = _draw(p, drv, n_paths, eta, *gammas)
     totals = [0, 0]     # per-row sums and paths summed, in chunk order
-    _run(p, tables, [eta, *gammas], n_paths, noise, lambda cols: _CopyDistances(
-        drv.n_steps + 1, len(offsets), len(range(n_paths)[cols]), totals), threads)
+    _run(p, tables, [eta, *gammas], n_paths, noise, lambda cols: _SqDistances(
+        np.empty((drv.n_steps + 1, len(offsets), len(range(n_paths)[cols]))),
+        totals=totals), threads)
     sums, counts = totals
     # Python floats: a ratio that overflows is inf, with no numpy warning
     sup_d2s = (sums / counts).max(axis=0).tolist()

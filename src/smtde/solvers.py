@@ -70,19 +70,13 @@ stacks the same paths from each eta (one copy for ``simulate``, two for a
 coupled pair) over one copy of their increments, on the grid
 ``p.grid(n_steps)`` of the increments' row count, and the kernel writes
 the rows as (rows, dim, copies, c) and reports which paths stayed finite.
-The stored routes (``simulate``, ``coupled_pair``, ``picard_apply``) keep
-every row and the increments, drawn at once; ``squared_norms`` keeps only
-|X|^2 of one copy or |X - Y|^2 of two (both routes form them with
-``_sum_sq``), and each chunk's worker draws the chunk's increments one slab
-of NOISE_SLAB steps at a time, as the kernel reads them (``_Slabs``). A
-path's slabs continue its stream, so the two routes agree bit for bit, and
-per path a reduced chunk holds nothing that grows with the grid but the
-pending sums of ``mild``. The one-pass Picard iterates and continuity
-runs store no path either: a chunk draws its increments at once and keeps
-the squared distances between its stacked copies (successive iterates, or
-each shifted run and the base), which it sums over its paths once the
-kernel returns. So only the library calls that return a ``PathEnsemble``
-store paths.
+``_run`` alone decides where a chunk's increments come from: it slices a
+stored array, or reads the noise function of ``_draw`` one slab of
+NOISE_SLAB steps at a time, as the kernel reads them (``_Slabs``). A
+path's slabs continue its stream, so both give the same bits. The stored
+routes (``simulate``, ``coupled_pair``, ``picard_apply``) keep every row
+and the increments, drawn at once; the reduced routes of ``analysis``
+pass a noise function and a sink of squared distances, and store no path.
 """
 
 from __future__ import annotations
@@ -102,8 +96,8 @@ from .specfun import (gauss_jacobi, gauss_legendre, reciprocal_gamma,
 
 # Paths are simulated in fixed-size chunks regardless of thread count so that
 # results are independent of the parallel partition. A chunk's width sets
-# how much history, how many exponential states and, on the reduced route,
-# how wide a slab of increments is held at once.
+# how much history, how many exponential states and, for a chunk drawn from
+# a noise function, how wide a slab of increments is held at once.
 CHUNK_PATHS = 1024
 # Output steps per block of the stepping core: a block reads its older
 # history with one product instead of once per step.
@@ -112,8 +106,8 @@ HISTORY_BLOCK = 32
 # pushed into the rest of its block with one product, so a row's own
 # product reads at most NEAR_PIECE - 1 lags (8 timed fastest of 4, 8, 16).
 NEAR_PIECE = 8
-# Steps per slab of increments that a chunk of the reduced route draws at
-# once (``_Slabs``): its noise does not grow with the grid.
+# Steps per slab of increments that a chunk drawn from a noise function
+# draws at once (``_Slabs``): its noise does not grow with the grid.
 NOISE_SLAB = 8 * HISTORY_BLOCK
 # Sum-of-exponentials far field of the em kernels (``_em_far_exponentials``):
 # Gauss-Legendre nodes per unit of ln x (one rule over the whole log range),
@@ -943,8 +937,8 @@ def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
     default), shape (len(steps), c), each path continuing from ``states``
     (``BrownianDriver.increments_block``). A path's increments are a pure
     function of (seed, path, step), so ``noise(slice(None))`` draws them
-    all, and a chunk can draw its own, one slab of steps at a time
-    (``_Slabs``).
+    all, and ``_run`` has each chunk draw its own, one slab of steps at a
+    time (``_Slabs``).
     """
     _check_dims(p, *inits)
     if n_paths < 1:
@@ -987,18 +981,21 @@ class _Slabs:
 
 
 def _run(p: ProblemSpec, tables: KernelTables, inits, n_paths: int,
-         noise: Callable[[slice], object], out: Callable[[slice], object],
+         noise: np.ndarray | Callable, out: Callable[[slice], object],
          threads: int = 1, known: np.ndarray | None = None) -> np.ndarray:
     """Step n_paths paths from each initial state in inits, one copy each;
     returns which paths stayed finite, (copies, n_paths).
 
     Every chunk stacks CHUNK_PATHS // copies paths of each copy, whatever
     ``threads`` is, so the result does not depend on it; ``threads`` > 1
-    runs the chunks on a pool. For the chunk of columns ``cols``,
-    ``noise(cols)`` gives its increments (n_steps, c), which every copy
-    steps over: an array, or ``_Slabs`` that draw them as the kernel reads
-    them. ``out(cols)`` takes the output of the kernel,
-    ``_step_paths``: the feedback recurrence or, with ``known`` (an
+    runs the chunks on a pool. The chunk of columns ``cols`` steps every
+    copy over its increments (n_steps, c), n_steps those of ``tables``:
+    the columns ``cols`` of ``noise`` where it is an array (n_steps,
+    n_paths), and otherwise ``_Slabs`` that draw them from the noise
+    function ``noise`` (``_draw``) NOISE_SLAB steps at a time, as the
+    kernel reads them, in the chunk's worker. No caller slices or draws a
+    chunk's increments itself. ``out(cols)`` takes the output of the
+    kernel, ``_step_paths``: the feedback recurrence or, with ``known`` (an
     ensemble's paths, whose columns ``cols`` the chunk reads in place), the
     operator without feedback, applied to known by copy 0 and to copy k - 1
     by copy k. An output with a ``done`` method gets the chunk's mask
@@ -1013,8 +1010,10 @@ def _run(p: ProblemSpec, tables: KernelTables, inits, n_paths: int,
 
     def worker(cols: slice) -> tuple:
         sink = out(cols)
+        dw = (noise[:, cols] if isinstance(noise, np.ndarray) else
+              _Slabs(noise, cols, len(tables.weights) - 1))
         ok = finite[:, cols] = _step_paths(
-            tables, p, etas, noise(cols), sink,
+            tables, p, etas, dw, sink,
             None if known is None else known[:, :, cols]).reshape(copies, -1)
         return sink, ok
 
@@ -1049,35 +1048,12 @@ def _ensembles(p: ProblemSpec, tables: KernelTables, inits, dw: np.ndarray,
     itself, not a copy."""
     n_steps, n_paths = dw.shape
     paths = np.empty((len(inits), n_steps + 1, p.dim, n_paths))
-    finite = _run(p, tables, inits, n_paths, lambda cols: dw[:, cols],
+    finite = _run(p, tables, inits, n_paths, dw,
                   lambda cols: paths[..., cols].transpose(1, 2, 0, 3),
                   threads, known)
     grid = p.grid(n_steps)
     return [PathEnsemble(grid=grid, paths=x, increments=dw, flags=~ok)
             for x, ok in zip(paths, finite)]
-
-
-def _sum_sq(x: np.ndarray, y: np.ndarray | None = None, out=None) -> np.ndarray:
-    """Sum over dim of x^2 or (x - y)^2, (rows, dim, paths) -> (rows, paths):
-    the squared norms of the core's blocks and of stored ensembles alike."""
-    if y is None:
-        sq = np.square(x)
-    else:
-        sq = np.subtract(x, y)
-        np.square(sq, out=sq)
-    return np.sum(sq, axis=1, out=out)
-
-
-class _SqNorms:
-    """Write-only output of a chunk of one or two copies: rows of X, shape
-    (rows, dim, 1, c), or of [X, Y], shape (rows, dim, 2, c), become |X|^2
-    or |X - Y|^2 in ``sq[rows, cols]``."""
-
-    def __init__(self, sq: np.ndarray, cols: slice):
-        self.sq, self.cols = sq, cols
-
-    def __setitem__(self, rows: slice, x: np.ndarray) -> None:
-        _sum_sq(*np.moveaxis(x, 2, 0), out=self.sq[rows, self.cols])
 
 
 # Scheme names accepted by ``kernel_tables`` (and by the CLI config check).
@@ -1177,38 +1153,11 @@ def coupled_pair(p: ProblemSpec, eta: InitialState, gamma: InitialState,
     step over (and hold) the same array, so the per-path difference isolates
     the initial-condition effect. The default scheme is the Volterra-form
     integrator, which has no series cutoff limiting the horizon. This is the
-    stored form of ``squared_norms(p, [eta, gamma], ...)``: the same stacked
-    chunks, with both ensembles kept, 2 (n_steps + 1) dim doubles per path.
+    stored form of ``analysis.squared_norms(p, [eta, gamma], ...)``: the same
+    stacked chunks, with both ensembles kept, 2 (n_steps + 1) dim doubles per
+    path.
     """
     tables = kernel_tables(p, drv.n_steps, scheme)
     noise = _draw(p, drv, n_paths, eta, gamma)
     return tuple(_ensembles(p, tables, [eta, gamma], noise(slice(None)), threads))
 
-
-def squared_norms(p: ProblemSpec, inits, drv: BrownianDriver, n_paths: int,
-                  scheme: str = "em",
-                  threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """The grid and, per time and valid path, |X(t)|^2 for one initial state
-    or |X(t) - Y(t)|^2 for two coupled ones, shape (n_steps + 1, n_valid),
-    without storing paths or more than one slab of increments per chunk.
-
-    The chunks are those of ``simulate`` (one initial state) or
-    ``coupled_pair`` (two), each drawing its own increments NOISE_SLAB steps
-    at a time, each path's stream continued from slab to slab (``_Slabs``),
-    and the core's output rows go straight into the squares. So the values
-    equal the squares that ``ms_norm_series`` forms from the ``simulate`` ensemble, or
-    ``ms_distance_series`` from the ``coupled_pair`` ensembles, bit for bit;
-    the paths left out (flagged in either ensemble) and the EnsembleError
-    above FLAGGED_FRACTION_LIMIT (the first ensemble checked first) are the
-    same.
-    """
-    if len(inits) not in (1, 2):
-        raise ValidationError(
-            f"squared_norms takes one or two initial states, got {len(inits)}")
-    tables = kernel_tables(p, drv.n_steps, scheme)
-    noise = _draw(p, drv, n_paths, *inits)
-    sq = np.empty((drv.n_steps + 1, n_paths))
-    valid = _run(p, tables, inits, n_paths,
-                 lambda cols: _Slabs(noise, cols, drv.n_steps),
-                 lambda cols: _SqNorms(sq, cols), threads).all(axis=0)
-    return p.grid(drv.n_steps), sq if valid.all() else sq.compress(valid, axis=1)

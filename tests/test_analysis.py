@@ -11,13 +11,14 @@ from smtde.analysis import (WeightedNormParams,
                             init_term_sup_sq, convolution_bound_check,
                             log_weighted_norm, ml_sup_norm, ms_distance_series,
                             ms_norm, ms_norm_series, omega_threshold,
-                            separation_experiment, simulate_ms_norm, zeta_const)
+                            separation_experiment, simulate_ms_norm,
+                            squared_norms, zeta_const)
 from smtde.errors import (DegenerateExperimentError, DomainError, EnsembleError,
                           ValidationError)
 from smtde.solvers import (HISTORY_BLOCK, NOISE_SLAB, BrownianDriver,
                            InitialState, PathEnsemble, constant_ensemble,
                            coupled_pair, em_kernel_tables, picard_apply,
-                           simulate_em, simulate_mild, squared_norms)
+                           simulate_em, simulate_mild)
 
 from conftest import (CountingDriver, flaky_above, make_problem, one_fn,
                       zero_fn)
@@ -48,6 +49,21 @@ class TestMsNorm:
         ens = simulate_em(sec6_problem, eta_state, drv, 5)
         with pytest.raises(ValidationError, match="outside grid"):
             ms_norm(ens, t_index)
+
+    @pytest.mark.parametrize("t_index", [2.7, 2.0, math.nan, "2"])
+    def test_t_index_not_an_integer_rejected(self, sec6_problem, eta_state,
+                                             t_index):
+        # a float is not truncated to a grid index, and nan does not reach
+        # int()
+        drv = BrownianDriver(seed=1, n_steps=20)
+        ens = simulate_em(sec6_problem, eta_state, drv, 5)
+        with pytest.raises(ValidationError, match="t_index must be an integer"):
+            ms_norm(ens, t_index)
+
+    def test_numpy_integer_index_accepted(self, sec6_problem, eta_state):
+        drv = BrownianDriver(seed=1, n_steps=20)
+        ens = simulate_em(sec6_problem, eta_state, drv, 5)
+        assert ms_norm(ens, np.int64(20)) == ms_norm(ens, 20)
 
     def test_identical_samples_give_exactly_zero_se(self):
         grid = np.linspace(0.0, 1.0, 5)
@@ -411,6 +427,22 @@ def sequential_report(p, eta, drv, n_iter, n_paths, omega):
     return diffs, dropped
 
 
+def slab_bytes(n_steps, c):
+    """What a chunk of c paths holds of its increments on a grid of n_steps
+    steps: its first slab of NOISE_SLAB steps (the grid, if shorter) and,
+    where the grid goes on, the generator state that each path leaves for
+    the next slab."""
+    drv = BrownianDriver(seed=3, n_steps=n_steps)
+    tracemalloc.start()
+    try:
+        states = {}
+        rows = drv.increments_block(range(c), 0.1, slice(0, NOISE_SLAB), states)
+        assert len(rows) == min(NOISE_SLAB, n_steps)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 class TestOnePassIterates:
     """contraction_report steps its iterates as stacked copies of one kernel
     run; picard_apply on stored ensembles is its oracle."""
@@ -437,6 +469,18 @@ class TestOnePassIterates:
         if threads > 1:     # the chunks' sums add in chunk order
             assert report == contraction_report(sec6_problem, eta_state, drv,
                                                 n_iter=n_iter, n_paths=100)
+
+    @pytest.mark.parametrize("slab", [45, 7])
+    @pytest.mark.parametrize("n_steps", [50, 70])
+    @pytest.mark.parametrize("n_iter", [3, 4])
+    def test_slab_edges_match_sequential_iterates(self, sec6_problem, eta_state,
+                                                  monkeypatch, slab, n_steps,
+                                                  n_iter):
+        # slab edges inside blocks of HISTORY_BLOCK steps, and a 7-step slab
+        # leaves each path mid-way through the generator's buffer
+        monkeypatch.setattr(solvers, "NOISE_SLAB", slab)
+        self.test_matches_sequential_iterates(sec6_problem, eta_state, n_steps,
+                                              n_iter, 2)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_drops_the_sequential_paths(self, eta_state, threads):
@@ -470,11 +514,14 @@ class TestOnePassIterates:
                                              monkeypatch):
         # from 600 to 2400 steps the peak grows by what the live chunk of c
         # paths holds per step: the kernel's pending rows of the n_iter
-        # iterates (dim n_iter), their squared differences (n_iter) and the
-        # chunk's increments (1). The 2% covers the report's own rows (the
-        # grid, the kernel's times and the running sums, n_iter + 2 doubles;
-        # measured 1.015). Four chunks: any (N + 1, dim, n_paths) array, such
-        # as one stored iterate, would add 62% more. The tables and the
+        # iterates (dim n_iter) and their squared differences (n_iter). Its
+        # increments do not grow: both grids hold one slab of NOISE_SLAB
+        # steps and the generator states it leaves (``slab``, measured 0;
+        # the chunk's whole increments, 1 double per step, measured 1.08x
+        # this bound). The 2% covers the report's own rows (the grid, the
+        # kernel's times and the running sums, n_iter + 2 doubles; measured
+        # 1.017). Four chunks: any (N + 1, dim, n_paths) array, such as one
+        # stored iterate, would add 65% more. The tables and the
         # grid-free constants, whose peak would hide the smaller run's, are
         # formed untraced, and a first run untraced takes the allocations
         # made once per process (0.75 MB)
@@ -501,7 +548,8 @@ class TestOnePassIterates:
 
         small = peak(600)
         growth = peak(2400) - small
-        assert growth <= 1.02 * 1800 * (p.dim * n_iter + n_iter + 1) * c * 8
+        slab = slab_bytes(2400, c) - slab_bytes(600, c)
+        assert growth <= 1.02 * 1800 * (p.dim * n_iter + n_iter) * c * 8 + slab
 
 
 class TestSeparation:
@@ -711,15 +759,34 @@ class TestSimulateMsNorm:
                                   threads=threads)
             assert np.array_equal(sq, analysis._sq_reduce((ens,)))
 
+    # every reduced route, and the width of its chunks: the stacked
+    # continuity and Picard runs have 4 copies a chunk
+    DRAWING_ROUTES = {
+        "simulate": (lambda p, eta, drv, n: squared_norms(p, [eta], drv, n),
+                     CHUNK),
+        "continuity": (lambda p, eta, drv, n: continuity_experiment(
+            p, eta, [1e-1, 1e-2, 1e-3], drv, n), CHUNK // 4),
+        "picard": (lambda p, eta, drv, n: contraction_report(p, eta, drv, 4, n),
+                   CHUNK // 4),
+    }
+
     def test_draws_increments_per_chunk(self, eta_state):
+        self.check_draws_per_chunk(eta_state, "simulate")
+
+    @pytest.mark.parametrize("route", ["continuity", "picard"])
+    def test_stacked_runs_draw_increments_per_chunk(self, eta_state, route):
+        self.check_draws_per_chunk(eta_state, route)
+
+    def check_draws_per_chunk(self, eta_state, route):
         # each chunk draws its own columns, one slab of NOISE_SLAB steps at a
         # time in step order, and together they are the stored route's one
         # draw
-        p, n_steps, n_paths = make_problem(), 600, 2 * self.CHUNK + 452
+        run, width = self.DRAWING_ROUTES[route]
+        p, n_steps, n_paths = make_problem(), 600, 2 * width + 452
         drv = CountingDriver(seed=3, n_steps=n_steps)
-        squared_norms(p, [eta_state], drv, n_paths)
-        chunks = [range(lo, min(lo + self.CHUNK, n_paths))
-                  for lo in range(0, n_paths, self.CHUNK)]
+        run(p, eta_state, drv, n_paths)
+        chunks = [range(lo, min(lo + width, n_paths))
+                  for lo in range(0, n_paths, width)]
         slabs = [range(n0, min(n0 + NOISE_SLAB, n_steps))
                  for n0 in range(0, n_steps, NOISE_SLAB)]
         assert [(ids, steps) for ids, steps, _ in drv.draws] == \
@@ -932,16 +999,19 @@ class TestContinuity:
     def test_memory_grows_by_live_chunk_only(self, sec6_problem, eta_state,
                                              monkeypatch):
         # from 200 to 800 steps the peak grows by what the live chunk of c
-        # paths holds per step: its squared distances (one per offset) and
-        # its increments (1). The 2% covers the report's own rows (the grid,
-        # the kernel's times and the per-row sums, a few doubles per offset;
-        # measured 1.007), and ``states`` the em far field's exponential
-        # states of the stacked chunk, one row per rate and dim, which grow
-        # with ln N (45 rates at 200 steps, 54 at 800). Eight chunks: one
-        # stored (N + 1, dim, n_paths) ensemble would add 4x the bound. The
-        # tables, whose peak would hide the smaller run's, are formed
-        # untraced, and a first run untraced takes the allocations made once
-        # per process
+        # paths holds per step: its squared distances (one per offset). Its
+        # increments grow from one slab of 200 rows to one of NOISE_SLAB =
+        # 256, which leaves each path's generator state for the next slab
+        # (``slab``, measured 347 KB; the chunk's whole increments, 1 double
+        # per step, measured 1.20x this bound). The 2% covers the report's
+        # own rows (the grid, the kernel's times and the per-row sums, a few
+        # doubles per offset; measured 1.014), and ``states`` the em far
+        # field's exponential states of the stacked chunk, one row per rate
+        # and dim, which grow with ln N (45 rates at 200 steps, 54 at 800).
+        # Eight chunks: one stored (N + 1, dim, n_paths) ensemble would add
+        # 4x the bound. The tables, whose peak would hide the smaller run's,
+        # are formed untraced, and a first run untraced takes the
+        # allocations made once per process
         p, offsets, n_paths = sec6_problem, [1e-1, 1e-2, 1e-3], 2048
         copies = len(offsets) + 1
         c = solvers.CHUNK_PATHS // copies
@@ -962,7 +1032,8 @@ class TestContinuity:
 
         growth = peak(800) - peak(200)
         states = (tables[800].rates.size - tables[200].rates.size) * p.dim * copies * c * 8
-        assert growth <= 1.02 * 600 * copies * c * 8 + states
+        slab = slab_bytes(800, c) - slab_bytes(200, c)
+        assert growth <= 1.02 * 600 * len(offsets) * c * 8 + slab + states
 
     @pytest.mark.parametrize("offset", [1e-300, 1e-170, 1e-160, 1e300, math.inf])
     def test_offset_square_must_be_normal(self, sec6_problem, eta_state, offset):
@@ -1040,6 +1111,17 @@ class TestOnePassContinuity:
         if threads > 1:     # the chunks' sums add in chunk order
             assert points == continuity_experiment(
                 sec6_problem, eta_state, self.OFFSETS, drv, 100, scheme)
+
+    @pytest.mark.parametrize("slab", [45, 7])
+    @pytest.mark.parametrize("scheme", ["em", "mild"])
+    @pytest.mark.parametrize("n_steps", [50, 70])
+    def test_slab_edges_match_coupled_pairs(self, sec6_problem, eta_state,
+                                            monkeypatch, slab, scheme, n_steps):
+        # slab edges inside blocks of HISTORY_BLOCK steps, and a 7-step slab
+        # leaves each path mid-way through the generator's buffer
+        monkeypatch.setattr(solvers, "NOISE_SLAB", slab)
+        self.test_matches_coupled_pairs(sec6_problem, eta_state, scheme,
+                                        n_steps, 2)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_drops_the_stored_paths(self, eta_state, threads):

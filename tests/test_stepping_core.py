@@ -24,7 +24,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from smtde import solvers
+from smtde import analysis, solvers
 from smtde.errors import NonConvergenceError, ValidationError
 from smtde.mlmatrix import MLParams, QTable, ml_nonperm_grid
 from smtde.solvers import (HISTORY_BLOCK, SOE_TOL, BrownianDriver,
@@ -348,14 +348,14 @@ def test_core_writes_each_block_once(sec6_problem, eta_state, monkeypatch,
 
 def _core_peak_bytes(p, scheme, n_steps, n_paths, sink=False):
     # the core's own peak: the output, one copy of (dim, 1, n_paths) rows or,
-    # with sink, the squared norms that _SqNorms writes, is the caller's like
-    # the inputs
+    # with sink, the squared norms that _SqDistances writes, is the caller's
+    # like the inputs
     tables = TABLES[scheme](p, n_steps)
     drv = BrownianDriver(seed=3, n_steps=n_steps)
     dw = drv.increments_block(range(n_paths), p.horizon / n_steps)
     etas = InitialState([3.0, 5.0]).eta[:, None]
     if sink:
-        out = solvers._SqNorms(np.empty((n_steps + 1, n_paths)), slice(None))
+        out = analysis._SqDistances(np.empty((n_steps + 1, 1, n_paths)), chain=True)
     else:
         out = np.empty((n_steps + 1, p.dim, 1, n_paths))
     tracemalloc.start()
