@@ -228,7 +228,7 @@ def _mean_and_se(sq: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def ms_norm(e: PathEnsemble, t_index: int) -> tuple[float, float]:
     """Sample mean of |X(t)|^2 across paths and its standard error."""
-    if not isinstance(t_index, (int, np.integer)):
+    if isinstance(t_index, bool) or not isinstance(t_index, (int, np.integer)):
         raise ValidationError(f"t_index must be an integer, got {t_index!r}")
     n = int(t_index)
     if n < 0 or n > e.n_steps:

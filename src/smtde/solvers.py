@@ -82,7 +82,6 @@ pass a noise function and a sink of squared distances, and store no path.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -195,10 +194,11 @@ class BrownianDriver:
     increments are a pure function of (seed, path_id, step) and do not depend
     on ensemble size or on how paths are partitioned into chunks.
     ``initial_normals`` draws from a disjoint counter region of the same
-    stream, 2^96 draws in. Each thread holds one Philox generator and re-keys
+    stream, 2^96 draws in. Each call builds one Philox generator and re-keys
     it per path: the draws equal those of a fresh
     ``Generator(Philox(key=[seed, path_id]))`` bit for bit, without seeding a
-    new generator per path.
+    new generator per path. The driver holds no state of its own beyond
+    (seed, n_steps), so threads may share it.
     """
 
     def __init__(self, seed: int, n_steps: int):
@@ -210,25 +210,19 @@ class BrownianDriver:
             raise ValidationError(f"n_steps must be >= 1, got {n_steps!r}")
         self.seed = seed
         self.n_steps = n_steps
-        self._local = threading.local()
 
-    def _thread_generator(self) -> tuple[np.random.Generator, dict]:
-        """This thread's generator and the state of a fresh
+    def _generator(self) -> tuple[np.random.Generator, dict]:
+        """A Philox generator and the state of a fresh
         ``Philox(key=[seed, 0])``: zero counter, empty buffer. Only the key's
         second word changes per path, so writing path_id there and setting
         the state puts the generator at the start of that path's stream."""
-        local = self._local
-        if not hasattr(local, "state"):
-            local.generator = np.random.Generator(np.random.Philox(0))
-            # plain ints: the state setter reads them faster than uint64
-            # arrays (timed 0.46 against 1.05 us per re-key), to the same
-            # bits
-            local.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": [0] * 4, "key": [self.seed, 0]},
-                "buffer": [0] * 4, "buffer_pos": 4,
-                "has_uint32": 0, "uinteger": 0}
-        return local.generator, local.state
+        # plain ints: the state setter reads them faster than uint64 arrays
+        # (timed 0.46 against 1.05 us per re-key), to the same bits
+        return np.random.Generator(np.random.Philox(0)), {
+            "bit_generator": "Philox",
+            "state": {"counter": [0] * 4, "key": [self.seed, 0]},
+            "buffer": [0] * 4, "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
 
     def increments_block(self, path_ids, h: float, steps: slice = slice(None),
                          states: dict | None = None) -> np.ndarray:
@@ -240,7 +234,8 @@ class BrownianDriver:
 
         A slab of consecutive steps continues each path's stream: one that
         starts past step 0 resumes path pid from ``states[pid]``, which the
-        slab before it left, and one that ends before n_steps leaves its
+        slab before it left (ValidationError, naming the slab and the path,
+        where there is none), and one that ends before n_steps leaves its
         state there. So a path's slabs, drawn in step order, equal one draw
         of all its steps bit for bit.
         """
@@ -248,15 +243,16 @@ class BrownianDriver:
         if stride != 1 or stop < start:
             raise ValidationError(f"steps {steps!r} of {self.n_steps}: a slab is "
                                   f"consecutive steps, stride 1 and stop >= start")
-        if start and states is None:
-            raise ValidationError(
-                f"increments from step {start} continue each path's stream "
-                f"from the states the slab before them left; none were given")
-        gen, fresh = self._thread_generator()
+        gen, fresh = self._generator()
         bitgen, key = gen.bit_generator, fresh["state"]["key"]
         out = np.empty((len(path_ids), stop - start))
         for row, pid in zip(out, path_ids):
             if start:
+                if states is None or pid not in states:
+                    raise ValidationError(
+                        f"increments from step {start} to {stop - 1} resume path "
+                        f"{pid}'s stream from the state the slab before them "
+                        f"left; none was given")
                 bitgen.state = states[pid]
             else:
                 key[1] = pid
@@ -270,7 +266,7 @@ class BrownianDriver:
     def initial_normals(self, path_ids, count: int) -> np.ndarray:
         """Standard normals of shape (count, n_paths), the transposed view of
         a path-major array like ``increments_block``'s."""
-        gen, fresh = self._thread_generator()
+        gen, fresh = self._generator()
         bitgen, key = gen.bit_generator, fresh["state"]["key"]
         out = np.empty((len(path_ids), count))
         for row, pid in zip(out, path_ids):
@@ -324,10 +320,6 @@ class KernelTables:
     * ``weights[k]`` (r, n_chan * r) holds the lag-k weights in the narrowest
       form the scheme allows: r = 1 when every channel's weight is a scalar
       times I, r = dim otherwise.
-    * ``adjacent`` (derived) holds the weights of a whole block of
-      B = HISTORY_BLOCK steps against the whole block of history before it,
-      gathered once (``_lag_weights``): the weights of every full piece's
-      push into the next block.
     * From lag ``far_lag`` on, the kernel reads the weights, with and without
       feedback, through one of two far fields:
 
@@ -342,9 +334,7 @@ class KernelTables:
       far lag and raises ``NonConvergenceError`` beyond SOE_TOL relative:
       per weight for the exponentials, FAR_CHECK_LAGS lags at a time; per
       (r, cf) lag block in Frobenius norm for the basis, at every position
-      of the lag in a window, B windows at a time. far_lag is
-      HISTORY_BLOCK + 1 with a far field, past the grid without one: every
-      lag stays exact.
+      of the lag in a window, B windows at a time.
     """
 
     init_mats: np.ndarray         # (n_steps+1, dim, dim)
@@ -352,17 +342,19 @@ class KernelTables:
     x_map: np.ndarray | None      # ((n_chan-1)*dim, dim) or None
     rates: np.ndarray             # (K,) decay per step
     far_weights: np.ndarray       # (K, r, n_chan*r)
-    far_lag: int
     far_basis: np.ndarray | None = None   # (k, HISTORY_BLOCK*n_chan*r)
     far_rows: np.ndarray | None = None    # (n_steps+1, r, k)
-    adjacent: np.ndarray | None = field(init=False, repr=False)
+
+    @property
+    def far_lag(self) -> int:
+        """The first lag of the far field: HISTORY_BLOCK + 1 where the tables
+        carry exponentials or a basis, past the grid otherwise (every lag
+        stays exact)."""
+        if self.rates.size or self.far_basis is not None:
+            return HISTORY_BLOCK + 1
+        return len(self.weights)
 
     def __post_init__(self):
-        n_steps = self.weights.shape[0] - 1
-        blk = HISTORY_BLOCK
-        object.__setattr__(self, "adjacent", _lag_weights(
-            self.weights, blk + 1, min(2 * blk, n_steps) + 1, 1, blk + 1)
-            if n_steps > blk else None)
         basis = self.far_basis is not None
         for lags, err, scale in (self._basis_errors() if basis else
                                  self._exponential_errors()):
@@ -491,8 +483,7 @@ def em_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
     rates, far_weights = _em_far_exponentials(p, h, n_steps)
     return KernelTables(init_mats=init_mats, weights=weights,
                         x_map=np.concatenate([p.a_mat, p.b_mat]),
-                        rates=rates, far_weights=far_weights,
-                        far_lag=HISTORY_BLOCK + 1)
+                        rates=rates, far_weights=far_weights)
 
 
 def mild_ml(p: ProblemSpec, delta: float, ts: np.ndarray) -> np.ndarray:
@@ -541,16 +532,12 @@ def _far_basis(weights: np.ndarray):
     at row 1 or later) of every far block offset (``_extend_basis``), taken
     FAR_BASIS_OFFSETS offsets at a time in the order of their lags, each
     group extending the basis of the groups before, so the build holds one
-    group of windows whatever the grid. A first pass over offsets spread
-    across the grid, whose basis is dropped, declines at once where the
-    lags need more than the limit, instead of after the groups before the
-    one that passes it. ``far_rows`` holds the coordinates of the windows,
-    W far_basis^T.
+    group of windows whatever the grid. ``far_rows`` holds the coordinates
+    of the windows, W far_basis^T.
     """
-    n_steps, r, cf = weights.shape
-    n_steps -= 1
+    _, r, cf = weights.shape
     blk = HISTORY_BLOCK
-    limit = _basis_limit(n_steps, r, cf)
+    limit = _basis_limit(len(weights) - 1, r, cf)
     if not limit:
         return None, None
     # the kept basis is allocated before the temporaries, so it cannot pin
@@ -558,21 +545,17 @@ def _far_basis(weights: np.ndarray):
     basis = np.empty((limit, blk * cf))
     windows = _far_windows(weights)
     offsets = -(-len(windows) // blk)
-    runs = [range(lo, min(lo + FAR_BASIS_OFFSETS, offsets))
-            for lo in range(0, offsets, FAR_BASIS_OFFSETS)]
     group = np.empty((min(FAR_BASIS_OFFSETS * blk, len(windows)), r, blk, cf))
     coef = np.empty((limit, len(group) * r))
-    if len(runs) > 1 and _extend_basis(windows, range(0, offsets, len(runs)),
-                                       basis, 0, group, coef) is None:
-        return None, None
     k = 0
-    for run in runs:
-        k = _extend_basis(windows, run, basis, k, group, coef)
+    for lo in range(0, offsets, FAR_BASIS_OFFSETS):
+        k = _extend_basis(windows, range(lo, min(lo + FAR_BASIS_OFFSETS, offsets)),
+                          basis, k, group, coef)
         if k is None:
             return None, None
     del group, coef
     basis = basis[:k]
-    coords = np.zeros((n_steps + 1, r, k))
+    coords = np.zeros((len(weights), r, k))
     for lo in range(0, len(windows), blk):
         part = windows[lo:lo + blk]
         np.matmul(part.reshape(-1, blk * cf), basis.T,
@@ -664,11 +647,10 @@ def mild_kernel_tables(p: ProblemSpec, n_steps: int) -> KernelTables:
     basis, coords = _far_basis(weights)
     if basis is not None:
         try:
-            return KernelTables(**tables, far_lag=HISTORY_BLOCK + 1,
-                                far_basis=basis, far_rows=coords)
+            return KernelTables(**tables, far_basis=basis, far_rows=coords)
         except NonConvergenceError:
             pass    # rounding keeps a lag block off: every lag stays exact
-    return KernelTables(**tables, far_lag=n_steps + 1)
+    return KernelTables(**tables)
 
 
 def _channels(tables: KernelTables, p: ProblemSpec, t: float, x: np.ndarray,
@@ -750,8 +732,8 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
     The kernel holds the channels of one piece of history, row 0 and then
     the rows of each block of B = HISTORY_BLOCK steps, and pushes each piece
     forward once it is complete. Row 0 and a block's next block read the
-    exact weights (the next block's gathered once, ``tables.adjacent``), the
-    rest the tables' far field. Block n0..n1-1 sums, in this order:
+    exact weights, the rest the tables' far field. Block n0..n1-1 sums, in
+    this order:
 
     * for em, its far field: the pieces older than the previous block live
       in exponential states, state_l = sum_j exp(-rates[l] (n0 - j))
@@ -872,15 +854,10 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
             acc = sums(n0, n1)
             if n_exp and n0 >= tables.far_lag:      # the states hold rows
                 acc[...] = product(readout[:(n1 - n0) * r], state, n1 - n0)
-            full = j1 - j0 == blk
             for m0, m1 in blocks[i:]:
-                if m0 < j0 + tables.far_lag or (basis is not None and not full):
-                    # exact; a full piece's next block reads the weights
-                    # gathered once (the same values, the same bits)
-                    weights = (tables.adjacent[:(m1 - m0) * r]
-                               if full and m0 == j0 + blk else
-                               _lag_weights(tables.weights, m0, m1, j0, j1))
-                    piece = product(weights, hist_cols[:(j1 - j0) * cf], m1 - m0)
+                if m0 < j0 + tables.far_lag or (basis is not None and j1 - j0 < blk):
+                    piece = product(_lag_weights(tables.weights, m0, m1, j0, j1),
+                                    hist_cols[:(j1 - j0) * cf], m1 - m0)
                 elif basis is None:
                     break       # the states carry the rest
                 else:

@@ -50,7 +50,7 @@ class TestMsNorm:
         with pytest.raises(ValidationError, match="outside grid"):
             ms_norm(ens, t_index)
 
-    @pytest.mark.parametrize("t_index", [2.7, 2.0, math.nan, "2"])
+    @pytest.mark.parametrize("t_index", [2.7, 2.0, math.nan, "2", True, np.True_])
     def test_t_index_not_an_integer_rejected(self, sec6_problem, eta_state,
                                              t_index):
         # a float is not truncated to a grid index, and nan does not reach

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import re
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -137,6 +138,17 @@ class TestBrownianDriver:
         with pytest.raises(ValidationError, match="from step 16 "):
             drv.increments_block(range(3), 0.1, slice(16, 32))
 
+    def test_slab_missing_a_path_state_names_it(self):
+        # a path the slab before did not draw has no state to resume from
+        drv = BrownianDriver(seed=2, n_steps=40)
+        states = {}
+        drv.increments_block(range(3), 0.1, slice(0, 16), states)
+        with pytest.raises(ValidationError,
+                           match=r"^increments from step 16 to 31 resume path 3's"):
+            drv.increments_block(range(4), 0.1, slice(16, 32), states)
+        with pytest.raises(ValidationError, match=r"resume path 0's"):
+            drv.increments_block(range(3), 0.1, slice(16, 32), {})
+
     @pytest.mark.parametrize("steps", [slice(0, 10, 2), slice(5, 3)])
     def test_slab_must_be_consecutive_steps(self, steps):
         # a stride would be dropped (10 rows, not len(steps) = 5), and stop
@@ -159,6 +171,33 @@ class TestBrownianDriver:
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(np.concatenate(blocks, axis=1), expected)
+
+    def test_interleaved_slabs_equal_serial_draws_across_threads(self):
+        # two threads draw overlapping paths slab by slab, in lockstep, from
+        # one driver, each resuming from its own states: each gets the draws
+        # of one serial call, bit for bit
+        n_steps, edges = 300, [0, 7, 45, 256, 300]
+        drv = BrownianDriver(seed=5, n_steps=n_steps)
+        ids = [range(0, 16), range(8, 24)]
+        lockstep = threading.Barrier(len(ids), timeout=60)
+
+        def draw(pids):
+            states, slabs = {}, []
+            for n0, n1 in zip(edges, edges[1:]):
+                lockstep.wait()
+                slabs.append(drv.increments_block(pids, 0.1, slice(n0, n1), states))
+            return np.concatenate(slabs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=len(ids)) as pool:
+                got = list(pool.map(draw, ids, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        serial = BrownianDriver(seed=5, n_steps=n_steps)
+        for pids, rows in zip(ids, got):
+            assert np.array_equal(rows, serial.increments_block(pids, h=0.1))
 
     def test_seed_validation(self):
         with pytest.raises(ValidationError):

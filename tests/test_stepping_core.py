@@ -606,25 +606,29 @@ def test_far_windows_are_the_gathered_ones(sec6_problem, scheme):
 
 
 def test_stable_pair_declines_in_one_pass(monkeypatch):
-    # at 1000 steps (30 far block offsets, four groups) the spread first
-    # pass already needs more than the limit: the build stops there, before
-    # the groups in lag order
+    # the build takes the 30 far block offsets of 1000 steps in lag order,
+    # FAR_BASIS_OFFSETS at a time, in one pass: the stable pair needs more
+    # than the limit before the last group and stops at that group, sec6
+    # takes all four groups
     calls = []
     extend = solvers._extend_basis
 
     def spy(windows, offsets, *args):
-        calls.append(list(offsets))
-        return extend(windows, offsets, *args)
+        k = extend(windows, offsets, *args)
+        calls.append((list(offsets), k))
+        return k
 
     monkeypatch.setattr(solvers, "_extend_basis", spy)
+    groups = [list(range(lo, min(lo + 8, 30))) for lo in range(0, 30, 8)]
     p = make_problem(a_mat=-np.array([[1.0, 0.2], [0.0, 1.0]]),
                      b_mat=-np.array([[1.0, 0.0], [0.3, 1.0]]), horizon=5.0)
     assert mild_kernel_tables(p, 1000).far_basis is None
-    assert calls == [list(range(0, 30, 4))]
+    assert 0 < len(calls) < len(groups) and calls[-1][1] is None
+    assert [offsets for offsets, _ in calls] == groups[:len(calls)]
     calls.clear()
     tables = mild_kernel_tables(make_problem(), 1000)
     assert tables.far_basis is not None
-    assert calls[1:] == [list(range(lo, min(lo + 8, 30))) for lo in range(0, 30, 8)]
+    assert [offsets for offsets, _ in calls] == groups
 
 
 @pytest.mark.parametrize("horizon", [1.0, 20.0])
@@ -644,8 +648,7 @@ def test_mild_far_field_matches_direct_loop(eta_state, horizon, n_steps):
     out = picard_apply(p, eta_state, y, tables=tables)
     assert_close_per_step(out.paths, direct_paths(
         "mild", p, y.grid, y.paths[0], y.increments, known=y.paths))
-    exact = dataclasses.replace(tables, far_lag=n_steps + 1, far_basis=None,
-                                far_rows=None)
+    exact = dataclasses.replace(tables, far_basis=None, far_rows=None)
     assert_close_per_step(picard_apply(p, eta_state, y, tables=exact).paths,
                           out.paths)
 
@@ -664,22 +667,6 @@ def test_mild_fixed_point_through_the_basis(sec6_problem, eta_state,
                          BrownianDriver(seed=14, n_steps=n_steps), 10)
     image = picard_apply(sec6_problem, eta_state, star, tables=tables)
     assert np.array_equal(image.paths, star.paths)
-
-
-@pytest.mark.parametrize("scheme", sorted(TABLES))
-@pytest.mark.parametrize("n_steps", [33, 50, 64, 200])
-def test_adjacent_weights_are_the_gathered_ones(sec6_problem, scheme, n_steps):
-    # a full piece's push into the next block reads the weights gathered
-    # once per table; they equal, row slice for row slice, the gather of
-    # every such push (also into a short last block), and are C-contiguous
-    # like it, so the products keep their bits
-    tables = TABLES[scheme](sec6_problem, n_steps)
-    blocks = solvers._blocks(n_steps)
-    r = tables.weights.shape[1]
-    for (j0, j1), (m0, m1) in zip(blocks, blocks[1:]):
-        got = tables.adjacent[:(m1 - m0) * r]
-        want = solvers._lag_weights(tables.weights, m0, m1, j0, j1)
-        assert got.flags.c_contiguous and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("q", [0.05, 0.1, 0.5, 0.75, 0.95, 1.3])
