@@ -89,6 +89,11 @@ def check(row):
 DECAYING = {"problem.a_mat": [[-3.0, -0.6], [0.0, -3.0]],
             "problem.b_mat": [[-3.0, 0.0], [-0.9, -3.0]],
             "grid.horizon": 100.0, "grid.n_steps": 1000, "monte_carlo.n_paths": 64}
+# decaying kernels on which the mild basis would cost more than exact pushes
+# (``_basis_limit``): every far push is exact
+DECLINED = {"problem.a_mat": [[-1.0, -0.2], [0.0, -1.0]],
+            "problem.b_mat": [[-1.0, 0.0], [-0.3, -1.0]],
+            "grid.horizon": 5.0, "grid.n_steps": 1000}
 ROWS = {
     "separation-rss": Row("separation_sec6", {}, 1, False, "rss", 170,
                           "a slab of increments per chunk: ~127 (210 drawn up front)"),
@@ -108,6 +113,8 @@ ROWS = {
         "ensemble stored)"),
     "mild-1000-rss": Row("mild_sec6", {"grid.n_steps": 1000}, 1, False, "rss-over-base", 70,
                          "a block of history per chunk: ~58 (~78 whole 2 * dim history)"),
+    "mild-declined-rss": Row("mild_sec6", DECLINED, 1, True, "rss-over-base", 78,
+                             "basis declined, every far push exact: ~58"),
     "ml-eval-far": Row("ml_eval_sec6", {"params.t_grid": [0, 0.5, 20, 60, 100, 1e6]}, 1, True,
                        "converged", [1, 1, 1, 0, 0, 0], "converges, runs out, overflows"),
     "overflow-exits-2": Row("separation_sec6", DECAYING, 1, True, "exit", (2, "not finite"),
@@ -120,6 +127,8 @@ ROWS = {
                         "4 chunks of the mild kernel scheme"),
     "threads-mild-1000": Row("mild_sec6", {"grid.n_steps": 1000}, 2, False, "threads",
                              ["results.csv"], "most pushes go through the shared basis"),
+    "threads-mild-declined": Row("mild_sec6", DECLINED, 2, False, "threads", ["results.csv"],
+                                 "basis declined, every far push exact"),
     "threads-continuity-4096": Row("continuity_sec6", {"monte_carlo.n_paths": 4096}, 2,
                                    False, "threads", ["results.csv"], "16 chunks of 4 stacked copies"),
     "threads-picard-4096": Row("picard_sec6", {"monte_carlo.n_paths": 4096}, 2, False,

@@ -29,11 +29,12 @@ errors and the bootstrap read. Continuity and Picard keep a chunk's rows
 until the kernel returns its mask, then sum them over the paths valid in
 both copies, the chunks in chunk order, so no result depends on
 ``threads``. Every one of them hands ``_run`` the noise function of
-``solvers._draw``, so a chunk draws its increments one slab of NOISE_SLAB
-steps at a time (``solvers._Slabs``), each path's slabs continuing its
-stream: the squares equal those of the stored ensembles bit for bit, and
-a chunk holds no increments that grow with the grid. So only the library
-calls of ``solvers`` that return a ``PathEnsemble`` store paths.
+``solvers._draw``, so a chunk reads its increments as a stream of rows
+drawn one slab of NOISE_SLAB steps at a time (``solvers._slabs``), each
+path's slabs continuing its stream: the squares equal those of the
+stored ensembles bit for bit, and a chunk holds no increments that grow
+with the grid. So only the library calls of ``solvers`` that return a
+``PathEnsemble`` store paths.
 """
 
 from __future__ import annotations

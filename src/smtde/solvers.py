@@ -68,22 +68,23 @@ the layout the core computes in. Every ensemble is stepped by one chunk
 loop, ``_run``, from its initial states and a noise source alone: a chunk
 stacks the same paths from each eta (one copy for ``simulate``, two for a
 coupled pair) over one copy of their increments, on the grid
-``p.grid(n_steps)`` of the increments' row count, and the kernel writes
-the rows as (rows, dim, copies, c) and reports which paths stayed finite.
-``_run`` alone decides where a chunk's increments come from: it slices a
-stored array, or reads the noise function of ``_draw`` one slab of
-NOISE_SLAB steps at a time, as the kernel reads them (``_Slabs``). A
-path's slabs continue its stream, so both give the same bits. The stored
-routes (``simulate``, ``coupled_pair``, ``picard_apply``) keep every row
-and the increments, drawn at once; the reduced routes of ``analysis``
-pass a noise function and a sink of squared distances, and store no path.
+``p.grid(n_steps)`` of the kernel tables' step count, and the kernel
+writes the rows as (rows, dim, copies, c) and reports which paths stayed
+finite. ``_run`` alone decides where a chunk's increments come from: the
+columns of a stored array, or a stream of rows that the noise function of
+``_draw`` draws one slab of NOISE_SLAB steps at a time (``_slabs``). The
+kernel reads either once, row by row in step order. A path's slabs
+continue its stream, so both give the same bits. The stored routes
+(``simulate``, ``coupled_pair``, ``picard_apply``) keep every row and the
+increments, drawn at once; the reduced routes of ``analysis`` pass a
+noise function and a sink of squared distances, and store no path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -105,8 +106,8 @@ HISTORY_BLOCK = 32
 # pushed into the rest of its block with one product, so a row's own
 # product reads at most NEAR_PIECE - 1 lags (8 timed fastest of 4, 8, 16).
 NEAR_PIECE = 8
-# Steps per slab of increments that a chunk drawn from a noise function
-# draws at once (``_Slabs``): its noise does not grow with the grid.
+# Steps per slab of the increment stream of a chunk drawn from a noise
+# function (``_slabs``): its noise does not grow with the grid.
 NOISE_SLAB = 8 * HISTORY_BLOCK
 # Sum-of-exponentials far field of the em kernels (``_em_far_exponentials``):
 # Gauss-Legendre nodes per unit of ln x (one rule over the whole log range),
@@ -236,8 +237,8 @@ class BrownianDriver:
         starts past step 0 resumes path pid from ``states[pid]``, which the
         slab before it left (ValidationError, naming the slab and the path,
         where there is none), and one that ends before n_steps leaves its
-        state there. So a path's slabs, drawn in step order, equal one draw
-        of all its steps bit for bit.
+        state in ``states`` where that is given. So a path's slabs, drawn in
+        step order, equal one draw of all its steps bit for bit.
         """
         start, stop, stride = steps.indices(self.n_steps)
         if stride != 1 or stop < start:
@@ -258,7 +259,7 @@ class BrownianDriver:
                 key[1] = pid
                 bitgen.state = fresh
             gen.standard_normal(out=row)
-            if stop < self.n_steps:
+            if states is not None and stop < self.n_steps:
                 states[pid] = bitgen.state
         out *= math.sqrt(h)
         return out.T
@@ -709,16 +710,20 @@ def _near_weights(tables: KernelTables, nd: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
-                dw: np.ndarray, out, known: np.ndarray | None = None) -> np.ndarray:
+                dw: Iterable[np.ndarray], out,
+                known: np.ndarray | None = None) -> np.ndarray:
     """The lag sum x_n = init_mats[n] x0 + sum_{j<n} weights[n - j] h_j for
     one chunk of paths; returns the (copies * c,) mask of the paths whose
     output stayed finite.
 
-    etas has shape (dim, copies) and dw shape (n_steps, c): the chunk stacks
-    c paths from each initial value side by side, x0 = np.repeat(etas, c,
-    axis=1), on the grid ``p.grid(n_steps)``, and every copy steps over the
-    same increments, broadcast, never copied. Each copy's history channels
-    h_j (``_channels``) come from its own output row x_j just computed (the
+    etas has shape (dim, copies), and dw holds the chunk's increment rows
+    (c,), which the kernel reads once, row by row in step order: an
+    (n_steps, c) array or a stream of rows (``_slabs``), n_steps that of
+    the tables and c the first row's size. The chunk stacks c paths from
+    each initial value side by side, x0 = np.repeat(etas, c, axis=1), on
+    the grid ``p.grid(n_steps)``, and every copy steps over the same
+    increments, broadcast, never copied. Each copy's history channels h_j
+    (``_channels``) come from its own output row x_j just computed (the
     feedback recurrence) or, given ``known`` (n_steps + 1, dim, c), from
     known[j] for copy 0 and from copy k - 1's output row x_j for copy k: the
     operator without feedback applied ``copies`` times in one pass, which
@@ -776,7 +781,10 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
     _, r, cf = tables.weights.shape     # lag blocks (r, cf), cf = n_chan * r
     n_chan = cf // r
     cn = n_chan * nd
-    n_steps, c = dw.shape
+    n_steps = len(tables.weights) - 1
+    dw = iter(dw)
+    dw_0 = next(dw)
+    c = dw_0.size
     # x0 and the mask are allocated before the working arrays, so they cannot
     # pin the heap top above their freed space (that cost 0.7 MB peak RSS on
     # a 768-path em pair)
@@ -848,7 +856,8 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
 
     with np.errstate(over="ignore", invalid="ignore"):
         out[:1] = x0.reshape(1, *stacked)
-        _channels(tables, p, times[0], given(0, x0.reshape(stacked)), dw[0], hist[0])
+        _channels(tables, p, times[0], given(0, x0.reshape(stacked)), dw_0, hist[0])
+        del dw_0    # a view of the first slab: held, it would keep the slab
         j0, j1 = 0, 1       # the history rows whose channels hist holds
         for i, (n0, n1) in enumerate(blocks):
             acc = sums(n0, n1)
@@ -890,7 +899,7 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
                                        near_hist[(k - NEAR_PIECE) * cn:k * cn],
                                        n1 - n0 - k)
                 if n < n_steps:
-                    _channels(tables, p, times[n], given(n, acc[k]), dw[n], hist[k])
+                    _channels(tables, p, times[n], given(n, acc[k]), next(dw), hist[k])
             if not stored:
                 out[n0:n1] = acc
             finite &= np.isfinite(acc).all(axis=(0, 1)).ravel()
@@ -914,8 +923,8 @@ def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
     default), shape (len(steps), c), each path continuing from ``states``
     (``BrownianDriver.increments_block``). A path's increments are a pure
     function of (seed, path, step), so ``noise(slice(None))`` draws them
-    all, and ``_run`` has each chunk draw its own, one slab of steps at a
-    time (``_Slabs``).
+    all, and ``_run`` has each chunk draw its own as a stream of rows, one
+    slab of steps at a time (``_slabs``).
     """
     _check_dims(p, *inits)
     if n_paths < 1:
@@ -929,32 +938,14 @@ def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
     return noise
 
 
-class _Slabs:
-    """The increments (n_steps, c) of the column slice ``cols`` of ``noise``
-    (``_draw``), as the stepping kernel reads them: row by row in step order,
-    drawn NOISE_SLAB steps at a time, each slab continuing its paths' streams
-    from the one before. Only the current slab is held."""
-
-    def __init__(self, noise: Callable[..., np.ndarray], cols: slice,
-                 n_steps: int):
-        self._noise, self._cols, self._states = noise, cols, {}
-        self._start = 0
-        self._rows = noise(cols, slice(0, NOISE_SLAB), self._states)
-        self.shape = (n_steps, self._rows.shape[1])
-
-    def __getitem__(self, n: int) -> np.ndarray:
-        end = self._start + len(self._rows)
-        if n == end < self.shape[0]:
-            # the last slab is dropped before the next one is drawn
-            self._start, self._rows = n, None
-            self._rows = self._noise(self._cols, slice(n, n + NOISE_SLAB),
-                                     self._states)
-        elif not self._start <= n < end:
-            raise IndexError(
-                f"step {n} not readable: the increments have steps 0 to "
-                f"{self.shape[0] - 1}, read in step order, and the slab held "
-                f"covers steps {self._start} to {end - 1}")
-        return self._rows[n - self._start]
+def _slabs(noise: Callable[..., np.ndarray], cols: slice, n_steps: int):
+    """The increment rows (c,) of steps 0..n_steps-1 of the column slice
+    ``cols`` of ``noise`` (``_draw``), in step order, drawn NOISE_SLAB steps
+    at a time, each slab continuing its paths' streams from the one before.
+    Only the current slab is held: it is dropped before the next is drawn."""
+    states = {}
+    for start in range(0, n_steps, NOISE_SLAB):
+        yield from noise(cols, slice(start, start + NOISE_SLAB), states)
 
 
 def _run(p: ProblemSpec, tables: KernelTables, inits, n_paths: int,
@@ -966,16 +957,16 @@ def _run(p: ProblemSpec, tables: KernelTables, inits, n_paths: int,
     Every chunk stacks CHUNK_PATHS // copies paths of each copy, whatever
     ``threads`` is, so the result does not depend on it; ``threads`` > 1
     runs the chunks on a pool. The chunk of columns ``cols`` steps every
-    copy over its increments (n_steps, c), n_steps those of ``tables``:
-    the columns ``cols`` of ``noise`` where it is an array (n_steps,
-    n_paths), and otherwise ``_Slabs`` that draw them from the noise
-    function ``noise`` (``_draw``) NOISE_SLAB steps at a time, as the
-    kernel reads them, in the chunk's worker. No caller slices or draws a
-    chunk's increments itself. ``out(cols)`` takes the output of the
-    kernel, ``_step_paths``: the feedback recurrence or, with ``known`` (an
-    ensemble's paths, whose columns ``cols`` the chunk reads in place), the
-    operator without feedback, applied to known by copy 0 and to copy k - 1
-    by copy k. An output with a ``done`` method gets the chunk's mask
+    copy over the increment rows of its n_steps steps, n_steps those of
+    ``tables``: the columns ``cols`` of ``noise`` where it is an array
+    (n_steps, n_paths), and otherwise a stream of rows that ``_slabs``
+    draws from the noise function ``noise`` (``_draw``) NOISE_SLAB steps
+    at a time, in the chunk's worker, as the kernel reads them. No caller
+    slices or draws a chunk's increments itself. ``out(cols)`` takes the
+    output of the kernel, ``_step_paths``: the feedback recurrence or, with
+    ``known`` (an ensemble's paths, whose columns ``cols`` the chunk reads
+    in place), the operator without feedback, applied to known by copy 0
+    and to copy k - 1 by copy k. An output with a ``done`` method gets the chunk's mask
     (copies, c) once the kernel returns, in chunk order and in the calling
     thread whatever ``threads`` is. EnsembleError if more than
     FLAGGED_FRACTION_LIMIT of one copy's paths blew up, the copies checked
@@ -988,7 +979,7 @@ def _run(p: ProblemSpec, tables: KernelTables, inits, n_paths: int,
     def worker(cols: slice) -> tuple:
         sink = out(cols)
         dw = (noise[:, cols] if isinstance(noise, np.ndarray) else
-              _Slabs(noise, cols, len(tables.weights) - 1))
+              _slabs(noise, cols, len(tables.weights) - 1))
         ok = finite[:, cols] = _step_paths(
             tables, p, etas, dw, sink,
             None if known is None else known[:, :, cols]).reshape(copies, -1)
@@ -1102,7 +1093,8 @@ def picard_apply(p: ProblemSpec, init: InitialState, y: PathEnsemble,
     stacked iterates of ``analysis.contraction_report``, which apply the
     operator n_iter times in one pass. ``tables`` defaults to the mild ones;
     em tables give the em operator, read through their exponentials as the
-    feedback route reads them.
+    feedback route reads them. Tables of another grid than y's are refused
+    (ValidationError).
     """
     if y.dim != p.dim:
         raise ValidationError(f"ensemble dim {y.dim} != problem dim {p.dim}")
@@ -1118,6 +1110,9 @@ def picard_apply(p: ProblemSpec, init: InitialState, y: PathEnsemble,
         raise ValidationError("ensemble initial values differ from init")
     if tables is None:
         tables = mild_kernel_tables(p, n_steps)
+    elif len(tables.weights) != n_steps + 1:
+        raise ValidationError(f"kernel tables are for {len(tables.weights) - 1} "
+                              f"steps, the ensemble has {n_steps}")
     return _ensembles(p, tables, [init], y.increments, threads, known=y.paths)[0]
 
 

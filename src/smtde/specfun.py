@@ -11,7 +11,8 @@ at the left endpoint of each cell while the singular kernel is integrated
 exactly, giving the weights [(t-t_j)^a - (t-t_{j+1})^a] / Gamma(a+1). On a
 uniform grid they depend on the lag m only; ``rl_weights`` is their one
 owner, formed as -expm1(a log1p(-1/m)) (m h)^a / Gamma(a+1) without the
-cancellation of the difference of powers.
+cancellation of the difference of powers. ``rl_integral`` forms each cell
+of any grid the same way, from the cell's width over its distance to t.
 
 The Gauss rules behind the em far field's exponentials (``gauss_legendre``,
 ``gauss_jacobi``) come from one Golub-Welsch eigenproblem each.
@@ -282,7 +283,10 @@ def rl_integral(alpha: float, f: SampledFunction, t_index: int) -> float:
     """Riemann-Liouville integral I^alpha f at grid point ``t_index``.
 
     Left-endpoint product rule with exact per-cell kernel integrals, so the
-    integrable singularity at r -> t never enters the weights.
+    integrable singularity at r -> t never enters the weights. On any grid
+    cell j's weight is formed as (t - t_j)^alpha (-expm1(alpha log1p(-(t_{j+1}
+    - t_j) / (t - t_j)))) / Gamma(alpha+1), as ``rl_weights`` forms the
+    uniform ones, without the cancellation of the difference of powers.
     """
     if alpha <= 0:
         raise DomainError(f"fractional order must be positive, got {alpha!r}")
@@ -291,9 +295,10 @@ def rl_integral(alpha: float, f: SampledFunction, t_index: int) -> float:
         raise ValueError(f"t_index {t_index} outside grid of {f.n_points} points")
     if n == 0:
         return 0.0
-    t = f.grid[n]
-    lags = t - f.grid[: n + 1]  # decreasing, last entry 0
-    weights = (lags[:-1] ** alpha - lags[1:] ** alpha) / gamma_fn(alpha + 1.0)
+    dist = f.grid[n] - f.grid[:n]       # t - t_j, decreasing
+    with np.errstate(divide="ignore"):   # log1p(-1) = -inf in the last cell
+        weights = -np.expm1(alpha * np.log1p(-np.diff(f.grid[:n + 1]) / dist))
+    weights *= dist ** alpha / gamma_fn(alpha + 1.0)
     return float(weights @ f.values[:n])
 
 

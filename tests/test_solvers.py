@@ -138,6 +138,13 @@ class TestBrownianDriver:
         with pytest.raises(ValidationError, match="from step 16 "):
             drv.increments_block(range(3), 0.1, slice(16, 32))
 
+    def test_first_slab_without_states_keeps_none(self):
+        # a slab from step 0 that ends before the grid does has a state to
+        # leave, but no states to leave it in: it draws the first rows
+        drv = BrownianDriver(seed=2, n_steps=40)
+        rows = drv.increments_block(range(2), 0.1, slice(0, 16))
+        assert np.array_equal(rows, drv.increments_block(range(2), 0.1)[:16])
+
     def test_slab_missing_a_path_state_names_it(self):
         # a path the slab before did not draw has no state to resume from
         drv = BrownianDriver(seed=2, n_steps=40)
@@ -208,22 +215,15 @@ class TestBrownianDriver:
 
 class TestSlabs:
     def test_reads_follow_step_order(self):
-        # rows equal the one draw; a row behind the held slab, one past the
-        # next slab's start or one past the grid names the step it was asked
-        n_steps, slab = 600, solvers.NOISE_SLAB
-        drv = BrownianDriver(seed=3, n_steps=n_steps)
-        noise = solvers._draw(make_problem(), drv, 4, InitialState([3.0, 5.0]))
-        rows = solvers._Slabs(noise, slice(None), n_steps)
-        whole = noise(slice(None))
-        for n in range(slab + 3):
-            assert np.array_equal(rows[n], whole[n])
-        for n in (slab - 1, 0, 2 * slab + 1):
-            with pytest.raises(IndexError, match=f"^step {n} not readable"):
-                rows[n]
-        for n in range(slab + 3, n_steps):
-            assert np.array_equal(rows[n], whole[n])
-        with pytest.raises(IndexError, match=f"^step {n_steps} not readable"):
-            rows[n_steps]
+        # the stream's rows, in step order, equal the one draw: across slab
+        # edges (600 steps: two full slabs and a short one) and on a grid
+        # shorter than one slab
+        for n_steps in (600, solvers.NOISE_SLAB - 56):
+            drv = BrownianDriver(seed=3, n_steps=n_steps)
+            noise = solvers._draw(make_problem(), drv, 4, InitialState([3.0, 5.0]))
+            rows = list(solvers._slabs(noise, slice(1, 3), n_steps))
+            assert len(rows) == n_steps
+            assert np.array_equal(np.stack(rows), noise(slice(1, 3)))
 
 
 class TestInitialState:

@@ -324,6 +324,26 @@ class TestRlIntegral:
         ref = np.array(ref) * reciprocal_gamma(alpha + 1.0)
         assert np.all(np.abs(got[lags] - ref) <= 1e-15 * ref)
 
+    def test_graded_grid_cells_match_forty_digit_weights(self):
+        # I^a of a unit impulse on cell j is cell j's weight; on a graded
+        # grid the first cells are ~1e-7 of their distance to t, where a
+        # difference of powers loses ~1e-9 of them
+        n, alpha = 2000, 0.75
+        grid = 3.0 * (np.arange(n + 1) / n) ** 2
+        cells = [0, 1, 2, 10, *range(97, n, 331), n - 2, n - 1]
+        got = []
+        for j in cells:
+            values = np.zeros(n + 1)
+            values[j] = 1.0
+            got.append(rl_integral(alpha, SampledFunction(grid, values), n))
+        with localcontext() as ctx:
+            ctx.prec = 40
+            da, t = Decimal(alpha), Decimal(grid[n])
+            ref = [float((t - Decimal(grid[j])) ** da - (t - Decimal(grid[j + 1])) ** da)
+                   for j in cells]
+        ref = np.array(ref) / gamma_fn(alpha + 1.0)
+        assert np.all(np.abs(np.array(got) - ref) <= 4e-15 * ref)
+
     def test_domain_and_bounds(self):
         f = _uniform(lambda t: t, n=8)
         with pytest.raises(DomainError):

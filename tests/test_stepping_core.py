@@ -305,6 +305,48 @@ def test_finite_mask_is_the_output_check(scheme):
         assert np.array_equal(e.flags, ~np.isfinite(e.paths).all(axis=(0, 1)))
 
 
+class RecordedRows:
+    """An increment stream that serves the rows of dw once each, in step
+    order, and records the step of every read, one past the last row
+    included."""
+
+    def __init__(self, dw):
+        self._dw, self.reads = dw, []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        n = len(self.reads)
+        self.reads.append(n)
+        if n == len(self._dw):
+            raise StopIteration
+        return self._dw[n]
+
+
+@pytest.mark.parametrize("scheme", sorted(TABLES))
+@pytest.mark.parametrize("given", [False, True])
+@pytest.mark.parametrize("n_steps", [HISTORY_BLOCK, HISTORY_BLOCK + 1,
+                                     solvers.NOISE_SLAB, solvers.NOISE_SLAB + 1])
+def test_core_reads_each_increment_row_once_in_step_order(
+        sec6_problem, eta_state, scheme, given, n_steps):
+    # the kernel reads its increments only by iteration, each row once and
+    # in step order, the row count from its tables, across block and slab
+    # edges, with and without known: the rows of an array, stepped the same
+    p, n_paths = sec6_problem, 5
+    drv = BrownianDriver(seed=4, n_steps=n_steps)
+    tables = TABLES[scheme](p, n_steps)
+    dw = drv.increments_block(range(n_paths), p.horizon / n_steps)
+    etas = np.stack([eta_state.eta, -eta_state.eta], axis=1)
+    known = simulate_em(p, eta_state, drv, n_paths).paths if given else None
+    outs = [np.empty((n_steps + 1, p.dim, 2, n_paths)) for _ in range(2)]
+    rows = RecordedRows(dw)
+    finite = [_step_paths(tables, p, etas, rows, outs[0], known),
+              _step_paths(tables, p, etas, dw, outs[1], known)]
+    assert rows.reads == list(range(n_steps))
+    assert np.array_equal(*outs) and np.array_equal(*finite)
+
+
 class CountingOut:
     """A write-only core output that records each assignment's rows."""
 
@@ -449,6 +491,20 @@ def test_picard_apply_grows_by_output_rows_only(sec6_problem, eta_state,
     growth = (_picard_peak_bytes(p, eta_state, 2400, n_paths)
               - _picard_peak_bytes(p, eta_state, 600, n_paths))
     assert growth <= 1.02 * 1800 * p.dim * n_paths * 8
+
+
+@pytest.mark.parametrize("scheme", sorted(TABLES))
+@pytest.mark.parametrize("table_steps", [30, 80])
+def test_picard_apply_refuses_tables_of_another_grid(sec6_problem, eta_state,
+                                                     scheme, table_steps):
+    # tables for 80 steps on a 50-step ensemble would step it up to 27 %
+    # off, with no error, and tables for 30 steps would end in a raw
+    # IndexError: both are refused, naming both step counts, before a step
+    y = simulate_em(sec6_problem, eta_state, BrownianDriver(seed=1, n_steps=50), 8)
+    tables = TABLES[scheme](sec6_problem, table_steps)
+    with pytest.raises(ValidationError, match=f"^kernel tables are for "
+                       f"{table_steps} steps, the ensemble has 50$"):
+        picard_apply(sec6_problem, eta_state, y, tables=tables)
 
 
 def test_picard_iterates_agree_bit_for_bit_on_their_shared_rows(sec6_problem,
