@@ -94,6 +94,8 @@ DECAYING = {"problem.a_mat": [[-3.0, -0.6], [0.0, -3.0]],
 DECLINED = {"problem.a_mat": [[-1.0, -0.2], [0.0, -1.0]],
             "problem.b_mat": [[-1.0, 0.0], [-0.3, -1.0]],
             "grid.horizon": 5.0, "grid.n_steps": 1000}
+# 16 chunks whose grid crosses two edges of the NOISE_SLAB = 256-step slabs
+SLABS = {"grid.n_steps": 600, "monte_carlo.n_paths": 4096}
 ROWS = {
     "separation-rss": Row("separation_sec6", {}, 1, False, "rss", 170,
                           "a slab of increments per chunk: ~127 (210 drawn up front)"),
@@ -133,6 +135,10 @@ ROWS = {
                                    False, "threads", ["results.csv"], "16 chunks of 4 stacked copies"),
     "threads-picard-4096": Row("picard_sec6", {"monte_carlo.n_paths": 4096}, 2, False,
                                "threads", ["results.csv"], "16 chunks of 4 stacked iterates"),
+    "threads-continuity-600": Row("continuity_sec6", SLABS, 2, False, "threads",
+                                  ["results.csv"], "stacked copies across slab edges"),
+    "threads-picard-600": Row("picard_sec6", SLABS, 2, False, "threads", ["results.csv"],
+                              "stacked iterates across slab edges"),
 }
 
 

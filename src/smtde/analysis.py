@@ -49,8 +49,8 @@ from .errors import (DegenerateExperimentError, DomainError, EnsembleError,
                      ValidationError)
 from .linalg import row_sum_norms
 from .solvers import (BrownianDriver, InitialState, PathEnsemble, ProblemSpec,
-                      _check_dims, _draw, _run, kernel_tables, mild_init_term,
-                      mild_kernel_tables, mild_ml)
+                      _as_int, _check_dims, _draw, _run, kernel_tables,
+                      mild_init_term, mild_kernel_tables, mild_ml)
 from .specfun import gamma_fn, ml_scalar_log, rl_weights
 
 FIT_WINDOW_START = 1.0
@@ -229,9 +229,7 @@ def _mean_and_se(sq: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def ms_norm(e: PathEnsemble, t_index: int) -> tuple[float, float]:
     """Sample mean of |X(t)|^2 across paths and its standard error."""
-    if isinstance(t_index, bool) or not isinstance(t_index, (int, np.integer)):
-        raise ValidationError(f"t_index must be an integer, got {t_index!r}")
-    n = int(t_index)
+    n = _as_int(t_index, "t_index")
     if n < 0 or n > e.n_steps:
         raise ValidationError(f"t_index {t_index} outside grid")
     est, se = _mean_and_se(_sq_reduce((e,), slice(n, n + 1)), e.grid[n:n + 1])
@@ -432,6 +430,7 @@ def contraction_report(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
     and the EnsembleError above FLAGGED_FRACTION_LIMIT (the first iterate
     checked first) are the same.
     """
+    n_iter = _as_int(n_iter, "n_iter")
     if n_iter < 3:
         raise ValidationError("n_iter must be >= 3")
     _check_two_paths(n_paths)

@@ -52,7 +52,8 @@ from .analysis import (contraction_report, continuity_experiment,
 from .errors import (DomainError, NonConvergenceError, SmtdeError,
                      TruncationBoundError, ValidationError)
 from .mlmatrix import MLParams, ml_nonperm_info, ml_perm
-from .solvers import _SCHEMES, BrownianDriver, InitialState, ProblemSpec
+from .solvers import (_SCHEMES, BrownianDriver, InitialState, ProblemSpec,
+                      _as_int)
 from .specfun import SampledFunction, caputo_identity_residual, gamma_fn
 
 REPORT_KEYS = ("m_sup", "omega", "zeta", "c_const", "fitted_exponent",
@@ -144,12 +145,6 @@ def _as_number(value, name: str) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite")
-    return value
-
-
-def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{name} must be an integer")
     return value
 
 

@@ -174,6 +174,14 @@ class ProblemSpec:
         return self.horizon / n_steps * np.arange(n_steps + 1)
 
 
+def _as_int(value, name: str) -> int:
+    """value as an int: a Python or numpy integer, not a bool, or
+    ValidationError naming the argument; nothing is truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class InitialState:
     """The initial value eta of every path of an ensemble: one finite vector."""
 
@@ -203,8 +211,8 @@ class BrownianDriver:
     """
 
     def __init__(self, seed: int, n_steps: int):
-        seed = int(seed)
-        n_steps = int(n_steps)
+        seed = _as_int(seed, "seed")
+        n_steps = _as_int(n_steps, "n_steps")
         if seed < 0 or seed >= 2 ** 63:
             raise ValidationError(f"seed must be in [0, 2^63), got {seed!r}")
         if n_steps < 1:
@@ -326,10 +334,10 @@ class KernelTables:
 
       - exponentials (em): ``sum_l exp(-rates[l] k) far_weights[l]``;
       - a shared basis (mild, ``_far_basis``): the window of the B lags
-        s, s - 1, ..., s - B + 1, ``_lag_weights(weights, s, s + 1, 0, B)``,
-        is ``far_rows[s] @ far_basis`` for every s >= far_lag + B - 1, with
-        ``far_basis`` (k, B * cf) orthonormal rows and ``far_rows``
-        (n_steps + 1, r, k), zero below 2B.
+        s, s - 1, ..., s - B + 1, ``_lag_view(weights, s, s + 1, 0, B)``
+        read as (r, B * cf), is ``far_rows[s] @ far_basis`` for every
+        s >= far_lag + B - 1, with ``far_basis`` (k, B * cf) orthonormal
+        rows and ``far_rows`` (n_steps + 1, r, k), zero below 2B.
 
       Building the tables checks the far field against ``weights`` at every
       far lag and raises ``NonConvergenceError`` beyond SOE_TOL relative:
@@ -382,20 +390,21 @@ class KernelTables:
             yield lags, np.abs(approx - exact), np.abs(exact)
 
     def _basis_errors(self):
-        """Per B far windows s (``_far_windows``): the lags s - b (S, B), and
-        per lag block the Frobenius norms of the basis's error and of the
-        block, (S, B) each."""
+        """Per B far windows s = 2B..n_steps-1, read in place as the lag
+        view (S, r, B, cf) of the table (``_lag_view``): the lags s - b
+        (S, B), and per lag block the Frobenius norms of the basis's error
+        and of the block, (S, B) each, the blocks' formed once per lag."""
         blk = HISTORY_BLOCK
-        _, r, cf = self.weights.shape
-        windows = _far_windows(self.weights)
+        windows = _lag_view(self.weights, 2 * blk, len(self.weights) - 1, 0, blk)
+        norms = np.sqrt(_lag_block_sq(self.weights.transpose(1, 0, 2)[None]))[0]
         for lo in range(0, len(windows), blk):
-            exact = windows[lo:lo + blk].reshape(-1, r, blk, cf)
+            exact = windows[lo:lo + blk]
             s0, s1 = 2 * blk + lo, 2 * blk + lo + len(exact)
             err = (self.far_rows[s0:s1].reshape(-1, len(self.far_basis))
                    @ self.far_basis).reshape(exact.shape)
             err -= exact
-            yield (np.arange(s0, s1)[:, None] - np.arange(blk),
-                   np.sqrt(_lag_block_sq(err)), np.sqrt(_lag_block_sq(exact)))
+            lags = np.arange(s0, s1)[:, None] - np.arange(blk)
+            yield lags, np.sqrt(_lag_block_sq(err)), norms[lags]
 
 
 def _lag_block_sq(windows: np.ndarray) -> np.ndarray:
@@ -405,19 +414,17 @@ def _lag_block_sq(windows: np.ndarray) -> np.ndarray:
     return (windows[..., None, :] @ windows[..., :, None]).sum(axis=(1, 3, 4))
 
 
-def _far_windows(weights: np.ndarray) -> np.ndarray:
-    """The far windows s = 2B..n_steps-1 of the lag table ``weights``
-    (n_steps + 1, r, cf), B = HISTORY_BLOCK: entry s - 2B is
-    ``_lag_weights(weights, s, s + 1, 0, B)``, the lags s, s - 1, ...,
-    s - B + 1 side by side, (r, B cf). One read-only view of a copy of the
-    table in reverse lag order, in which each window row is one run."""
-    n_steps, r, cf = weights.shape
-    n_steps -= 1
-    rev = np.ascontiguousarray(weights[::-1].transpose(1, 0, 2))
+def _lag_view(weights: np.ndarray, n0: int, n1: int, j0: int,
+              j1: int) -> np.ndarray:
+    """weights[n - j] of the steps n0..n1-1 against the history rows
+    j0..j1-1, (n1 - n0, r, j1 - j0, cf): a read-only view of the lag table
+    ``weights`` (n_steps + 1, r, cf) itself, which copies nothing. The lags
+    n0 - j1 + 1 .. n1 - 1 - j0 must lie in the table. A product reads it
+    as ((n1 - n0) r, (j1 - j0) cf), a reshape that takes its one copy."""
+    s0, s1, s2 = weights.strides
     return np.lib.stride_tricks.as_strided(
-        rev[:, n_steps - 2 * HISTORY_BLOCK:],
-        (n_steps - 2 * HISTORY_BLOCK, r, HISTORY_BLOCK * cf),
-        (-cf * rev.itemsize, rev.strides[0], rev.itemsize), writeable=False)
+        weights[n0 - j0], (n1 - n0, weights.shape[1], j1 - j0, weights.shape[2]),
+        (s0, s1, -s0, s2), writeable=False)
 
 
 def _em_far_exponentials(p: ProblemSpec, h: float,
@@ -529,12 +536,14 @@ def _far_basis(weights: np.ndarray):
     (see ``KernelTables``), or (None, None) where it would take more than
     ``_basis_limit`` rows.
 
-    The basis spans the far windows (``_far_windows``; a full piece starts
-    at row 1 or later) of every far block offset (``_extend_basis``), taken
-    FAR_BASIS_OFFSETS offsets at a time in the order of their lags, each
-    group extending the basis of the groups before, so the build holds one
-    group of windows whatever the grid. ``far_rows`` holds the coordinates
-    of the windows, W far_basis^T.
+    The basis spans the far windows s = 2B..n_steps-1 (a full piece starts
+    at row 1 or later), read in place as the lag view (S, r, B, cf) of the
+    table (``_lag_view``), of every far block offset (``_extend_basis``),
+    taken FAR_BASIS_OFFSETS offsets at a time in the order of their lags,
+    each group extending the basis of the groups before, so the build holds
+    one group of windows whatever the grid. ``far_rows`` holds the
+    coordinates of the windows, W far_basis^T, each block of them copied
+    once for its product.
     """
     _, r, cf = weights.shape
     blk = HISTORY_BLOCK
@@ -544,7 +553,7 @@ def _far_basis(weights: np.ndarray):
     # the kept basis is allocated before the temporaries, so it cannot pin
     # the heap above their freed space
     basis = np.empty((limit, blk * cf))
-    windows = _far_windows(weights)
+    windows = _lag_view(weights, 2 * blk, len(weights) - 1, 0, blk)
     offsets = -(-len(windows) // blk)
     group = np.empty((min(FAR_BASIS_OFFSETS * blk, len(windows)), r, blk, cf))
     coef = np.empty((limit, len(group) * r))
@@ -567,13 +576,14 @@ def _far_basis(weights: np.ndarray):
 def _extend_basis(windows: np.ndarray, offsets, basis: np.ndarray, k: int,
                   group: np.ndarray, coef: np.ndarray) -> int | None:
     """Extends the orthonormal rows basis[:k] to the far windows of the
-    block offsets ``offsets`` (B = HISTORY_BLOCK entries of ``windows`` per
-    offset, the last offset those the grid has), until every (r, cf) lag
-    block of every window is within SOE_TOL / 2 of its residual, relative
-    in Frobenius norm; returns the new count, or None where that takes
-    more than len(basis) rows. ``group`` (S, r, B, cf) holds the windows,
-    each offset's scaled to unit Frobenius norm, and ``coef`` (len(basis),
-    S r) their coordinates.
+    block offsets ``offsets`` (B = HISTORY_BLOCK entries of the lag view
+    ``windows`` (S, r, B, cf) per offset, the last offset those the grid
+    has), until every (r, cf) lag block of every window is within
+    SOE_TOL / 2 of its residual, relative in Frobenius norm; returns the
+    new count, or None where that takes more than len(basis) rows.
+    ``group``, shaped like ``windows``, takes its copy of the windows, each
+    offset's scaled to unit Frobenius norm, and ``coef`` (len(basis), S r)
+    their coordinates.
 
     Pivoted Gram-Schmidt on the windows' rows: each new basis row is the
     largest residual row, orthogonalized against the basis once more. The
@@ -587,7 +597,7 @@ def _extend_basis(windows: np.ndarray, offsets, basis: np.ndarray, k: int,
     for off in offsets:
         src = windows[off * blk:(off + 1) * blk]
         part = group[n:n + len(src)]
-        part.reshape(src.shape)[...] = src
+        part[...] = src
         part /= np.sqrt(part.ravel() @ part.ravel())
         n += len(src)
     win = group[:n]
@@ -676,20 +686,11 @@ def _blocks(n_steps: int) -> list[tuple[int, int]]:
             for n0 in range(1, n_steps + 1, HISTORY_BLOCK)]
 
 
-def _lag_weights(weights: np.ndarray, n0: int, n1: int, j0: int,
-                 j1: int) -> np.ndarray:
-    """weights[n - j] of the steps n0..n1-1 against the history rows
-    j0..j1-1, gathered in a product's row order, ((n1 - n0) r, (j1 - j0) cf)
-    (the reshape copies nothing)."""
-    r = weights.shape[1]
-    lags = np.arange(n0, n1)[:, None, None] - np.arange(j0, j1)
-    return weights[lags, np.arange(r)[:, None]].reshape((n1 - n0) * r, -1)
-
-
 def _near_weights(tables: KernelTables, nd: int) -> tuple[np.ndarray, np.ndarray]:
     """(own, push): a block's near-field weights in near pieces of P =
-    NEAR_PIECE rows, gathered once per call as dense (dim, n_chan dim) lag
-    blocks, ``kron(w, I)`` for scalar weights. Against the history as
+    NEAR_PIECE rows, copied once per call out of lag views (``_lag_view``)
+    of the table's first B lags as dense (dim, n_chan dim) lag blocks,
+    ``kron(w, I)`` for scalar weights. Against the history as
     ``near_hist`` holds it, every product then has dim rows and one column
     per path; scalar weights against ``hist_cols`` would give one-row
     products over dim columns per path, whose bits moved with the number
@@ -705,8 +706,9 @@ def _near_weights(tables: KernelTables, nd: int) -> tuple[np.ndarray, np.ndarray
     near[:len(tables.weights)] = tables.weights[:HISTORY_BLOCK]
     if near.shape[1] == 1:
         near = np.kron(near, np.eye(nd))
-    return (_lag_weights(near, NEAR_PIECE - 1, NEAR_PIECE, 0, NEAR_PIECE - 1),
-            _lag_weights(near, NEAR_PIECE, HISTORY_BLOCK, 0, NEAR_PIECE))
+    own = _lag_view(near, NEAR_PIECE - 1, NEAR_PIECE, 0, NEAR_PIECE - 1)
+    push = _lag_view(near, NEAR_PIECE, HISTORY_BLOCK, 0, NEAR_PIECE)
+    return own.reshape(nd, -1), push.reshape(len(push) * nd, -1)
 
 
 def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
@@ -751,11 +753,13 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
       later blocks that it reaches: the next block for em, whose states
       carry the rest; for mild every later block, exactly into those that
       start less than ``tables.far_lag`` after it (all of them for row 0 or
-      without a basis) and otherwise through the basis, ``far_rows`` of the
-      block's lags against the piece's coordinates, formed once per piece
-      with one (k, B cf) product after its exact pushes; the far pushes are
-      formed in hist, whose channels are read by then. The first piece
-      writes, the others add, in time order.
+      without a basis), with the weights of the lag view of the table
+      (``_lag_view``) that the product copies once, and otherwise through
+      the basis, ``far_rows`` of the block's lags against the piece's
+      coordinates, formed once per piece with one (k, B cf) product after
+      its exact pushes; the far pushes are formed in hist, whose channels
+      are read by then. The first piece writes, the others add, in time
+      order.
     * its initial term, then row by row its near field (the in-block lags)
       in near pieces of P = NEAR_PIECE rows (``_near_weights``): at the
       first row of a near piece, the one before it is pushed into the rest
@@ -865,7 +869,8 @@ def _step_paths(tables: KernelTables, p: ProblemSpec, etas: np.ndarray,
                 acc[...] = product(readout[:(n1 - n0) * r], state, n1 - n0)
             for m0, m1 in blocks[i:]:
                 if m0 < j0 + tables.far_lag or (basis is not None and j1 - j0 < blk):
-                    piece = product(_lag_weights(tables.weights, m0, m1, j0, j1),
+                    piece = product(_lag_view(tables.weights, m0, m1, j0, j1
+                                              ).reshape((m1 - m0) * r, -1),
                                     hist_cols[:(j1 - j0) * cf], m1 - m0)
                 elif basis is None:
                     break       # the states carry the rest
@@ -916,7 +921,8 @@ def _check_dims(p: ProblemSpec, *inits: InitialState) -> None:
 
 def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
           *inits: InitialState) -> Callable[..., np.ndarray]:
-    """Checks the initial states and n_paths; returns the experiment's noise.
+    """Checks the initial states and n_paths, an integer >= 1; returns the
+    experiment's noise.
 
     ``noise(cols, steps, states)`` draws the increments of the paths in the
     column slice ``cols`` of 0..n_paths-1 at the steps ``steps`` (all by
@@ -924,10 +930,11 @@ def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
     (``BrownianDriver.increments_block``). A path's increments are a pure
     function of (seed, path, step), so ``noise(slice(None))`` draws them
     all, and ``_run`` has each chunk draw its own as a stream of rows, one
-    slab of steps at a time (``_slabs``).
+    slab of steps at a time (``_slabs``). ``noise.n_steps`` is the driver's
+    step count, which ``_run`` checks against its tables before a draw.
     """
     _check_dims(p, *inits)
-    if n_paths < 1:
+    if _as_int(n_paths, "n_paths") < 1:
         raise ValidationError("n_paths must be >= 1")
     ids, h = range(n_paths), p.horizon / drv.n_steps
 
@@ -935,6 +942,7 @@ def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
               states: dict | None = None) -> np.ndarray:
         return drv.increments_block(ids[cols], h, steps, states)
 
+    noise.n_steps = drv.n_steps
     return noise
 
 
@@ -962,16 +970,23 @@ def _run(p: ProblemSpec, tables: KernelTables, inits, n_paths: int,
     (n_steps, n_paths), and otherwise a stream of rows that ``_slabs``
     draws from the noise function ``noise`` (``_draw``) NOISE_SLAB steps
     at a time, in the chunk's worker, as the kernel reads them. No caller
-    slices or draws a chunk's increments itself. ``out(cols)`` takes the
-    output of the kernel, ``_step_paths``: the feedback recurrence or, with
-    ``known`` (an ensemble's paths, whose columns ``cols`` the chunk reads
-    in place), the operator without feedback, applied to known by copy 0
-    and to copy k - 1 by copy k. An output with a ``done`` method gets the chunk's mask
+    slices or draws a chunk's increments itself. Increments of another step
+    count than the tables' (the array's rows, or the noise function's
+    ``n_steps``) are refused with ValidationError, naming both, before any
+    chunk is stepped. ``out(cols)`` takes the output of the kernel,
+    ``_step_paths``: the feedback recurrence or, with ``known`` (an
+    ensemble's paths, whose columns ``cols`` the chunk reads in place), the
+    operator without feedback, applied to known by copy 0 and to copy k - 1
+    by copy k. An output with a ``done`` method gets the chunk's mask
     (copies, c) once the kernel returns, in chunk order and in the calling
     thread whatever ``threads`` is. EnsembleError if more than
     FLAGGED_FRACTION_LIMIT of one copy's paths blew up, the copies checked
     in order.
     """
+    steps = len(noise) if isinstance(noise, np.ndarray) else noise.n_steps
+    if steps != len(tables.weights) - 1:
+        raise ValidationError(f"kernel tables are for {len(tables.weights) - 1} "
+                              f"steps, the increments for {steps}")
     etas = np.stack([init.eta for init in inits], axis=1)
     copies = etas.shape[1]
     finite = np.empty((copies, n_paths), dtype=bool)

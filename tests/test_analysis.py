@@ -411,6 +411,23 @@ class TestContractionReport:
         with pytest.raises(ValidationError, match="n_paths must be >= 1"):
             contraction_report(sec6_problem, eta_state, drv, n_iter=3, n_paths=0)
 
+    @pytest.mark.parametrize("n_iter, n_paths, name", [
+        (3.5, 5, "n_iter"), (3.0, 5, "n_iter"), (True, 5, "n_iter"),
+        (3, 5.0, "n_paths")])
+    def test_counts_not_integers_rejected(self, sec6_problem, eta_state, n_iter,
+                                          n_paths, name):
+        # 3.5 iterates and 5.0 paths ended in a raw TypeError
+        drv = BrownianDriver(seed=3, n_steps=10)
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+            contraction_report(sec6_problem, eta_state, drv, n_iter=n_iter,
+                               n_paths=n_paths)
+
+    def test_numpy_integer_counts_accepted(self, sec6_problem, eta_state):
+        drv = BrownianDriver(seed=3, n_steps=10)
+        assert contraction_report(sec6_problem, eta_state, drv, n_iter=np.int64(3),
+                                  n_paths=np.int64(5)) == \
+            contraction_report(sec6_problem, eta_state, drv, n_iter=3, n_paths=5)
+
 
 def sequential_report(p, eta, drv, n_iter, n_paths, omega):
     """(log weighted diffs, most paths dropped) of Picard iterates applied

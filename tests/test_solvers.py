@@ -213,6 +213,22 @@ class TestBrownianDriver:
             BrownianDriver(seed=1, n_steps=0)
 
 
+    @pytest.mark.parametrize("seed, n_steps, name", [
+        (2.9, 100, "seed"), (True, 100, "seed"), (np.float64(1.0), 100, "seed"),
+        (1, 10.7, "n_steps"), (1, True, "n_steps"), (1, "10", "n_steps")])
+    def test_integer_arguments_are_checked_not_truncated(self, seed, n_steps,
+                                                         name):
+        # int() ran seed 2 for 2.9 and 10 steps for 10.7; True passed as 1
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+            BrownianDriver(seed=seed, n_steps=n_steps)
+
+    def test_numpy_integers_accepted(self):
+        drv = BrownianDriver(seed=np.int64(3), n_steps=np.int32(10))
+        assert (drv.seed, drv.n_steps) == (3, 10) and type(drv.seed) is int
+        assert np.array_equal(drv.increments_block(range(2), 0.1),
+                              BrownianDriver(3, 10).increments_block(range(2), 0.1))
+
+
 class TestSlabs:
     def test_reads_follow_step_order(self):
         # the stream's rows, in step order, equal the one draw: across slab
@@ -442,6 +458,26 @@ class TestConstantEnsemble:
         drv = BrownianDriver(seed=2, n_steps=10)
         with pytest.raises(ValidationError, match="n_paths must be >= 1"):
             constant_ensemble(sec6_problem, eta_state, drv, 0)
+
+
+    @pytest.mark.parametrize("n_paths", [2.0, True, np.float64(3.0)])
+    def test_n_paths_not_an_integer_rejected(self, sec6_problem, eta_state,
+                                             n_paths):
+        # every route checks n_paths where it draws (_draw): 2.0 ended in a
+        # raw TypeError, and True ran one path
+        drv = BrownianDriver(seed=2, n_steps=10)
+        for route in (simulate_em, constant_ensemble):
+            with pytest.raises(ValidationError,
+                               match="^n_paths must be an integer, got "):
+                route(sec6_problem, eta_state, drv, n_paths)
+        with pytest.raises(ValidationError, match="^n_paths must be an integer"):
+            coupled_pair(sec6_problem, eta_state, eta_state, drv, n_paths)
+
+    def test_numpy_integer_n_paths_accepted(self, sec6_problem, eta_state):
+        drv = BrownianDriver(seed=2, n_steps=10)
+        assert np.array_equal(
+            simulate_mild(sec6_problem, eta_state, drv, np.int64(3)).paths,
+            simulate_mild(sec6_problem, eta_state, drv, 3).paths)
 
 
 class TestCoupledPair:

@@ -507,6 +507,33 @@ def test_picard_apply_refuses_tables_of_another_grid(sec6_problem, eta_state,
         picard_apply(sec6_problem, eta_state, y, tables=tables)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("drawn", [False, True])
+@pytest.mark.parametrize("noise_steps", [40, 60])
+def test_run_refuses_increments_of_another_grid(sec6_problem, eta_state,
+                                                monkeypatch, threads, drawn,
+                                                noise_steps):
+    # tables for 50 steps: 40 steps of increments, stored or drawn, ran out
+    # inside the kernel (a misleading EnsembleError at one thread, a
+    # RuntimeError at two), and a 60-step driver stepped silently with its
+    # own h. Both are refused, naming both step counts, before any chunk
+    monkeypatch.setattr(solvers, "CHUNK_PATHS", 4)
+    p, n_paths = sec6_problem, 8
+    noise = solvers._draw(p, BrownianDriver(seed=1, n_steps=noise_steps),
+                          n_paths, eta_state)
+    chunks = []
+
+    def out(cols):
+        chunks.append(cols)
+        return np.empty((51, p.dim, 1, len(range(n_paths)[cols])))
+
+    with pytest.raises(ValidationError, match=f"^kernel tables are for 50 steps, "
+                       f"the increments for {noise_steps}$"):
+        solvers._run(p, em_kernel_tables(p, 50), [eta_state], n_paths,
+                     noise if drawn else noise(slice(None)), out, threads)
+    assert not chunks
+
+
 def test_picard_iterates_agree_bit_for_bit_on_their_shared_rows(sec6_problem,
                                                                 eta_state):
     # row n of T Y reads rows 0..n-1 of Y, so iterate k + 1 equals iterate
@@ -648,17 +675,77 @@ def test_basis_limit_is_the_flop_crossover(n_steps, limit):
         assert cost(limit) < exact <= cost(limit + 1)
 
 
+def lag_blocks(weights, n0, n1, j0, j1):
+    """weights[n - j] of the steps n0..n1-1 against the history rows
+    j0..j1-1, (n1 - n0, r, j1 - j0, cf), one lag at a time."""
+    r, cf = weights.shape[1:]
+    out = np.empty((n1 - n0, r, j1 - j0, cf))
+    for n in range(n0, n1):
+        for j in range(j0, j1):
+            out[n - n0, :, j - j0] = weights[n - j]
+    return out
+
+
+def assert_lag_view(weights, n0, n1, j0, j1):
+    # a read-only view of the table itself, whose product copy holds the
+    # same values
+    view = solvers._lag_view(weights, n0, n1, j0, j1)
+    assert np.shares_memory(view, weights) and not view.flags.writeable
+    assert np.array_equal(view, lag_blocks(weights, n0, n1, j0, j1))
+
+
 @pytest.mark.parametrize("scheme", sorted(TABLES))
-def test_far_windows_are_the_gathered_ones(sec6_problem, scheme):
-    # the build and check read each far window s as a view; it equals the
-    # window that _lag_weights gathers for one step against B history rows
+@pytest.mark.parametrize("n_steps", [150, 1000])
+def test_lag_view_reads_the_lag_table(sec6_problem, scheme, n_steps):
+    # every lag block the kernel and the mild basis read: the row-0 piece
+    # against every block, each full piece pushed into the next block, the
+    # partial last block, and every far window s = 2B..n_steps-1 (the lags
+    # s, ..., s - B + 1)
     blk = HISTORY_BLOCK
-    tables = TABLES[scheme](sec6_problem, 150)
-    windows = solvers._far_windows(tables.weights)
-    assert len(windows) == 150 - 2 * blk
-    for s in range(2 * blk, 150):
-        assert np.array_equal(windows[s - 2 * blk], solvers._lag_weights(
-            tables.weights, s, s + 1, 0, blk))
+    weights = TABLES[scheme](sec6_problem, n_steps).weights
+    blocks = solvers._blocks(n_steps)
+    assert blocks[-1][1] - blocks[-1][0] < blk      # a partial last block
+    for m0, m1 in blocks:
+        assert_lag_view(weights, m0, m1, 0, 1)
+    for (j0, j1), (m0, m1) in zip(blocks, blocks[1:]):
+        assert_lag_view(weights, m0, m1, j0, j1)
+    assert_lag_view(weights, 2 * blk, n_steps, 0, blk)
+
+
+@pytest.mark.parametrize("scheme", sorted(TABLES))
+def test_near_weights_on_a_grid_shorter_than_a_block(sec6_problem, scheme):
+    # own: lags P - 1 .. 1 side by side; push: rows P..B-1 against rows
+    # 0..P-1 of a piece; lags past the 20-step grid are zero, and scalar
+    # weights are kron(w, I)
+    p, n_steps, piece = sec6_problem, 20, solvers.NEAR_PIECE
+    tables = TABLES[scheme](p, n_steps)
+    weights = tables.weights
+    dense = [np.kron(weights[k], np.eye(p.dim)) if weights.shape[1] == 1
+             else weights[k] for k in range(n_steps + 1)]
+    dense += [np.zeros_like(dense[0])] * (HISTORY_BLOCK - n_steps - 1)
+    own, push = solvers._near_weights(tables, p.dim)
+    assert np.array_equal(own, np.hstack(
+        [dense[piece - 1 - j] for j in range(piece - 1)]))
+    assert np.array_equal(push, np.vstack(
+        [np.hstack([dense[n - j] for j in range(piece)])
+         for n in range(piece, HISTORY_BLOCK)]))
+
+
+def test_far_windows_are_read_in_place(sec6_problem):
+    # the far windows of a 4000-step mild table are a view of the table:
+    # reading them, B windows at a time as the basis build and check do,
+    # allocates no copy of it
+    blk = HISTORY_BLOCK
+    weights = mild_kernel_tables(sec6_problem, 4000).weights
+    tracemalloc.start()
+    try:
+        windows = solvers._lag_view(weights, 2 * blk, len(weights) - 1, 0, blk)
+        read = sum(len(windows[lo:lo + blk]) for lo in range(0, len(windows), blk))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read == len(weights) - 1 - 2 * blk
+    assert peak < 0.01 * weights.nbytes
 
 
 def test_stable_pair_declines_in_one_pass(monkeypatch):
