@@ -46,10 +46,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DegenerateExperimentError, DomainError, EnsembleError,
-                     ValidationError)
+                     ValidationError, as_int, as_real)
 from .linalg import row_sum_norms
 from .solvers import (BrownianDriver, InitialState, PathEnsemble, ProblemSpec,
-                      _as_int, _check_dims, _draw, _run, kernel_tables,
+                      _check_dims, _draw, _run, kernel_tables,
                       mild_init_term, mild_kernel_tables, mild_ml)
 from .specfun import gamma_fn, ml_scalar_log, rl_weights
 
@@ -72,17 +72,15 @@ class WeightedNormParams:
     alpha: float
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise DomainError(f"omega must be positive, got {self.omega!r}")
-        if not 0.5 < self.alpha < 1.0:
-            raise DomainError(f"alpha must be in (1/2, 1), got {self.alpha!r}")
+        as_real(self.omega, "omega", 0.0, error=DomainError)
+        as_real(self.alpha, "alpha", 0.5, 1.0, error=DomainError)
 
 
 def _check_two_paths(n_paths: int) -> None:
     """The two-path rule: a mean over paths is reported with its standard
     error, which one path cannot give. (A count below 1 is rejected where
     the paths are drawn.)"""
-    if n_paths == 1:
+    if as_int(n_paths, "n_paths", 1) == 1:
         raise ValidationError("the two-path rule: a mean over paths needs at "
                               "least 2 paths for its standard error, got 1")
 
@@ -229,7 +227,7 @@ def _mean_and_se(sq: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def ms_norm(e: PathEnsemble, t_index: int) -> tuple[float, float]:
     """Sample mean of |X(t)|^2 across paths and its standard error."""
-    n = _as_int(t_index, "t_index")
+    n = as_int(t_index, "t_index")
     if n < 0 or n > e.n_steps:
         raise ValidationError(f"t_index {t_index} outside grid")
     est, se = _mean_and_se(_sq_reduce((e,), slice(n, n + 1)), e.grid[n:n + 1])
@@ -295,7 +293,10 @@ def log_weighted_norm(e: PathEnsemble, e2: PathEnsemble,
 
 def _contraction_scale(p: ProblemSpec, m_sup: float) -> float:
     """Gamma(2a-1) M^2 (1 + L_b^2 T + L_s^2), shared by the threshold and zeta;
-    DomainError where it overflows."""
+    DomainError for an m_sup that is not a finite real >= 0, or where it
+    overflows."""
+    if as_real(m_sup, "m_sup", error=DomainError) < 0:
+        raise DomainError(f"m_sup must be nonnegative, got {m_sup!r}")
     try:
         factor = 1.0 + p.lip_b ** 2 * p.horizon + p.lip_sigma ** 2
         scale = gamma_fn(2.0 * p.alpha - 1.0) * m_sup ** 2 * factor
@@ -310,15 +311,12 @@ def _contraction_scale(p: ProblemSpec, m_sup: float) -> float:
 
 def omega_threshold(p: ProblemSpec, m_sup: float) -> float:
     """Weight above which the mild-form operator is a contraction."""
-    if m_sup < 0:
-        raise DomainError("m_sup must be nonnegative")
     return 4.0 * _contraction_scale(p, m_sup)
 
 
 def zeta_const(p: ProblemSpec, m_sup: float, omega: float) -> float:
     """Contraction constant of the mild-form operator in the omega-norm."""
-    if not omega > 0:
-        raise DomainError(f"omega must be positive, got {omega!r}")
+    omega = as_real(omega, "omega", 0.0, error=DomainError)
     return 3.0 * _contraction_scale(p, m_sup) / omega
 
 
@@ -362,15 +360,10 @@ def convolution_bound_check(alpha: float, omega: float, t: float, n_quad: int) -
     (an underestimate, since it is increasing) and integrates the singular
     kernel exactly per cell.
     """
-    if not 0.5 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (1/2, 1), got {alpha!r}")
-    if not omega > 0:
-        raise DomainError(f"omega must be positive, got {omega!r}")
-    if not t > 0:
-        raise DomainError(f"t must be positive, got {t!r}")
-    n_quad = int(n_quad)
-    if n_quad < 1:
-        raise ValidationError("n_quad must be >= 1")
+    alpha = as_real(alpha, "alpha", 0.5, 1.0, error=DomainError)
+    omega = as_real(omega, "omega", 0.0, error=DomainError)
+    t = as_real(t, "t", 0.0, error=DomainError)
+    n_quad = as_int(n_quad, "n_quad", 1)
     order = 2.0 * alpha - 1.0
     r = np.linspace(0.0, t, n_quad + 1)
     # the exact cell kernel integrals are Gamma(order) w[n_quad - j]: 1/Gamma cancels
@@ -430,13 +423,12 @@ def contraction_report(p: ProblemSpec, init: InitialState, drv: BrownianDriver,
     and the EnsembleError above FLAGGED_FRACTION_LIMIT (the first iterate
     checked first) are the same.
     """
-    n_iter = _as_int(n_iter, "n_iter")
-    if n_iter < 3:
-        raise ValidationError("n_iter must be >= 3")
+    n_iter = as_int(n_iter, "n_iter", 3)
     _check_two_paths(n_paths)
     m_sup, _ = ml_sup_norm(p)
     omega_min = omega_threshold(p, m_sup)
-    omega_used = float(omega) if omega is not None else omega_min
+    omega_used = omega_min if omega is None else as_real(omega, "omega", 0.0,
+                                                         error=DomainError)
     zeta = zeta_const(p, m_sup, omega_used)
     c_const = init_term_sup_sq(p)
     w = WeightedNormParams(omega=omega_used, alpha=p.alpha)
@@ -555,8 +547,7 @@ def separation_experiment(p: ProblemSpec, eta: InitialState, gamma: InitialState
     on the separation rate (distances should decay no faster than t^(-alpha)
     up to desk-scale slack; growth shows up as negative p).
     """
-    if not scaling_exponent > 0:
-        raise ValidationError("scaling exponent must be positive")
+    scaling_exponent = as_real(scaling_exponent, "scaling_exponent", 0.0)
     if p.horizon < 4.0:
         raise ValidationError("separation experiment needs horizon >= 4 "
                               "for a meaningful fit window")
@@ -633,11 +624,11 @@ def continuity_experiment(p: ProblemSpec, eta: InitialState, offsets,
     the ratio divides by, is a finite normal float, and unless each sup
     mean-square distance and ratio is finite.
     """
-    offsets = [float(o) for o in offsets]
-    if not offsets or any(o <= 0 for o in offsets):
-        raise ValidationError("offsets must be positive")
-    if any(b >= a for a, b in zip(offsets[:-1], offsets[1:])):
-        raise ValidationError("offsets must be strictly decreasing")
+    # an infinite offset is left to the check of its square below
+    offsets = [off if off in (math.inf, -math.inf) else
+               as_real(off, "offsets entry", 0.0) for off in offsets]
+    if not offsets or any(b >= a for a, b in zip(offsets[:-1], offsets[1:])):
+        raise ValidationError("offsets must be strictly decreasing and non-empty")
     for off in offsets:
         try:
             normal = sys.float_info.min <= off ** 2 < math.inf

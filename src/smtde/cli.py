@@ -16,17 +16,13 @@ Identical config and seed produce byte-identical ``results.csv`` for any
 fixed-size chunks with per-path RNG streams, numpy's bundled OpenBLAS is
 pinned to one thread for the run, and statistics are reduced in a fixed order.
 
-Exit codes: 0 success, 2 config parse/validation error (also for values only
-an experiment checks, e.g. ``n_iter < 3``, for values whose arithmetic
-overflows: a continuity offset without a finite normal square or whose
-mean-square distance overflows, a Picard contraction threshold, a
-non-finite ``check-identity`` sample; for ``monte_carlo.n_paths`` 1 in an
-experiment that reports a mean over paths, the two-path rule; for
-``--threads`` below 1, and for an ``--out`` that exists, even as a dangling
-symlink, and is not a directory),
-3 runtime/numerical error or an error creating or writing the outputs
-(outputs of an earlier run are removed); ``--out`` is created only after a
-success.
+Exit codes: 0 success. 2 where the input is at fault: a config that does
+not parse, an ``--out`` that exists and is not a directory, or any
+ValidationError or DomainError, whether the config check or the experiment
+raises it (numbers follow the argument rule of ``smtde.errors``). 3 where the
+run is: any other package error, or an error creating or writing the
+outputs (outputs of an earlier run are removed). ``--out`` is created only
+after a success.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ import csv
 import ctypes
 import glob
 import json
-import math
 import os
 import platform
 import sys
@@ -50,10 +45,9 @@ from .analysis import (contraction_report, continuity_experiment,
                        convolution_bound_check, separation_experiment,
                        simulate_ms_norm)
 from .errors import (DomainError, NonConvergenceError, SmtdeError,
-                     TruncationBoundError, ValidationError)
+                     TruncationBoundError, ValidationError, as_int, as_real)
 from .mlmatrix import MLParams, ml_nonperm_info, ml_perm
-from .solvers import (_SCHEMES, BrownianDriver, InitialState, ProblemSpec,
-                      _as_int)
+from .solvers import _SCHEMES, BrownianDriver, InitialState, ProblemSpec
 from .specfun import SampledFunction, caputo_identity_residual, gamma_fn
 
 REPORT_KEYS = ("m_sup", "omega", "zeta", "c_const", "fitted_exponent",
@@ -139,19 +133,10 @@ def _require_keys(section: dict, name: str, required, optional=()):
             raise ValidationError(f"unknown field '{key}' in {name}")
 
 
-def _as_number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite")
-    return value
-
-
 def _as_vector(value, name: str, dim: int | None = None) -> list[float]:
     if not isinstance(value, list) or not value:
         raise ValidationError(f"{name} must be a non-empty list of numbers")
-    vec = [_as_number(v, f"{name} entry") for v in value]
+    vec = [as_real(v, f"{name} entry") for v in value]
     if dim is not None and len(vec) != dim:
         raise ValidationError(f"{name} must have {dim} entries")
     return vec
@@ -180,9 +165,9 @@ def _as_param(key: str, value, dim: int):
     if key == "omega" and value is None:
         return None
     if key in ("n_iter", "n_quad"):
-        return _as_int(value, name)
+        return as_int(value, name)
     if key in ("lambda", "omega", "delta"):
-        return _as_number(value, name)
+        return as_real(value, name)
     # the rest are vectors; initial states live in R^dim
     vec = _as_vector(value, name, dim if key in ("eta", "gamma") else None)
     if key == "t_grid" and any(t < 0 for t in vec):
@@ -198,41 +183,33 @@ def load_config(raw: dict) -> RunConfig:
 
     grid = raw["grid"]
     _require_keys(grid, "grid", ("horizon", "n_steps"))
-    horizon = _as_number(grid["horizon"], "grid.horizon")
-    n_steps = _as_int(grid["n_steps"], "grid.n_steps")
-    if n_steps < 1:
-        raise ValidationError("grid.n_steps must be >= 1")
+    horizon = as_real(grid["horizon"], "grid.horizon")
+    n_steps = as_int(grid["n_steps"], "grid.n_steps", 1)
 
     prob = raw["problem"]
     _require_keys(prob, "problem",
                   ("alpha", "beta", "a_mat", "b_mat", "drift", "diffusion",
                    "lip_b", "lip_sigma", "dim"))
-    dim = _as_int(prob["dim"], "problem.dim")
-    if dim < 1:
-        raise ValidationError("problem.dim must be >= 1")
+    dim = as_int(prob["dim"], "problem.dim", 1)
     drift_name = _as_choice(prob["drift"], "drift", DRIFT_REGISTRY)
     diffusion_name = _as_choice(prob["diffusion"], "diffusion", DIFFUSION_REGISTRY)
     problem = ProblemSpec(
-        alpha=_as_number(prob["alpha"], "problem.alpha"),
-        beta=_as_number(prob["beta"], "problem.beta"),
+        alpha=as_real(prob["alpha"], "problem.alpha"),
+        beta=as_real(prob["beta"], "problem.beta"),
         a_mat=np.asarray(_as_square(prob["a_mat"], "problem.a_mat", dim)),
         b_mat=np.asarray(_as_square(prob["b_mat"], "problem.b_mat", dim)),
         drift=DRIFT_REGISTRY[drift_name],
         diffusion=DIFFUSION_REGISTRY[diffusion_name],
-        lip_b=_as_number(prob["lip_b"], "problem.lip_b"),
-        lip_sigma=_as_number(prob["lip_sigma"], "problem.lip_sigma"),
+        lip_b=as_real(prob["lip_b"], "problem.lip_b"),
+        lip_sigma=as_real(prob["lip_sigma"], "problem.lip_sigma"),
         horizon=horizon,
         dim=dim,
     )
 
     mc = raw["monte_carlo"]
     _require_keys(mc, "monte_carlo", ("n_paths", "seed"))
-    n_paths = _as_int(mc["n_paths"], "monte_carlo.n_paths")
-    if n_paths < 1:
-        raise ValidationError("monte_carlo.n_paths must be >= 1")
-    seed = _as_int(mc["seed"], "monte_carlo.seed")
-    if seed < 0:
-        raise ValidationError("monte_carlo.seed must be nonnegative")
+    n_paths = as_int(mc["n_paths"], "monte_carlo.n_paths", 1)
+    seed = as_int(mc["seed"], "monte_carlo.seed", 0)
 
     experiment = _as_choice(raw["experiment"], "experiment", _EXPERIMENTS)
     params = raw.get("params", {})
@@ -442,9 +419,6 @@ def _single_thread_blas():
 def run(config_path: str, out_dir: str, threads: int = 1,
         seed: int | None = None) -> int:
     """Execute one experiment config; returns the process exit status."""
-    if threads < 1:
-        print(f"validation failed: threads must be >= 1, got {threads}", file=sys.stderr)
-        return 2
     if os.path.lexists(out_dir) and not os.path.isdir(out_dir):
         print(f"validation failed: output path '{out_dir}' is not a directory",
               file=sys.stderr)
@@ -462,8 +436,9 @@ def run(config_path: str, out_dir: str, threads: int = 1,
 
     if seed is not None and isinstance(raw, dict) and \
             isinstance(raw.get("monte_carlo"), dict):
-        raw["monte_carlo"]["seed"] = int(seed)
+        raw["monte_carlo"]["seed"] = seed
     try:
+        as_int(threads, "threads", 1)
         cfg = load_config(raw)
     except ValidationError as exc:
         print(f"validation failed: {exc}", file=sys.stderr)

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError, as_real_array
 
-def as_matrix(m) -> np.ndarray:
-    """Validate and return ``m`` as a square float64 array with finite entries."""
-    a = np.asarray(m, dtype=float)
+
+def as_matrix(m, name: str) -> np.ndarray:
+    """``m`` as a square float64 array of finite reals (``as_real_array``);
+    ValidationError naming the argument otherwise."""
+    a = as_real_array(m, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+        raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
     return a
 
 
@@ -27,13 +28,13 @@ def row_sum_norms(m: np.ndarray) -> np.ndarray:
 
 def mat_norm(m) -> float:
     """Max row-sum norm: max_i sum_j |m_ij| (the operator norm for max-norm vectors)."""
-    return float(row_sum_norms(as_matrix(m)))
+    return float(row_sum_norms(as_matrix(m, "m")))
 
 
 def commutator(a, b) -> np.ndarray:
     """Return [a, b] = ab - ba."""
-    a = as_matrix(a)
-    b = as_matrix(b)
+    a = as_matrix(a, "a")
+    b = as_matrix(b, "b")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a

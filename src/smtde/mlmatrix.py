@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, TruncationBoundError
+from .errors import (DomainError, NonConvergenceError, TruncationBoundError,
+                     as_real)
 from .linalg import as_matrix, commutator, mat_norm, row_sum_norms
 from .specfun import reciprocal_gammas
 
@@ -63,12 +64,9 @@ class MLParams:
     delta: float
 
     def __post_init__(self):
-        if not (self.rho > 0 and math.isfinite(self.rho)):
-            raise DomainError(f"rho must be positive, got {self.rho!r}")
-        if not (self.sigma_exp > 0 and math.isfinite(self.sigma_exp)):
-            raise DomainError(f"sigma_exp must be positive, got {self.sigma_exp!r}")
-        if not math.isfinite(self.delta):
-            raise DomainError(f"delta must be finite, got {self.delta!r}")
+        as_real(self.rho, "rho", 0.0, error=DomainError)
+        as_real(self.sigma_exp, "sigma_exp", 0.0, error=DomainError)
+        as_real(self.delta, "delta", error=DomainError)
 
 
 class QTable:
@@ -85,8 +83,8 @@ class QTable:
     """
 
     def __init__(self, a, b):
-        a = as_matrix(a)
-        b = as_matrix(b)
+        a = as_matrix(a, "a")
+        b = as_matrix(b, "b")
         if a.shape != b.shape:
             raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
         self.a = a.copy()
@@ -296,8 +294,8 @@ def ml_perm(a, b, p: MLParams, t: float) -> np.ndarray:
     t^(delta-1) prefactor of the usual kernel form is left to callers. Raises
     if the inputs do not commute.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
+    a = as_matrix(a, "a")
+    b = as_matrix(b, "b")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     comm_tol = 1e-12 * mat_norm(a) * mat_norm(b)

@@ -88,7 +88,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import EnsembleError, NonConvergenceError, ValidationError
+from .errors import (EnsembleError, NonConvergenceError, ValidationError,
+                     as_int, as_real, as_real_array)
 from .linalg import as_matrix
 from .mlmatrix import MLParams, QTable, ml_nonperm_grid
 from .specfun import (gauss_jacobi, gauss_legendre, reciprocal_gamma,
@@ -149,22 +150,18 @@ class ProblemSpec:
     q_table: QTable = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0.5 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must be in (1/2, 1), got {self.alpha!r}")
-        if not 0.0 < self.beta:
-            raise ValidationError(f"beta must be positive, got {self.beta!r}")
-        if not self.beta < self.alpha:
+        dim = as_int(self.dim, "dim", 1)
+        alpha = as_real(self.alpha, "alpha", 0.5, 1.0)
+        if not as_real(self.beta, "beta", 0.0) < alpha:
             raise ValidationError("beta must be < alpha")
-        a = as_matrix(self.a_mat)
-        b = as_matrix(self.b_mat)
-        if a.shape != (self.dim, self.dim) or b.shape != (self.dim, self.dim):
-            raise ValidationError(
-                f"coefficient matrices must be {self.dim}x{self.dim}")
-        if self.lip_b < 0 or self.lip_sigma < 0:
-            raise ValidationError("Lipschitz constants must be nonnegative")
-        if not self.horizon > 0:
-            raise ValidationError(f"horizon must be positive, got {self.horizon!r}")
-        for name, mat in (("a_mat", a.copy()), ("b_mat", b.copy())):
+        if as_real(self.lip_b, "lip_b") < 0 or as_real(self.lip_sigma, "lip_sigma") < 0:
+            raise ValidationError(f"lip_b and lip_sigma must be nonnegative, got "
+                                  f"{self.lip_b!r} and {self.lip_sigma!r}")
+        as_real(self.horizon, "horizon", 0.0)
+        for name in ("a_mat", "b_mat"):
+            mat = as_matrix(getattr(self, name), name).copy()
+            if mat.shape != (dim, dim):
+                raise ValidationError(f"coefficient matrices must be {dim}x{dim}")
             mat.flags.writeable = False
             object.__setattr__(self, name, mat)
         object.__setattr__(self, "q_table", QTable(self.a_mat, self.b_mat))
@@ -174,21 +171,13 @@ class ProblemSpec:
         return self.horizon / n_steps * np.arange(n_steps + 1)
 
 
-def _as_int(value, name: str) -> int:
-    """value as an int: a Python or numpy integer, not a bool, or
-    ValidationError naming the argument; nothing is truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 class InitialState:
     """The initial value eta of every path of an ensemble: one finite vector."""
 
     def __init__(self, eta):
-        vec = np.asarray(eta, dtype=float)
-        if vec.ndim != 1 or not np.all(np.isfinite(vec)):
-            raise ValidationError("eta must be a finite vector")
+        vec = as_real_array(eta, "eta")
+        if vec.ndim != 1:
+            raise ValidationError(f"eta must be a vector, got shape {vec.shape}")
         self.eta = vec.copy()
 
     @property
@@ -211,14 +200,10 @@ class BrownianDriver:
     """
 
     def __init__(self, seed: int, n_steps: int):
-        seed = _as_int(seed, "seed")
-        n_steps = _as_int(n_steps, "n_steps")
-        if seed < 0 or seed >= 2 ** 63:
+        self.seed = as_int(seed, "seed")
+        if not 0 <= self.seed < 2 ** 63:
             raise ValidationError(f"seed must be in [0, 2^63), got {seed!r}")
-        if n_steps < 1:
-            raise ValidationError(f"n_steps must be >= 1, got {n_steps!r}")
-        self.seed = seed
-        self.n_steps = n_steps
+        self.n_steps = as_int(n_steps, "n_steps", 1)
 
     def _generator(self) -> tuple[np.random.Generator, dict]:
         """A Philox generator and the state of a fresh
@@ -934,8 +919,7 @@ def _draw(p: ProblemSpec, drv: BrownianDriver, n_paths: int,
     step count, which ``_run`` checks against its tables before a draw.
     """
     _check_dims(p, *inits)
-    if _as_int(n_paths, "n_paths") < 1:
-        raise ValidationError("n_paths must be >= 1")
+    as_int(n_paths, "n_paths", 1)
     ids, h = range(n_paths), p.horizon / drv.n_steps
 
     def noise(cols: slice, steps: slice = slice(None),
@@ -983,6 +967,7 @@ def _run(p: ProblemSpec, tables: KernelTables, inits, n_paths: int,
     FLAGGED_FRACTION_LIMIT of one copy's paths blew up, the copies checked
     in order.
     """
+    threads = as_int(threads, "threads", 1)
     steps = len(noise) if isinstance(noise, np.ndarray) else noise.n_steps
     if steps != len(tables.weights) - 1:
         raise ValidationError(f"kernel tables are for {len(tables.weights) - 1} "

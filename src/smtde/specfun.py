@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, ValidationError
+from .errors import (DomainError, NonConvergenceError, ValidationError, as_int,
+                     as_real, as_real_array)
 
 ML_SERIES_TOL = 1e-14
 ML_MAX_TERMS = 100_000
@@ -44,9 +45,7 @@ _LOG_BLOCK = 128
 def gamma_fn(x: float) -> float:
     """Gamma function for finite x > 0, inf where it exceeds float64 range
     (x above ~171.62). Raises DomainError otherwise."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x!r}")
+    x = as_real(x, "x", 0.0, error=DomainError)
     try:
         return math.gamma(x)
     except OverflowError:
@@ -169,8 +168,7 @@ def ml_scalar_log(alpha: float, z):
     otherwise the power series summed in log space (bounded through u < U0
     for 0 < alpha < 1; for alpha >= 1 the term count grows like u).
     """
-    if alpha <= 0:
-        raise DomainError(f"ml order must be positive, got {alpha!r}")
+    alpha = as_real(alpha, "alpha", 0.0, error=DomainError)
     zs = np.asarray(z, dtype=float)
     if np.any(zs < 0) or not np.all(np.isfinite(zs)):
         raise DomainError("ml_scalar_log requires finite z >= 0")
@@ -209,8 +207,8 @@ class SampledFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        grid = as_real_array(self.grid, "grid")
+        values = as_real_array(self.values, "sampled values")
         if grid.ndim != 1 or grid.size < 2:
             raise ValidationError("grid must be a 1-d array with at least two points")
         if grid[0] != 0.0:
@@ -220,8 +218,6 @@ class SampledFunction:
         if values.shape != grid.shape:
             raise ValidationError(
                 f"values shape {values.shape} does not match grid shape {grid.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("sampled values must be finite")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
@@ -288,11 +284,10 @@ def rl_integral(alpha: float, f: SampledFunction, t_index: int) -> float:
     - t_j) / (t - t_j)))) / Gamma(alpha+1), as ``rl_weights`` forms the
     uniform ones, without the cancellation of the difference of powers.
     """
-    if alpha <= 0:
-        raise DomainError(f"fractional order must be positive, got {alpha!r}")
-    n = int(t_index)
-    if n < 0 or n >= f.n_points:
-        raise ValueError(f"t_index {t_index} outside grid of {f.n_points} points")
+    alpha = as_real(alpha, "alpha", 0.0, error=DomainError)
+    n = as_int(t_index, "t_index", 0)
+    if n >= f.n_points:
+        raise ValidationError(f"t_index {t_index} outside grid of {f.n_points} points")
     if n == 0:
         return 0.0
     dist = f.grid[n] - f.grid[:n]       # t - t_j, decreasing
@@ -308,8 +303,7 @@ def rl_integral_all(alpha: float, f: SampledFunction) -> np.ndarray:
     On uniform grids the weights depend on the lag only, so all values come
     from one discrete convolution; otherwise falls back to per-index sums.
     """
-    if alpha <= 0:
-        raise DomainError(f"fractional order must be positive, got {alpha!r}")
+    alpha = as_real(alpha, "alpha", 0.0, error=DomainError)
     n_pts = f.n_points
     if not f.is_uniform():
         return np.array([rl_integral(alpha, f, i) for i in range(n_pts)])
@@ -325,8 +319,7 @@ def caputo_identity_residual(alpha: float, f: SampledFunction,
     recovers f(t) - f(0); the returned residual is
     max_n | I^alpha df_caputo (t_n) - (f(t_n) - f(0)) |.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"identity check requires alpha in (0, 1), got {alpha!r}")
+    alpha = as_real(alpha, "alpha", 0.0, 1.0, error=DomainError)
     if f.grid.shape != df_caputo.grid.shape or not np.array_equal(f.grid, df_caputo.grid):
         raise ValueError("f and df_caputo must share the same grid")
     recovered = rl_integral_all(alpha, df_caputo)

@@ -148,7 +148,7 @@ class TestValidation:
         ("continuity", {"eta": [3.0, 5.0], "offsets": [0.01, 0.1]}, {},
          "offsets must be strictly decreasing"),
         ("check-lemma", {"omegas": [1.0], "alphas": [0.4], "times": [1.0],
-                         "n_quad": 10}, {}, "alpha must be in (1/2, 1)"),
+                         "n_quad": 10}, {}, "alpha must be in (0.5, 1)"),
         ("check-lemma", {"omegas": [1.0], "alphas": [0.75], "times": [1.0],
                          "n_quad": 0}, {}, "n_quad must be >= 1"),
         ("simulate", {"eta": [3.0, 5.0]},
